@@ -101,11 +101,7 @@ fn collect_stmt_ids(s: &polyir::Stmt, out: &mut Vec<usize>) {
 ///
 /// Returns a human-readable error when gcc fails or the binary misbehaves.
 pub fn measure_with_gcc(g: &Generated, params: &[i64], reps: u64) -> Result<GccReport, String> {
-    let dir = std::env::temp_dir().join(format!(
-        "cgplus-gcc-{}-{}",
-        std::process::id(),
-        unique_token()
-    ));
+    let dir = scratch_dir("cgplus-gcc");
     std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
     let c_path: PathBuf = dir.join("scan.c");
     let o_path: PathBuf = dir.join("scan");
@@ -158,10 +154,17 @@ pub fn measure_with_gcc(g: &Generated, params: &[i64], reps: u64) -> Result<GccR
     })
 }
 
-fn unique_token() -> u64 {
+/// A path under the system temp dir that no other call in any running
+/// process returns: `tag`, the process id and a per-process counter. Any
+/// leftover from an earlier process with the same id is removed; the
+/// caller creates the directory.
+pub fn scratch_dir(tag: &str) -> PathBuf {
     use std::sync::atomic::{AtomicU64, Ordering};
     static NEXT: AtomicU64 = AtomicU64::new(0);
-    NEXT.fetch_add(1, Ordering::Relaxed)
+    let token = NEXT.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("{tag}-{}-{token}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
 }
 
 #[cfg(test)]

@@ -20,10 +20,6 @@ pub(crate) struct Problem {
     pub pieces: Vec<Piece>,
     /// Number of scanned dimensions (`max_level`).
     pub max_level: usize,
-    /// `CODEGENPLUS_TRACE` presence, read once per run.
-    pub trace: bool,
-    /// Thread policy shared by every pass of this run.
-    pub par: crate::par::Parallelism,
     /// `projections[p][l-1] = Project(IS_p, l_{l+1} … l_max)` for
     /// `l ∈ 1..=max_level`, computed on first use: every recompute pass
     /// re-reads the same projections, but some (piece, level) pairs are
@@ -32,13 +28,7 @@ pub(crate) struct Problem {
 }
 
 impl Problem {
-    pub fn new(
-        space: Space,
-        pieces: Vec<Piece>,
-        max_level: usize,
-        par: crate::par::Parallelism,
-    ) -> Problem {
-        let trace = std::env::var_os("CODEGENPLUS_TRACE").is_some();
+    pub fn new(space: Space, pieces: Vec<Piece>, max_level: usize) -> Problem {
         let projections = pieces
             .iter()
             .map(|_| {
@@ -51,8 +41,6 @@ impl Problem {
             space,
             pieces,
             max_level,
-            trace,
-            par,
             projections,
         }
     }
@@ -155,9 +143,8 @@ impl Node {
                     .into_iter()
                     .filter(|p| parent_active.contains(p))
                     .collect();
-                let new_parts: Vec<(Conjunct, Node)> = pb
-                    .par
-                    .map_ordered(parts, |(r, child)| {
+                let new_parts: Vec<(Conjunct, Node)> =
+                    omega::par::map_ordered(parts, |(r, child)| {
                         let child_restriction = restriction.intersect(&r);
                         child
                             .recompute(pb, &active, known, &child_restriction)
@@ -197,17 +184,11 @@ impl Node {
                 // Restrict each piece's projection in parallel; the union is
                 // folded in input order afterwards so the result is
                 // independent of thread scheduling.
-                let restricted = pb.par.map_ordered(cands, |p| {
+                let restricted = omega::par::map_ordered(cands, |p| {
                     let rs = pb.project_inner(p, level).intersect_conjunct(restriction);
                     (p, rs)
                 });
                 for (p, rs) in restricted {
-                    if pb.trace {
-                        eprintln!(
-                            "[cg+]     L{level} piece {p}: {} conj",
-                            rs.conjuncts().len()
-                        );
-                    }
                     if rs.is_empty() {
                         continue;
                     }
@@ -217,20 +198,8 @@ impl Node {
                 if live.is_empty() {
                     return None;
                 }
-                let trace = pb.trace;
-                let th = std::time::Instant::now();
                 let hull = projected.hull();
-                let tg = std::time::Instant::now();
                 let (bounds, guard, degenerate) = split_hull(&hull, v, known);
-                if trace {
-                    eprintln!(
-                        "[cg+]   loop L{level}: {} live, {} conjuncts, hull {:.2?}, guard {:.2?}",
-                        live.len(),
-                        projected.conjuncts().len(),
-                        tg.duration_since(th),
-                        tg.elapsed()
-                    );
-                }
                 let body_known = known.intersect(&bounds).intersect(&guard);
                 let body_restriction = restriction.intersect(&bounds).intersect(&guard);
                 let body = (*body).recompute(pb, &live, &body_known, &body_restriction)?;
@@ -370,12 +339,7 @@ mod tests {
             })
             .collect();
         let max_level = space.n_vars();
-        Problem::new(
-            space,
-            pieces,
-            max_level,
-            crate::par::Parallelism::sequential(),
-        )
+        Problem::new(space, pieces, max_level)
     }
 
     #[test]

@@ -168,12 +168,7 @@ mod tests {
             })
             .collect();
         let max_level = space.n_vars();
-        Problem::new(
-            space,
-            pieces,
-            max_level,
-            crate::par::Parallelism::sequential(),
-        )
+        Problem::new(space, pieces, max_level)
     }
 
     #[test]

@@ -40,7 +40,6 @@ mod input;
 mod lift;
 mod lower;
 mod minmax;
-mod par;
 
 pub use input::{pad_statements, CodeGenError, Statement};
 pub use lower::{cond_of_conjunct, try_cond_of_conjunct};
@@ -122,7 +121,7 @@ impl CodeGen {
             known: None,
             merge_ifs: true,
             reorder_leaves: false,
-            threads: 0,
+            threads: 1,
             intra_threads: 0,
             limits: omega::Limits::default(),
             trace: None,
@@ -178,12 +177,20 @@ impl CodeGen {
         self
     }
 
-    /// Sets the number of worker threads for the scanning passes. `0` (the
-    /// default) uses the machine's available parallelism, probed once per
-    /// process (see [`CodeGen::resolved_threads`]); `1` runs the fully
-    /// sequential path. The generated AST is byte-identical for every
-    /// thread count: parallel maps collect results in input order and the
-    /// satisfiability cache stores verdicts of canonicalized systems only.
+    /// Sets the number of worker threads for the scanning passes. `1` (the
+    /// default) runs the fully sequential path: per-call thread fan-out
+    /// costs more than it saves on the Table 1 kernels (see the README's
+    /// "Thread scaling"). `0` opts in to the machine's available
+    /// parallelism, probed once per process (see
+    /// [`CodeGen::resolved_threads`]). The generated AST is byte-identical
+    /// for every thread count: parallel maps collect results in input
+    /// order and the satisfiability cache stores verdicts of canonicalized
+    /// systems only.
+    ///
+    /// `threads` and [`CodeGen::intra_threads`] are shares of one budget,
+    /// not factors: a fan-out nested inside a parallel one runs inline, so
+    /// one [`CodeGen::generate`] call uses at most
+    /// `max(threads, intra_threads)` threads at once.
     pub fn threads(mut self, n: usize) -> CodeGen {
         self.threads = n;
         self
@@ -192,9 +199,13 @@ impl CodeGen {
     /// Sets the *intra-query* thread budget: solver-level task batches
     /// (per-conjunct gists, hull candidate chunks, splinter branches) fan
     /// out across up to `n` threads inside a single query. `0` (the
-    /// default) follows [`CodeGen::threads`]; `1` keeps every query on its
-    /// calling thread. Like the pass-level policy, results are joined in
-    /// input order, so generated code is byte-identical at every budget.
+    /// default) follows [`CodeGen::threads`], so the default run is
+    /// sequential; `1` keeps every query on its calling thread. A query
+    /// asked from inside a parallel pass-level fan-out runs its batches
+    /// inline, so the two settings never multiply (see
+    /// [`CodeGen::threads`]). Like the pass-level policy, results are
+    /// joined in input order, so generated code is byte-identical at every
+    /// budget.
     pub fn intra_threads(mut self, n: usize) -> CodeGen {
         self.intra_threads = n;
         self
@@ -205,7 +216,7 @@ impl CodeGen {
     /// once per process so every run (and telemetry) reports the same
     /// value.
     pub fn resolved_threads(&self) -> usize {
-        par::resolve_threads(self.threads)
+        omega::par::resolve_threads(self.threads)
     }
 
     /// The intra-query thread budget [`CodeGen::generate`] will actually
@@ -265,10 +276,13 @@ impl CodeGen {
     /// statements disagree on the scanning space, every domain is empty, or
     /// a loop level is unbounded.
     pub fn generate(&self) -> Result<Generated, CodeGenError> {
-        let intra = self.resolved_intra_threads();
+        let budget = omega::par::Budget {
+            threads: self.resolved_threads(),
+            intra: self.resolved_intra_threads(),
+        };
         let (result, certainty) = omega::limits::with_limits(self.limits, || {
             omega::trace::with_collector(self.trace.clone(), || {
-                omega::par::with_intra_threads(intra, || self.generate_inner())
+                omega::par::with_budget(budget, || self.generate_inner())
             })
         });
         let (code, names) = result?;
@@ -280,40 +294,23 @@ impl CodeGen {
     }
 
     fn generate_inner(&self) -> Result<(Stmt, Names), CodeGenError> {
-        let trace = std::env::var_os("CODEGENPLUS_TRACE").is_some();
         let run_span = omega::span!(cg_generate, stmts = self.stmts.len(), effort = self.effort);
-        let t0 = std::time::Instant::now();
         let (pb, known, names) = {
             let _s = omega::span!(cg_prepare);
             self.prepare()?
         };
         run_span.attr("pieces", pb.pieces.len());
-        if trace {
-            eprintln!(
-                "[cg+] prepare: {} pieces in {:.2?}",
-                pb.pieces.len(),
-                t0.elapsed()
-            );
-        }
         // 1. initial AST (Figure 2) + node properties (Figure 3)
-        let t1 = std::time::Instant::now();
         let root = {
             let _s = omega::span!(cg_init_ast);
             init::init_ast(&pb)
         };
-        if trace {
-            eprintln!("[cg+] initAST: {:.2?}", t1.elapsed());
-        }
-        let t2 = std::time::Instant::now();
         let all: Vec<usize> = (0..pb.pieces.len()).collect();
         let root = {
             let _s = omega::span!(cg_recompute);
             root.recompute(&pb, &all, &known, &Conjunct::universe(&pb.space))
                 .ok_or(CodeGenError::EmptyDomains)?
         };
-        if trace {
-            eprintln!("[cg+] recompute: {:.2?}", t2.elapsed());
-        }
         // 2+3. loop overhead removal at the requested depth (Figure 4),
         // optional min/max bound removal (§3.2.2 extension), then lowering
         // with if-statement simplification (Figure 5/6, §3.3). Overhead
@@ -333,38 +330,23 @@ impl CodeGen {
         let mut effort = self.effort;
         let mut minmax_effort = self.minmax_effort;
         let code = loop {
-            let t3 = std::time::Instant::now();
             let root = {
                 let _s = omega::span!(cg_lift, effort = effort);
                 lift::lift_overhead(&pb, base.clone(), effort)
             };
-            if trace {
-                eprintln!("[cg+] liftOverhead: {:.2?}", t3.elapsed());
-            }
             let root = if minmax_effort > 0 {
                 let _s = omega::span!(cg_minmax, effort = minmax_effort);
                 minmax::remove_minmax(&pb, root, minmax_effort)
             } else {
                 root
             };
-            let t4 = std::time::Instant::now();
             let lowered = {
                 let _s = omega::span!(cg_lower);
                 ctx.lower_root(&root, &known)
             };
             match lowered {
-                Ok(code) => {
-                    if trace {
-                        eprintln!("[cg+] lower: {:.2?}", t4.elapsed());
-                    }
-                    break code;
-                }
-                Err(CodeGenError::UnloweredGuard { atom }) if effort > 0 || minmax_effort > 0 => {
-                    if trace {
-                        eprintln!(
-                            "[cg+] lower rejected guard `{atom}` at effort {effort}: degrading"
-                        );
-                    }
+                Ok(code) => break code,
+                Err(CodeGenError::UnloweredGuard { .. }) if effort > 0 || minmax_effort > 0 => {
                     if effort > 0 {
                         effort -= 1;
                     } else {
@@ -390,9 +372,8 @@ impl CodeGen {
         // Preprocessing: split every statement's space into disjoint
         // single-conjunct pieces (statements are independent, so this maps
         // in parallel; flattening keeps statement order).
-        let par = par::Parallelism::new(self.threads);
-        let pieces: Vec<Piece> = par
-            .map_ordered(self.stmts.iter().enumerate().collect(), |(i, s)| {
+        let pieces: Vec<Piece> =
+            omega::par::map_ordered(self.stmts.iter().enumerate().collect(), |(i, s)| {
                 s.domain
                     .make_disjoint()
                     .into_iter()
@@ -407,7 +388,7 @@ impl CodeGen {
         if pieces.is_empty() {
             return Err(CodeGenError::EmptyDomains);
         }
-        let pb = Problem::new(space.clone(), pieces, space.n_vars(), par);
+        let pb = Problem::new(space.clone(), pieces, space.n_vars());
         let known = self
             .known
             .clone()

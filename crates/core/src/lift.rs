@@ -222,7 +222,7 @@ fn lift(
                 let r2 = restriction_n.intersect(&second);
                 // The two split sides are independent subtrees: recompute
                 // them in parallel, keeping (first, second) order.
-                let halves = pb.par.map_ordered(
+                let halves = omega::par::map_ordered(
                     vec![(node, first, r1), (copy, second, r2)],
                     |(n, side, r)| n.recompute(pb, &active_n, &known_n, &r).map(|c| (side, c)),
                 );
@@ -355,7 +355,7 @@ mod tests {
 
     fn dummy_problem() -> Problem {
         let space = Set::parse("[n] -> { [i,j] }").unwrap().space().clone();
-        Problem::new(space, Vec::new(), 2, crate::par::Parallelism::sequential())
+        Problem::new(space, Vec::new(), 2)
     }
 
     #[test]

@@ -220,7 +220,7 @@ impl LowerCtx<'_> {
             return self.merge(nodes1, postponed, &known_c, depth + 1);
         }
         if nodes2.is_empty() {
-            let mut halves = self.pb.par.map_ordered(
+            let mut halves = omega::par::map_ordered(
                 vec![(nodes1, Some(c), known_c), (nodes3, None, known.clone())],
                 |(items, post, k)| self.merge(items, post, &k, depth + 1),
             );
@@ -235,10 +235,8 @@ impl LowerCtx<'_> {
         };
         let known_nc = known.intersect(&comp);
         // The then/else regions are disjoint: merge them in parallel.
-        let mut halves = self
-            .pb
-            .par
-            .map_ordered(vec![(nodes1, known_c), (nodes2, known_nc)], |(items, k)| {
+        let mut halves =
+            omega::par::map_ordered(vec![(nodes1, known_c), (nodes2, known_nc)], |(items, k)| {
                 self.merge(items, None, &k, depth + 1)
             });
         let s2 = halves.pop().expect("pair")?;
@@ -909,12 +907,7 @@ mod tests {
             .unwrap()
             .conjuncts()[0]
             .clone();
-        let pb = crate::ast::Problem::new(
-            g.space().clone(),
-            Vec::new(),
-            1,
-            crate::par::Parallelism::sequential(),
-        );
+        let pb = crate::ast::Problem::new(g.space().clone(), Vec::new(), 1);
         let ctx = LowerCtx {
             pb: &pb,
             stmts: &[],

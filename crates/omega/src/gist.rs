@@ -18,7 +18,7 @@ pub(crate) fn gist(a: &Set, ctx: &Set) -> Set {
     // intra-query thread budget. The ordered join keeps the output conjunct
     // sequence — and therefore the generated code — byte-identical at every
     // thread count.
-    let gists = crate::par::map_ordered(a.conjuncts().iter().collect(), |c| {
+    let gists = crate::par::map_tasks(a.conjuncts().iter().collect(), |c| {
         gist_conjunct(c, &ctx_conj)
     });
     let mut out = Set::empty(a.space());

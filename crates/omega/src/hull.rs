@@ -76,14 +76,14 @@ pub(crate) fn hull(s: &Set) -> Conjunct {
     // Traced runs also keep it: the chunk decision reads the intra budget,
     // which CodeGen derives from its thread count, so letting it shape the
     // recorded spans would break trace-shape thread-count invariance
-    // (map_ordered would run the chunks sequentially under a trace anyway).
-    let implied: Vec<bool> = if crate::par::intra_threads() > 1
+    // (map_tasks would run the chunks sequentially under a trace anyway).
+    let implied: Vec<bool> = if crate::par::budget().intra > 1
         && candidates.len() > 1
         && crate::trace::current().is_none()
     {
         const CHUNK: usize = 8;
         let chunks: Vec<Vec<Vec<i64>>> = candidates.chunks(CHUNK).map(<[_]>::to_vec).collect();
-        crate::par::map_ordered(chunks, |chunk| {
+        crate::par::map_tasks(chunks, |chunk| {
             let mut scratch = tests.clone();
             chunk
                 .iter()

@@ -594,7 +594,7 @@ fn fm_solve(
         // degradations, and final budget are therefore identical at every
         // thread count (including 1).
         let slice = *budget / branches.len() as u64;
-        let results = crate::par::map_ordered(branches, |sys| {
+        let results = crate::par::map_tasks(branches, |sys| {
             let mut b = slice;
             let r = solve(sys, depth + 1, &mut b, lim);
             (r, slice - b)

@@ -127,9 +127,9 @@ mod enabled {
         degrade_depth: "Degradations caused by exceeding Limits::max_depth (OmegaError::DepthExceeded).",
         degrade_rowcap: "Degradations caused by exceeding Limits::row_cap (OmegaError::RowCapExceeded).",
         degrade_deadline: "Degradations caused by the Limits::deadline wall-clock firing (OmegaError::DeadlineExceeded).",
-        par_batches: "Intra-query parallel fan-outs (batches submitted to the task pool).",
-        par_tasks: "Tasks executed by the intra-query task pool; par_tasks / par_batches is the mean queue depth at submission.",
-        par_steals: "Intra-query tasks claimed by a worker other than the submitting thread (dynamic load-balancing transfers).",
+        par_batches: "Fan-outs (pass-level or intra-query) that ran on more than one thread.",
+        par_tasks: "Items run by parallel fan-outs; par_tasks / par_batches is the mean batch size.",
+        par_steals: "Fan-out items claimed by a thread other than the submitting one (dynamic load-balancing transfers).",
         persist_hits: "Warm persistent-tier hits on sat-verdict probes (exact solves avoided by the on-disk cache).",
         persist_misses: "Warm persistent-tier misses on sat-verdict probes (the query went on to the exact solver).",
         persist_gist_hits: "Warm persistent-tier hits on gist probes (gist pipelines avoided by the on-disk cache).",

@@ -1,6 +1,7 @@
-//! Dev helper: per-stage `CODEGENPLUS_TRACE` timings plus (with
+//! Dev helper: cold and warm generation times plus (with
 //! `--features stats`) the satisfiability-pipeline tier report for one
-//! Table 1 kernel.
+//! Table 1 kernel. Per-phase times come from a span trace
+//! (`table1 --trace`).
 //!
 //! ```sh
 //! cargo run --release --example profile_trace --features stats -- gemv 64
@@ -33,9 +34,5 @@ fn main() {
             eprintln!("  stats: {}", omega::stats::snapshot());
             omega::stats::reset();
         }
-    }
-    if std::env::var_os("CODEGENPLUS_TRACE").is_some() {
-        let (_, t) = bench_harness::generate(&stmts, bench_harness::Tool::codegenplus());
-        eprintln!("traced cg+ total {t:.2?}");
     }
 }

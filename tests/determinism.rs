@@ -82,3 +82,29 @@ fn cache_state_never_changes_generated_code() {
         assert_eq!(cold, recold, "{} differs across cache resets", k.name);
     }
 }
+
+#[test]
+fn default_is_sequential_and_matches_every_opt_in() {
+    // The default run is sequential (intra follows threads), and opting in
+    // to threads — explicit budgets or all cores — changes only speed.
+    let default = CodeGen::new();
+    assert_eq!(default.resolved_threads(), 1);
+    assert_eq!(default.resolved_intra_threads(), 1);
+    for k in recipes::all(10) {
+        let stmts = statements_of(&k);
+        let gen = |cg: CodeGen| cg.statements(stmts.to_vec()).generate().unwrap().to_c();
+        let sequential = gen(CodeGen::new());
+        assert_eq!(
+            sequential,
+            gen(CodeGen::new().threads(2).intra_threads(4)),
+            "{} differs between the default and threads(2).intra_threads(4)",
+            k.name
+        );
+        assert_eq!(
+            sequential,
+            gen(CodeGen::new().threads(0)),
+            "{} differs between the default and threads(0)",
+            k.name
+        );
+    }
+}

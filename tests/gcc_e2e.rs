@@ -3,14 +3,14 @@
 //! trace with the interpreter's — for both tools, on a transformed kernel.
 //! Skips silently when no gcc is on PATH.
 
-use bench_harness::gcc::gcc_available;
+use bench_harness::gcc::{gcc_available, scratch_dir};
 use bench_harness::{generate, statements_of, Tool};
 use codegenplus::Generated;
 use std::io::Write;
 use std::process::Command;
 
 fn gcc_trace(g: &Generated, params: &[i64]) -> Vec<(usize, Vec<i64>)> {
-    let dir = std::env::temp_dir().join(format!("cgplus-e2e-{}", std::process::id()));
+    let dir = scratch_dir("cgplus-e2e");
     std::fs::create_dir_all(&dir).unwrap();
     let c_path = dir.join("trace.c");
     let bin = dir.join("trace");

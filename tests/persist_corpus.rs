@@ -14,6 +14,7 @@
 //! down to the child entry point, with the cache directory in an
 //! environment variable.
 
+use bench_harness::gcc::scratch_dir;
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -120,8 +121,7 @@ fn corpus_cold_then_warm_is_byte_identical() {
         // belt and braces against harness changes).
         return;
     }
-    let dir = std::env::temp_dir().join(format!("omega-persist-corpus-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = scratch_dir("omega-persist-corpus");
     std::fs::create_dir_all(&dir).unwrap();
 
     let cold = run_child(&dir);

@@ -10,6 +10,7 @@
 //! comparisons run against a warm solver cache, where every query answers
 //! at the `cache` tier deterministically.
 
+use bench_harness::gcc::scratch_dir;
 use bench_harness::statements_of;
 use chill::recipes;
 use codegenplus::CodeGen;
@@ -83,8 +84,7 @@ fn chrome_export_is_balanced() {
 
 #[test]
 fn dumped_queries_replay_to_recorded_verdicts() {
-    let dir = std::env::temp_dir().join(format!("cgplus-trace-dumps-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = scratch_dir("cgplus-trace-dumps");
     let collector = Collector::new();
     collector.dump_queries(&dir);
     let k = &recipes::all(8)[0];
