@@ -115,12 +115,11 @@ fn main() -> ExitCode {
     if let Some(dir) = &cache_dir {
         match omega::persist::init(dir) {
             Ok(s) => eprintln!(
-                "persistent cache open at {} ({} sat / {} gist records, {} bytes truncated, warm tier {})",
+                "persistent cache open at {} ({} sat / {} gist records, {} bytes truncated)",
                 dir.display(),
                 s.sat_records,
                 s.gist_records,
                 s.truncated_bytes,
-                if s.mmap { "mmap" } else { "heap" },
             ),
             Err(e) => eprintln!(
                 "persistent cache degraded ({}): {e}; continuing with process-local caching",

@@ -29,8 +29,8 @@
 //!
 //! With `--cache-dir DIR`, the run warm-starts from the crash-safe
 //! persistent solver cache in that directory and flushes new exact
-//! verdicts back at the end; the per-kernel `counters` in the `--json`
-//! snapshot then report the `persist_*` hit/miss/degrade deltas. A broken
+//! verdicts back at the end; each row's `report.counters` in the `--json`
+//! snapshot then carries the `persist_*` hit/miss/degrade deltas. A broken
 //! or unwritable cache degrades to process-local caching (reported on
 //! stderr + counted), never a failure.
 //!
@@ -38,8 +38,9 @@
 //! profiler (`telemetry::profile`, the same engine behind the daemon's
 //! `/debug/pprof/profile`) and the collapsed-stack flamegraph text is
 //! written to FILE — feed it to `flamegraph.pl` or
-//! `scripts/check_profile.py`. Unsupported platforms warn and run
-//! unprofiled.
+//! `scripts/check_profile.py`. As in the daemon, samples taken inside a
+//! solver span carry a `span:<name>` root frame. Unsupported platforms
+//! warn and run unprofiled.
 
 use bench_harness::gcc::{gcc_available, measure_with_gcc};
 use bench_harness::{compare, generate, statements_of, trace_kernel, traces_match, Tool};
@@ -120,12 +121,11 @@ fn main() -> ExitCode {
     if let Some(dir) = &cache_dir {
         match omega::persist::init(dir) {
             Ok(s) => eprintln!(
-                "persistent cache open at {} ({} sat / {} gist records, {} bytes truncated, warm tier {})",
+                "persistent cache open at {} ({} sat / {} gist records, {} bytes truncated)",
                 dir.display(),
                 s.sat_records,
                 s.gist_records,
                 s.truncated_bytes,
-                if s.mmap { "mmap" } else { "heap" },
             ),
             Err(e) => eprintln!(
                 "persistent cache degraded ({}): {e}; continuing with process-local caching",
@@ -136,7 +136,12 @@ fn main() -> ExitCode {
     let mut profiling = false;
     if profile_path.is_some() {
         match telemetry::profile::start(telemetry::profile::Options::default()) {
-            Ok(()) => profiling = true,
+            Ok(()) => {
+                // Span attribution, as in the daemon: each sample gets a
+                // `span:<name>` root for the innermost open solver phase.
+                omega::trace::install_span_hook(telemetry::span_hook);
+                profiling = true;
+            }
             Err(e) => eprintln!(
                 "--profile requested but the sampler is unavailable ({}); running unprofiled",
                 e.as_str()
@@ -168,41 +173,25 @@ fn main() -> ExitCode {
     println!("{}", "-".repeat(130));
     // Tier-2 query totals across the traced generations, from the stats
     // counters; checked against the trace's root spans at the end.
-    #[cfg(feature = "stats")]
     let mut expected_sat_exact = 0u64;
-    #[cfg(feature = "stats")]
     let mut expected_gist_exact = 0u64;
     let mut json_rows: Vec<String> = Vec::new();
     for kernel in chill::recipes::all(n) {
-        #[cfg(feature = "stats")]
-        let stats_before = omega::stats::snapshot();
+        // Solver activity attributable to *this* kernel, from the trace
+        // check through the timed row: a snapshot diff, not
+        // process-cumulative totals (which would make every row's numbers
+        // depend on iteration order).
+        let before = omega::stats::snapshot();
         assert!(
             traces_match(&kernel),
             "generated code traces differ for {}",
             kernel.name
         );
-        // Solver activity attributable to *this* kernel: snapshot-diff
-        // around the row, not process-cumulative totals (which would make
-        // every row's numbers depend on iteration order).
-        let row_before = omega::stats::snapshot();
         let row_t0 = std::time::Instant::now();
         let row = compare(&kernel);
         let row_ns = row_t0.elapsed().as_nanos() as u64;
-        let row_delta = omega::stats::snapshot().delta(&row_before);
-        #[cfg(feature = "stats")]
-        let stats_delta = omega::stats::snapshot().delta(&stats_before);
+        let delta = omega::stats::snapshot().delta(&before);
         if json_path.is_some() {
-            #[cfg(feature = "stats")]
-            let counters = format!(
-                ", \"counters\": {{{}}}",
-                stats_delta
-                    .fields()
-                    .map(|(k, v)| format!("\"{k}\": {v}"))
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            );
-            #[cfg(not(feature = "stats"))]
-            let counters = String::new();
             // The same wide-event schema the codegend daemon logs per job
             // and serves at /debug/requests, so batch and daemon cost
             // attribution diff field-for-field (scripts/check_report.py
@@ -227,18 +216,17 @@ fn main() -> ExitCode {
                 certainty: row.cgplus.certainty.clone(),
                 dynamic_cost: Some(row.cgplus.dynamic_cost),
                 phases: Vec::new(),
-                counters: row_delta,
+                counters: delta,
                 slow: false,
                 retained: None,
                 error: None,
             };
             json_rows.push(format!(
-                "    {{\"kernel\": {:?}, \"threads\": {}, \"cloog\": {}, \"cgplus\": {}{}, \"report\": {}}}",
+                "    {{\"kernel\": {:?}, \"threads\": {}, \"cloog\": {}, \"cgplus\": {}, \"report\": {}}}",
                 row.name,
                 codegenplus::CodeGen::new().resolved_threads(),
                 json_report(&row.cloog),
                 json_report(&row.cgplus),
-                counters,
                 report.to_json()
             ));
         }
@@ -258,14 +246,10 @@ fn main() -> ExitCode {
             row.cgplus.dynamic_cost,
             row.perf_speedup(),
         );
-        #[cfg(feature = "stats")]
-        {
-            // Verdicts the resource governor degraded to a conservative
-            // answer while generating this kernel — expected 0 at the
-            // default limits (every paper result rests on exact verdicts).
-            let degraded = stats_delta.sat_degraded + stats_delta.gist_degraded;
-            print!(" | degraded {degraded}");
-        }
+        // Verdicts the resource governor degraded to a conservative answer
+        // while generating this kernel — expected 0 at the default limits
+        // (every paper result rests on exact verdicts).
+        print!(" | degraded {}", delta.sat_degraded + delta.gist_degraded);
         if gcc_ok {
             let stmts = statements_of(&kernel);
             let (cg, _) = generate(&stmts, Tool::codegenplus());
@@ -295,15 +279,11 @@ fn main() -> ExitCode {
         println!();
         if let Some(c) = &collector {
             println!("         cg+ codegen reps: {}", row.cgplus.codegen_hist);
-            #[cfg(feature = "stats")]
             let before = omega::stats::snapshot();
             trace_kernel(&kernel, c);
-            #[cfg(feature = "stats")]
-            {
-                let after = omega::stats::snapshot();
-                expected_sat_exact += after.exact_solves() - before.exact_solves();
-                expected_gist_exact += after.gist_misses - before.gist_misses;
-            }
+            let after = omega::stats::snapshot();
+            expected_sat_exact += after.exact_solves() - before.exact_solves();
+            expected_gist_exact += after.gist_misses - before.gist_misses;
         }
     }
     println!("\n(All rows verified: both tools execute identical statement traces.)");
@@ -341,22 +321,19 @@ fn main() -> ExitCode {
                 println!("{name:<12} {h}");
             }
         }
-        #[cfg(feature = "stats")]
-        {
-            let sat_spans = trace.count_named("sat_exact") as u64;
-            let gist_spans = trace.count_named("gist_exact") as u64;
-            assert_eq!(
-                sat_spans, expected_sat_exact,
-                "sat_exact spans must equal tier-2 sat solves per omega::stats"
-            );
-            assert_eq!(
-                gist_spans, expected_gist_exact,
-                "gist_exact spans must equal tier-2 gist computations per omega::stats"
-            );
-            println!(
-                "tier-2 query spans match omega::stats: sat_exact {sat_spans}, gist_exact {gist_spans}"
-            );
-        }
+        let sat_spans = trace.count_named("sat_exact") as u64;
+        let gist_spans = trace.count_named("gist_exact") as u64;
+        assert_eq!(
+            sat_spans, expected_sat_exact,
+            "sat_exact spans must equal tier-2 sat solves per omega::stats"
+        );
+        assert_eq!(
+            gist_spans, expected_gist_exact,
+            "gist_exact spans must equal tier-2 gist computations per omega::stats"
+        );
+        println!(
+            "tier-2 query spans match omega::stats: sat_exact {sat_spans}, gist_exact {gist_spans}"
+        );
         if let Some(p) = &trace_path {
             let file = match std::fs::File::create(p) {
                 Ok(f) => f,

@@ -10,7 +10,7 @@
 //!
 //! Usage: `omega-replay [--stats] FILE.omega [FILE.omega ...]`
 //!
-//! With `--stats` (and the `stats` cargo feature), each replay is
+//! With `--stats`, each replay is
 //! followed by one machine-readable JSON line with the `omega::stats`
 //! counter deltas it caused — the same field names as `codegend`'s
 //! per-request `QueryReport` records and the `/metrics` bridge — so a
@@ -42,14 +42,8 @@ fn main() -> ExitCode {
         eprintln!("replays tier-2 solver query dumps and checks their recorded verdicts");
         return ExitCode::FAILURE;
     }
-    #[cfg(not(feature = "stats"))]
-    if show_stats {
-        eprintln!("omega-replay: built without the `stats` feature; --stats prints nothing");
-        eprintln!("(rebuild with `--features omega/stats` to enable counters)");
-    }
     let mut failures = 0usize;
     for arg in &files {
-        #[cfg(feature = "stats")]
         let before = omega::stats::snapshot();
         match omega::provenance::replay_file(Path::new(arg)) {
             Ok(r) => {
@@ -72,11 +66,8 @@ fn main() -> ExitCode {
             }
         }
         if show_stats {
-            #[cfg(feature = "stats")]
-            {
-                let delta = omega::stats::snapshot().delta(&before);
-                println!("{}", stats_json(arg, &delta));
-            }
+            let delta = omega::stats::snapshot().delta(&before);
+            println!("{}", stats_json(arg, &delta));
         }
     }
     if failures == 0 {
@@ -90,7 +81,6 @@ fn main() -> ExitCode {
 /// One JSON line per replayed file: every counter delta (zeros included,
 /// so files diff field-for-field) plus the derived `exact_solves`, under
 /// the exact field names `QueryReport` uses.
-#[cfg(feature = "stats")]
 fn stats_json(file: &str, delta: &omega::stats::Snapshot) -> String {
     let mut out = String::from("{\"event\":\"replay_stats\",\"file\":\"");
     for c in file.chars() {

@@ -161,23 +161,6 @@ impl Conjunct {
         self.rows.len()
     }
 
-    /// A canonical 128-bit fingerprint of this conjunct's constraint
-    /// system — stable across processes and invariant under row order,
-    /// duplicate rows, entailment-redundant inequalities, and gcd
-    /// scaling (the key the persistent sat tier shares verdicts under;
-    /// see [`crate::persist`]). Every provably-contradictory conjunct
-    /// collapses to one canonical FALSE fingerprint.
-    ///
-    /// Note this fingerprints the *constraints*, not the space: two
-    /// conjuncts over different same-arity spaces with identical rows
-    /// fingerprint identically.
-    pub fn canonical_fingerprint(&self) -> (u64, u64) {
-        if self.known_false {
-            return crate::persist::FALSE_KEY;
-        }
-        crate::persist::canonical_rows_key(&self.rows)
-    }
-
     /// True if this conjunct is syntactically TRUE (no rows, not marked
     /// false). A satisfiable conjunct with rows is *not* "universe".
     pub fn is_universe(&self) -> bool {

@@ -167,8 +167,8 @@ pub(crate) fn tick() -> Result<(), OmegaError> {
 // ---------------------------------------------------------------------------
 
 /// A failure mode to force on the persistent cache ([`crate::persist`]).
-/// Unlike [`Fault`], these model the *environment* failing (disk, memory
-/// under a mapping), not the solver's own limits — the contract under test
+/// Unlike [`Fault`], these model the *environment* failing (the disk),
+/// not the solver's own limits — the contract under test
 /// is that every one degrades to process-local caching with a counted
 /// reason and a correct verdict.
 #[cfg(feature = "faults")]
@@ -179,8 +179,8 @@ pub enum PersistFault {
     /// A torn append: half the pending bytes land, then the write fails —
     /// the moral equivalent of SIGKILL mid-write.
     ShortWrite,
-    /// A flipped bit under the warm read path (record scan or gist
-    /// payload), which must surface as a checksum mismatch.
+    /// A flipped bit in a record read by the recovery scan, which must
+    /// surface as a checksum mismatch.
     BitFlip,
 }
 

@@ -42,10 +42,9 @@ pub(crate) fn gist_conjunct(a: &Conjunct, ctx: &Conjunct) -> Conjunct {
         span.attr("tier", "cache");
         return hit;
     }
-    // Warm persistent tier: an exact gist from a prior process, keyed by
-    // the same order-sensitive fingerprint (gist output depends on row
-    // order, so unlike the sat side the persisted key must NOT
-    // canonicalize). Probed *before* the miss is counted: a persist hit
+    // Warm persistent tier: an exact gist from a prior process, under the
+    // same order-sensitive `key` as the hot cache (gist output depends on
+    // row order). Probed *before* the miss is counted: a persist hit
     // runs no gist pipeline, and the `gist_exact` span-count invariant
     // (spans == gist_misses delta) must keep holding.
     if let Some(hit) = crate::persist::gist_lookup(key, a.space()) {

@@ -7,15 +7,18 @@
 //!
 //! * **hot** — the existing in-memory sharded maps (unchanged; always the
 //!   first and last word on a query);
-//! * **warm** — an index over a read-only view of the on-disk record log,
-//!   memory-mapped where the platform allows (raw `mmap` syscall on
-//!   Linux; a heap copy elsewhere or when mapping fails). Gist payloads
-//!   stay unparsed in the mapped region until a lookup needs them;
+//! * **warm** — the records of the on-disk log, read once and validated
+//!   at open into two in-memory indexes: sat verdicts as booleans, gist
+//!   results as owned payload bytes decoded on lookup;
 //! * **durable** — an append-only record log (`omega-cache.log` inside
 //!   the cache directory) that new tier-2 verdicts are appended to on
 //!   [`flush`].
 //!
-//! # Record log format (version 1)
+//! Both persisted tiers share the hot tier's keys: sat verdicts are
+//! stored under the sat cache fingerprint and gists under the gist cache
+//! fingerprint, so one query has one key from the hot map to the disk.
+//!
+//! # Record log format (version 2)
 //!
 //! ```text
 //! header:  magic "OMGPERS\n" | format_version u32 LE | build_fingerprint u64 LE | crc64 u64 LE
@@ -26,8 +29,9 @@
 //! gist result (payload: a serialized [`Conjunct`]). The CRC covers every
 //! preceding byte of the record. The build fingerprint folds the crate
 //! version and the record schema together, so a binary upgrade that could
-//! change verdict semantics or payload layout reads as **version skew**
-//! rather than silently mixing formats.
+//! change verdict semantics, keys or payload layout reads as **version
+//! skew** rather than silently mixing formats. Version 1 logs keyed sat
+//! verdicts by a separate canonical fingerprint; they read as skew.
 //!
 //! # Robustness contract
 //!
@@ -40,17 +44,17 @@
 //!   serve to any caller.
 //! * **torn writes** — recovery scans the log on open and truncates at
 //!   the first short or corrupt record; everything before it survives.
-//! * **corrupt records** — every record is checksummed; a mismatch at
-//!   open truncates, a mismatch on the warm read path (e.g. a bit flip
-//!   under the mapped file) drops that entry and reports a miss.
-//! * **version skew / unwritable dirs / mmap failure** — each failure
-//!   mode degrades to plain process-local caching (or a smaller tier
-//!   set), counting a structured `persist_degrade_*` reason in
-//!   [`crate::stats`] so `/metrics` shows exactly why persistence is off.
+//! * **corrupt records** — every record is checksummed and verified at
+//!   open; a mismatch truncates from there. After open the warm tier
+//!   reads only its own heap copy, so nothing can rot under it.
+//! * **version skew / unwritable dirs** — each failure mode degrades to
+//!   plain process-local caching, counting a structured
+//!   `persist_degrade_*` reason in [`crate::stats`] so `/metrics` shows
+//!   exactly why persistence is off.
 //!
 //! Every degradation path is exercised deterministically in CI through
 //! the [`crate::faults`] persist hooks (I/O errors, short writes, bit
-//! flips on the read path).
+//! flips on the recovery scan).
 
 use crate::conjunct::{Conjunct, Row};
 use crate::faults::{self, PersistDisruption};
@@ -68,7 +72,7 @@ use std::sync::{Mutex, OnceLock};
 pub const LOG_FILE: &str = "omega-cache.log";
 
 /// Bumped whenever the header or record layout changes shape.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 const MAGIC: &[u8; 8] = b"OMGPERS\n";
 const HEADER_LEN: u64 = 8 + 4 + 8 + 8;
@@ -82,8 +86,8 @@ const KIND_GIST: u8 = 2;
 const MAX_PAYLOAD: u32 = 1 << 24;
 
 /// The crate-version + schema fingerprint stored in the header. Two
-/// builds that disagree here must not share a log: the canonical hash,
-/// the payload layout, or the solver itself may differ.
+/// builds that disagree here must not share a log: the cache keys, the
+/// payload layout, or the solver itself may differ.
 fn build_fingerprint() -> u64 {
     let mut h = Crc::new();
     h.update(env!("CARGO_PKG_VERSION").as_bytes());
@@ -188,161 +192,12 @@ impl PersistError {
 }
 
 // ---------------------------------------------------------------------------
-// Warm backing: mmap where possible, heap otherwise.
-// ---------------------------------------------------------------------------
-
-#[cfg(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
-mod map_sys {
-    //! Raw read-only `mmap`/`munmap` syscalls — the workspace is
-    //! dependency-free, so there is no libc to call through. Linux only;
-    //! other platforms use the heap fallback.
-
-    use std::arch::asm;
-
-    const PROT_READ: usize = 1;
-    const MAP_PRIVATE: usize = 2;
-
-    #[cfg(target_arch = "x86_64")]
-    unsafe fn sys_mmap(len: usize, fd: i32) -> isize {
-        let ret: isize;
-        asm!(
-            "syscall",
-            inlateout("rax") 9isize => ret, // SYS_mmap
-            in("rdi") 0usize,
-            in("rsi") len,
-            in("rdx") PROT_READ,
-            in("r10") MAP_PRIVATE,
-            in("r8") fd as isize,
-            in("r9") 0usize,
-            lateout("rcx") _,
-            lateout("r11") _,
-            options(nostack)
-        );
-        ret
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    unsafe fn sys_munmap(ptr: *const u8, len: usize) {
-        let _ret: isize;
-        asm!(
-            "syscall",
-            inlateout("rax") 11isize => _ret, // SYS_munmap
-            in("rdi") ptr,
-            in("rsi") len,
-            lateout("rcx") _,
-            lateout("r11") _,
-            options(nostack)
-        );
-    }
-
-    #[cfg(target_arch = "aarch64")]
-    unsafe fn sys_mmap(len: usize, fd: i32) -> isize {
-        let ret: isize;
-        asm!(
-            "svc #0",
-            inlateout("x8") 222isize => _, // SYS_mmap
-            inlateout("x0") 0usize => ret,
-            in("x1") len,
-            in("x2") PROT_READ,
-            in("x3") MAP_PRIVATE,
-            in("x4") fd as isize,
-            in("x5") 0usize,
-            options(nostack)
-        );
-        ret
-    }
-
-    #[cfg(target_arch = "aarch64")]
-    unsafe fn sys_munmap(ptr: *const u8, len: usize) {
-        let _ret: isize;
-        asm!(
-            "svc #0",
-            inlateout("x8") 215isize => _, // SYS_munmap
-            inlateout("x0") ptr => _ret,
-            in("x1") len,
-            options(nostack)
-        );
-    }
-
-    /// A read-only private mapping of the first `len` bytes of `fd`.
-    pub(super) struct MapRegion {
-        ptr: *const u8,
-        len: usize,
-    }
-
-    // The mapping is read-only and owned for the region's lifetime.
-    unsafe impl Send for MapRegion {}
-    unsafe impl Sync for MapRegion {}
-
-    impl MapRegion {
-        /// Maps `len` bytes (must be > 0 and ≤ the file's length — pages
-        /// past EOF would raise SIGBUS on access).
-        pub(super) fn new(fd: i32, len: usize) -> Option<MapRegion> {
-            if len == 0 {
-                return None;
-            }
-            let ret = unsafe { sys_mmap(len, fd) };
-            // Errors come back as small negative numbers (-errno).
-            if (-4095..=-1).contains(&ret) {
-                return None;
-            }
-            Some(MapRegion {
-                ptr: ret as *const u8,
-                len,
-            })
-        }
-
-        pub(super) fn bytes(&self) -> &[u8] {
-            unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
-        }
-    }
-
-    impl Drop for MapRegion {
-        fn drop(&mut self) {
-            unsafe { sys_munmap(self.ptr, self.len) };
-        }
-    }
-}
-
-/// Where warm-tier payload bytes live.
-enum Backing {
-    /// Zero-copy view of the validated log prefix.
-    #[cfg(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    ))]
-    Map(map_sys::MapRegion),
-    /// Heap copy (non-Linux, mapping failure, forced by options, or an
-    /// empty log).
-    Heap(Vec<u8>),
-}
-
-impl Backing {
-    fn is_mmap(&self) -> bool {
-        match self {
-            #[cfg(all(
-                target_os = "linux",
-                any(target_arch = "x86_64", target_arch = "aarch64")
-            ))]
-            Backing::Map(_) => true,
-            Backing::Heap(_) => false,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // The store
 // ---------------------------------------------------------------------------
 
 /// Open-time knobs; the defaults are what [`init`] uses.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StoreOptions {
-    /// Skip the mmap warm path and keep the validated log prefix on the
-    /// heap (tests; platforms where the raw syscall path is untrusted).
-    pub force_heap: bool,
     /// `fdatasync` the log after every flush. Off by default: the
     /// durability target is "a clean restart re-serves everything
     /// flushed", and the OS page cache already survives process death —
@@ -357,13 +212,12 @@ pub struct StoreOptions {
 pub struct OpenSummary {
     /// Sat verdicts loaded into the warm index.
     pub sat_records: usize,
-    /// Gist records indexed (payloads stay in the warm backing).
+    /// Gist records loaded into the warm index (payloads decoded on
+    /// lookup).
     pub gist_records: usize,
     /// Bytes of torn/corrupt tail truncated during recovery (0 for a
     /// clean log).
     pub truncated_bytes: u64,
-    /// Whether the warm read path is memory-mapped (vs a heap copy).
-    pub mmap: bool,
 }
 
 struct WriteState {
@@ -385,10 +239,9 @@ struct WriteState {
 pub struct Store {
     /// Warm sat verdicts (tiny payloads — decoded eagerly at open).
     sat_index: HashMap<(u64, u64), bool>,
-    /// Warm gist records: key → (payload offset, payload length) into
-    /// `backing`. Entries that fail their read-path re-check are dropped.
-    gist_index: Mutex<HashMap<(u64, u64), (usize, usize)>>,
-    backing: Backing,
+    /// Warm gist records: key → the checksummed payload bytes, decoded
+    /// per lookup.
+    gist_index: HashMap<(u64, u64), Box<[u8]>>,
     write: Mutex<WriteState>,
     summary: OpenSummary,
     dir: PathBuf,
@@ -403,8 +256,8 @@ impl Store {
 
     /// Opens the cache under `dir`: creates the directory and log if
     /// absent, validates the header, replays every intact record into the
-    /// warm index, truncates a torn/corrupt tail, and maps the validated
-    /// prefix for the gist read path.
+    /// warm index, and truncates a torn/corrupt tail. The log is read
+    /// once; the warm index owns everything it serves afterwards.
     ///
     /// # Errors
     ///
@@ -443,7 +296,6 @@ impl Store {
         let mut summary = OpenSummary::default();
         let mut sat_index = HashMap::new();
         let mut gist_index = HashMap::new();
-        let mut valid_len;
 
         if len < HEADER_LEN {
             // Fresh log, or a crash while the very first header was going
@@ -460,7 +312,6 @@ impl Store {
             let crc = crc64(&h);
             h.extend_from_slice(&crc.to_le_bytes());
             file.write_all(&h).map_err(PersistError::Unwritable)?;
-            valid_len = HEADER_LEN;
         } else {
             // Validate the header against this build.
             file.seek(SeekFrom::Start(0)).map_err(PersistError::Io)?;
@@ -483,57 +334,42 @@ impl Store {
                 return Err(skew(found_version));
             }
 
-            // Replay the records. `buf` holds the whole post-header body;
-            // the log is scanned once per boot anyway, and the heap copy
-            // doubles as the warm backing when mapping is unavailable.
+            // Replay the records from one read of the post-header body.
+            // Each record is checksummed here, once; the indexes keep
+            // owned copies, so `buf` is dropped after the scan.
             let mut buf = Vec::with_capacity((len - HEADER_LEN) as usize);
             read_to_end_faulted(&mut file, &mut buf).map_err(PersistError::Io)?;
-            let mut off = 0usize;
-            valid_len = HEADER_LEN;
-            loop {
-                let rest = &buf[off..];
-                if rest.is_empty() {
-                    break;
-                }
-                let Some((kind, key, payload_range, rec_len)) = parse_record(rest, off) else {
+            let mut rest = &buf[..];
+            let mut valid_len = HEADER_LEN;
+            while !rest.is_empty() {
+                let Some((kind, key, payload, rec_len)) = parse_record(rest) else {
                     // Torn or corrupt tail: drop everything from here on.
-                    let cut = (buf.len() - off) as u64;
-                    summary.truncated_bytes = cut;
+                    summary.truncated_bytes = rest.len() as u64;
                     bump!(persist_truncations);
                     break;
                 };
                 match kind {
                     KIND_SAT => {
-                        let v = buf[payload_range.start] != 0;
-                        sat_index.insert(key, v);
+                        sat_index.insert(key, payload[0] != 0);
                     }
                     _ => {
-                        gist_index.insert(key, (payload_range.start, payload_range.len()));
+                        gist_index.insert(key, payload.into());
                     }
                 }
-                off += rec_len;
+                rest = &rest[rec_len..];
                 valid_len += rec_len as u64;
             }
             if summary.truncated_bytes > 0 {
                 file.set_len(valid_len).map_err(PersistError::Unwritable)?;
-                buf.truncate(valid_len as usize - HEADER_LEN as usize);
             }
         }
 
         summary.sat_records = sat_index.len();
         summary.gist_records = gist_index.len();
 
-        // Warm backing for the gist read path. Offsets in the index are
-        // relative to the post-header body, so the heap variant stores
-        // exactly that slice; the mapped variant keeps the header too and
-        // the offset math compensates (see `Store::payload`).
-        let backing = Store::pick_backing(&file, valid_len, gist_index.is_empty(), opts);
-        summary.mmap = backing.is_mmap();
-
         Ok(Store {
             sat_index,
-            gist_index: Mutex::new(gist_index),
-            backing,
+            gist_index,
             write: Mutex::new(WriteState {
                 file,
                 pending: Vec::new(),
@@ -546,60 +382,12 @@ impl Store {
         })
     }
 
-    fn pick_backing(file: &File, valid_len: u64, no_gists: bool, opts: StoreOptions) -> Backing {
-        if no_gists {
-            // Nothing will ever be read back; don't hold pages for it.
-            return Backing::Heap(Vec::new());
-        }
-        #[cfg(all(
-            target_os = "linux",
-            any(target_arch = "x86_64", target_arch = "aarch64")
-        ))]
-        {
-            if !opts.force_heap {
-                use std::os::unix::io::AsRawFd;
-                match map_sys::MapRegion::new(file.as_raw_fd(), valid_len as usize) {
-                    Some(m) => return Backing::Map(m),
-                    None => bump!(persist_degrade_mmap),
-                }
-            }
-        }
-        let _ = opts;
-        // Heap fallback: re-read the validated body.
-        let mut f = file;
-        let mut buf = Vec::with_capacity(valid_len as usize - HEADER_LEN as usize);
-        if f.seek(SeekFrom::Start(HEADER_LEN)).is_err()
-            || Read::by_ref(&mut f)
-                .take(valid_len - HEADER_LEN)
-                .read_to_end(&mut buf)
-                .is_err()
-        {
-            bump!(persist_degrade_io);
-            buf.clear();
-        }
-        Backing::Heap(buf)
-    }
-
-    /// The record bytes for a body-relative payload range, or `None` when
-    /// the backing could not cover it (heap fallback after a read error).
-    fn payload(&self, start: usize, len: usize) -> Option<&[u8]> {
-        let (bytes, base) = match &self.backing {
-            #[cfg(all(
-                target_os = "linux",
-                any(target_arch = "x86_64", target_arch = "aarch64")
-            ))]
-            Backing::Map(m) => (m.bytes(), HEADER_LEN as usize),
-            Backing::Heap(v) => (&v[..], 0),
-        };
-        bytes.get(base + start..base + start + len)
-    }
-
     /// Where this store lives.
     pub fn dir(&self) -> &Path {
         &self.dir
     }
 
-    /// What open found (record counts, truncation, backing kind).
+    /// What open found (record counts, truncation).
     pub fn open_summary(&self) -> OpenSummary {
         self.summary
     }
@@ -609,50 +397,11 @@ impl Store {
         self.sat_index.get(&key).copied()
     }
 
-    /// Warm-tier gist lookup: re-verifies the record checksum (the read
-    /// path is the one place bytes can go bad *after* open — a flipped
-    /// bit under the mapping must surface as a counted miss, never as a
-    /// wrong conjunct), then decodes the payload.
+    /// Warm-tier gist lookup: decodes the stored payload. A payload
+    /// that does not decode for `space` (a foreign record under a
+    /// colliding key) is a miss.
     pub fn lookup_gist(&self, key: (u64, u64), space: &Space) -> Option<Conjunct> {
-        let (start, len) = *self
-            .gist_index
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(&key)?;
-        let ok = (|| {
-            let payload = self.payload(start, len)?;
-            // Reconstruct the record head for the CRC check; the stored
-            // range only covers the payload.
-            let head_start = start.checked_sub(RECORD_HEAD)?;
-            let head = self.payload(head_start, RECORD_HEAD + len + RECORD_CRC)?;
-            let mut payload = payload.to_vec();
-            if matches!(faults::persist_tick(), Some(PersistDisruption::BitFlip)) {
-                if let Some(b) = payload.first_mut() {
-                    *b ^= 1;
-                }
-            }
-            let mut crc = Crc::new();
-            crc.update(&head[..RECORD_HEAD]);
-            crc.update(&payload);
-            let stored = u64::from_le_bytes(head[RECORD_HEAD + len..].try_into().ok()?);
-            if crc.finish() != stored {
-                return None;
-            }
-            decode_conjunct(&payload, space)
-        })();
-        match ok {
-            Some(c) => Some(c),
-            None => {
-                // Corrupt or undecodable: count, drop the entry so the
-                // next miss re-solves and re-persists, and report a miss.
-                bump!(persist_degrade_checksum);
-                self.gist_index
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .remove(&key);
-                None
-            }
-        }
+        decode_conjunct(self.gist_index.get(&key)?, space)
     }
 
     /// Queues an exact sat verdict for the durable tier. Callers own the
@@ -676,11 +425,7 @@ impl Store {
         // Skip keys already durable from a previous boot.
         let already = match kind {
             KIND_SAT => self.sat_index.contains_key(&key),
-            _ => self
-                .gist_index
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .contains_key(&key),
+            _ => self.gist_index.contains_key(&key),
         };
         if already {
             return;
@@ -757,12 +502,12 @@ impl Store {
     }
 }
 
-/// `(kind, key, body-relative payload range, record length)`.
-type ParsedRecord = (u8, (u64, u64), std::ops::Range<usize>, usize);
+/// `(kind, key, payload, record length)`.
+type ParsedRecord<'a> = (u8, (u64, u64), &'a [u8], usize);
 
-/// Parses one record at body offset `off` of `rest` (the unconsumed body
-/// slice). Returns `None` for a torn/corrupt record.
-fn parse_record(rest: &[u8], off: usize) -> Option<ParsedRecord> {
+/// Parses the record at the start of `rest` (the unconsumed body).
+/// Returns `None` for a torn/corrupt record.
+fn parse_record(rest: &[u8]) -> Option<ParsedRecord<'_>> {
     if rest.len() < RECORD_HEAD + RECORD_CRC {
         return None;
     }
@@ -794,12 +539,7 @@ fn parse_record(rest: &[u8], off: usize) -> Option<ParsedRecord> {
         u64::from_le_bytes(rest[5..13].try_into().unwrap()),
         u64::from_le_bytes(rest[13..21].try_into().unwrap()),
     );
-    Some((
-        kind,
-        key,
-        off + RECORD_HEAD..off + RECORD_HEAD + plen,
-        total,
-    ))
+    Some((kind, key, &rest[RECORD_HEAD..RECORD_HEAD + plen], total))
 }
 
 /// `read_exact` with the injected-I/O-fault hook on the path.
@@ -925,95 +665,6 @@ fn decode_conjunct(bytes: &[u8], expect_space: &Space) -> Option<Conjunct> {
 }
 
 // ---------------------------------------------------------------------------
-// Canonical stable hash
-// ---------------------------------------------------------------------------
-
-/// The fingerprint every provably-contradictory system collapses to (see
-/// [`canonical_rows_key`]); also what a known-FALSE conjunct reports from
-/// [`crate::Conjunct::canonical_fingerprint`].
-pub(crate) const FALSE_KEY: (u64, u64) = (0x0bad_0bad_0bad_0bad, 0xfa15_efa1_5efa_15ef);
-
-/// A canonical 128-bit fingerprint of a normalized row system, stable
-/// across processes, row order, and cheap redundancy:
-///
-/// * rows are normalized (gcd-reduced, constants decided and dropped),
-/// * exact duplicates are removed,
-/// * entailment-redundant inequalities are removed — of two `≥` rows
-///   with identical coefficient vectors the looser constant is dropped
-///   (`w·x + 3 ≥ 0` adds nothing next to `w·x + 1 ≥ 0`),
-/// * two equalities that differ only in the constant are a contradiction
-///   (as is any row normalizing to a false constant): the fingerprint
-///   collapses to the canonical FALSE key,
-/// * the surviving rows are sorted and chain-hashed.
-///
-/// Unlike the in-memory cache key (which favors probe speed), this is the
-/// key persisted records are shared under, so two semantically equal
-/// systems reaching it through different syntactic routes should agree.
-pub(crate) fn canonical_rows_key(rows: &[Row]) -> (u64, u64) {
-    let mut work: Vec<Row> = Vec::with_capacity(rows.len());
-    for r in rows {
-        let mut r = r.clone();
-        if !r.normalize() {
-            return FALSE_KEY;
-        }
-        if r.is_constant() {
-            if !r.constant_truth() {
-                return FALSE_KEY;
-            }
-            continue;
-        }
-        work.push(r);
-    }
-    // Sort with the constant column *last* so rows sharing a coefficient
-    // vector land adjacent (in ascending-constant order) regardless of
-    // their constants — the entailment scan below only looks at pairs.
-    work.sort_by(|a, b| (a.kind as u8, &a.c[1..], a.c[0]).cmp(&(b.kind as u8, &b.c[1..], b.c[0])));
-    work.dedup();
-    // Entailment dedup among rows sharing a coefficient vector. For `≥`
-    // rows the smaller constant implies the larger (`w·x + 1 ≥ 0` ⊢
-    // `w·x + 3 ≥ 0`); for `=` rows two distinct constants (distinct after
-    // dedup) are a contradiction.
-    let mut i = 0;
-    while i + 1 < work.len() {
-        let (a, b) = (&work[i], &work[i + 1]);
-        if a.kind == b.kind && a.c.len() == b.c.len() && a.c[1..] == b.c[1..] {
-            match a.kind {
-                ConstraintKind::Geq => {
-                    // Ascending constants: `a` is the tighter row; drop `b`.
-                    work.remove(i + 1);
-                    continue;
-                }
-                ConstraintKind::Eq => return FALSE_KEY,
-            }
-        }
-        i += 1;
-    }
-    let mut h1: u64 = 0x6c62_272e_07bb_0142;
-    let mut h2: u64 = 0x27d4_eb2f_1656_67c5;
-    let mut mix = |x: u64| {
-        h1 = (h1 ^ x).wrapping_mul(0x100_0000_01b3);
-        h2 = (h2.rotate_left(23) ^ x.wrapping_mul(0x9e37_79b9_7f4a_7c15))
-            .wrapping_mul(0xc2b2_ae3d_27d4_eb4f);
-    };
-    mix(work.len() as u64);
-    for r in &work {
-        mix(0x10_0000 | r.kind as u64);
-        mix(r.c.len() as u64);
-        for &x in &r.c {
-            mix(x as u64);
-        }
-    }
-    (splitmix(h1), splitmix(h2 ^ h1))
-}
-
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-// ---------------------------------------------------------------------------
 // Process-global installation
 // ---------------------------------------------------------------------------
 
@@ -1039,11 +690,6 @@ pub fn init_with(dir: impl AsRef<Path>, opts: StoreOptions) -> Result<OpenSummar
     let summary = store.open_summary();
     STORE.set(store).map_err(|_| PersistError::AlreadyEnabled)?;
     Ok(summary)
-}
-
-/// True when a persistent store is installed for this process.
-pub fn enabled() -> bool {
-    STORE.get().is_some()
 }
 
 /// Appends all pending records to the installed store's log (no-op when
@@ -1109,14 +755,6 @@ pub(crate) fn gist_record(key: (u64, u64), out: &Conjunct) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::linexpr::ConstraintKind;
-
-    fn geq(c: &[i64]) -> Row {
-        Row::new(ConstraintKind::Geq, c.to_vec())
-    }
-    fn eq(c: &[i64]) -> Row {
-        Row::new(ConstraintKind::Eq, c.to_vec())
-    }
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!(
@@ -1137,36 +775,6 @@ mod tests {
         assert_eq!(a, crc64(b"hello"));
         assert_ne!(a, crc64(b"hellp"));
         assert_ne!(crc64(b""), crc64(b"\0"));
-    }
-
-    #[test]
-    fn canonical_key_ignores_order_and_redundancy() {
-        // 0 <= x <= 10 in two orders.
-        let a = canonical_rows_key(&[geq(&[0, 1]), geq(&[10, -1])]);
-        let b = canonical_rows_key(&[geq(&[10, -1]), geq(&[0, 1])]);
-        assert_eq!(a, b);
-        // A redundant looser bound (x >= -5 next to x >= 0) hashes equal.
-        let c = canonical_rows_key(&[geq(&[0, 1]), geq(&[10, -1]), geq(&[5, 1])]);
-        assert_eq!(a, c);
-        // Exact duplicates hash equal.
-        let d = canonical_rows_key(&[geq(&[0, 1]), geq(&[0, 1]), geq(&[10, -1])]);
-        assert_eq!(a, d);
-        // A genuinely different system does not.
-        let e = canonical_rows_key(&[geq(&[1, 1]), geq(&[10, -1])]);
-        assert_ne!(a, e);
-        // Unnormalized coefficients reduce first: 2x - 4 >= 0 == x - 2 >= 0.
-        let f = canonical_rows_key(&[geq(&[-4, 2])]);
-        let g = canonical_rows_key(&[geq(&[-2, 1])]);
-        assert_eq!(f, g);
-    }
-
-    #[test]
-    fn canonical_key_collapses_contradictions() {
-        let false1 = canonical_rows_key(&[geq(&[-1])]);
-        let false2 = canonical_rows_key(&[eq(&[0, 2, 0]), eq(&[-1, 2, 0])]);
-        assert_eq!(false1, false2);
-        // Sat system must not collide with FALSE.
-        assert_ne!(false1, canonical_rows_key(&[geq(&[0, 1])]));
     }
 
     #[test]
@@ -1271,27 +879,30 @@ mod tests {
             s.flush();
         }
         let path = dir.join(LOG_FILE);
-        let mut bytes = std::fs::read(&path).unwrap();
-        let before = bytes.clone();
-        // Bump the header version and fix the header CRC so only the
+        let before = std::fs::read(&path).unwrap();
+        // A future version, and version 1 (whose sat records were keyed
+        // by a different fingerprint). Fix the header CRC so only the
         // version differs.
-        bytes[8] = 0x7f;
-        let crc = crc64(&bytes[..20]).to_le_bytes();
-        bytes[20..28].copy_from_slice(&crc);
-        std::fs::write(&path, &bytes).unwrap();
-        match Store::open(&dir) {
-            Err(PersistError::VersionSkew { found, expected }) => {
-                assert_eq!(found, 0x7f);
-                assert_eq!(expected, FORMAT_VERSION);
+        for version in [0x7f, 1] {
+            let mut bytes = before.clone();
+            bytes[8..12].copy_from_slice(&u32::to_le_bytes(version));
+            let crc = crc64(&bytes[..20]).to_le_bytes();
+            bytes[20..28].copy_from_slice(&crc);
+            std::fs::write(&path, &bytes).unwrap();
+            match Store::open(&dir) {
+                Err(PersistError::VersionSkew { found, expected }) => {
+                    assert_eq!(found, version);
+                    assert_eq!(expected, FORMAT_VERSION);
+                }
+                Err(other) => panic!("expected version skew, got {other:?}"),
+                Ok(_) => panic!("expected version skew, got a working store"),
             }
-            Err(other) => panic!("expected version skew, got {other:?}"),
-            Ok(_) => panic!("expected version skew, got a working store"),
+            assert_eq!(
+                std::fs::read(&path).unwrap(),
+                bytes,
+                "skewed log must be left untouched"
+            );
         }
-        assert_eq!(
-            std::fs::read(&path).unwrap(),
-            bytes,
-            "skewed log must be left untouched"
-        );
         // Foreign magic reads as skew too.
         std::fs::write(&path, b"NOTACACHEFILE-LONG-ENOUGH-TO-PASS-LEN").unwrap();
         assert!(matches!(
@@ -1313,30 +924,6 @@ mod tests {
             Store::open(blocked.join("cache")),
             Err(PersistError::Unwritable(_))
         ));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn heap_backing_serves_gists() {
-        let dir = tmpdir("heap");
-        let space = Space::new(&["n"], &["i", "j"]);
-        let mut g = Conjunct::universe(&space);
-        g.add_congruence(&crate::set::var(&space, 0), 1, 4);
-        {
-            let s = Store::open(&dir).unwrap();
-            s.record_gist((8, 8), &g);
-            s.flush();
-        }
-        let s = Store::open_with(
-            &dir,
-            StoreOptions {
-                force_heap: true,
-                ..StoreOptions::default()
-            },
-        )
-        .unwrap();
-        assert!(!s.open_summary().mmap);
-        assert_eq!(s.lookup_gist((8, 8), &space), Some(g));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

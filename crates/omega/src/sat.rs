@@ -166,14 +166,11 @@ fn satisfiable_with_key(rows: &[Row], n_vars: usize, key: (u64, u64)) -> bool {
         Verdict::Unknown => 'tier2: {
             // Warm persistent tier: an exact verdict computed by a prior
             // process. Probed only past tiers 0/1 (so the on-disk log
-            // holds only queries that were worth an exact solve), keyed
-            // by the canonical cross-process hash — the in-memory `key`
-            // counts duplicate rows and is not canonical. A hit is exact
-            // by the no-poisoning-on-disk invariant, so it is promoted
-            // into the hot cache by the shared insert below.
-            let persist_key =
-                crate::persist::enabled().then(|| crate::persist::canonical_rows_key(&work));
-            if let Some(hit) = persist_key.and_then(crate::persist::sat_lookup) {
+            // holds only queries that were worth an exact solve), under
+            // the hot cache's `key`, which is stable across processes. A
+            // hit is exact by the no-poisoning-on-disk invariant, so it
+            // is promoted into the hot cache by the shared insert below.
+            if let Some(hit) = crate::persist::sat_lookup(key) {
                 span.attr("tier", "persist");
                 span.attr("sat", hit);
                 break 'tier2 hit;
@@ -193,12 +190,10 @@ fn satisfiable_with_key(rows: &[Row], n_vars: usize, key: (u64, u64)) -> bool {
                 Ok(v) => {
                     exact.attr("sat", v);
                     // Exact verdict: queue it for the durable tier under
-                    // the same canonical key the warm probe used. The
-                    // Err arm below records nothing — degraded verdicts
-                    // never reach disk (no-poisoning-on-disk).
-                    if let Some(pk) = persist_key {
-                        crate::persist::sat_record(pk, v);
-                    }
+                    // the same key the warm probe used. The Err arm below
+                    // records nothing — degraded verdicts never reach
+                    // disk (no-poisoning-on-disk).
+                    crate::persist::sat_record(key, v);
                     if let Some(c) = &dump {
                         let text = crate::provenance::sat_dump_text(
                             dump_rows.as_deref().unwrap_or(&[]),
@@ -271,7 +266,8 @@ pub(crate) fn exact_satisfiable(rows: &[Row], n_vars: usize) -> bool {
 /// queries fingerprint identically *regardless of row order* and no sorted
 /// copy is needed on the lookup path. Constant rows are skipped to keep
 /// the key canonical. Collision odds are negligible at the cache's
-/// capacity.
+/// capacity. The key depends only on the rows, so it is stable across
+/// processes and also keys the persistent tier ([`crate::persist`]).
 fn cache_key(rows: &[Row]) -> (u64, u64) {
     let mut s1: u64 = 0;
     let mut s2: u64 = 0x9e37_79b9_7f4a_7c15;
@@ -736,6 +732,27 @@ mod tests {
     }
 
     // Columns: [const, x, y] unless stated otherwise.
+
+    #[test]
+    fn cache_key_ignores_row_order_and_constant_rows() {
+        let rows = [geq(&[0, 1, 0]), geq(&[10, -1, 0]), eq(&[-3, 1, -1])];
+        let key = cache_key(&rows);
+        for perm in [[0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]] {
+            let permuted: Vec<Row> = perm.iter().map(|&i| rows[i].clone()).collect();
+            assert_eq!(cache_key(&permuted), key, "permutation {perm:?}");
+        }
+        // True constant rows (`5 >= 0`, `0 = 0`) drop out of the key.
+        let mut padded = vec![geq(&[5, 0, 0])];
+        padded.extend(rows.iter().cloned());
+        padded.push(eq(&[0, 0, 0]));
+        assert_eq!(cache_key(&padded), key);
+        // A different system keys differently.
+        assert_ne!(cache_key(&rows[..2]), key);
+        assert_ne!(
+            cache_key(&[geq(&[1, 1, 0]), rows[1].clone(), rows[2].clone()]),
+            key
+        );
+    }
 
     #[test]
     fn trivial_systems() {

@@ -24,19 +24,20 @@
 //! # Cost when disabled
 //!
 //! Probes are always compiled but gated on [`probes_live`]: with no
-//! collector installed and no flight hook, a [`span!`] site is a
+//! collector installed and no span hook, a [`span!`] site is a
 //! `Cell<bool>` read, a relaxed atomic load and a branch — no timestamp
 //! read, no allocation. Probe sites sit at query/phase granularity
 //! (never inside arithmetic kernels), so the dormant cost is
 //! unmeasurable next to the work they would time.
 //!
-//! # Flight recording
+//! # Span hook
 //!
-//! A process may install one [`FlightHook`] (see [`install_flight_hook`])
+//! A process may install one [`SpanHook`] (see [`install_span_hook`])
 //! that observes every span open/close on every thread, independent of
-//! collectors — the seam an always-on bounded recorder
-//! (`telemetry::flight`, drained by `codegend`'s `/debug/flight`) plugs
-//! into without `omega` gaining a dependency.
+//! collectors — the seam through which the always-on flight recorder
+//! (`telemetry::flight`, drained by `codegend`'s `/debug/flight`) and the
+//! sampling profiler's span attribution (`telemetry::profile`) plug in
+//! without `omega` gaining a dependency.
 //!
 //! # Example
 //!
@@ -863,64 +864,40 @@ pub fn active() -> bool {
     ACTIVE.with(Cell::get)
 }
 
-/// A process-wide span sink for flight recording: called with
-/// `(true, name)` when a span opens and `(false, name)` when it closes,
-/// on the recording thread, whether or not a collector is installed.
+/// A process-wide span sink: called with `(true, name)` when a span
+/// opens and `(false, name)` when it closes, on the recording thread,
+/// whether or not a collector is installed. Closes arrive in LIFO order.
 ///
 /// This is the one seam between `omega` (which owns the probe sites but
-/// depends on nothing) and an always-on recorder living elsewhere
-/// (`telemetry::flight`, installed by `codegend` at boot). The hook must
-/// be cheap, lock-free and panic-free — it runs inside every `span!`
-/// site.
-pub type FlightHook = fn(begin: bool, name: &'static str);
+/// depends on nothing) and the always-on sinks living elsewhere
+/// (`telemetry::span_hook` feeds the flight recorder and the profiler's
+/// per-thread span stack). The hook must be cheap, lock-free,
+/// allocation-free and panic-free — it runs inside every `span!` site,
+/// and the profiler's signal handler reads what it writes.
+pub type SpanHook = fn(begin: bool, name: &'static str);
 
-static FLIGHT_HOOK: OnceLock<FlightHook> = OnceLock::new();
+static SPAN_HOOK: OnceLock<SpanHook> = OnceLock::new();
 
-/// Installs the process-wide [`FlightHook`]. The first call wins;
+/// Installs the process-wide [`SpanHook`]. The first call wins;
 /// subsequent calls are ignored (a hook cannot be uninstalled — probe
 /// sites cache no state, so "installed once, on forever" keeps the gate
 /// a single atomic load).
-pub fn install_flight_hook(hook: FlightHook) {
-    let _ = FLIGHT_HOOK.set(hook);
+pub fn install_span_hook(hook: SpanHook) {
+    let _ = SPAN_HOOK.set(hook);
 }
 
 #[inline]
-fn flight_hook() -> Option<FlightHook> {
-    FLIGHT_HOOK.get().copied()
+fn span_hook() -> Option<SpanHook> {
+    SPAN_HOOK.get().copied()
 }
 
-/// A second process-wide span sink, for *sample attribution*: the
-/// continuous profiler (`telemetry::profile`) maintains a per-thread
-/// stack of currently-open span names so each stack sample can be tagged
-/// with the innermost solver phase (`sat_query`, `fm_eliminate`, `gist`,
-/// …) active when the SIGPROF fired. Same contract as [`FlightHook`]:
-/// called on the recording thread at every open (`begin == true`) and
-/// close, must be cheap, lock-free, allocation-free and panic-free —
-/// the profiler's implementation is a pair of thread-local atomic
-/// stores, safe to interleave with its own signal handler.
-pub type ProfileHook = fn(begin: bool, name: &'static str);
-
-static PROFILE_HOOK: OnceLock<ProfileHook> = OnceLock::new();
-
-/// Installs the process-wide [`ProfileHook`]. First call wins, as with
-/// [`install_flight_hook`].
-pub fn install_profile_hook(hook: ProfileHook) {
-    let _ = PROFILE_HOOK.set(hook);
-}
-
-#[inline]
-fn profile_hook() -> Option<ProfileHook> {
-    PROFILE_HOOK.get().copied()
-}
-
-/// True when any span sink wants events: a collector on this thread,
-/// the process-wide flight hook, *or* the profiler's span-attribution
-/// hook. This is the gate the [`span!`] / [`root_span!`] macros check;
-/// without any sink it is one thread-local read plus two relaxed atomic
-/// loads.
+/// True when any span sink wants events: a collector on this thread or
+/// the process-wide span hook. This is the gate the [`span!`] /
+/// [`root_span!`] macros check; without any sink it is one thread-local
+/// read plus one relaxed atomic load.
 #[inline]
 pub fn probes_live() -> bool {
-    active() || FLIGHT_HOOK.get().is_some() || PROFILE_HOOK.get().is_some()
+    active() || SPAN_HOOK.get().is_some()
 }
 
 /// The collector installed on the current thread, if any.
@@ -1067,18 +1044,16 @@ pub struct SpanGuard {
     /// inert. While the guard lives, its `OpenSpan` sits at exactly this
     /// index (children push above, LIFO close pops back down to it).
     slot: usize,
-    /// Set when the flight hook saw this span open: its close is sent to
+    /// Set when the span hook saw this span open: its close is sent to
     /// the hook on drop, whether or not a collector is also recording.
-    flight: Option<&'static str>,
-    /// Likewise for the profiler's span-attribution hook.
-    profile: Option<&'static str>,
+    hooked: Option<&'static str>,
 }
 
 impl SpanGuard {
     /// Attaches an attribute to this guard's span (usable at any point
     /// before the guard drops, including after nested spans opened and
-    /// closed). A no-op when tracing is inactive (flight-only spans carry
-    /// no attributes — the recorder stores fixed-size records).
+    /// closed). A no-op when tracing is inactive (the span hook receives
+    /// names only, so hook-only spans carry no attributes).
     pub fn attr(&self, key: &str, value: impl Into<AttrValue>) {
         if self.slot == usize::MAX {
             return;
@@ -1095,8 +1070,7 @@ impl SpanGuard {
     pub fn inert() -> SpanGuard {
         SpanGuard {
             slot: usize::MAX,
-            flight: None,
-            profile: None,
+            hooked: None,
         }
     }
 }
@@ -1106,15 +1080,10 @@ impl Drop for SpanGuard {
         if self.slot != usize::MAX {
             STATE.with(|s| close_top(&mut s.borrow_mut()));
         }
-        // LIFO: the profiler's per-thread span stack pops on close, so the
-        // exit must fire in guard-drop order (which is LIFO by scoping).
-        if let Some(name) = self.profile {
-            if let Some(hook) = profile_hook() {
-                hook(false, name);
-            }
-        }
-        if let Some(name) = self.flight {
-            if let Some(hook) = flight_hook() {
+        // Guards drop in LIFO order by scoping, so the hook sees closes
+        // in the order its per-thread span stacks pop them.
+        if let Some(name) = self.hooked {
+            if let Some(hook) = span_hook() {
                 hook(false, name);
             }
         }
@@ -1136,24 +1105,16 @@ fn begin(name: &'static str, detached: bool) -> SpanGuard {
             id: None,
             detached,
         });
-        SpanGuard {
-            slot,
-            flight: None,
-            profile: None,
-        }
+        SpanGuard { slot, hooked: None }
     })
 }
 
-/// Opens `name` toward every sink: the flight and profile hooks see the
-/// begin immediately; the collector (when installed) gets a stack entry.
-/// The returned guard closes whichever sinks saw the open.
-fn begin_with_flight(name: &'static str, detached: bool) -> SpanGuard {
-    let flight = flight_hook();
-    if let Some(hook) = flight {
-        hook(true, name);
-    }
-    let profile = profile_hook();
-    if let Some(hook) = profile {
+/// Opens `name` toward every sink: the span hook sees the begin
+/// immediately; the collector (when installed) gets a stack entry. The
+/// returned guard closes whichever sinks saw the open.
+fn begin_with_hook(name: &'static str, detached: bool) -> SpanGuard {
+    let hook = span_hook();
+    if let Some(hook) = hook {
         hook(true, name);
     }
     let mut guard = if active() {
@@ -1161,24 +1122,23 @@ fn begin_with_flight(name: &'static str, detached: bool) -> SpanGuard {
     } else {
         SpanGuard::inert()
     };
-    guard.flight = flight.map(|_| name);
-    guard.profile = profile.map(|_| name);
+    guard.hooked = hook.map(|_| name);
     guard
 }
 
 /// Opens a span named `name`. Prefer the [`span!`] macro, which skips even
 /// the call when no sink is live.
 pub fn span_begin(name: &'static str) -> SpanGuard {
-    begin_with_flight(name, false)
+    begin_with_hook(name, false)
 }
 
 /// Opens a *detached* span: recorded as a top-level root of the trace (a
 /// per-query call tree) even when enclosing spans are open. Prefer the
-/// [`root_span!`] macro. The flight recorder sees it as an ordinary
-/// nested span (its rings are per thread; detachment is a collector
-/// merge concept).
+/// [`root_span!`] macro. The span hook sees it as an ordinary nested
+/// span (its sinks are per thread; detachment is a collector merge
+/// concept).
 pub fn root_span_begin(name: &'static str) -> SpanGuard {
-    begin_with_flight(name, true)
+    begin_with_hook(name, true)
 }
 
 /// Opens a span recording a call-tree interval, returning an RAII guard.
@@ -1189,10 +1149,10 @@ pub fn root_span_begin(name: &'static str) -> SpanGuard {
 /// _s.attr("tier", "cache");                   // close-time attribute
 /// ```
 ///
-/// With no collector installed and no flight hook, the expansion is one
+/// With no collector installed and no span hook, the expansion is one
 /// thread-local flag check plus one relaxed atomic load; nothing is
-/// timed or allocated. With only the flight hook live, the span is a
-/// fixed-size ring-buffer record at open and close.
+/// timed or allocated. With only the span hook live, the span is one
+/// hook call at open and one at close.
 #[macro_export]
 macro_rules! span {
     ($name:ident) => {

@@ -690,15 +690,13 @@ pub fn spawn(cfg: Config) -> io::Result<Daemon> {
         (LogTarget::File(p), Some(mb)) => Logger::rotating_file(p, mb << 20, cfg.log_keep)?,
     };
     // The always-on flight recorder: bounded per-thread rings fed by every
-    // span probe in the process via the omega trace hook. Both calls are
-    // idempotent (first budget/hook wins), so embedding several daemons in
-    // one process (the tests do) shares one recorder.
+    // span probe in the process via the omega span hook, which also keeps
+    // the per-thread span stack `/debug/pprof/profile` samples are tagged
+    // with. Both calls are idempotent (first budget/hook wins), so
+    // embedding several daemons in one process (the tests do) shares one
+    // recorder.
     telemetry::flight::enable(cfg.flight_bytes);
-    omega::trace::install_flight_hook(flight_bridge);
-    // The profiler's span-attribution hook: every span open/close also
-    // maintains the per-thread span stack `/debug/pprof/profile` samples
-    // tag their stacks with. Idempotent like the flight hook.
-    omega::trace::install_profile_hook(profile_bridge);
+    omega::trace::install_span_hook(telemetry::span_hook);
     let workers = if cfg.workers == 0 {
         thread::available_parallelism()
             .map(|n| n.get())
@@ -770,8 +768,7 @@ pub fn spawn(cfg: Config) -> io::Result<Daemon> {
                         .str("dir", &dir.display().to_string())
                         .int("sat_records", s.sat_records as i64)
                         .int("gist_records", s.gist_records as i64)
-                        .int("truncated_bytes", s.truncated_bytes as i64)
-                        .str("warm_tier", if s.mmap { "mmap" } else { "heap" }),
+                        .int("truncated_bytes", s.truncated_bytes as i64),
                 );
                 true
             }
@@ -1622,30 +1619,6 @@ fn retain_slow_artifacts(
         *kept = c.write_buffered_dumps(dir)?;
     }
     Ok(())
-}
-
-/// The [`omega::trace::FlightHook`] bridging every span probe in the
-/// process into the flight recorder's per-thread rings.
-fn flight_bridge(begin: bool, name: &'static str) {
-    telemetry::flight::record(
-        if begin {
-            telemetry::flight::FlightKind::Begin
-        } else {
-            telemetry::flight::FlightKind::End
-        },
-        name,
-    );
-}
-
-/// The [`omega::trace::ProfileHook`] maintaining the profiler's
-/// per-thread span stack, so SIGPROF samples are attributed to the
-/// innermost active solver phase.
-fn profile_bridge(begin: bool, name: &'static str) {
-    if begin {
-        telemetry::profile::span_enter(name);
-    } else {
-        telemetry::profile::span_exit();
-    }
 }
 
 #[cfg(test)]

@@ -58,3 +58,20 @@ mod registry;
 
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use registry::{Counter, Family, Gauge, Registry, SeriesSnapshot, SeriesValue};
+
+/// The span sink to install as `omega::trace`'s process-wide span hook
+/// (`omega::trace::install_span_hook(telemetry::span_hook)`). Every span
+/// open/close feeds the [`flight`] recorder (a no-op until
+/// [`flight::enable`]) and the [`profile`]r's per-thread span stack, so
+/// samples are attributed to the innermost active solver phase. Opens
+/// record flight-then-profile and closes undo them in reverse, keeping
+/// both sinks LIFO.
+pub fn span_hook(begin: bool, name: &'static str) {
+    if begin {
+        flight::record(flight::FlightKind::Begin, name);
+        profile::span_enter(name);
+    } else {
+        profile::span_exit();
+        flight::record(flight::FlightKind::End, name);
+    }
+}

@@ -1,10 +1,9 @@
-//! Dev helper: cold and warm generation times plus (with
-//! `--features stats`) the satisfiability-pipeline tier report for one
-//! Table 1 kernel. Per-phase times come from a span trace
+//! Dev helper: cold and warm generation times plus the
+//! satisfiability-pipeline tier report for one Table 1 kernel. Per-phase times come from a span trace
 //! (`table1 --trace`).
 //!
 //! ```sh
-//! cargo run --release --example profile_trace --features stats -- gemv 64
+//! cargo run --release --example profile_trace -- gemv 64
 //! ```
 
 fn main() {
@@ -29,10 +28,7 @@ fn main() {
             warm = warm.min(t);
         }
         eprintln!("{tool:?}: cold {cold:.2?}, warm(min of 5) {warm:.2?}");
-        #[cfg(feature = "stats")]
-        {
-            eprintln!("  stats: {}", omega::stats::snapshot());
-            omega::stats::reset();
-        }
+        eprintln!("  stats: {}", omega::stats::snapshot());
+        omega::stats::reset();
     }
 }

@@ -47,7 +47,6 @@ COUNTER_FIELDS = (
     "persist_degrade_io",
     "persist_degrade_checksum",
     "persist_degrade_version",
-    "persist_degrade_mmap",
     "persist_degrade_unwritable",
 )
 
