@@ -202,7 +202,6 @@ fn main() -> ExitCode {
                 kind: "kernel",
                 source: row.name.to_owned(),
                 status: "ok",
-                class: "batch",
                 queue_ns: 0,
                 ts_ms: serve::report::now_ms(),
                 effort: 1,

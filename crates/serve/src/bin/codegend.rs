@@ -1,30 +1,27 @@
 //! `codegend` — the long-running codegen daemon.
 //!
-//! Accepts codegen jobs over a line-delimited TCP protocol and serves
+//! Accepts codegen jobs over a line-delimited TCP protocol and over
+//! HTTP/JSON (`POST /v1/gen`, `POST /v1/batch`), and serves
 //! Prometheus/OpenMetrics telemetry over HTTP. See `crates/serve` docs
 //! and the README quick-start.
 //!
 //! ```text
 //! codegend [--jobs ADDR] [--http ADDR] [--effort N] [--threads N]
 //!          [--deadline-ms MS] [--workers N] [--queue-depth N]
-//!          [--queue-timeout-ms MS] [--quantum N] [--shards N]
+//!          [--queue-timeout-ms MS]
 //!          [--dump-dir DIR] [--cache-dir DIR] [--cache-flush-ms MS]
 //!          [--slow-ms MS] [--slow-dir DIR] [--flight-kb KB]
 //!          [--log FILE] [--log-max-mb MB] [--log-keep N]
-//!          [--history-interval-ms MS] [--history-frames N]
-//!          [--slo-p99-ms MS] [--slo-shed-rate FRAC]
 //!          [--no-phase-trace]
 //! ```
 //!
 //! Defaults: jobs on 127.0.0.1:7077, HTTP on 127.0.0.1:9077, effort 1,
 //! 1 thread per job, no deadline, request log as JSON lines on stderr,
-//! phase tracing on. `--workers` sizes the pool draining the job queue
-//! (0 = machine cores, the default); `--queue-depth` bounds how many
-//! admitted jobs may wait (default 256 — over it, requests get `busy` /
-//! HTTP 503); `--queue-timeout-ms` errors jobs that wait longer instead
-//! of running them stale; `--quantum` is the deficit-round-robin credit
-//! per client visit (default 8); `--shards` spreads the queue locks
-//! (0 = auto). `--cache-dir` warm-starts the
+//! phase tracing on. `--workers` sizes the pool draining the FIFO job
+//! queue (0 = machine cores, the default); `--queue-depth` bounds how
+//! many admitted jobs may wait (default 256 — over it, requests get
+//! `busy` / HTTP 503); `--queue-timeout-ms` errors jobs that wait longer
+//! instead of running them stale. `--cache-dir` warm-starts the
 //! crash-safe persistent solver cache from that directory and flushes new
 //! exact verdicts to it every `--cache-flush-ms` (default 5000) and at
 //! shutdown; a missing or broken cache degrades to process-local caching
@@ -35,18 +32,9 @@
 //! nothing. `--flight-kb` sizes the always-on flight recorder's
 //! per-thread rings (default 256), drained live at `/debug/flight`.
 //! `--log-max-mb` rotates a `--log FILE` when it would exceed that many
-//! MiB, keeping `--log-keep` numbered generations (default 3).
-//! `--history-interval-ms` sets the metrics-history snapshot cadence
-//! (default 1000) and `--history-frames` the ring capacity (default
-//! 600 — ten minutes at the default cadence), served windowed at
-//! `/debug/history`. `--slo-p99-ms` and `--slo-shed-rate` state service
-//! objectives; when either is set, the burn-rate watchdog evaluates
-//! them over 5 s and 60 s windows, flips `/healthz` to `degraded` while
-//! both windows burn, publishes `codegend_slo_burn` gauges, and
-//! auto-arms `--slow-ms`-style retention so offending requests leave
-//! artifacts. The sampling profiler is always serving at
-//! `/debug/pprof/profile?seconds=N` (pprof protobuf; add
-//! `format=collapsed` for flamegraph text).
+//! MiB, keeping `--log-keep` numbered generations (default 3). The
+//! sampling profiler is always serving at
+//! `/debug/pprof/profile?seconds=N` as collapsed-stack flamegraph text.
 
 use serve::{spawn, Config, LogTarget};
 use std::path::PathBuf;
@@ -109,20 +97,6 @@ fn main() -> ExitCode {
                 }
                 _ => Err(()),
             },
-            "--quantum" => match val("--quantum").map(|v| v.parse()) {
-                Ok(Ok(v)) if v >= 1 => {
-                    cfg.drr_quantum = v;
-                    Ok(())
-                }
-                _ => Err(()),
-            },
-            "--shards" => match val("--shards").map(|v| v.parse()) {
-                Ok(Ok(v)) => {
-                    cfg.shards = v;
-                    Ok(())
-                }
-                _ => Err(()),
-            },
             "--dump-dir" => val("--dump-dir").map(|v| cfg.dump_dir = Some(PathBuf::from(v))),
             "--cache-dir" => val("--cache-dir").map(|v| cfg.cache_dir = Some(PathBuf::from(v))),
             "--cache-flush-ms" => match val("--cache-flush-ms").map(|v| v.parse()) {
@@ -162,34 +136,6 @@ fn main() -> ExitCode {
                 }
                 _ => Err(()),
             },
-            "--history-interval-ms" => match val("--history-interval-ms").map(|v| v.parse()) {
-                Ok(Ok(ms)) if ms >= 1 => {
-                    cfg.history_interval = Duration::from_millis(ms);
-                    Ok(())
-                }
-                _ => Err(()),
-            },
-            "--history-frames" => match val("--history-frames").map(|v| v.parse()) {
-                Ok(Ok(n)) if n >= 2 => {
-                    cfg.history_frames = n;
-                    Ok(())
-                }
-                _ => Err(()),
-            },
-            "--slo-p99-ms" => match val("--slo-p99-ms").map(|v| v.parse()) {
-                Ok(Ok(ms)) if ms >= 1 => {
-                    cfg.slo_p99_ms = Some(ms);
-                    Ok(())
-                }
-                _ => Err(()),
-            },
-            "--slo-shed-rate" => match val("--slo-shed-rate").map(|v| v.parse::<f64>()) {
-                Ok(Ok(f)) if f > 0.0 && f <= 1.0 => {
-                    cfg.slo_shed_rate = Some(f);
-                    Ok(())
-                }
-                _ => Err(()),
-            },
             "--no-phase-trace" => {
                 cfg.phase_trace = false;
                 Ok(())
@@ -198,12 +144,10 @@ fn main() -> ExitCode {
                 eprintln!(
                     "usage: codegend [--jobs ADDR] [--http ADDR] [--effort N] [--threads N]\n\
                      \x20               [--deadline-ms MS] [--workers N] [--queue-depth N]\n\
-                     \x20               [--queue-timeout-ms MS] [--quantum N] [--shards N]\n\
+                     \x20               [--queue-timeout-ms MS]\n\
                      \x20               [--dump-dir DIR] [--cache-dir DIR] [--cache-flush-ms MS]\n\
                      \x20               [--slow-ms MS] [--slow-dir DIR] [--flight-kb KB]\n\
                      \x20               [--log FILE] [--log-max-mb MB] [--log-keep N]\n\
-                     \x20               [--history-interval-ms MS] [--history-frames N]\n\
-                     \x20               [--slo-p99-ms MS] [--slo-shed-rate FRAC]\n\
                      \x20               [--no-phase-trace]"
                 );
                 return ExitCode::SUCCESS;

@@ -14,16 +14,16 @@
 //! `POST /v1/gen` body (one job; `kernel`/`n` or `spaces`):
 //!
 //! ```json
-//! {"kernel": "gemm", "n": 64, "effort": 1, "threads": 2,
-//!  "id": "x-1", "priority": "interactive", "client": "alice"}
+//! {"kernel": "gemm", "n": 64, "effort": 1, "threads": 2, "id": "x-1"}
 //! ```
 //!
 //! `POST /v1/batch` body (independent single-space generations):
 //!
 //! ```json
-//! {"spaces": ["[n] -> { [i] : 0 <= i < n }", "{ [i] : i = 0 }"],
-//!  "priority": "bulk", "client": "alice"}
+//! {"spaces": ["[n] -> { [i] : 0 <= i < n }", "{ [i] : i = 0 }"]}
 //! ```
+//!
+//! Keys other than these are ignored.
 //!
 //! Over queue capacity, both answer `503` with `Retry-After` instead of
 //! queueing the connection — the HTTP spelling of the line protocol's
@@ -31,7 +31,7 @@
 
 use crate::json::{self, Json};
 use crate::proto::{JobSource, JobSpec, MAX_BATCH_SPACES};
-use crate::queue::{Priority, TaskReply, Work};
+use crate::queue::{TaskReply, Work};
 use crate::{submit, Shed, State};
 use std::fmt::Write as _;
 use std::io::{self, Read, Write};
@@ -85,13 +85,6 @@ pub(crate) fn handle_conn(state: Arc<State>, mut stream: TcpStream) {
         }
         return;
     }
-    // The profile endpoint blocks its connection thread for the capture
-    // and may return binary (pprof protobuf), so it bypasses the
-    // string-bodied router.
-    if path == "/debug/pprof/profile" && (method == "GET" || method == "HEAD") {
-        get_profile(&state, &mut stream, &method, &query);
-        return;
-    }
     let (status, content_type, body) = route(&state, &method, &path, &query);
     let _ = write!(
         stream,
@@ -113,12 +106,12 @@ fn query_param<'a>(query: &'a str, key: &str) -> Option<&'a str> {
     })
 }
 
-/// `GET /debug/pprof/profile?seconds=N&hz=N&mode=cpu|wall&format=pprof|collapsed`:
-/// run one profiling session for `seconds` (default 2, capped at 30),
-/// then stream the result — pprof protobuf by default, collapsed-stack
-/// flamegraph text with `format=collapsed`. `409` while another session
-/// runs, `501` where sampling is unsupported.
-fn get_profile(state: &State, stream: &mut TcpStream, method: &str, query: &str) {
+/// `GET /debug/pprof/profile?seconds=N&hz=N&mode=cpu|wall`: run one
+/// profiling session for `seconds` (default 2, capped at 30) on the
+/// calling connection thread, then answer collapsed-stack flamegraph
+/// text. `409` while another session runs, `501` where sampling is
+/// unsupported.
+fn get_profile(state: &State, query: &str) -> (&'static str, &'static str, String) {
     let seconds = query_param(query, "seconds")
         .and_then(|v| v.parse::<u64>().ok())
         .unwrap_or(2)
@@ -130,61 +123,27 @@ fn get_profile(state: &State, stream: &mut TcpStream, method: &str, query: &str)
         None | Some("cpu") => telemetry::profile::Mode::Cpu,
         Some("wall") => telemetry::profile::Mode::Wall,
         Some(other) => {
-            respond(
-                stream,
+            return (
                 "400 Bad Request",
                 "application/json",
-                &error_body(&format!("mode must be cpu or wall, not {other:?}")),
+                error_body(&format!("mode must be cpu or wall, not {other:?}")),
             );
-            return;
-        }
-    };
-    let collapsed = match query_param(query, "format") {
-        None | Some("pprof") => false,
-        Some("collapsed") => true,
-        Some(other) => {
-            respond(
-                stream,
-                "400 Bad Request",
-                "application/json",
-                &error_body(&format!("format must be pprof or collapsed, not {other:?}")),
-            );
-            return;
         }
     };
     let opts = telemetry::profile::Options { mode, hz };
     match state.profile_capture(opts, Duration::from_secs(seconds)) {
-        Ok(resolved) => {
-            let (content_type, body) = if collapsed {
-                (
-                    "text/plain; charset=utf-8",
-                    resolved.collapsed().into_bytes(),
-                )
-            } else {
-                ("application/octet-stream", resolved.pprof())
-            };
-            let _ = write!(
-                stream,
-                "HTTP/1.1 200 OK\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-                body.len()
-            );
-            if method != "HEAD" {
-                let _ = stream.write_all(&body);
-            }
-            let _ = stream.flush();
-        }
+        Ok(resolved) => ("200 OK", "text/plain; charset=utf-8", resolved.collapsed()),
         Err(e) => {
             let status = match e {
                 telemetry::profile::ProfileError::Busy => "409 Conflict",
                 telemetry::profile::ProfileError::Unsupported => "501 Not Implemented",
                 _ => "500 Internal Server Error",
             };
-            respond(
-                stream,
+            (
                 status,
                 "application/json",
-                &error_body(&format!("profiler: {}", e.as_str())),
-            );
+                error_body(&format!("profiler: {}", e.as_str())),
+            )
         }
     }
 }
@@ -215,46 +174,14 @@ fn route(
         "/debug/flight" => ("200 OK", "application/json", state.debug_flight_json()),
         "/debug/stats" => ("200 OK", "application/json", state.debug_stats_json()),
         "/debug/config" => ("200 OK", "application/json", state.debug_config_json()),
-        "/debug/history" => get_history(state, query),
+        "/debug/pprof/profile" => get_profile(state, query),
         _ => (
             "404 Not Found",
             "text/plain; charset=utf-8",
-            "not found (try /metrics, /healthz, /debug/requests, /debug/flight, /debug/stats, /debug/config, /debug/history, /debug/pprof/profile, POST /v1/gen, POST /v1/batch)\n"
+            "not found (try /metrics, /healthz, /debug/requests, /debug/flight, /debug/stats, /debug/config, /debug/pprof/profile, POST /v1/gen, POST /v1/batch)\n"
                 .to_owned(),
         ),
     }
-}
-
-/// `GET /debug/history?window=MS&format=json|ndjson`: windowed deltas,
-/// rates, and quantiles-over-window from the metrics history ring
-/// (default window 60 s). NDJSON puts the meta line first, then one
-/// line per series — `jq`- and `grep`-friendly under incident pressure.
-fn get_history(state: &State, query: &str) -> (&'static str, &'static str, String) {
-    let window_ms = query_param(query, "window")
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(60_000)
-        .max(1);
-    let ndjson = match query_param(query, "format") {
-        None | Some("json") => false,
-        Some("ndjson") => true,
-        Some(other) => {
-            return (
-                "400 Bad Request",
-                "application/json",
-                error_body(&format!("format must be json or ndjson, not {other:?}")),
-            );
-        }
-    };
-    let content_type = if ndjson {
-        "application/x-ndjson"
-    } else {
-        "application/json"
-    };
-    (
-        "200 OK",
-        content_type,
-        state.debug_history_json(window_ms, ndjson),
-    )
 }
 
 // ---------------------------------------------------------------------------
@@ -275,7 +202,7 @@ fn post_gen(state: &State, stream: &mut TcpStream, peer: &str, body: &str) {
             return;
         }
     };
-    match submit(state, peer, Priority::Interactive, Work::Single(spec)) {
+    match submit(state, peer, Work::Single(spec)) {
         Err(shed) => respond_busy(stream, &shed),
         Ok((id, rx)) => {
             let body = task_reply_json(rx.recv().ok(), &id);
@@ -301,7 +228,7 @@ fn post_batch(state: &State, stream: &mut TcpStream, peer: &str, body: &str) {
         }
     };
     let count = spaces.len();
-    match submit(state, peer, Priority::Batch, Work::Batch { base, spaces }) {
+    match submit(state, peer, Work::Batch { base, spaces }) {
         Err(shed) => respond_busy(stream, &shed),
         Ok((id, rx)) => {
             let _ = (|| -> io::Result<()> {
@@ -399,8 +326,8 @@ fn respond_busy(stream: &mut TcpStream, shed: &Shed) {
     json::escape_into(&shed.id, &mut body);
     let _ = writeln!(
         body,
-        "\",\"class\":\"{}\",\"queued\":{},\"capacity\":{}}}",
-        shed.class, shed.queued, shed.capacity
+        "\",\"queued\":{},\"capacity\":{}}}",
+        shed.queued, shed.capacity
     );
     let _ = write!(
         stream,
@@ -415,14 +342,8 @@ fn respond_busy(stream: &mut TcpStream, shed: &Shed) {
 // ---------------------------------------------------------------------------
 
 /// The optional fields shared by both `/v1/*` bodies, in body order:
-/// `id`, `effort`, `threads`, `priority`, `client`.
-type CommonFields = (
-    Option<String>,
-    Option<usize>,
-    Option<usize>,
-    Option<Priority>,
-    Option<String>,
-);
+/// `id`, `effort`, `threads`.
+type CommonFields = (Option<String>, Option<usize>, Option<usize>);
 
 /// The fields shared by both `/v1/*` bodies.
 fn common_fields(v: &Json) -> Result<CommonFields, String> {
@@ -447,24 +368,7 @@ fn common_fields(v: &Json) -> Result<CommonFields, String> {
             _ => return Err("threads must be a positive integer".to_owned()),
         },
     };
-    let priority = match v.get("priority") {
-        None | Some(Json::Null) => None,
-        Some(j) => {
-            let s = j.as_str().ok_or("priority must be a string")?;
-            Some(Priority::parse(s).ok_or("priority must be one of interactive, batch, bulk")?)
-        }
-    };
-    let client = match v.get("client") {
-        None | Some(Json::Null) => None,
-        Some(j) => {
-            let s = j.as_str().ok_or("client must be a string")?;
-            if s.is_empty() || s.contains(char::is_whitespace) {
-                return Err("client must be a non-empty whitespace-free name".to_owned());
-            }
-            Some(s.to_owned())
-        }
-    };
-    Ok((id, effort, threads, priority, client))
+    Ok((id, effort, threads))
 }
 
 fn spaces_field(v: &Json) -> Result<Option<Vec<String>>, String> {
@@ -487,7 +391,7 @@ fn spaces_field(v: &Json) -> Result<Option<Vec<String>>, String> {
 /// Parses a `POST /v1/gen` body into a [`JobSpec`].
 fn gen_spec_of(body: &str) -> Result<JobSpec, String> {
     let v = json::parse(body)?;
-    let (id, effort, threads, priority, client) = common_fields(&v)?;
+    let (id, effort, threads) = common_fields(&v)?;
     let kernel = v.get("kernel").and_then(Json::as_str);
     let spaces = spaces_field(&v)?;
     let source = match (kernel, spaces) {
@@ -515,8 +419,6 @@ fn gen_spec_of(body: &str) -> Result<JobSpec, String> {
         source,
         effort,
         threads,
-        priority,
-        client,
     })
 }
 
@@ -524,7 +426,7 @@ fn gen_spec_of(body: &str) -> Result<JobSpec, String> {
 /// per-space work list.
 fn batch_spec_of(body: &str) -> Result<(JobSpec, Vec<String>), String> {
     let v = json::parse(body)?;
-    let (id, effort, threads, priority, client) = common_fields(&v)?;
+    let (id, effort, threads) = common_fields(&v)?;
     if v.get("kernel").is_some() {
         return Err("batch takes \"spaces\", not \"kernel\"".to_owned());
     }
@@ -544,8 +446,6 @@ fn batch_spec_of(body: &str) -> Result<(JobSpec, Vec<String>), String> {
             source: JobSource::Spaces(sets.clone()),
             effort,
             threads,
-            priority,
-            client,
         },
         sets,
     ))
@@ -616,11 +516,8 @@ mod tests {
 
     #[test]
     fn gen_body_shapes() {
-        let spec = gen_spec_of(
-            r#"{"kernel":"gemm","n":32,"effort":2,"threads":4,
-                "id":"x-1","priority":"bulk","client":"alice"}"#,
-        )
-        .unwrap();
+        let spec =
+            gen_spec_of(r#"{"kernel":"gemm","n":32,"effort":2,"threads":4,"id":"x-1"}"#).unwrap();
         assert_eq!(
             spec.source,
             JobSource::Kernel {
@@ -631,15 +528,12 @@ mod tests {
         assert_eq!(spec.effort, Some(2));
         assert_eq!(spec.threads, Some(4));
         assert_eq!(spec.id.as_deref(), Some("x-1"));
-        assert_eq!(spec.priority, Some(Priority::Bulk));
-        assert_eq!(spec.client.as_deref(), Some("alice"));
 
         let spec = gen_spec_of(r#"{"spaces":["{ [i] : 0 <= i < 4 }"]}"#).unwrap();
         assert_eq!(
             spec.source,
             JobSource::Spaces(vec!["{ [i] : 0 <= i < 4 }".into()])
         );
-        assert_eq!(spec.priority, None);
 
         for bad in [
             "{}",
@@ -647,8 +541,6 @@ mod tests {
             r#"{"spaces":[]}"#,
             r#"{"spaces":["x"],"n":4}"#,
             r#"{"kernel":"gemm","threads":0}"#,
-            r#"{"kernel":"gemm","priority":"vip"}"#,
-            r#"{"kernel":"gemm","client":"a b"}"#,
             r#"{"kernel":"gemm","id":"a/b"}"#,
             "not json",
         ] {

@@ -1,15 +1,15 @@
 //! # serve — the `codegend` daemon
 //!
-//! A long-running multi-tenant service in front of the CodeGen+
-//! pipeline. Connections (line-delimited TCP, [`proto`], or HTTP/JSON,
-//! `POST /v1/gen` and `POST /v1/batch`) *submit* jobs into a bounded
-//! priority queue ([`queue`]); a sharded worker pool sized to cores
-//! drains it and streams replies back per job. The daemon exposes
+//! A long-running service in front of the CodeGen+ pipeline.
+//! Connections (line-delimited TCP, [`proto`], or HTTP/JSON,
+//! `POST /v1/gen` and `POST /v1/batch`) *submit* jobs into one bounded
+//! FIFO queue ([`queue`]); a worker pool sized to cores drains it and
+//! streams replies back per job. The daemon exposes
 //!
 //! * **`GET /metrics`** — OpenMetrics text from a [`telemetry::Registry`]:
-//!   request counters, queue depth by class, in-flight and worker
-//!   gauges, shed/timeout counters by class, queue-wait and service
-//!   histograms by class, per-phase latency histograms harvested from
+//!   request counters, queue depth, in-flight and worker gauges,
+//!   shed/timeout counters, queue-wait and service histograms,
+//!   per-phase latency histograms harvested from
 //!   the `span!` probes, and the cumulative `omega::stats` solver
 //!   counters bridged at scrape time;
 //! * **`GET /healthz`** — a JSON readiness probe with uptime, job
@@ -25,8 +25,10 @@
 //! * **`GET /debug/*`** — live introspection: `/debug/requests` (the
 //!   recent [`report::QueryReport`]s), `/debug/flight` (drains the
 //!   always-on [`telemetry::flight`] recorder as a Chrome trace),
-//!   `/debug/stats` (solver counters + recorder occupancy), and
-//!   `/debug/config` (the resolved [`Config`]);
+//!   `/debug/stats` (solver counters + recorder occupancy),
+//!   `/debug/config` (the resolved [`Config`]), and
+//!   `/debug/pprof/profile` (a sampling-profiler capture as
+//!   collapsed stacks);
 //! * **tail sampling** — with `--slow-ms N`, only jobs slower than `N`
 //!   milliseconds (or that error or degrade) retain their full span
 //!   trace and `.omega` provenance dumps under `--slow-dir`; fast,
@@ -34,19 +36,16 @@
 //!
 //! ## The service core
 //!
-//! Admission is a single compare-and-swap against `--queue-depth`
-//! ([`queue::Scheduler::try_enqueue`]) — over capacity, the request gets
-//! `busy` (line protocol) or `503` + `Retry-After` (HTTP) immediately
-//! instead of a connection thread piling onto the pipeline. Admitted
-//! jobs carry a [`queue::Priority`] class (`interactive` > `batch` >
-//! `bulk`, strict) and a client key scheduled deficit-round-robin within
-//! the class, so one flooding tenant cannot starve a neighbor. A
-//! `batch` request runs N spaces as one queue entry — one parse, one
-//! scheduling cost of N, per-space replies streamed back in order.
+//! Admission checks the queue length against `--queue-depth` under the
+//! queue lock — over capacity, the request gets `busy` (line protocol)
+//! or `503` + `Retry-After` (HTTP) immediately instead of a connection
+//! thread piling onto the pipeline. Workers take admitted jobs in
+//! arrival order. A `batch` request runs N spaces as one queue entry —
+//! one parse, one slot, per-space replies streamed back in order.
 //!
 //! Generation stays deterministic: a daemon answer for a kernel job is
 //! byte-identical to what the batch `table1` pipeline produces for the
-//! same statements, at any worker count, queue depth, or shard count
+//! same statements, at any worker count or queue depth
 //! (`tests/daemon_e2e.rs` pins this under concurrent requests and
 //! across queue configurations). The only intentionally nondeterministic
 //! knob is `--deadline-ms`, which arms `omega::Limits::deadline` per job:
@@ -63,11 +62,10 @@ pub mod queue;
 pub mod report;
 
 mod http;
-mod watchdog;
 
 use crate::metrics::Metrics;
 use crate::proto::{parse_request, JobSource, JobSpec, Request};
-use crate::queue::{Job, Priority, Scheduler, TaskReply, Work};
+use crate::queue::{Job, Queue, TaskReply, Work};
 use crate::report::{certainty_tag, QueryReport};
 use codegenplus::{pad_statements, CodeGen, Statement};
 use std::fmt::Write as _;
@@ -120,13 +118,6 @@ pub struct Config {
     /// the staleness of work under sustained overload: shed at admission
     /// when full, time out in queue when slow.
     pub queue_timeout: Option<Duration>,
-    /// Deficit-round-robin quantum: scheduling credits a client gains
-    /// per visit. A `gen` costs 1 credit, a `batch` costs its space
-    /// count; larger quanta favor throughput, smaller favor fairness.
-    pub drr_quantum: u64,
-    /// Queue shards (admission lock spread). `0` resolves to
-    /// `min(workers, 4)`.
-    pub shards: usize,
     /// When set, each request's tier-2 solver queries are dumped as
     /// replayable `.omega` files under `<dump_dir>/<request-id>/`.
     pub dump_dir: Option<PathBuf>,
@@ -161,19 +152,6 @@ pub struct Config {
     pub report_ring: usize,
     /// Structured request-log sink.
     pub log: LogTarget,
-    /// How often the whole metrics registry is snapshotted into the
-    /// in-process history ring behind `GET /debug/history` and the SLO
-    /// watchdog's windows.
-    pub history_interval: Duration,
-    /// Capacity of the history ring, in frames (600 × the default 1 s
-    /// interval ≈ 10 minutes of windowed history).
-    pub history_frames: usize,
-    /// SLO objective: the 99th-percentile request latency stays under
-    /// this many milliseconds. Arms the burn-rate watchdog.
-    pub slo_p99_ms: Option<u64>,
-    /// SLO objective: at most this fraction of submissions is shed at
-    /// admission. Arms the burn-rate watchdog.
-    pub slo_shed_rate: Option<f64>,
     /// Size-rotate the request-log file (`LogTarget::File`) once it
     /// exceeds this many MiB. `None` appends without bound.
     pub log_max_mb: Option<u64>,
@@ -192,8 +170,6 @@ impl Default for Config {
             workers: 0,
             queue_depth: 256,
             queue_timeout: None,
-            drr_quantum: 8,
-            shards: 0,
             dump_dir: None,
             cache_dir: None,
             cache_flush: Duration::from_secs(5),
@@ -203,10 +179,6 @@ impl Default for Config {
             flight_bytes: 256 * 1024,
             report_ring: 256,
             log: LogTarget::Stderr,
-            history_interval: Duration::from_secs(1),
-            history_frames: 600,
-            slo_p99_ms: None,
-            slo_shed_rate: None,
             log_max_mb: None,
             log_keep: 3,
         }
@@ -231,7 +203,7 @@ pub(crate) fn build_fingerprint() -> String {
     )
 }
 
-/// Shared daemon state: config, metrics, logger, the scheduler, the
+/// Shared daemon state: config, metrics, logger, the job queue, the
 /// report ring behind `/debug/requests`, and the counters the health
 /// endpoint reports.
 pub(crate) struct State {
@@ -244,61 +216,21 @@ pub(crate) struct State {
     jobs_total: AtomicU64,
     stop: AtomicBool,
     reports: report::ReportRing,
-    pub(crate) sched: Arc<Scheduler>,
+    queue: Queue,
     /// Resolved worker-pool size (`cfg.workers` with 0 resolved).
     workers: usize,
-    /// Windowed metrics history: the ring behind `/debug/history` and
-    /// the SLO watchdog's burn windows.
-    pub(crate) history: telemetry::history::History,
-    /// The watchdog's latest judgement, read by `/healthz`.
-    pub(crate) slo: std::sync::Mutex<watchdog::SloStatus>,
-    /// Watchdog-armed tail-sampling threshold in milliseconds;
-    /// `watchdog::AUTO_SLOW_DISARMED` when not armed. Only consulted
-    /// when `cfg.slow_ms` is unset.
-    pub(crate) auto_slow_ms: AtomicU64,
 }
 
 impl State {
-    /// Refreshes the scrape-time gauges (uptime, queue depths, workers)
-    /// and the bridged solver counters — shared by `/metrics` scrapes
-    /// and the history sampler, so history frames carry the same values
-    /// a scrape at that instant would have.
-    fn refresh_gauges(&self) {
+    /// The `/metrics` body: bridge the solver counters, refresh the
+    /// queue gauge and uptime, render the registry.
+    pub(crate) fn metrics_text(&self) -> String {
         self.metrics
             .uptime_seconds
             .set(self.started.elapsed().as_secs() as i64);
-        for p in Priority::ALL {
-            self.metrics
-                .queue_depth
-                .with(&[p.as_str()])
-                .set(self.sched.queued_in(p) as i64);
-        }
-        self.metrics.workers.set(self.workers as i64);
+        self.metrics.queue_depth.set(self.queue.len() as i64);
         self.metrics.bridge_solver_stats();
-    }
-
-    /// The `/metrics` body: bridge the solver counters, refresh the
-    /// queue gauges and uptime, render the registry.
-    pub(crate) fn metrics_text(&self) -> String {
-        self.refresh_gauges();
         self.metrics.registry.expose()
-    }
-
-    /// The effective tail-sampling threshold: the operator's `--slow-ms`
-    /// when set, else whatever the SLO watchdog auto-armed (if burning).
-    pub(crate) fn effective_slow_ms(&self) -> Option<u64> {
-        if let Some(ms) = self.cfg.slow_ms {
-            return Some(ms);
-        }
-        let v = self.auto_slow_ms.load(Ordering::Relaxed);
-        (v != watchdog::AUTO_SLOW_DISARMED).then_some(v)
-    }
-
-    fn shed_total(&self) -> u64 {
-        Priority::ALL
-            .iter()
-            .map(|p| self.metrics.shed.with(&[p.as_str()]).get())
-            .sum()
     }
 
     /// The `/healthz` body: readiness plus the operational facts a probe
@@ -308,25 +240,22 @@ impl State {
     pub(crate) fn healthz_json(&self) -> String {
         let stats = omega::stats::snapshot();
         let cg = CodeGen::new().threads(self.cfg.default_threads);
-        let slo = self.slo.lock().unwrap_or_else(|e| e.into_inner()).clone();
         let mut out = format!(
-            "{{\"status\":\"{}\",\"uptime_ms\":{},\"uptime_seconds\":{},\"build\":\"{}\",\
+            "{{\"status\":\"ready\",\"uptime_ms\":{},\"uptime_seconds\":{},\"build\":\"{}\",\
              \"jobs_total\":{},\"inflight\":{},\"shed_total\":{},\
-             \"queue\":{{\"depth\":{},\"capacity\":{},\"workers\":{},\"shards\":{}}},\
+             \"queue\":{{\"depth\":{},\"capacity\":{},\"workers\":{}}},\
              \"threads\":{},\"intra_threads\":{},\
              \"degraded\":{{\"sat\":{},\"gist\":{},\"by_reason\":{{\"overflow\":{},\"budget\":{},\
              \"depth\":{},\"rowcap\":{},\"deadline\":{}}}}}",
-            if slo.degraded { "degraded" } else { "ready" },
             self.started.elapsed().as_millis(),
             self.started.elapsed().as_secs(),
             json_escape(&build_fingerprint()),
             self.jobs_total.load(Ordering::Relaxed),
             self.inflight.load(Ordering::Relaxed),
-            self.shed_total(),
-            self.sched.queued(),
-            self.sched.capacity(),
+            self.metrics.shed.get(),
+            self.queue.len(),
+            self.queue.capacity(),
             self.workers,
-            self.sched.shard_count(),
             cg.resolved_threads(),
             cg.resolved_intra_threads(),
             stats.sat_degraded,
@@ -353,41 +282,6 @@ impl State {
             }
             None => out.push_str(",\"persist\":{\"enabled\":false}"),
         }
-        // The SLO watchdog's judgement, with one machine-readable reason
-        // per violated objective — a probe needs no metric math.
-        let _ = write!(
-            out,
-            ",\"slo\":{{\"configured\":{},\"degraded\":{},\"flips\":{},\"evaluations\":{},\
-             \"auto_retention\":{},\"reasons\":[",
-            self.cfg.slo_p99_ms.is_some() || self.cfg.slo_shed_rate.is_some(),
-            slo.degraded,
-            slo.flips,
-            slo.evaluations,
-            slo.auto_retention,
-        );
-        for (i, r) in slo.reasons.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"objective\":\"{}\",\"window_ms\":{},\"measured\":{:.6},\"target\":{:.6},\
-                 \"burn\":{:.3}}}",
-                r.objective, r.window_ms, r.measured, r.target, r.burn,
-            );
-        }
-        out.push_str("]}");
-        let h = self.history.stats();
-        let _ = write!(
-            out,
-            ",\"history\":{{\"interval_ms\":{},\"capacity\":{},\"frames\":{},\"recorded\":{},\
-             \"rejected\":{}}}",
-            self.cfg.history_interval.as_millis(),
-            h.capacity,
-            h.len,
-            h.recorded,
-            h.rejected,
-        );
         let p = telemetry::profile::state();
         let _ = write!(
             out,
@@ -397,101 +291,6 @@ impl State {
         );
         out.push_str("}\n");
         out
-    }
-
-    /// The `/debug/history` body: ring stats plus one window diff.
-    /// `ndjson` renders a `meta` line followed by one line per series —
-    /// grep-able; plain JSON nests the same data in one object.
-    pub(crate) fn debug_history_json(&self, window_ms: u64, ndjson: bool) -> String {
-        let h = self.history.stats();
-        let mut meta = format!(
-            "{{\"window_ms\":{window_ms},\"interval_ms\":{},\"capacity\":{},\"frames\":{},\
-             \"recorded\":{},\"rejected\":{}",
-            self.cfg.history_interval.as_millis(),
-            h.capacity,
-            h.len,
-            h.recorded,
-            h.rejected,
-        );
-        let report = self.history.window(window_ms);
-        match &report {
-            Some(r) => {
-                let _ = write!(
-                    meta,
-                    ",\"span_ms\":{},\"start_at_ms\":{},\"end_at_ms\":{}}}",
-                    r.span_ms, r.start_at_ms, r.end_at_ms
-                );
-            }
-            None => meta.push_str(",\"span_ms\":null}"),
-        }
-        let mut lines: Vec<String> = Vec::new();
-        if let Some(r) = &report {
-            for s in &r.series {
-                let mut line = String::from("{\"series\":\"");
-                json::escape_into(&s.key, &mut line);
-                line.push('"');
-                match &s.value {
-                    telemetry::history::WindowValue::Counter {
-                        total,
-                        delta,
-                        rate_per_sec,
-                    } => {
-                        let _ = write!(
-                            line,
-                            ",\"type\":\"counter\",\"total\":{total},\"delta\":{delta},\
-                             \"rate_per_sec\":{rate_per_sec:.6}"
-                        );
-                    }
-                    telemetry::history::WindowValue::Gauge { value } => {
-                        let _ = write!(line, ",\"type\":\"gauge\",\"value\":{value}");
-                    }
-                    telemetry::history::WindowValue::Histogram(wh) => {
-                        let _ = write!(
-                            line,
-                            ",\"type\":\"histogram\",\"count_total\":{},\"count_delta\":{},\
-                             \"rate_per_sec\":{:.6},\"sum_seconds_delta\":{:.9}",
-                            wh.total_count,
-                            wh.delta.count,
-                            wh.rate_per_sec,
-                            wh.delta.sum_ns as f64 / 1e9,
-                        );
-                        // Window quantiles; null (not 0) when the window
-                        // saw no observations — the same convention
-                        // scripts/check_metrics.py enforces for scrapes.
-                        for (tag, q) in [("p50", 0.5), ("p90", 0.9), ("p99", 0.99)] {
-                            match wh.quantile(q) {
-                                Some(v) => {
-                                    let _ = write!(line, ",\"{tag}\":{v:.9}");
-                                }
-                                None => {
-                                    let _ = write!(line, ",\"{tag}\":null");
-                                }
-                            }
-                        }
-                    }
-                }
-                line.push('}');
-                lines.push(line);
-            }
-        }
-        if ndjson {
-            let mut out = String::with_capacity(meta.len() + lines.len() * 64);
-            let _ = writeln!(out, "{{\"meta\":{meta}}}");
-            for l in &lines {
-                let _ = writeln!(out, "{l}");
-            }
-            out
-        } else {
-            let mut out = format!("{{\"meta\":{meta},\"series\":[");
-            for (i, l) in lines.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(l);
-            }
-            out.push_str("]}\n");
-            out
-        }
     }
 
     /// Captures one profiling session for `/debug/pprof/profile`:
@@ -562,15 +361,13 @@ impl State {
         let c = &self.cfg;
         let mut out = format!(
             "{{\"jobs_addr\":\"{}\",\"http_addr\":\"{}\",\"default_effort\":{},\"default_threads\":{},\
-             \"workers\":{},\"queue_depth\":{},\"drr_quantum\":{},\"shards\":{},\"phase_trace\":{}",
+             \"workers\":{},\"queue_depth\":{},\"phase_trace\":{}",
             json_escape(&c.jobs_addr),
             json_escape(&c.http_addr),
             c.default_effort,
             c.default_threads,
             self.workers,
             c.queue_depth,
-            c.drr_quantum,
-            self.sched.shard_count(),
             c.phase_trace,
         );
         match c.queue_timeout {
@@ -618,24 +415,6 @@ impl State {
             c.flight_bytes,
             c.report_ring,
         );
-        let _ = write!(
-            out,
-            ",\"history_interval_ms\":{},\"history_frames\":{}",
-            c.history_interval.as_millis(),
-            c.history_frames,
-        );
-        match c.slo_p99_ms {
-            Some(ms) => {
-                let _ = write!(out, ",\"slo_p99_ms\":{ms}");
-            }
-            None => out.push_str(",\"slo_p99_ms\":null"),
-        }
-        match c.slo_shed_rate {
-            Some(r) => {
-                let _ = write!(out, ",\"slo_shed_rate\":{r}");
-            }
-            None => out.push_str(",\"slo_shed_rate\":null"),
-        }
         match c.log_max_mb {
             Some(mb) => {
                 let _ = write!(out, ",\"log_max_mb\":{mb}");
@@ -704,13 +483,6 @@ pub fn spawn(cfg: Config) -> io::Result<Daemon> {
     } else {
         cfg.workers
     };
-    let shards = if cfg.shards == 0 {
-        workers.clamp(1, 4)
-    } else {
-        cfg.shards
-    };
-    let sched = Arc::new(Scheduler::new(shards, cfg.queue_depth, cfg.drr_quantum));
-    let history = telemetry::history::History::new(cfg.history_frames);
     let state = Arc::new(State {
         metrics: Metrics::new(),
         logger,
@@ -720,41 +492,20 @@ pub fn spawn(cfg: Config) -> io::Result<Daemon> {
         jobs_total: AtomicU64::new(0),
         stop: AtomicBool::new(false),
         reports: report::ReportRing::new(cfg.report_ring),
-        sched,
+        queue: Queue::new(cfg.queue_depth),
         workers,
-        history,
-        slo: std::sync::Mutex::new(watchdog::SloStatus::default()),
-        auto_slow_ms: AtomicU64::new(watchdog::AUTO_SLOW_DISARMED),
         cfg,
     });
     state
         .logger
         .set_rotation_counter(Arc::clone(&state.metrics.log_rotations));
     state.metrics.workers.set(workers as i64);
-    // Pre-register the watchdog's burn gauges so a scrape shows explicit
-    // zeros before the first evaluation.
-    for objective in ["p99", "shed"] {
-        for window in ["5s", "60s"] {
-            state.metrics.slo_burn.with(&[objective, window]).set(0);
-        }
-    }
-    // Pre-register every class-labeled series so a scrape before (or
-    // without) traffic shows explicit zeros — a gate asserting
-    // `codegend_jobs_timeout_total == 0` must distinguish "none" from
-    // "series never existed".
-    for p in Priority::ALL {
-        let class = p.as_str();
-        state.metrics.shed.with(&[class]).get();
-        state.metrics.timeout.with(&[class]).get();
-        state.metrics.queue_depth.with(&[class]).set(0);
-    }
     state.logger.log(
         Record::new("start")
             .str("jobs_addr", &jobs_addr.to_string())
             .str("http_addr", &http_addr.to_string())
             .int("workers", workers as i64)
-            .int("queue_depth", state.cfg.queue_depth as i64)
-            .int("shards", state.sched.shard_count() as i64),
+            .int("queue_depth", state.cfg.queue_depth as i64),
     );
     // Warm-start the persistent solver cache. Failure is a logged
     // degradation (the omega::stats counters carry the structured
@@ -793,7 +544,7 @@ pub fn spawn(cfg: Config) -> io::Result<Daemon> {
         worker_threads.push(
             thread::Builder::new()
                 .name(format!("codegend-worker-{i}"))
-                .spawn(move || worker_loop(state, i))?,
+                .spawn(move || worker_loop(state))?,
         );
     }
     let mut accept_threads = Vec::new();
@@ -803,25 +554,6 @@ pub fn spawn(cfg: Config) -> io::Result<Daemon> {
             thread::Builder::new()
                 .name("codegend-cache-flush".into())
                 .spawn(move || cache_flush_loop(state))?,
-        );
-    }
-    {
-        // The history sampler: one registry snapshot per interval into
-        // the bounded ring — the data source for /debug/history windows
-        // and the SLO watchdog's burn rates.
-        let state = Arc::clone(&state);
-        accept_threads.push(
-            thread::Builder::new()
-                .name("codegend-history".into())
-                .spawn(move || history_loop(state))?,
-        );
-    }
-    if state.cfg.slo_p99_ms.is_some() || state.cfg.slo_shed_rate.is_some() {
-        let state = Arc::clone(&state);
-        accept_threads.push(
-            thread::Builder::new()
-                .name("codegend-watchdog".into())
-                .spawn(move || watchdog::watchdog_loop(state))?,
         );
     }
     {
@@ -869,7 +601,7 @@ impl Daemon {
     /// after `shutdown` must not race it).
     pub fn shutdown(&self) {
         self.state.stop.store(true, Ordering::SeqCst);
-        self.state.sched.stop();
+        self.state.queue.stop();
         omega::persist::flush();
         // Unblock the blocking accepts with one throwaway connection each.
         let _ = TcpStream::connect(self.jobs_addr);
@@ -905,30 +637,6 @@ fn cache_flush_loop(state: Arc<State>) {
     omega::persist::flush();
 }
 
-/// The history sampler: every `--history-interval-ms`, refresh the
-/// scrape-time gauges and snapshot the whole registry into the history
-/// ring, stamped with wall-clock milliseconds. A backwards wall-clock
-/// step makes the ring *reject* the frame (counted in `rejected`) rather
-/// than corrupt window ordering; sampling resumes once the clock passes
-/// its previous high-water mark. Sleeps in short steps so shutdown is
-/// prompt.
-fn history_loop(state: Arc<State>) {
-    let interval = state.cfg.history_interval.max(Duration::from_millis(10));
-    let step = interval.min(Duration::from_millis(100));
-    let mut since = Duration::ZERO;
-    while !state.stop.load(Ordering::SeqCst) {
-        thread::sleep(step);
-        since += step;
-        if since >= interval {
-            state.refresh_gauges();
-            state
-                .history
-                .record(report::now_ms(), state.metrics.registry.snapshot_series());
-            since = Duration::ZERO;
-        }
-    }
-}
-
 fn accept_loop(listener: TcpListener, state: Arc<State>, handler: fn(Arc<State>, TcpStream)) {
     for stream in listener.incoming() {
         if state.stop.load(Ordering::SeqCst) {
@@ -951,9 +659,8 @@ fn accept_loop(listener: TcpListener, state: Arc<State>, handler: fn(Arc<State>,
 /// already emitted when this is returned.
 pub(crate) struct Shed {
     pub(crate) id: String,
-    pub(crate) class: &'static str,
-    pub(crate) queued: u64,
-    pub(crate) capacity: u64,
+    pub(crate) queued: usize,
+    pub(crate) capacity: usize,
 }
 
 /// The request kind label for the `codegend_requests` family.
@@ -967,16 +674,13 @@ fn kind_of(work: &Work) -> &'static str {
     }
 }
 
-/// Builds a [`Job`] from a parsed spec and enqueues it: assigns the id
-/// (`r-NNNNNN` when the client chose none), derives the fair-scheduling
-/// client key (the peer IP when unnamed), and resolves the priority
-/// class (`default_priority` when untagged). On shed, the class-labeled
-/// shed counter, the `busy` request counter, and the request log record
-/// are all emitted here; the caller only formats the refusal.
+/// Builds a [`Job`] from a parsed spec and enqueues it, assigning the id
+/// (`r-NNNNNN` when the client chose none). On shed, the shed counter,
+/// the `busy` request counter, and the request log record are all
+/// emitted here; the caller only formats the refusal.
 pub(crate) fn submit(
     state: &State,
     peer: &str,
-    default_priority: Priority,
     work: Work,
 ) -> Result<(String, mpsc::Receiver<TaskReply>), Shed> {
     let kind = kind_of(&work);
@@ -988,42 +692,30 @@ pub(crate) fn submit(
         .id
         .clone()
         .unwrap_or_else(|| format!("r-{:06}", state.req_seq.fetch_add(1, Ordering::SeqCst)));
-    let client = spec.client.clone().unwrap_or_else(|| {
-        peer.rsplit_once(':')
-            .map(|(host, _)| host.to_owned())
-            .unwrap_or_else(|| peer.to_owned())
-    });
-    let priority = spec.priority.unwrap_or(default_priority);
     let (tx, rx) = mpsc::channel();
     let job = Job {
         id: id.clone(),
-        client,
-        priority,
         peer: peer.to_owned(),
         work,
         enqueued: Instant::now(),
         reply: tx,
     };
-    match state.sched.try_enqueue(job) {
+    match state.queue.try_push(job) {
         Ok(()) => Ok((id, rx)),
         Err(job) => {
-            let class = job.priority.as_str();
-            state.metrics.shed.with(&[class]).inc();
+            state.metrics.shed.inc();
             state.metrics.requests.with(&[kind, "busy"]).inc();
             state.logger.log(
                 Record::new("request")
                     .str("id", &job.id)
                     .str("peer", peer)
                     .str("kind", kind)
-                    .str("class", class)
-                    .str("client", &job.client)
                     .str("status", "busy"),
             );
             Err(Shed {
-                id: job.id.clone(),
-                class,
-                queued: state.sched.queued(),
-                capacity: state.sched.capacity(),
+                id: job.id,
+                queued: state.queue.len(),
+                capacity: state.queue.capacity(),
             })
         }
     }
@@ -1108,11 +800,11 @@ fn write_task_reply(
 
 /// One `gen`: submit into the queue, wait for the single reply.
 fn handle_gen(state: &State, w: &mut impl Write, peer: &str, spec: JobSpec) -> io::Result<()> {
-    match submit(state, peer, Priority::Interactive, Work::Single(spec)) {
+    match submit(state, peer, Work::Single(spec)) {
         Err(shed) => writeln!(
             w,
-            "busy id={} class={} queued={} max={}",
-            shed.id, shed.class, shed.queued, shed.capacity
+            "busy id={} queued={} max={}",
+            shed.id, shed.queued, shed.capacity
         ),
         Ok((id, rx)) => write_task_reply(w, rx.recv().ok(), &id),
     }
@@ -1129,11 +821,11 @@ fn handle_batch(
     spaces: Vec<String>,
 ) -> io::Result<()> {
     let count = spaces.len();
-    match submit(state, peer, Priority::Batch, Work::Batch { base, spaces }) {
+    match submit(state, peer, Work::Batch { base, spaces }) {
         Err(shed) => writeln!(
             w,
-            "busy id={} class={} queued={} max={}",
-            shed.id, shed.class, shed.queued, shed.capacity
+            "busy id={} queued={} max={}",
+            shed.id, shed.queued, shed.capacity
         ),
         Ok((id, rx)) => {
             writeln!(w, "batch id={id} count={count}")?;
@@ -1157,17 +849,12 @@ fn sanitize_line(msg: &str) -> String {
 // The worker pool
 // ---------------------------------------------------------------------------
 
-/// One worker: pop (home shard first), enforce the queue timeout,
-/// execute, stream replies. Exits when the scheduler stops.
-fn worker_loop(state: Arc<State>, home: usize) {
-    while let Some(job) = state.sched.pop(home) {
-        let class = job.priority.as_str();
+/// One worker: pop, enforce the queue timeout, execute, stream replies.
+/// Exits when the queue stops.
+fn worker_loop(state: Arc<State>) {
+    while let Some(job) = state.queue.pop() {
         let queue_ns = job.enqueued.elapsed().as_nanos() as u64;
-        state
-            .metrics
-            .queue_wait_seconds
-            .with(&[class])
-            .observe_ns(queue_ns);
+        state.metrics.queue_wait_seconds.observe_ns(queue_ns);
         if let Some(limit) = state.cfg.queue_timeout {
             if job.enqueued.elapsed() > limit {
                 timeout_job(&state, job, queue_ns);
@@ -1183,7 +870,7 @@ fn worker_loop(state: Arc<State>, home: usize) {
         let last = match &job.work {
             Work::Single(spec) => {
                 let kind = kind_of(&job.work);
-                let outcome = execute_task(&state, &job.id, &job.peer, kind, class, queue_ns, spec);
+                let outcome = execute_task(&state, &job.id, &job.peer, kind, queue_ns, spec);
                 Some(TaskReply {
                     id: job.id.clone(),
                     source: spec.source.tag(),
@@ -1199,11 +886,9 @@ fn worker_loop(state: Arc<State>, home: usize) {
                         source: JobSource::Spaces(vec![space.clone()]),
                         effort: base.effort,
                         threads: base.threads,
-                        priority: base.priority,
-                        client: base.client.clone(),
                     };
                     let outcome =
-                        execute_task(&state, &task_id, &job.peer, "batch", class, queue_ns, &spec);
+                        execute_task(&state, &task_id, &job.peer, "batch", queue_ns, &spec);
                     let reply = TaskReply {
                         id: task_id,
                         source: spec.source.tag(),
@@ -1225,7 +910,6 @@ fn worker_loop(state: Arc<State>, home: usize) {
         state
             .metrics
             .service_seconds
-            .with(&[class])
             .observe_ns(t0.elapsed().as_nanos() as u64);
         if let Some(reply) = last {
             let _ = job.reply.send(reply);
@@ -1234,20 +918,18 @@ fn worker_loop(state: Arc<State>, home: usize) {
 }
 
 /// Answers a job that overran the queue timeout: an error per expected
-/// reply, the class-labeled timeout counter, and a request log record.
-/// Counted separately from sheds — a shed never entered the queue, a
-/// timeout waited and lost.
+/// reply, the timeout counter, and a request log record. Counted
+/// separately from sheds — a shed never entered the queue, a timeout
+/// waited and lost.
 fn timeout_job(state: &State, job: Job, queue_ns: u64) {
-    let class = job.priority.as_str();
     let kind = kind_of(&job.work);
-    state.metrics.timeout.with(&[class]).inc();
+    state.metrics.timeout.inc();
     state.metrics.requests.with(&[kind, "timeout"]).inc();
     state.logger.log(
         Record::new("request")
             .str("id", &job.id)
             .str("peer", &job.peer)
             .str("kind", kind)
-            .str("class", class)
             .str("status", "timeout")
             .int("queue_ns", queue_ns as i64),
     );
@@ -1283,7 +965,6 @@ fn execute_task(
     id: &str,
     peer: &str,
     kind: &'static str,
-    class: &'static str,
     queue_ns: u64,
     spec: &JobSpec,
 ) -> Result<JobOutput, String> {
@@ -1294,10 +975,7 @@ fn execute_task(
     // the artifact a slow job retains. Dumps go straight to --dump-dir
     // when set; otherwise (tail sampling only) they are buffered in
     // memory so the keep/discard decision can happen after the job.
-    // The effective threshold (operator --slow-ms, or the watchdog's
-    // auto-armed value while an SLO burns) is read once so the arming
-    // decision and the retention decision can't disagree mid-request.
-    let slow_ms = state.effective_slow_ms();
+    let slow_ms = state.cfg.slow_ms;
     let slow_armed = slow_ms.is_some();
     let collector = (state.cfg.phase_trace || state.cfg.dump_dir.is_some() || slow_armed)
         .then(omega::trace::Collector::new);
@@ -1346,7 +1024,6 @@ fn execute_task(
             kind,
             source: source_tag.clone(),
             status: "ok",
-            class,
             queue_ns,
             ts_ms: report::now_ms(),
             effort: out.effort,
@@ -1370,7 +1047,6 @@ fn execute_task(
             kind,
             source: source_tag.clone(),
             status: "err",
-            class,
             queue_ns,
             ts_ms: report::now_ms(),
             effort: spec.effort.unwrap_or(state.cfg.default_effort),
@@ -1446,7 +1122,6 @@ fn execute_task(
                     .str("id", id)
                     .str("peer", peer)
                     .str("kind", kind)
-                    .str("class", class)
                     .str("source", &source_tag)
                     .int("effort", out.effort as i64)
                     .int("threads", out.threads as i64)
@@ -1469,7 +1144,6 @@ fn execute_task(
                     .str("id", id)
                     .str("peer", peer)
                     .str("kind", kind)
-                    .str("class", class)
                     .str("source", &source_tag)
                     .str("status", "err")
                     .str("msg", msg),
@@ -1647,8 +1321,6 @@ mod tests {
             source: JobSource::Spaces(vec!["{ [i] : i = 0 }".into()]),
             effort: None,
             threads: None,
-            priority: None,
-            client: None,
         };
         assert_eq!(kind_of(&Work::Single(spec.clone())), "adhoc");
         assert_eq!(

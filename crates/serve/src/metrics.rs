@@ -25,21 +25,19 @@ pub struct Metrics {
     pub requests: Arc<Family<Counter>>,
     /// Jobs currently executing on the worker pool.
     pub inflight: Arc<Gauge>,
-    /// Jobs currently queued, by scheduling `class` (set at scrape time
-    /// from the scheduler's depth counters).
-    pub queue_depth: Arc<Family<Gauge>>,
+    /// Jobs currently queued (set at scrape time from the queue).
+    pub queue_depth: Arc<Gauge>,
     /// Resolved size of the worker pool.
     pub workers: Arc<Gauge>,
-    /// Jobs rejected at admission because the queue was full, by `class`.
-    pub shed: Arc<Family<Counter>>,
+    /// Jobs rejected at admission because the queue was full.
+    pub shed: Arc<Counter>,
     /// Jobs that waited past the queue timeout and were answered with an
-    /// error instead of executing, by `class`.
-    pub timeout: Arc<Family<Counter>>,
-    /// Time jobs spent queued before a worker picked them up, by `class`.
-    pub queue_wait_seconds: Arc<Family<Histogram>>,
-    /// Time workers spent executing jobs (all spaces of a batch), by
-    /// `class`.
-    pub service_seconds: Arc<Family<Histogram>>,
+    /// error instead of executing.
+    pub timeout: Arc<Counter>,
+    /// Time jobs spent queued before a worker picked them up.
+    pub queue_wait_seconds: Arc<Histogram>,
+    /// Time workers spent executing jobs (all spaces of a batch).
+    pub service_seconds: Arc<Histogram>,
     /// Jobs whose certificate degraded, by `reason`
     /// (`omega::OmegaError::as_str` tags, e.g. `deadline-exceeded`).
     pub degraded: Arc<Family<Counter>>,
@@ -60,10 +58,6 @@ pub struct Metrics {
     pub solver_events: Arc<Family<Counter>>,
     /// Seconds since the daemon started (set at scrape time).
     pub uptime_seconds: Arc<Gauge>,
-    /// SLO burn rate ×1000 (gauges are integral; 1000 = exactly at
-    /// target), by `objective` (`p99`/`shed`) and `window` (`5s`/`60s`).
-    /// Published by the watchdog each evaluation.
-    pub slo_burn: Arc<Family<Gauge>>,
     /// Request-log file rotations (`--log-max-mb`).
     pub log_rotations: Arc<Counter>,
 }
@@ -82,31 +76,26 @@ impl Metrics {
                 "codegend_inflight_jobs",
                 "Jobs currently executing on the worker pool.",
             ),
-            queue_depth: registry.gauge_vec(
+            queue_depth: registry.gauge(
                 "codegend_queue_depth",
-                "Jobs currently queued awaiting a worker, by scheduling class.",
-                &["class"],
+                "Jobs currently queued awaiting a worker.",
             ),
             workers: registry.gauge("codegend_workers", "Resolved size of the worker pool."),
-            shed: registry.counter_vec(
+            shed: registry.counter(
                 "codegend_jobs_shed",
-                "Jobs rejected at admission because the queue was at capacity, by class.",
-                &["class"],
+                "Jobs rejected at admission because the queue was at capacity.",
             ),
-            timeout: registry.counter_vec(
+            timeout: registry.counter(
                 "codegend_jobs_timeout",
-                "Jobs that overran the queue timeout before a worker picked them up, by class.",
-                &["class"],
+                "Jobs that overran the queue timeout before a worker picked them up.",
             ),
-            queue_wait_seconds: registry.histogram_vec(
+            queue_wait_seconds: registry.histogram(
                 "codegend_queue_wait_seconds",
-                "Time from admission to a worker picking the job up, by scheduling class.",
-                &["class"],
+                "Time from admission to a worker picking the job up.",
             ),
-            service_seconds: registry.histogram_vec(
+            service_seconds: registry.histogram(
                 "codegend_service_seconds",
-                "Worker execution time per job (every space of a batch), by scheduling class.",
-                &["class"],
+                "Worker execution time per job (every space of a batch).",
             ),
             degraded: registry.counter_vec(
                 "codegend_jobs_degraded",
@@ -143,11 +132,6 @@ impl Metrics {
             uptime_seconds: registry.gauge(
                 "codegend_uptime_seconds",
                 "Seconds since the daemon started.",
-            ),
-            slo_burn: registry.gauge_vec(
-                "codegend_slo_burn",
-                "SLO burn rate x1000 (1000 = at target), by objective (p99/shed) and window (5s/60s).",
-                &["objective", "window"],
             ),
             log_rotations: registry.counter(
                 "codegend_log_rotations",
@@ -204,21 +188,19 @@ mod tests {
     }
 
     #[test]
-    fn queue_families_expose_by_class() {
+    fn queue_families_are_unlabeled() {
         let m = Metrics::new();
-        for c in ["interactive", "batch", "bulk"] {
-            m.shed.with(&[c]).inc();
-            m.timeout.with(&[c]).inc();
-            m.queue_wait_seconds.with(&[c]).observe_ns(1_000);
-            m.service_seconds.with(&[c]).observe_ns(2_000);
-            m.queue_depth.with(&[c]).set(3);
-        }
+        m.shed.inc();
+        m.timeout.inc();
+        m.queue_wait_seconds.observe_ns(1_000);
+        m.service_seconds.observe_ns(2_000);
+        m.queue_depth.set(3);
         let text = m.registry.expose();
-        assert!(text.contains("codegend_jobs_shed_total{class=\"interactive\"} 1"));
-        assert!(text.contains("codegend_jobs_timeout_total{class=\"bulk\"} 1"));
-        assert!(text.contains("codegend_queue_wait_seconds_bucket{class=\"batch\""));
-        assert!(text.contains("codegend_service_seconds_count{class=\"interactive\"} 1"));
-        assert!(text.contains("codegend_queue_depth{class=\"bulk\"} 3"));
+        assert!(text.contains("codegend_jobs_shed_total 1"));
+        assert!(text.contains("codegend_jobs_timeout_total 1"));
+        assert!(text.contains("codegend_queue_wait_seconds_bucket{le="));
+        assert!(text.contains("codegend_service_seconds_count 1"));
+        assert!(text.contains("codegend_queue_depth 3"));
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! ```text
 //! ping
 //! quit
-//! gen kernel=gemm n=64 [effort=1] [threads=2] [id=my-req] [prio=interactive] [client=alice]
+//! gen kernel=gemm n=64 [effort=1] [threads=2] [id=my-req]
 //! gen [effort=1] [threads=2] space=[n] -> { [i] : 0 <= i < n } ; [n] -> { ... }
-//! batch [effort=1] [threads=2] [id=b1] [prio=bulk] [client=alice] space=S1 ; S2 ; S3
+//! batch [effort=1] [threads=2] [id=b1] space=S1 ; S2 ; S3
 //! ```
 //!
 //! `space=` must come last: it consumes the rest of the line (set syntax
@@ -20,13 +20,7 @@
 //! with several spaces runs them as *one* multi-statement generation; a
 //! `batch` runs each space as an *independent* generation sharing one
 //! queue slot, one parse, and the warm caches, streaming one reply per
-//! space in submission order.
-//!
-//! `prio=` selects the scheduling class (`interactive` > `batch` >
-//! `bulk`; `gen` defaults to interactive, `batch` to batch). `client=`
-//! names the fair-scheduling key — jobs are scheduled deficit
-//! round-robin per client, so one flooding client cannot starve another;
-//! unnamed clients default to their peer IP.
+//! space in submission order. Any other field is an error.
 //!
 //! Responses (header line, then `bytes=` payload bytes for `ok`):
 //!
@@ -35,11 +29,9 @@
 //! ok id=r-000001 source=gemm lines=41 codegen_ns=123456 compile_ns=2345 certainty=exact bytes=812
 //! <812 bytes of generated code, always ending in a newline>
 //! err id=r-000002 msg=unknown kernel "nope" (expected one of gemv qr swim gemm lu)
-//! busy id=r-000003 class=interactive queued=256 max=256
+//! busy id=r-000003 queued=256 max=256
 //! batch id=b1 count=3        (then one ok/err reply per space, in order)
 //! ```
-
-use crate::queue::Priority;
 
 /// A parsed request line.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -66,11 +58,6 @@ pub struct JobSpec {
     pub effort: Option<usize>,
     /// Worker threads (`CodeGen::threads`); daemon default if absent.
     pub threads: Option<usize>,
-    /// Scheduling class; defaults per request kind (`gen` interactive,
-    /// `batch` batch).
-    pub priority: Option<Priority>,
-    /// Fair-scheduling key; defaults to the peer IP.
-    pub client: Option<String>,
 }
 
 /// Where the iteration spaces come from.
@@ -142,8 +129,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     let mut n: Option<i64> = None;
     let mut effort = None;
     let mut threads = None;
-    let mut priority = None;
-    let mut client = None;
     for tok in head.split_whitespace() {
         let Some((key, value)) = tok.split_once('=') else {
             return Err(format!("malformed field {tok:?} (expected key=value)"));
@@ -163,26 +148,12 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 Ok(v) if v >= 1 => threads = Some(v),
                 _ => return Err(format!("threads={value:?} is not a positive integer")),
             },
-            "prio" => match Priority::parse(value) {
-                Some(p) => priority = Some(p),
-                None => {
-                    return Err(format!(
-                        "prio={value:?} is not one of interactive, batch, bulk"
-                    ))
-                }
-            },
-            "client" => client = Some(value.to_owned()),
             other => return Err(format!("unknown field {other:?}")),
         }
     }
     if let Some(id) = &id {
         if id.contains(|c: char| c.is_whitespace() || c == '/') {
             return Err("id must not contain whitespace or '/'".to_owned());
-        }
-    }
-    if let Some(client) = &client {
-        if client.is_empty() || client.contains(char::is_whitespace) {
-            return Err("client must be a non-empty whitespace-free name".to_owned());
         }
     }
     let split_spaces = |text: &str| -> Vec<String> {
@@ -215,8 +186,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 source: JobSource::Spaces(sets.clone()),
                 effort,
                 threads,
-                priority,
-                client,
             },
             sets,
         ));
@@ -244,8 +213,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         source,
         effort,
         threads,
-        priority,
-        client,
     }))
 }
 
@@ -266,8 +233,6 @@ mod tests {
                 },
                 effort: Some(2),
                 threads: Some(4),
-                priority: None,
-                client: None,
             })
         );
         // n defaults to 64, the Table 1 problem size.
@@ -305,38 +270,20 @@ mod tests {
     }
 
     #[test]
-    fn priority_and_client_tags_round_trip() {
-        for (tag, want) in [
-            ("interactive", Priority::Interactive),
-            ("batch", Priority::Batch),
-            ("bulk", Priority::Bulk),
-        ] {
-            assert_eq!(Priority::parse(tag), Some(want));
-            assert_eq!(want.as_str(), tag);
-            let r = parse_request(&format!("gen kernel=gemv prio={tag} client=alice")).unwrap();
-            match r {
-                Request::Gen(s) => {
-                    assert_eq!(s.priority, Some(want));
-                    assert_eq!(s.client.as_deref(), Some("alice"));
-                }
-                other => panic!("unexpected {other:?}"),
-            }
+    fn scheduling_tags_are_unknown_fields() {
+        for line in ["gen kernel=gemv prio=bulk", "gen kernel=gemv client=alice"] {
+            let err = parse_request(line).unwrap_err();
+            assert!(err.starts_with("unknown field"), "{line}: {err}");
         }
-        assert!(parse_request("gen kernel=gemv prio=vip").is_err());
-        assert!(parse_request("gen kernel=gemv client=").is_err());
     }
 
     #[test]
     fn batch_parses_per_space_jobs() {
-        let r = parse_request(
-            "batch id=b1 prio=bulk client=alice effort=2 space={ [i] : 0 <= i < 4 } ; { [i] : i = 9 }",
-        )
-        .unwrap();
+        let r = parse_request("batch id=b1 effort=2 space={ [i] : 0 <= i < 4 } ; { [i] : i = 9 }")
+            .unwrap();
         match r {
             Request::Batch(spec, spaces) => {
                 assert_eq!(spec.id.as_deref(), Some("b1"));
-                assert_eq!(spec.priority, Some(Priority::Bulk));
-                assert_eq!(spec.client.as_deref(), Some("alice"));
                 assert_eq!(spec.effort, Some(2));
                 assert_eq!(
                     spaces,

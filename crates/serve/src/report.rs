@@ -39,9 +39,6 @@ pub struct QueryReport {
     pub source: String,
     /// `ok` or `err`.
     pub status: &'static str,
-    /// Scheduling class the job ran under (`interactive`/`batch`/`bulk`;
-    /// batch harnesses like `table1` report `batch`).
-    pub class: &'static str,
     /// Time the job waited in the admission queue before a worker picked
     /// it up (0 for batch harnesses that run inline).
     pub queue_ns: u64,
@@ -102,8 +99,6 @@ impl QueryReport {
         esc(&self.source, &mut out);
         out.push_str("\",\"status\":\"");
         esc(self.status, &mut out);
-        out.push_str("\",\"class\":\"");
-        esc(self.class, &mut out);
         let _ = write!(
             out,
             "\",\"ts_ms\":{},\"effort\":{},\"threads\":{},\"intra_threads\":{},\
@@ -282,7 +277,6 @@ mod tests {
             kind: "kernel",
             source: "gemm/n=20".into(),
             status: "ok",
-            class: "interactive",
             queue_ns: 700,
             ts_ms: 123,
             effort: 1,
@@ -307,7 +301,6 @@ mod tests {
     fn report_json_shape() {
         let json = sample().to_json();
         assert!(json.starts_with("{\"event\":\"report\",\"id\":\"r-000001\""));
-        assert!(json.contains("\"class\":\"interactive\""));
         assert!(json.contains("\"queue_ns\":700"));
         assert!(json.contains("\"phases\":{\"cg_generate\":900}"));
         assert!(json.contains("\"counters\":{\"tier0_unsat\":0"));

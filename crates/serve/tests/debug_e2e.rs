@@ -4,6 +4,9 @@
 //! trace file) must still answer `/debug/requests` with populated
 //! reports and `/debug/flight` with a drainable Chrome trace.
 
+mod common;
+
+use common::TempDir;
 use serve::{spawn, Config, LogTarget};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -44,13 +47,6 @@ fn http_get(addr: SocketAddr, path: &str) -> (String, String) {
     (head.to_owned(), body.to_owned())
 }
 
-fn temp_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("codegend-debug-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
 fn default_daemon(dir: &std::path::Path, cfg: Config) -> serve::Daemon {
     spawn(Config {
         jobs_addr: "127.0.0.1:0".into(),
@@ -63,11 +59,11 @@ fn default_daemon(dir: &std::path::Path, cfg: Config) -> serve::Daemon {
 
 #[test]
 fn default_flags_populate_debug_requests_flight_stats_and_config() {
-    let dir = temp_dir("default");
+    let dir = TempDir::new("debug-default");
     // Default observability flags: no dump dir, no slow threshold — the
     // acceptance criterion is that introspection works with nothing
     // pre-armed.
-    let daemon = default_daemon(&dir, Config::default());
+    let daemon = default_daemon(dir.path(), Config::default());
     let mut conn = connect(daemon.jobs_addr());
     for name in ["gemv", "qr", "swim", "gemm", "lu"] {
         let header = submit(&mut conn, &format!("gen kernel={name} n=12 id=dbg-{name}"));
@@ -145,14 +141,13 @@ fn default_flags_populate_debug_requests_flight_stats_and_config() {
 
     daemon.shutdown();
     daemon.wait();
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn slow_ms_zero_retains_trace_and_provenance() {
-    let dir = temp_dir("slow0");
+    let dir = TempDir::new("debug-slow0");
     let daemon = default_daemon(
-        &dir,
+        dir.path(),
         Config {
             slow_ms: Some(0), // every job is "slow": trigger on all
             slow_dir: dir.join("slow"),
@@ -199,14 +194,13 @@ fn slow_ms_zero_retains_trace_and_provenance() {
 
     daemon.shutdown();
     daemon.wait();
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn fast_jobs_below_threshold_retain_nothing() {
-    let dir = temp_dir("fast");
+    let dir = TempDir::new("debug-fast");
     let daemon = default_daemon(
-        &dir,
+        dir.path(),
         Config {
             slow_ms: Some(60_000), // nothing here takes a minute
             slow_dir: dir.join("slow"),
@@ -229,14 +223,13 @@ fn fast_jobs_below_threshold_retain_nothing() {
 
     daemon.shutdown();
     daemon.wait();
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn errors_and_degrades_trigger_retention_regardless_of_latency() {
-    let dir = temp_dir("trig");
+    let dir = TempDir::new("debug-trig");
     let daemon = default_daemon(
-        &dir,
+        dir.path(),
         Config {
             slow_ms: Some(60_000),
             slow_dir: dir.join("slow"),
@@ -267,9 +260,9 @@ fn errors_and_degrades_trigger_retention_regardless_of_latency() {
     // A degraded job (deadline already expired at admission) is retained
     // too: sound approximate output, but exactly what tail sampling is
     // for.
-    let dir2 = temp_dir("trig-deg");
+    let dir2 = TempDir::new("debug-trig-deg");
     let daemon = default_daemon(
-        &dir2,
+        dir2.path(),
         Config {
             slow_ms: Some(60_000),
             slow_dir: dir2.join("slow"),
@@ -300,6 +293,4 @@ fn errors_and_degrades_trigger_retention_regardless_of_latency() {
     );
     daemon.shutdown();
     daemon.wait();
-    let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&dir2);
 }

@@ -1,13 +1,16 @@
-//! End-to-end tests for the multi-tenant service core: batch requests
-//! streaming per-space replies, priority + fairness under a flooding
-//! client, the queue timeout, and the HTTP/JSON job API (`POST
-//! /v1/gen`, `POST /v1/batch`) including shedding as `503`.
+//! End-to-end tests for the service core: batch requests streaming
+//! per-space replies, the queue timeout, the HTTP/JSON job API (`POST
+//! /v1/gen`, `POST /v1/batch`) including shedding as `503`, and the
+//! request shape the repository benchmark sends.
 
+mod common;
+
+use common::{batch_code, TempDir};
 use serve::{spawn, Config, LogTarget};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 struct Reply {
     header: String,
@@ -72,32 +75,13 @@ fn http_post(addr: SocketAddr, path: &str, body: &str) -> (String, String) {
     (head.to_owned(), body.to_owned())
 }
 
-fn temp_log(tag: &str) -> LogTarget {
-    let dir = std::env::temp_dir().join(format!("codegend-queue-e2e-{}", std::process::id()));
-    let _ = std::fs::create_dir_all(&dir);
-    LogTarget::File(dir.join(format!("{tag}.jsonl")))
-}
-
-/// Reads the `"depth":N` out of the `/healthz` `"queue"` object.
-fn queue_depth(addr: SocketAddr) -> u64 {
-    let (_, body) = http_get(addr, "/healthz");
-    let tail = body
-        .split("\"queue\":{\"depth\":")
-        .nth(1)
-        .unwrap_or_else(|| panic!("no queue object in {body}"));
-    tail.chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .unwrap()
-}
-
 #[test]
 fn batch_streams_per_space_replies_in_order() {
+    let dir = TempDir::new("queue");
     let daemon = spawn(Config {
         jobs_addr: "127.0.0.1:0".into(),
         http_addr: "127.0.0.1:0".into(),
-        log: temp_log("batch"),
+        log: LogTarget::File(dir.join("batch.jsonl")),
         ..Config::default()
     })
     .unwrap();
@@ -121,8 +105,8 @@ fn batch_streams_per_space_replies_in_order() {
     assert!(third.header.starts_with("ok "), "{}", third.header);
     assert_eq!(third.fields["id"], "b1#2");
 
-    // The batch kind is counted per space, and batch-class histograms
-    // observed the work.
+    // The batch kind is counted per space; the queue histograms observe
+    // the whole batch as one job.
     let (_, metrics) = http_get(daemon.http_addr(), "/metrics");
     assert!(
         metrics.contains("codegend_requests_total{kind=\"batch\",status=\"ok\"} 2"),
@@ -133,86 +117,26 @@ fn batch_streams_per_space_replies_in_order() {
         "{metrics}"
     );
     assert!(
-        metrics.contains("codegend_service_seconds_count{class=\"batch\"} 1"),
+        metrics.contains("codegend_service_seconds_count 1"),
         "{metrics}"
     );
     assert!(
-        metrics.contains("codegend_queue_wait_seconds_count{class=\"batch\"} 1"),
+        metrics.contains("codegend_queue_wait_seconds_count 1"),
         "{metrics}"
     );
 
-    daemon.shutdown();
-    daemon.wait();
-}
-
-/// A client flooding large batches cannot starve another client's
-/// interactive job: with one worker, the interactive job must be served
-/// ahead of still-queued batches.
-#[test]
-fn flooding_batches_do_not_starve_interactive_jobs() {
-    let daemon = spawn(Config {
-        jobs_addr: "127.0.0.1:0".into(),
-        http_addr: "127.0.0.1:0".into(),
-        workers: 1,
-        shards: 1,
-        drr_quantum: 1,
-        log: temp_log("fairness"),
-        ..Config::default()
-    })
-    .unwrap();
-    let jobs_addr = daemon.jobs_addr();
-    let http_addr = daemon.http_addr();
-
-    // Mallory floods three 48-space batches from three connections.
-    let space = "[n] -> { [i,j] : 0 <= i < n and 0 <= j < n and i <= j }";
-    let line = format!("batch client=mallory space={}", vec![space; 48].join(" ; "));
-    let floods: Vec<_> = (0..3)
-        .map(|_| {
-            let line = line.clone();
-            std::thread::spawn(move || {
-                let mut conn = connect(jobs_addr);
-                let r = roundtrip(&mut conn, &line);
-                assert!(r.header.starts_with("batch "), "{}", r.header);
-                for _ in 0..48 {
-                    let reply = read_reply(&mut conn);
-                    assert!(reply.header.starts_with("ok "), "{}", reply.header);
-                }
-            })
-        })
-        .collect();
-
-    // Wait until the worker is saturated: at least two whole batches
-    // still queued behind the one executing.
-    let deadline = Instant::now() + Duration::from_secs(20);
-    while queue_depth(http_addr) < 2 {
-        assert!(Instant::now() < deadline, "flood never queued up");
-        std::thread::sleep(Duration::from_millis(2));
-    }
-
-    // Alice's interactive job lands while the flood is queued — it must
-    // complete while mallory still has whole batches waiting.
-    let mut conn = connect(jobs_addr);
-    let r = roundtrip(&mut conn, "gen client=alice space={ [i] : 0 <= i < 4 }");
-    assert!(r.header.starts_with("ok "), "{}", r.header);
-    assert!(
-        queue_depth(http_addr) >= 1,
-        "interactive job was served only after the flood drained"
-    );
-
-    for f in floods {
-        f.join().unwrap();
-    }
     daemon.shutdown();
     daemon.wait();
 }
 
 #[test]
 fn queue_timeout_answers_stale_jobs_with_an_error() {
+    let dir = TempDir::new("queue");
     let daemon = spawn(Config {
         jobs_addr: "127.0.0.1:0".into(),
         http_addr: "127.0.0.1:0".into(),
         queue_timeout: Some(Duration::ZERO),
-        log: temp_log("timeout"),
+        log: LogTarget::File(dir.join("timeout.jsonl")),
         ..Config::default()
     })
     .unwrap();
@@ -222,7 +146,7 @@ fn queue_timeout_answers_stale_jobs_with_an_error() {
     assert!(r.header.contains("timed out in queue"), "{}", r.header);
     let (_, metrics) = http_get(daemon.http_addr(), "/metrics");
     assert!(
-        metrics.contains("codegend_jobs_timeout_total{class=\"interactive\"} 1"),
+        metrics.contains("codegend_jobs_timeout_total 1"),
         "{metrics}"
     );
     assert!(
@@ -235,10 +159,11 @@ fn queue_timeout_answers_stale_jobs_with_an_error() {
 
 #[test]
 fn http_json_api_gen_batch_and_errors() {
+    let dir = TempDir::new("queue");
     let daemon = spawn(Config {
         jobs_addr: "127.0.0.1:0".into(),
         http_addr: "127.0.0.1:0".into(),
-        log: temp_log("http"),
+        log: LogTarget::File(dir.join("http.jsonl")),
         ..Config::default()
     })
     .unwrap();
@@ -291,7 +216,6 @@ fn http_json_api_gen_batch_and_errors() {
     for (path, bad) in [
         ("/v1/gen", "not json"),
         ("/v1/gen", "{}"),
-        ("/v1/gen", r#"{"kernel":"gemv","priority":"vip"}"#),
         ("/v1/batch", r#"{"spaces":[]}"#),
         ("/v1/batch", r#"{"kernel":"gemv"}"#),
     ] {
@@ -310,11 +234,12 @@ fn http_json_api_gen_batch_and_errors() {
 
 #[test]
 fn http_api_sheds_with_503_and_retry_after() {
+    let dir = TempDir::new("queue");
     let daemon = spawn(Config {
         jobs_addr: "127.0.0.1:0".into(),
         http_addr: "127.0.0.1:0".into(),
         queue_depth: 0,
-        log: temp_log("shed503"),
+        log: LogTarget::File(dir.join("shed503.jsonl")),
         ..Config::default()
     })
     .unwrap();
@@ -322,8 +247,47 @@ fn http_api_sheds_with_503_and_retry_after() {
     assert!(head.starts_with("HTTP/1.1 503"), "{head}");
     assert!(head.contains("Retry-After: 1"), "{head}");
     assert!(body.contains("\"error\":\"busy\""), "{body}");
-    assert!(body.contains("\"class\":\"interactive\""), "{body}");
     assert!(body.contains("\"capacity\":0"), "{body}");
+    daemon.shutdown();
+    daemon.wait();
+}
+
+/// The request `perfbench`'s `daemon_table1` workload sends, byte for
+/// byte: its `client` key is not a field of the API and must be ignored,
+/// not refused. The line protocol, by contrast, refuses the retired
+/// scheduling fields by name.
+#[test]
+fn benchmark_request_shape_is_served_and_retired_fields_are_refused() {
+    let dir = TempDir::new("queue");
+    let daemon = spawn(Config {
+        jobs_addr: "127.0.0.1:0".into(),
+        http_addr: "127.0.0.1:0".into(),
+        log: LogTarget::File(dir.join("shape.jsonl")),
+        ..Config::default()
+    })
+    .unwrap();
+    let (head, body) = http_post(
+        daemon.http_addr(),
+        "/v1/gen",
+        r#"{"kernel":"gemv","n":64,"client":"c0"}"#,
+    );
+    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+    let reply = serve::json::parse(&body).unwrap();
+    let kernel = chill::recipes::all(64)
+        .into_iter()
+        .find(|k| k.name == "gemv")
+        .unwrap();
+    assert_eq!(
+        reply.get("code").and_then(|v| v.as_str()),
+        Some(batch_code(&kernel).as_str()),
+        "{body}"
+    );
+
+    let mut conn = connect(daemon.jobs_addr());
+    let r = roundtrip(&mut conn, "gen kernel=gemv prio=bulk");
+    assert!(r.header.starts_with("err "), "{}", r.header);
+    assert!(r.header.contains("unknown field \"prio\""), "{}", r.header);
+
     daemon.shutdown();
     daemon.wait();
 }

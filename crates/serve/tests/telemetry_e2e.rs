@@ -1,13 +1,14 @@
-//! End-to-end tests of the continuous-profiling/SLO surface: the
-//! `/debug/history` windowed metrics endpoint, the
-//! `/debug/pprof/profile` sampling profiler endpoint (pprof protobuf and
-//! collapsed text, busy signalling), and the burn-rate watchdog flipping
-//! `/healthz` degraded on an induced SLO breach and back on recovery.
+//! End-to-end test of the `/debug/pprof/profile` sampling-profiler
+//! endpoint: collapsed stacks under load, busy signalling, and
+//! parameter checks.
 
+mod common;
+
+use common::TempDir;
 use serve::{spawn, Config, LogTarget};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 fn connect(addr: SocketAddr) -> BufReader<TcpStream> {
     BufReader::new(TcpStream::connect(addr).unwrap())
@@ -35,100 +36,18 @@ fn submit(conn: &mut BufReader<TcpStream>, line: &str) -> String {
     header
 }
 
-/// One GET, response split into head and raw body bytes (the pprof
-/// protobuf body is not UTF-8).
-fn http_get_bytes(addr: SocketAddr, path: &str) -> (String, Vec<u8>) {
+fn http_get(addr: SocketAddr, path: &str) -> (String, String) {
     let mut stream = TcpStream::connect(addr).unwrap();
     write!(stream, "GET {path} HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
-    let mut response = Vec::new();
-    stream.read_to_end(&mut response).unwrap();
-    let split = response
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .expect("header/body split");
-    let head = String::from_utf8_lossy(&response[..split]).into_owned();
-    (head, response[split + 4..].to_vec())
-}
-
-fn http_get(addr: SocketAddr, path: &str) -> (String, String) {
-    let (head, body) = http_get_bytes(addr, path);
-    (head, String::from_utf8(body).unwrap())
-}
-
-fn temp_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("codegend-tele-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+    let mut response = String::new();
+    stream.read_to_string(&mut response).unwrap();
+    let (head, body) = response.split_once("\r\n\r\n").unwrap();
+    (head.to_owned(), body.to_owned())
 }
 
 #[test]
-fn history_endpoint_serves_windowed_deltas_in_both_formats() {
-    let dir = temp_dir("history");
-    let daemon = spawn(Config {
-        jobs_addr: "127.0.0.1:0".into(),
-        http_addr: "127.0.0.1:0".into(),
-        log: LogTarget::File(dir.join("log.jsonl")),
-        history_interval: Duration::from_millis(50),
-        ..Config::default()
-    })
-    .unwrap();
-    // A baseline frame must exist before the traffic, or the window's
-    // start frame already contains it and the deltas read zero.
-    std::thread::sleep(Duration::from_millis(300));
-    let mut conn = connect(daemon.jobs_addr());
-    for i in 0..3 {
-        let header = submit(&mut conn, &format!("gen kernel=gemv n=12 id=h-{i}"));
-        assert!(header.starts_with("ok "), "{header}");
-    }
-    // Two sampler frames past the traffic so the window sees the deltas.
-    std::thread::sleep(Duration::from_millis(300));
-
-    let (head, body) = http_get(daemon.http_addr(), "/debug/history?window=60000");
-    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
-    assert!(head.contains("application/json"), "{head}");
-    assert!(body.contains("\"meta\":{\"window_ms\":60000"), "{body}");
-    assert!(body.contains("\"series\":["), "{body}");
-    // The requests counter delta covers the three jobs, with a rate.
-    let requests = body
-        .split("{\"series\":\"codegend_requests{kind=\\\"kernel\\\",status=\\\"ok\\\"}\"")
-        .nth(1)
-        .expect("requests series present");
-    assert!(
-        requests.starts_with(",\"type\":\"counter\",\"total\":3,\"delta\":3"),
-        "{requests}"
-    );
-    // Windowed request-latency histogram: count and a non-null p99.
-    let hist = body
-        .split("{\"series\":\"codegend_request_seconds\"")
-        .nth(1)
-        .expect("latency series present");
-    assert!(hist.contains("\"count_delta\":3"), "{hist}");
-    assert!(hist.contains("\"p99\":0."), "{hist}");
-
-    // NDJSON: meta line first, then one object per series line.
-    let (head, body) = http_get(
-        daemon.http_addr(),
-        "/debug/history?window=60000&format=ndjson",
-    );
-    assert!(head.contains("application/x-ndjson"), "{head}");
-    let mut lines = body.lines();
-    assert!(lines.next().unwrap().starts_with("{\"meta\":"), "{body}");
-    assert!(body.lines().count() > 5, "{body}");
-    for line in lines {
-        assert!(line.starts_with("{\"series\":\""), "{line}");
-    }
-
-    // Unknown format is a 400, not a silent default.
-    let (head, _) = http_get(daemon.http_addr(), "/debug/history?format=xml");
-    assert!(head.starts_with("HTTP/1.1 400"), "{head}");
-
-    daemon.shutdown();
-}
-
-#[test]
-fn profile_endpoint_returns_pprof_and_collapsed_and_signals_busy() {
-    let dir = temp_dir("profile");
+fn profile_endpoint_returns_collapsed_stacks_and_signals_busy() {
+    let dir = TempDir::new("tele-profile");
     let daemon = spawn(Config {
         jobs_addr: "127.0.0.1:0".into(),
         http_addr: "127.0.0.1:0".into(),
@@ -153,10 +72,7 @@ fn profile_endpoint_returns_pprof_and_collapsed_and_signals_busy() {
         })
     };
 
-    let (head, text) = http_get(
-        daemon.http_addr(),
-        "/debug/pprof/profile?seconds=1&format=collapsed",
-    );
+    let (head, text) = http_get(daemon.http_addr(), "/debug/pprof/profile?seconds=1");
     assert!(head.starts_with("HTTP/1.1 200"), "{head}");
     assert!(head.contains("text/plain"), "{head}");
     assert!(!text.trim().is_empty(), "empty collapsed profile");
@@ -172,24 +88,18 @@ fn profile_endpoint_returns_pprof_and_collapsed_and_signals_busy() {
         "no daemon frames in:\n{text}"
     );
 
-    // pprof protobuf: binary, non-empty, carries its string table (the
-    // value-type strings are raw bytes in the uncompressed proto).
-    let (head, proto) = http_get_bytes(daemon.http_addr(), "/debug/pprof/profile?seconds=1");
+    // `format` is no longer a parameter: any value gets the same text.
+    let (head, text) = http_get(
+        daemon.http_addr(),
+        "/debug/pprof/profile?seconds=1&format=pprof",
+    );
     assert!(head.starts_with("HTTP/1.1 200"), "{head}");
-    assert!(head.contains("application/octet-stream"), "{head}");
-    assert!(proto.len() > 64, "pprof body only {} bytes", proto.len());
-    for needle in [b"samples".as_slice(), b"count".as_slice()] {
-        assert!(
-            proto.windows(needle.len()).any(|w| w == needle),
-            "pprof missing string {:?}",
-            String::from_utf8_lossy(needle)
-        );
-    }
+    assert!(head.contains("text/plain"), "{head}");
+    assert!(!text.trim().is_empty(), "empty collapsed profile");
 
     // A second session while one runs is refused, not queued.
     let http_addr = daemon.http_addr();
-    let long =
-        std::thread::spawn(move || http_get_bytes(http_addr, "/debug/pprof/profile?seconds=2"));
+    let long = std::thread::spawn(move || http_get(http_addr, "/debug/pprof/profile?seconds=2"));
     std::thread::sleep(Duration::from_millis(400));
     let (head, body) = http_get(daemon.http_addr(), "/debug/pprof/profile?seconds=1");
     assert!(head.starts_with("HTTP/1.1 409"), "{head}: {body}");
@@ -204,93 +114,5 @@ fn profile_endpoint_returns_pprof_and_collapsed_and_signals_busy() {
     stop.store(true, std::sync::atomic::Ordering::Relaxed);
     load.join().unwrap();
     daemon.shutdown();
-}
-
-#[test]
-fn slo_breach_degrades_healthz_and_recovery_restores_it() {
-    let dir = temp_dir("slo");
-    // A 1 ms p99 objective no real request can meet, sampled fast with a
-    // tiny ring so the windows (which fall back to the oldest retained
-    // frame this early in the daemon's life) drain quickly after traffic
-    // stops.
-    let daemon = spawn(Config {
-        jobs_addr: "127.0.0.1:0".into(),
-        http_addr: "127.0.0.1:0".into(),
-        log: LogTarget::File(dir.join("log.jsonl")),
-        history_interval: Duration::from_millis(50),
-        history_frames: 8,
-        slo_p99_ms: Some(1),
-        ..Config::default()
-    })
-    .unwrap();
-    let mut conn = connect(daemon.jobs_addr());
-
-    // Keep submitting until a watchdog tick judges both windows burning.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    let mut degraded_body = None;
-    let mut i = 0;
-    while Instant::now() < deadline {
-        let _ = submit(&mut conn, &format!("gen kernel=gemv n=12 id=s-{i}"));
-        i += 1;
-        let (_, body) = http_get(daemon.http_addr(), "/healthz");
-        if body.contains("\"status\":\"degraded\"") {
-            degraded_body = Some(body);
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(100));
-    }
-    let body = degraded_body.expect("watchdog never flipped /healthz to degraded");
-    // Machine-readable reason: objective, window, measured vs target.
-    assert!(
-        body.contains("\"slo\":{\"configured\":true,\"degraded\":true"),
-        "{body}"
-    );
-    assert!(body.contains("\"objective\":\"p99\""), "{body}");
-    assert!(body.contains("\"window_ms\":5000"), "{body}");
-    assert!(body.contains("\"target\":0.001000"), "{body}");
-    // With no operator --slow-ms, the watchdog armed retention itself.
-    assert!(body.contains("\"auto_retention\":true"), "{body}");
-
-    // The burn gauges are live on /metrics while burning.
-    let (_, metrics) = http_get(daemon.http_addr(), "/metrics");
-    let burn_5s = metrics
-        .lines()
-        .find(|l| l.starts_with("codegend_slo_burn{objective=\"p99\",window=\"5s\"}"))
-        .expect("5s burn gauge exposed");
-    let burn: i64 = burn_5s.rsplit(' ').next().unwrap().parse().unwrap();
-    assert!(burn > 1000, "burn gauge {burn} not over target");
-
-    // Traffic stops; the tiny ring drains and the watchdog recovers.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    let mut recovered = None;
-    while Instant::now() < deadline {
-        let (_, body) = http_get(daemon.http_addr(), "/healthz");
-        if body.contains("\"status\":\"ready\"") {
-            recovered = Some(body);
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(100));
-    }
-    let body = recovered.expect("watchdog never recovered after traffic drained");
-    assert!(body.contains("\"degraded\":false"), "{body}");
-    assert!(body.contains("\"auto_retention\":false"), "{body}");
-    assert!(body.contains("\"reasons\":[]"), "{body}");
-
-    daemon.shutdown();
-
-    // The log tells the whole story: violations with burn facts, the
-    // retention auto-arm at the p99 target, then recovery + disarm.
-    let log = std::fs::read_to_string(dir.join("log.jsonl")).unwrap();
-    assert!(log.contains("\"event\":\"slo_violation\""), "{log}");
-    assert!(log.contains("\"objective\":\"p99\""), "{log}");
-    assert!(log.contains("\"flip\":true"), "{log}");
-    assert!(
-        log.contains("\"event\":\"slow_retention_armed\",\"by\":\"slo-watchdog\",\"slow_ms\":1"),
-        "{log}"
-    );
-    assert!(log.contains("\"event\":\"slo_recovered\""), "{log}");
-    assert!(
-        log.contains("\"event\":\"slow_retention_disarmed\""),
-        "{log}"
-    );
+    daemon.wait();
 }

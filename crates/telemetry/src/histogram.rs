@@ -100,50 +100,6 @@ impl HistogramSnapshot {
             })
             .collect()
     }
-
-    /// The `q`-quantile (`0.0 ..= 1.0`) over this snapshot's buckets, in
-    /// seconds: the upper edge of the first bucket at which the cumulative
-    /// count reaches `q * count` — the same estimate a scraper computes
-    /// from the exposed `_bucket` series. `None` when the histogram holds
-    /// no observations (an empty histogram has no quantiles; callers that
-    /// want 0 must opt in explicitly).
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
-        let threshold = q * self.count as f64;
-        let mut acc = 0u64;
-        for (i, &b) in self.buckets.iter().enumerate() {
-            acc += b;
-            if b != 0 && acc as f64 >= threshold {
-                return Some((1u128 << (i + 1)) as f64 / 1e9);
-            }
-        }
-        // Reachable only when q > 1: clamp to the top occupied bucket.
-        let hi = self.buckets.iter().rposition(|&b| b != 0)?;
-        Some((1u128 << (hi + 1)) as f64 / 1e9)
-    }
-
-    /// The bucket-wise, reset-aware delta `end − start` of two snapshots
-    /// of the *same* series, as a synthetic snapshot whose `count`/`sum_ns`
-    /// are the windowed totals. When the end snapshot's count is below the
-    /// start's (the process restarted and the counter reset), the end
-    /// snapshot is returned whole — the Prometheus `rate()` convention of
-    /// assuming the counter restarted from zero.
-    pub fn delta_since(&self, start: &HistogramSnapshot) -> HistogramSnapshot {
-        if self.count < start.count {
-            return self.clone();
-        }
-        let mut buckets = [0u64; BUCKETS];
-        for (i, dst) in buckets.iter_mut().enumerate() {
-            *dst = self.buckets[i].saturating_sub(start.buckets[i]);
-        }
-        HistogramSnapshot {
-            buckets,
-            count: self.count - start.count,
-            sum_ns: self.sum_ns.saturating_sub(start.sum_ns),
-        }
-    }
 }
 
 #[cfg(test)]

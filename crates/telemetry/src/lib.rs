@@ -48,7 +48,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod flight;
-pub mod history;
 pub mod log;
 pub mod profile;
 
@@ -57,7 +56,7 @@ mod histogram;
 mod registry;
 
 pub use histogram::{Histogram, HistogramSnapshot};
-pub use registry::{Counter, Family, Gauge, Registry, SeriesSnapshot, SeriesValue};
+pub use registry::{Counter, Family, Gauge, Registry};
 
 /// The span sink to install as `omega::trace`'s process-wide span hook
 /// (`omega::trace::install_span_hook(telemetry::span_hook)`). Every span

@@ -14,8 +14,7 @@
 //! Samples are raw program counters until export: [`Profile::resolve`]
 //! symbolizes them once from `/proc/self/maps` + the ELF symbol table and
 //! aggregates identical stacks, and the result renders as collapsed
-//! flamegraph text ([`ResolvedProfile::collapsed`]) or a pprof protobuf
-//! ([`ResolvedProfile::pprof`]).
+//! flamegraph text ([`ResolvedProfile::collapsed`]).
 //!
 //! One session may be active at a time ([`start`] returns
 //! [`ProfileError::Busy`] otherwise); the codegend HTTP endpoint maps
@@ -23,7 +22,6 @@
 //! `-C force-frame-pointers=yes` (see `.cargo/config.toml`) — without it
 //! stacks degrade to the leaf frame, which is still attributable.
 
-mod pprof;
 mod symbolize;
 
 #[cfg(all(
@@ -32,13 +30,12 @@ mod symbolize;
 ))]
 mod sys;
 
-pub use pprof::StackSample;
 pub use symbolize::{demangle, Symbolizer};
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant, SystemTime};
+use std::time::Duration;
 
 /// Which clock drives the sampler.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -108,6 +105,17 @@ impl ProfileError {
     }
 }
 
+/// One aggregated stack: symbolized frames, leaf first.
+#[derive(Clone, Debug)]
+pub struct StackSample {
+    /// Frame names, innermost (leaf) first.
+    pub frames: Vec<String>,
+    /// Innermost `omega::trace` span active at capture, if any.
+    pub span: Option<String>,
+    /// Number of raw samples that collapsed into this stack.
+    pub count: u64,
+}
+
 /// One captured backtrace, still unsymbolized.
 #[derive(Clone, Debug)]
 pub struct RawSample {
@@ -124,14 +132,8 @@ pub struct Profile {
     pub samples: Vec<RawSample>,
     /// Samples lost to ring overwrites or pool exhaustion.
     pub dropped: u64,
-    /// Sampling period in nanoseconds.
-    pub period_ns: u64,
     /// Sampling clock.
     pub mode: Mode,
-    /// Wall-clock length of the session.
-    pub duration: Duration,
-    /// Unix nanos when the session started.
-    pub started_unix_ns: u64,
 }
 
 impl Profile {
@@ -165,10 +167,7 @@ impl Profile {
             stacks,
             sample_count: self.samples.len() as u64,
             dropped: self.dropped,
-            period_ns: self.period_ns,
             mode: self.mode,
-            duration: self.duration,
-            started_unix_ns: self.started_unix_ns,
         }
     }
 }
@@ -182,14 +181,8 @@ pub struct ResolvedProfile {
     pub sample_count: u64,
     /// Samples lost to ring overwrites or pool exhaustion.
     pub dropped: u64,
-    /// Sampling period in nanoseconds.
-    pub period_ns: u64,
     /// Sampling clock.
     pub mode: Mode,
-    /// Wall-clock length of the session.
-    pub duration: Duration,
-    /// Unix nanos when the session started.
-    pub started_unix_ns: u64,
 }
 
 impl ResolvedProfile {
@@ -217,17 +210,6 @@ impl ResolvedProfile {
         let mut out = lines.join("\n");
         out.push('\n');
         out
-    }
-
-    /// pprof-compatible protobuf (uncompressed `profile.proto`).
-    pub fn pprof(&self) -> Vec<u8> {
-        pprof::encode(
-            &self.stacks,
-            self.mode.as_str(),
-            self.period_ns,
-            self.started_unix_ns,
-            self.duration.as_nanos() as u64,
-        )
     }
 }
 
@@ -494,7 +476,7 @@ mod sampler {
         timer: sys::SampleTimer,
     }
 
-    pub(super) fn begin(opts: Options) -> Result<(Active, u64), ProfileError> {
+    pub(super) fn begin(opts: Options) -> Result<Active, ProfileError> {
         let pool = pool();
         // Self-test process_vm_readv before the handler needs it: a
         // seccomp profile denying it downgrades to pc-only samples.
@@ -523,7 +505,7 @@ mod sampler {
         };
         let timer = sys::SampleTimer::start(clock, period_ns).ok_or(ProfileError::TimerFailed)?;
         COLLECTING.store(true, Ordering::Release);
-        Ok((Active { timer }, period_ns))
+        Ok(Active { timer })
     }
 
     pub(super) fn end(active: Active) -> (Vec<RawSample>, u64) {
@@ -583,9 +565,6 @@ struct ActiveSession {
     ))]
     inner: sampler::Active,
     mode: Mode,
-    period_ns: u64,
-    started: Instant,
-    started_unix_ns: u64,
 }
 
 static SESSION: Mutex<Option<ActiveSession>> = Mutex::new(None);
@@ -601,16 +580,10 @@ pub fn start(opts: Options) -> Result<(), ProfileError> {
         any(target_arch = "x86_64", target_arch = "aarch64")
     ))]
     {
-        let (inner, period_ns) = sampler::begin(opts)?;
+        let inner = sampler::begin(opts)?;
         *session = Some(ActiveSession {
             inner,
             mode: opts.mode,
-            period_ns,
-            started: Instant::now(),
-            started_unix_ns: SystemTime::now()
-                .duration_since(SystemTime::UNIX_EPOCH)
-                .map(|d| d.as_nanos() as u64)
-                .unwrap_or(0),
         });
         Ok(())
     }
@@ -641,10 +614,7 @@ pub fn stop() -> Result<Profile, ProfileError> {
         Ok(Profile {
             samples,
             dropped,
-            period_ns: active.period_ns,
             mode: active.mode,
-            duration: active.started.elapsed(),
-            started_unix_ns: active.started_unix_ns,
         })
     }
     #[cfg(not(all(
@@ -697,6 +667,7 @@ pub fn state() -> ProfilerState {
 ))]
 mod tests {
     use super::*;
+    use std::time::Instant;
 
     /// Recognizable CPU burner: integer mixing the optimizer cannot
     /// remove, never inlined so its symbol anchors the profile.
@@ -743,8 +714,6 @@ mod tests {
             collapsed.contains("span:profile_test_span"),
             "span attribution missing from:\n{collapsed}"
         );
-        let pprof = resolved.pprof();
-        assert!(!pprof.is_empty());
         let st = state();
         assert!(!st.active);
         assert!(st.sessions >= 1);

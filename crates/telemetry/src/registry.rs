@@ -1,6 +1,6 @@
 //! Metric types and the process registry.
 
-use crate::histogram::{Histogram, HistogramSnapshot};
+use crate::histogram::Histogram;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -192,51 +192,6 @@ impl Registry {
         fam
     }
 
-    /// Reads every registered series — each family child's current value —
-    /// in registration order (children in first-use order). A pure read,
-    /// like [`Registry::expose`], but structured: this is what the
-    /// [`crate::history`] ring stores every interval, so windowed deltas
-    /// can be computed series-by-series later.
-    pub fn snapshot_series(&self) -> Vec<SeriesSnapshot> {
-        let mut out = Vec::new();
-        let entries = lock(&self.entries);
-        for e in entries.iter() {
-            match &e.kind {
-                FamilyKind::Counter(fam) => {
-                    for (values, c) in fam.children() {
-                        out.push(SeriesSnapshot {
-                            name: e.name.clone(),
-                            label_names: fam.label_names().to_vec(),
-                            label_values: values,
-                            value: SeriesValue::Counter(c.get()),
-                        });
-                    }
-                }
-                FamilyKind::Gauge(fam) => {
-                    for (values, g) in fam.children() {
-                        out.push(SeriesSnapshot {
-                            name: e.name.clone(),
-                            label_names: fam.label_names().to_vec(),
-                            label_values: values,
-                            value: SeriesValue::Gauge(g.get()),
-                        });
-                    }
-                }
-                FamilyKind::Histogram(fam) => {
-                    for (values, h) in fam.children() {
-                        out.push(SeriesSnapshot {
-                            name: e.name.clone(),
-                            label_names: fam.label_names().to_vec(),
-                            label_values: values,
-                            value: SeriesValue::Histogram(Box::new(h.snapshot())),
-                        });
-                    }
-                }
-            }
-        }
-        out
-    }
-
     fn register(&self, name: &str, help: &str, labels: &[&'static str], kind: FamilyKind) {
         assert!(valid_metric_name(name), "invalid metric name {name:?}");
         for l in labels {
@@ -252,53 +207,6 @@ impl Registry {
             help: help.to_owned(),
             kind,
         });
-    }
-}
-
-/// The value of one metric series at snapshot time.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum SeriesValue {
-    /// Cumulative counter value (registered name, no `_total` suffix).
-    Counter(u64),
-    /// Instantaneous gauge value.
-    Gauge(i64),
-    /// Whole histogram state (raw buckets, count, nanosecond sum; boxed:
-    /// the 64-bucket snapshot dwarfs the scalar variants).
-    Histogram(Box<HistogramSnapshot>),
-}
-
-/// One series — a family child — in a whole-registry snapshot.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SeriesSnapshot {
-    /// Family name as registered.
-    pub name: String,
-    /// Label names of the family's schema.
-    pub label_names: Vec<&'static str>,
-    /// Label values identifying this child within the family.
-    pub label_values: Vec<String>,
-    /// The value read at snapshot time.
-    pub value: SeriesValue,
-}
-
-impl SeriesSnapshot {
-    /// `name{k="v",…}` — the canonical series identity used to match the
-    /// same series across two snapshots.
-    pub fn key(&self) -> String {
-        let mut out = self.name.clone();
-        if !self.label_names.is_empty() {
-            out.push('{');
-            for (i, (n, v)) in self.label_names.iter().zip(&self.label_values).enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(n);
-                out.push_str("=\"");
-                out.push_str(v);
-                out.push('"');
-            }
-            out.push('}');
-        }
-        out
     }
 }
 

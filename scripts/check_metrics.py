@@ -17,11 +17,11 @@ Checks, per metric family:
 
 Beyond structural validation, the checker evaluates threshold
 assertions against the scrape (`--assert EXPR`, repeatable) and renders
-a per-class queue summary as GitHub-flavored markdown (`--summary`, for
+a one-row queue summary as GitHub-flavored markdown (`--summary`, for
 `$GITHUB_STEP_SUMMARY`). Assertion expressions are comparisons over
 metric selectors with arithmetic:
 
-    p99(codegend_queue_wait_seconds{class="interactive"}) <= 0.25
+    p99(codegend_queue_wait_seconds) <= 0.25
     codegend_jobs_shed_total / codegend_requests_total < 0.05
     sum(codegend_requests_total{status="ok"}) >= 2000
 
@@ -445,59 +445,41 @@ def fmt_seconds(s):
 
 def summarize(text):
     """Renders the codegend queue families as a GitHub-flavored markdown
-    table: one row per priority class with job counts, queue-wait and
-    service p50/p99, and shed/timeout counts."""
+    table: one row with the job count, queue-wait and service p50/p99,
+    and shed/timeout counts."""
     samples = parse_samples(text)
 
-    def by_class(name, suffix=""):
-        return {
-            ls["class"]: v
-            for _, ls, v in select(samples, name, suffix)
-            if "class" in ls
-        }
+    def total(name):
+        return sum(v for _, _, v in select(samples, name))
 
-    served = by_class("codegend_service_seconds", "_count")
-    shed = by_class("codegend_jobs_shed_total")
-    timeout = by_class("codegend_jobs_timeout_total")
-    classes = [
-        c
-        for c in ("interactive", "batch", "bulk")
-        if c in served or c in shed or c in timeout
-    ]
+    served = total("codegend_service_seconds_count")
+    shed = total("codegend_jobs_shed_total")
+    timeout = total("codegend_jobs_timeout_total")
+    if served > 0:
+        stats = [
+            fmt_seconds(quantile(samples, f"codegend_{h}_seconds", q))
+            for h in ("queue_wait", "service")
+            for q in (0.50, 0.99)
+        ]
+    else:
+        stats = ["-"] * 4
     lines = [
         "### codegend queue",
         "",
-        "| class | served | queue p50 | queue p99 | service p50 | service p99 | shed | timeout |",
-        "|---|---|---|---|---|---|---|---|",
+        "| served | queue p50 | queue p99 | service p50 | service p99 | shed | timeout |",
+        "|---|---|---|---|---|---|---|",
+        "| {} | {} | {} | {} | {} | {} | {} |".format(
+            int(served), *stats, int(shed), int(timeout)
+        ),
     ]
-    for c in classes:
-        sel = f'{{class="{c}"}}'
-        if served.get(c, 0) > 0:
-            qw = f"codegend_queue_wait_seconds{sel}"
-            sv = f"codegend_service_seconds{sel}"
-            q50, q99 = quantile(samples, qw, 0.50), quantile(samples, qw, 0.99)
-            s50, s99 = quantile(samples, sv, 0.50), quantile(samples, sv, 0.99)
-            stats = [fmt_seconds(x) for x in (q50, q99, s50, s99)]
-        else:
-            stats = ["-"] * 4
-        lines.append(
-            "| {} | {} | {} | {} | {} | {} | {} | {} |".format(
-                c,
-                int(served.get(c, 0)),
-                *stats,
-                int(shed.get(c, 0)),
-                int(timeout.get(c, 0)),
-            )
-        )
     # Shed requests are answered `busy` and counted in requests_total, so
     # the rate is shed-over-total, not shed-over-(total+shed).
-    total = sum(v for _, _, v in select(samples, "codegend_requests_total"))
-    shed_n = sum(shed.values())
-    if total > 0:
+    requests = total("codegend_requests_total")
+    if requests > 0:
         lines.append("")
         lines.append(
-            f"{int(total)} requests, {int(shed_n)} shed "
-            f"({100.0 * shed_n / total:.2f}% shed rate)"
+            f"{int(requests)} requests, {int(shed)} shed "
+            f"({100.0 * shed / requests:.2f}% shed rate)"
         )
     return "\n".join(lines) + "\n"
 
@@ -572,26 +554,26 @@ BAD = [
 ]
 
 
-# A codegend-shaped scrape for the assertion/summary corpus: 100
-# interactive jobs with a known queue-wait distribution (90 under 1ms,
-# 9 more under 4ms, 1 in +Inf), 2 sheds against 102 requests.
+# A codegend-shaped scrape for the assertion/summary corpus: 100 jobs
+# with a known queue-wait distribution (90 under 1ms, 9 more under 4ms,
+# 1 in +Inf), 2 sheds against 102 requests.
 ASSERT_SCRAPE = """\
 # TYPE codegend_requests counter
 codegend_requests_total{kind="kernel",status="ok"} 100
 codegend_requests_total{kind="kernel",status="busy"} 2
 # TYPE codegend_jobs_shed counter
-codegend_jobs_shed_total{class="interactive"} 2
+codegend_jobs_shed_total 2
 # TYPE codegend_queue_wait_seconds histogram
-codegend_queue_wait_seconds_bucket{class="interactive",le="0.001"} 90
-codegend_queue_wait_seconds_bucket{class="interactive",le="0.004"} 99
-codegend_queue_wait_seconds_bucket{class="interactive",le="+Inf"} 100
-codegend_queue_wait_seconds_count{class="interactive"} 100
-codegend_queue_wait_seconds_sum{class="interactive"} 0.2
+codegend_queue_wait_seconds_bucket{le="0.001"} 90
+codegend_queue_wait_seconds_bucket{le="0.004"} 99
+codegend_queue_wait_seconds_bucket{le="+Inf"} 100
+codegend_queue_wait_seconds_count 100
+codegend_queue_wait_seconds_sum 0.2
 # TYPE codegend_service_seconds histogram
-codegend_service_seconds_bucket{class="interactive",le="0.001"} 50
-codegend_service_seconds_bucket{class="interactive",le="+Inf"} 100
-codegend_service_seconds_count{class="interactive"} 100
-codegend_service_seconds_sum{class="interactive"} 0.3
+codegend_service_seconds_bucket{le="0.001"} 50
+codegend_service_seconds_bucket{le="+Inf"} 100
+codegend_service_seconds_count 100
+codegend_service_seconds_sum 0.3
 # TYPE codegend_codegen_seconds histogram
 codegend_codegen_seconds_bucket{le="0.001"} 0
 codegend_codegen_seconds_bucket{le="+Inf"} 0
@@ -603,11 +585,11 @@ codegend_codegen_seconds_sum 0
 # (expression, expected verdict) — or (expression, EvalError) when the
 # expression itself must be rejected.
 ASSERT_CASES = [
-    ('p50(codegend_queue_wait_seconds{class="interactive"}) <= 0.001', True),
-    ('p99(codegend_queue_wait_seconds{class="interactive"}) <= 0.004', True),
+    ("p50(codegend_queue_wait_seconds) <= 0.001", True),
+    ("p99(codegend_queue_wait_seconds) <= 0.004", True),
     # The 100th percentile lands in the +Inf bucket — no finite bound
     # can pass, by design.
-    ('p99(codegend_queue_wait_seconds{class="interactive"}) <= 0.001', False),
+    ("p99(codegend_queue_wait_seconds) <= 0.001", False),
     ("codegend_jobs_shed_total / codegend_requests_total <= 0.05", True),
     ("codegend_jobs_shed_total / codegend_requests_total < 0.01", False),
     ('sum(codegend_requests_total{status="ok"}) >= 100', True),
@@ -619,7 +601,8 @@ ASSERT_CASES = [
     ("codegend_requests_total / (1 - 1) > 0", EvalError),  # div by zero
     # A zero-observation histogram must not pass a latency gate as p99=0.
     ("p99(codegend_codegen_seconds) <= 1", EvalError),
-    ('p99(codegend_service_seconds{class="bulk"}) <= 1', EvalError),
+    # A label selector matching no series is no histogram at all.
+    ('p99(codegend_service_seconds{kind="none"}) <= 1', EvalError),
 ]
 
 # The --allow-empty escape hatch: the same empty-histogram quantiles
@@ -627,7 +610,7 @@ ASSERT_CASES = [
 ALLOW_EMPTY_CASES = [
     ("p99(codegend_codegen_seconds) <= 1", True),
     ("p99(codegend_codegen_seconds) == 0", True),
-    ('p99(codegend_queue_wait_seconds{class="interactive"}) <= 0.004', True),
+    ("p99(codegend_queue_wait_seconds) <= 0.004", True),
     ("no_such_metric > 0", EvalError),  # typos still fail loudly
 ]
 
@@ -668,7 +651,7 @@ def self_test():
                     file=sys.stderr,
                 )
     md = summarize(ASSERT_SCRAPE)
-    for needle in ("| interactive | 100 |", "1.00ms", "4.00ms", "1.96% shed rate"):
+    for needle in ("| 100 | 1.00ms | 4.00ms |", "| 2 | 0 |", "1.96% shed rate"):
         if needle not in md:
             failures += 1
             print(f"self-test: summary missing {needle!r}:\n{md}", file=sys.stderr)
@@ -700,7 +683,7 @@ def main():
         default=[],
         metavar="EXPR",
         help="threshold assertion over the scrape, e.g. "
-        "'p99(codegend_queue_wait_seconds{class=\"interactive\"}) <= 0.25' "
+        "'p99(codegend_queue_wait_seconds) <= 0.25' "
         "(repeatable; all must hold)",
     )
     ap.add_argument(
@@ -712,7 +695,7 @@ def main():
     ap.add_argument(
         "--summary",
         action="store_true",
-        help="print the per-class queue table as GitHub-flavored markdown",
+        help="print the one-row queue table as GitHub-flavored markdown",
     )
     args = ap.parse_args()
     if args.self_test:

@@ -55,7 +55,6 @@ REQUIRED = {
     "kind": str,
     "source": str,
     "status": str,
-    "class": str,
     "queue_ns": int,
     "ts_ms": int,
     "effort": int,
@@ -88,8 +87,6 @@ def check_report(r):
         raise AssertionError(f"unknown kind {r['kind']!r}")
     if r["status"] not in ("ok", "err"):
         raise AssertionError(f"unknown status {r['status']!r}")
-    if r["class"] not in ("interactive", "batch", "bulk"):
-        raise AssertionError(f"unknown priority class {r['class']!r}")
     if r["queue_ns"] < 0:
         raise AssertionError(f"negative queue_ns: {r['queue_ns']!r}")
     if r["status"] == "err" and not isinstance(r.get("error"), str):
@@ -166,7 +163,6 @@ def sample():
         "kind": "kernel",
         "source": "gemm",
         "status": "ok",
-        "class": "interactive",
         "queue_ns": 700,
         "ts_ms": 1,
         "effort": 1,
@@ -205,8 +201,6 @@ def self_test():
     bad = [
         mutate(id=None),  # missing required field
         mutate(status="maybe"),  # unknown status
-        mutate(**{"class": "vip"}),  # unknown priority class
-        mutate(**{"class": None}),  # missing priority class
         mutate(queue_ns=-1),  # negative queue wait
         mutate(queue_ns=None),  # missing queue wait
         mutate(status="err"),  # err without error message

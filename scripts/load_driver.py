@@ -1,15 +1,14 @@
 #!/usr/bin/env python3
-"""Drive a running codegend with a concurrent mixed-priority job load.
+"""Drive a running codegend with a concurrent job load.
 
 Usage: load_driver.py [--port PORT] [--jobs N] [--concurrency C]
-                      [--clients K] [--batch-share PCT]
+                      [--batch-share PCT]
 
-Submits N line-protocol jobs from C concurrent connections spread over K
-client identities, mixing the three priority classes (60% interactive,
-30% batch, 10% bulk by default weight) and folding a share of the batch
-traffic into multi-space `batch` requests so the queue sees both unit-
-and N-cost entries. Ad-hoc iteration spaces are drawn from a small
-rotation of parametric sets, so each job is real solver work but bounded.
+Submits N line-protocol jobs from C concurrent connections, folding a
+share of them into multi-space `batch` requests so the queue sees both
+single-space and multi-space entries. Ad-hoc iteration spaces are drawn
+from a small rotation of parametric sets, so each job is real solver
+work but bounded.
 
 Shed replies (`busy ...`) are an expected answer under load, not a
 failure: they are counted and reported, and the exit status reflects
@@ -17,8 +16,8 @@ only protocol failures (malformed replies, truncated bodies, socket
 errors) and `err` replies. CI asserts the shed *rate* separately from
 the scraped /metrics via check_metrics.py --assert.
 
-The deterministic seed makes a given (jobs, concurrency, clients)
-configuration replayable.
+The deterministic seed makes a given (jobs, concurrency) configuration
+replayable.
 """
 
 import argparse
@@ -35,9 +34,6 @@ SPACES = (
     "[n] -> { [i,j] : 0 <= i < n and 0 <= j < n and i + j < n }",
     "[n,m] -> { [i,j] : 0 <= i < n and 0 <= j < m }",
 )
-
-# (class tag, weight): the interactive-heavy mix of a shared deployment.
-CLASS_MIX = (("interactive", 6), ("batch", 3), ("bulk", 1))
 
 
 def read_reply(f):
@@ -62,36 +58,20 @@ def read_reply(f):
 
 
 def job_lines(args):
-    """The full job list, pre-shuffled: (line, priority class, replies)."""
+    """The full job list, pre-shuffled: (line, replies)."""
     rng = random.Random(args.seed)
-    classes = [c for c, w in CLASS_MIX for _ in range(w)]
     jobs = []
     i = 0
     while i < args.jobs:
-        prio = rng.choice(classes)
-        client = f"c{rng.randrange(args.clients)}"
-        if prio == "batch" and rng.random() < args.batch_share / 100.0:
-            # One batch request carrying several spaces: costs its space
-            # count in the queue, streams one reply per space.
+        if rng.random() < args.batch_share / 100.0:
+            # One batch request carrying several spaces: one queue slot,
+            # one reply per space.
             count = rng.randint(2, 6)
             spaces = " ; ".join(rng.choice(SPACES) for _ in range(count))
-            jobs.append(
-                (
-                    f"batch id=ld-{i} prio=batch client={client} space={spaces}",
-                    prio,
-                    count,
-                )
-            )
+            jobs.append((f"batch id=ld-{i} space={spaces}", count))
             i += count
         else:
-            space = rng.choice(SPACES)
-            jobs.append(
-                (
-                    f"gen id=ld-{i} prio={prio} client={client} space={space}",
-                    prio,
-                    1,
-                )
-            )
+            jobs.append((f"gen id=ld-{i} space={rng.choice(SPACES)}", 1))
             i += 1
     rng.shuffle(jobs)
     return jobs
@@ -102,12 +82,11 @@ def main() -> None:
     ap.add_argument("--port", type=int, default=7077)
     ap.add_argument("--jobs", type=int, default=2000, help="total job count")
     ap.add_argument("--concurrency", type=int, default=64)
-    ap.add_argument("--clients", type=int, default=16)
     ap.add_argument(
         "--batch-share",
         type=float,
-        default=50.0,
-        help="%% of batch-class traffic folded into multi-space requests",
+        default=15.0,
+        help="%% of requests sent as multi-space batch requests",
     )
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args()
@@ -115,7 +94,7 @@ def main() -> None:
     jobs = job_lines(args)
     cursor = [0]
     lock = threading.Lock()
-    tally = collections.Counter()  # (class, status) -> replies
+    tally = collections.Counter()  # status -> replies
     failures = []
 
     def worker() -> None:
@@ -129,26 +108,21 @@ def main() -> None:
             with lock:
                 if cursor[0] >= len(jobs):
                     return
-                line, prio, replies = jobs[cursor[0]]
+                line, replies = jobs[cursor[0]]
                 cursor[0] += 1
             try:
                 s.sendall((line + "\n").encode())
                 status, header = read_reply(f)
-                if status == "busy":
-                    # One shed reply answers the whole request, batch or
-                    # not: count it as one shed request.
+                # A batch acknowledgment precedes its per-space replies;
+                # one shed reply answers the whole request, batch or not.
+                if status == "batch":
+                    for _ in range(replies):
+                        status, header = read_reply(f)
+                        with lock:
+                            tally[status] += 1
+                else:
                     with lock:
-                        tally[(prio, "busy")] += 1
-                    continue
-                # A batch acknowledgment precedes its per-space replies.
-                expect = replies if status == "batch" else 0
-                if status != "batch":
-                    with lock:
-                        tally[(prio, status)] += 1
-                for _ in range(expect):
-                    status, header = read_reply(f)
-                    with lock:
-                        tally[(prio, status)] += 1
+                        tally[status] += 1
                 if status == "bad":
                     failures.append(header)
                     return
@@ -166,19 +140,17 @@ def main() -> None:
 
     total = sum(tally.values())
     print(f"{total} replies in {elapsed:.2f}s ({total / max(elapsed, 1e-9):.0f}/s)")
-    for prio, _ in CLASS_MIX:
-        row = {st: tally.get((prio, st), 0) for st in ("ok", "err", "busy", "bad")}
-        print(
-            f"  {prio:>11}: ok={row['ok']} err={row['err']} "
-            f"shed={row['busy']} bad={row['bad']}"
-        )
-    errs = sum(v for (_, st), v in tally.items() if st in ("err", "bad"))
+    print(
+        f"  ok={tally['ok']} err={tally['err']} "
+        f"shed={tally['busy']} bad={tally['bad']}"
+    )
+    errs = tally["err"] + tally["bad"]
     if failures or errs:
         for msg in failures[:20]:
             print(f"failure: {msg}", file=sys.stderr)
         sys.exit(f"{errs} bad replies, {len(failures)} connection failures")
-    if tally.get(("interactive", "ok"), 0) == 0:
-        sys.exit("no interactive job completed — the load never ran?")
+    if tally["ok"] == 0:
+        sys.exit("no job completed — the load never ran?")
 
 
 if __name__ == "__main__":
