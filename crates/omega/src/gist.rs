@@ -186,7 +186,7 @@ fn gist_conjunct_uncached(a: &Conjunct, ctx: &Conjunct) -> Conjunct {
 
     // Greedy redundancy elimination for local-free rows: drop each row
     // implied by ctx ∧ (other kept rows of a) ∧ (existential part kept).
-    // The test system is built once; each candidate row is swapped for its
+    // The test system is one probe; each candidate row is swapped for its
     // negation in place instead of re-intersecting per row.
     let mut kept: Vec<Row> = pending_local_free;
     let base = ctx_simpl.intersect(&result);
@@ -196,59 +196,41 @@ fn gist_conjunct_uncached(a: &Conjunct, ctx: &Conjunct) -> Conjunct {
         kept.clear();
     }
     let width = base.ncols();
-    let n_vars = width - 1;
-    let mut sys: Vec<Row> = base.rows().to_vec();
-    let fixed = sys.len();
-    for r in &kept {
+    let widen = |r: &Row| {
         let mut c = r.c[..named].to_vec();
         c.resize(width, 0);
-        sys.push(Row::new(r.kind, c));
-    }
+        c
+    };
+    let mut sys: Vec<Row> = base.rows().to_vec();
+    let fixed = sys.len();
+    sys.extend(kept.iter().map(|r| Row::new(r.kind, widen(r))));
+    let mut probe = crate::sat::Probe::new(sys, width - 1);
     let mut i = 0;
     while i < kept.len() {
         let slot = fixed + i;
-        let implied = match sys[slot].kind {
-            ConstraintKind::Geq => {
-                let orig = sys[slot].clone();
-                // An unnegatable row (i64-extremal coefficients) is simply
-                // kept: treating the implication as undecided is sound.
-                match crate::sat::negate_geq(&orig.c) {
-                    Some(neg) => {
-                        sys[slot] = Row::new(ConstraintKind::Geq, neg);
-                        let implied = !crate::sat::rows_satisfiable(&sys, n_vars);
-                        sys[slot] = orig;
-                        implied
-                    }
-                    None => false,
-                }
-            }
+        let c = widen(&kept[i]);
+        let mut unsat_with =
+            |c: Vec<i64>| !probe.sat_swapped(slot, Row::new(ConstraintKind::Geq, c));
+        // An unnegatable row (i64-extremal coefficients) is simply kept:
+        // treating the implication as undecided is sound.
+        let implied = match kept[i].kind {
+            ConstraintKind::Geq => crate::sat::negate_geq(&c).is_some_and(&mut unsat_with),
             ConstraintKind::Eq => {
                 // row = 0 is implied iff neither strict side intersects.
-                let orig = sys[slot].clone();
-                let strict_lower = orig.c[0].checked_sub(1).map(|c0| {
-                    let mut c1 = orig.c.clone();
+                let strict_lower = c[0].checked_sub(1).map(|c0| {
+                    let mut c1 = c.clone();
                     c1[0] = c0;
                     c1
                 });
-                let implied = match (strict_lower, crate::sat::negate_geq(&orig.c)) {
-                    (Some(c1), Some(c2)) => {
-                        sys[slot] = Row::new(ConstraintKind::Geq, c1);
-                        let mut implied = !crate::sat::rows_satisfiable(&sys, n_vars);
-                        if implied {
-                            sys[slot] = Row::new(ConstraintKind::Geq, c2);
-                            implied = !crate::sat::rows_satisfiable(&sys, n_vars);
-                        }
-                        implied
-                    }
+                match (strict_lower, crate::sat::negate_geq(&c)) {
+                    (Some(c1), Some(c2)) => unsat_with(c1) && unsat_with(c2),
                     _ => false,
-                };
-                sys[slot] = orig;
-                implied
+                }
             }
         };
         if implied {
             kept.remove(i);
-            sys.remove(slot);
+            probe.remove(slot);
         } else {
             i += 1;
         }
@@ -269,32 +251,29 @@ pub(crate) fn drop_self_redundant(c: &Conjunct) -> Conjunct {
         return c.clone();
     }
     let mut out = c.clone();
-    let n_vars = out.ncols() - 1;
-    // In-place candidate swap: negate row i, test, restore or remove.
+    // In-place candidate swap: negate row i, test, keep or remove.
     // Inequality rows only; equalities and congruences carry structural
     // information the scanner wants to keep.
-    let mut sys: Vec<Row> = out.rows().to_vec();
+    let mut probe = crate::sat::Probe::new(out.rows().to_vec(), out.ncols() - 1);
+    let rows = out.rows_mut();
     let mut i = 0;
-    while i < sys.len() {
-        if sys[i].kind != ConstraintKind::Geq {
+    while i < rows.len() {
+        if rows[i].kind != ConstraintKind::Geq {
             i += 1;
             continue;
         }
-        let orig = sys[i].clone();
-        let Some(neg) = crate::sat::negate_geq(&orig.c) else {
+        let Some(neg) = crate::sat::negate_geq(&rows[i].c) else {
             // Unnegatable row: keep it (sound — dropping needs proof).
             i += 1;
             continue;
         };
-        sys[i] = Row::new(ConstraintKind::Geq, neg);
-        if crate::sat::rows_satisfiable(&sys, n_vars) {
-            sys[i] = orig;
+        if probe.sat_swapped(i, Row::new(ConstraintKind::Geq, neg)) {
             i += 1;
         } else {
-            sys.remove(i);
+            rows.remove(i);
+            probe.remove(i);
         }
     }
-    *out.rows_mut() = sys;
     out
 }
 

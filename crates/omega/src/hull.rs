@@ -4,6 +4,7 @@
 use crate::conjunct::{Conjunct, Row};
 use crate::linexpr::ConstraintKind;
 use crate::num;
+use crate::sat::Probe;
 use crate::set::Set;
 
 /// Computes an approximate hull: a single conjunct containing every point of
@@ -54,25 +55,25 @@ pub(crate) fn hull(s: &Set) -> Conjunct {
     candidates.sort();
     candidates.dedup();
 
-    // One scratch system per live conjunct, with a reserved trailing slot
-    // for the negated candidate: each implication test is then a single
-    // row overwrite plus a satisfiability query instead of a conjunct
+    // One probe per live conjunct, with a reserved trailing slot (holding
+    // `0 ≥ 0`) for the negated candidate: each implication test is then a
+    // single row swap plus a satisfiability query instead of a conjunct
     // clone per (conjunct, candidate) pair.
-    let tests: Vec<(Vec<Row>, usize)> = live
+    let tests: Vec<Probe> = live
         .iter()
         .map(|c| {
             let n_vars = c.ncols() - 1;
             let mut sys = c.rows().to_vec();
             sys.push(Row::new(ConstraintKind::Geq, vec![0; 1 + n_vars]));
-            (sys, n_vars)
+            Probe::new(sys, n_vars)
         })
         .collect();
-    // Candidate tests are independent of each other (each only overwrites
-    // its scratch slot), so with an intra-query thread budget they fan out
+    // Candidate tests are independent of each other (each swap restores
+    // its slot), so with an intra-query thread budget they fan out
     // in fixed-size chunks — chunk boundaries don't depend on the budget,
     // and the flag vector is joined in candidate order, so the hull is
-    // byte-identical at every thread count. Each worker clones the scratch
-    // systems once per chunk; sequential runs keep the zero-clone loop.
+    // byte-identical at every thread count. Each worker clones the probes
+    // once per chunk; sequential runs keep the zero-clone loop.
     // Traced runs also keep it: the chunk decision reads the intra budget,
     // which CodeGen derives from its thread count, so letting it shape the
     // recorded spans would break trace-shape thread-count invariance
@@ -123,19 +124,17 @@ pub(crate) fn hull(s: &Set) -> Conjunct {
     out
 }
 
-/// Is the candidate inequality implied by every scratch system? (Each test
-/// overwrites the reserved trailing slot with the negated candidate and
-/// asks for unsatisfiability.) An unnegatable candidate (i64-extremal
-/// coefficients) is dropped: the hull only shrinks toward the bounding
-/// box, which is sound.
-fn implied_by_all(tests: &mut [(Vec<Row>, usize)], cand: &[i64]) -> bool {
+/// Is the candidate inequality implied by every test system? (Each test
+/// swaps the reserved trailing slot for the negated candidate and asks for
+/// unsatisfiability.) An unnegatable candidate (i64-extremal coefficients)
+/// is dropped: the hull only shrinks toward the bounding box, which is
+/// sound.
+fn implied_by_all(tests: &mut [Probe], cand: &[i64]) -> bool {
     crate::sat::negate_geq(cand).is_some_and(|neg| {
-        tests.iter_mut().all(|(sys, n_vars)| {
-            let slot = sys.len() - 1;
+        tests.iter_mut().all(|probe| {
             let mut neg = neg.clone();
-            neg.resize(1 + *n_vars, 0);
-            sys[slot] = Row::new(ConstraintKind::Geq, neg);
-            !crate::sat::rows_satisfiable(sys, *n_vars)
+            neg.resize(1 + probe.n_vars(), 0);
+            !probe.sat_swapped(probe.len() - 1, Row::new(ConstraintKind::Geq, neg))
         })
     })
 }

@@ -49,27 +49,19 @@ pub(crate) fn rows_satisfiable(rows: &[Row], n_vars: usize) -> bool {
     // normality (gcd 1), and accumulates the cache fingerprint lanes — so
     // the warm path touches every coefficient exactly once before the
     // cache probe instead of three times (constant scan, gcd scan, hash).
-    let mut s1: u64 = 0;
-    let mut s2: u64 = 0x9e37_79b9_7f4a_7c15;
-    let mut n: u64 = 0;
+    let mut sum = KeySum::EMPTY;
     let mut normal = true;
     for r in rows {
         debug_assert_eq!(r.c.len(), 1 + n_vars);
-        let mut h1: u64 = 0xcbf2_9ce4_8422_2325 ^ (r.kind as u64);
-        let mut h2: u64 = 0x517c_c1b7_2722_0a95 ^ (r.kind as u64).rotate_left(32);
+        let mut h = RowHash::new(r.kind);
         let mut it = r.c.iter();
-        let &c0 = it.next().expect("row has a constant column");
-        h1 = (h1 ^ c0 as u64).wrapping_mul(0x100_0000_01b3);
-        h2 = (h2.rotate_left(29) ^ (c0 as u64).wrapping_mul(0xff51_afd7_ed55_8ccd))
-            .wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        h.mix(*it.next().expect("row has a constant column"));
         let mut g = 0;
         for &x in it {
             if g != 1 {
                 g = num::gcd(g, x);
             }
-            h1 = (h1 ^ x as u64).wrapping_mul(0x100_0000_01b3);
-            h2 = (h2.rotate_left(29) ^ (x as u64).wrapping_mul(0xff51_afd7_ed55_8ccd))
-                .wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+            h.mix(x);
         }
         if g == 0 {
             // All variable coefficients are zero: a constant row. Decided
@@ -83,17 +75,15 @@ pub(crate) fn rows_satisfiable(rows: &[Row], n_vars: usize) -> bool {
             normal = false;
             break;
         }
-        s1 = s1.wrapping_add(splitmix(h1));
-        s2 = s2.wrapping_add(splitmix(h2 ^ 0x94d0_49bb_1331_11eb));
-        n += 1;
+        sum.add(h.finish());
     }
     if normal {
-        if n == 0 {
+        if sum.n == 0 {
             return true; // every row was a (true) constant
         }
-        let key = (splitmix(s1 ^ n), splitmix(s2.wrapping_add(n)));
+        let key = sum.key();
         debug_assert_eq!(key, cache_key(rows));
-        return satisfiable_with_key(rows, n_vars, key);
+        return satisfiable_with_key(rows, n_vars, key, tier::tier0);
     }
     let mut work: Vec<Row> = Vec::with_capacity(rows.len());
     for r in rows {
@@ -109,21 +99,199 @@ pub(crate) fn rows_satisfiable(rows: &[Row], n_vars: usize) -> bool {
         }
         work.push(r);
     }
-    satisfiable_normalized(&work, n_vars)
-}
-
-/// Pipeline behind the normalization check: `rows` are normalized but may
-/// still contain (true) constant rows and duplicates, in any order.
-fn satisfiable_normalized(rows: &[Row], n_vars: usize) -> bool {
-    if rows.iter().all(|r| r.is_constant()) {
+    if work.is_empty() {
         return true;
     }
-    satisfiable_with_key(rows, n_vars, cache_key(rows))
+    satisfiable_with_key(&work, n_vars, cache_key(&work), tier::tier0)
+}
+
+/// One base system asked "is it satisfiable with row `slot` swapped for
+/// `row`?" once per row: the shape of gist's redundancy loop,
+/// [`crate::gist::drop_self_redundant`] and the hull's candidate tests.
+///
+/// Asked through [`rows_satisfiable`], every such probe would re-hash all
+/// rows and re-run tier 0's pairwise scan on a system that differs from
+/// the previous one in a single row. The probe keeps what the swapped
+/// systems share: each base row's fingerprint lane (the summand
+/// [`cache_key`] adds) and their sum, and whether tier 0 finds the base
+/// clean. A swap then costs O(cols) of key work, and on a clean base
+/// tier 0 checks only the new row's term ([`tier::tier0_against`]) —
+/// every other term's rows are a subset of the clean base's. Past that a
+/// probe runs the same pipeline, with the same counters, spans and cache
+/// entries, as [`rows_satisfiable`] on the swapped system. Like that
+/// pipeline, a probe runs no tier 0 until a query misses the cache: the
+/// base's cleanliness is learned at the first miss.
+#[derive(Clone)]
+pub(crate) struct Probe {
+    /// The base rows, normalized (a row normalization proves false is
+    /// kept as given: it only ever makes a probe answer `false`).
+    rows: Vec<Row>,
+    /// What each base row contributes to a probe, by slot.
+    lanes: Vec<Lane>,
+    /// Sum of the base rows' fingerprint lanes.
+    sum: KeySum,
+    /// Base rows that normalization proves false.
+    false_rows: usize,
+    n_vars: usize,
+    /// Does tier 0 answer `Unknown` on the base rows? `None` until a probe
+    /// first misses the cache.
+    clean: Option<bool>,
+}
+
+/// A row's part in a probe's verdict and fingerprint.
+#[derive(Clone, Copy)]
+enum Lane {
+    /// A non-constant normalized row and its fingerprint lane.
+    Term((u64, u64)),
+    /// A constant row that holds: no effect on the verdict or the key.
+    True,
+    /// A row that normalization proves false: the system is unsat.
+    False,
+}
+
+impl Lane {
+    /// Normalizes `r` in place and classifies it.
+    fn of(r: &mut Row) -> Lane {
+        if !r.normalize() {
+            Lane::False
+        } else if r.is_constant() {
+            Lane::True
+        } else {
+            Lane::Term(RowHash::lane(r))
+        }
+    }
+}
+
+impl Probe {
+    /// A probe over `rows`, each with `1 + n_vars` columns.
+    pub(crate) fn new(mut rows: Vec<Row>, n_vars: usize) -> Probe {
+        let mut sum = KeySum::EMPTY;
+        let mut false_rows = 0;
+        let lanes: Vec<Lane> = rows
+            .iter_mut()
+            .map(|r| {
+                debug_assert_eq!(r.c.len(), 1 + n_vars);
+                let lane = Lane::of(r);
+                match lane {
+                    Lane::Term(l) => sum.add(l),
+                    Lane::False => false_rows += 1,
+                    Lane::True => {}
+                }
+                lane
+            })
+            .collect();
+        Probe {
+            rows,
+            lanes,
+            sum,
+            false_rows,
+            n_vars,
+            clean: None,
+        }
+    }
+
+    /// Number of base rows.
+    pub(crate) fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Variable columns of every row.
+    pub(crate) fn n_vars(&self) -> usize {
+        self.n_vars
+    }
+
+    /// Is the base with row `slot` replaced by `row` satisfiable? Equal
+    /// to [`rows_satisfiable`] on that system, with the same side effects;
+    /// the base is unchanged afterwards.
+    pub(crate) fn sat_swapped(&mut self, slot: usize, mut row: Row) -> bool {
+        debug_assert_eq!(row.c.len(), 1 + self.n_vars);
+        let lane = Lane::of(&mut row);
+        let key = match self.swapped_key(slot, lane) {
+            Ok(key) => key,
+            Err(decided) => return decided,
+        };
+        let old_row = std::mem::replace(&mut self.rows[slot], row);
+        debug_assert_eq!(key, cache_key(&self.rows));
+        let clean = &mut self.clean;
+        let sat = satisfiable_with_key(&self.rows, self.n_vars, key, |rows| {
+            swapped_tier0(clean, rows, slot, &old_row)
+        });
+        self.rows[slot] = old_row;
+        sat
+    }
+
+    /// The fingerprint of the base with row `slot` swapped for a row with
+    /// `lane`, in O(1) — or the verdict, when a false row or nothing but
+    /// true constants decide the swapped system before any tier.
+    fn swapped_key(&self, slot: usize, lane: Lane) -> Result<(u64, u64), bool> {
+        let old = self.lanes[slot];
+        if self.false_rows + matches!(lane, Lane::False) as usize
+            > matches!(old, Lane::False) as usize
+        {
+            return Err(false);
+        }
+        let mut sum = self.sum;
+        if let Lane::Term(l) = old {
+            sum.sub(l);
+        }
+        if let Lane::Term(l) = lane {
+            sum.add(l);
+        }
+        if sum.n == 0 {
+            return Err(true);
+        }
+        Ok(sum.key())
+    }
+
+    /// Drops row `slot` from the base (an implied row, once a probe has
+    /// shown it redundant); later slots shift down by one.
+    pub(crate) fn remove(&mut self, slot: usize) {
+        self.rows.remove(slot);
+        match self.lanes.remove(slot) {
+            Lane::Term(l) => self.sum.sub(l),
+            Lane::False => self.false_rows -= 1,
+            Lane::True => {}
+        }
+        // A subset of a clean base is clean; an unclean one may have lost
+        // the clashing row.
+        if self.clean == Some(false) {
+            self.clean = Some(tier::tier0(&self.rows) == Verdict::Unknown);
+        }
+    }
+}
+
+/// Tier 0 on `rows`, a probe's base with row `slot` swapped out for
+/// `rows[slot]` (`old` is the base row), given whether the base is
+/// `clean` — learned here, from the rows the two systems share, when not
+/// yet known.
+fn swapped_tier0(clean: &mut Option<bool>, rows: &[Row], slot: usize, old: &Row) -> Verdict {
+    match *clean {
+        Some(true) => {}
+        Some(false) => return tier::tier0(rows),
+        None => {
+            // The base is clean iff the shared rows are and the row
+            // swapped out does not clash with them. If the shared rows
+            // clash, so does this system, which contains them.
+            let shared = tier::tier0_without(rows, Some(slot)) == Verdict::Unknown;
+            *clean = Some(shared && tier::tier0_against(old, rows, slot) == Verdict::Unknown);
+            if !shared {
+                return Verdict::Unsat;
+            }
+        }
+    }
+    tier::tier0_against(&rows[slot], rows, slot)
 }
 
 /// The tiered pipeline proper, entered with the system's fingerprint
-/// already in hand (computed during the caller's coefficient scan).
-fn satisfiable_with_key(rows: &[Row], n_vars: usize, key: (u64, u64)) -> bool {
+/// already in hand. `rows` are normalized and may contain true constant
+/// rows and duplicates, in any order. `tier0` is tier 0 on `rows`, or an
+/// equivalent shortcut the caller can prove exact.
+fn satisfiable_with_key(
+    rows: &[Row],
+    n_vars: usize,
+    key: (u64, u64),
+    tier0: impl FnOnce(&[Row]) -> Verdict,
+) -> bool {
     let span = crate::span!(sat_query, rows = rows.len(), vars = n_vars);
     // The cache sits *before* tiers 0 and 1 and stores their verdicts too:
     // on the warm path (scanning re-asks the same queries constantly) a
@@ -136,21 +304,16 @@ fn satisfiable_with_key(rows: &[Row], n_vars: usize, key: (u64, u64)) -> bool {
         return hit;
     }
     bump!(cache_misses);
-    if tier::tier0(rows) == Verdict::Unsat {
+    if tier0(rows) == Verdict::Unsat {
         bump!(tier0_unsat);
         cache::SAT.insert(key, false);
         span.attr("tier", "tier0");
         span.attr("sat", false);
         return false;
     }
-    // Miss: build the canonical (sorted, deduplicated) system. Determinism
-    // across thread counts requires the *solver input* to be a pure
-    // function of the fingerprinted multiset — the solver's budget cutoff
-    // is order-sensitive even though exact verdicts are not.
-    let mut work: Vec<Row> = rows.iter().filter(|r| !r.is_constant()).cloned().collect();
-    work.sort_by(|a, b| (a.kind as u8, &a.c).cmp(&(b.kind as u8, &b.c)));
-    work.dedup();
-    let result = match tier::tier1(&work, 1 + n_vars) {
+    // Tier 1 reads the borrowed rows: its definite answers are exact in
+    // any row order, and constant rows and duplicates change nothing.
+    let result = match tier::tier1(rows, 1 + n_vars) {
         Verdict::Unsat => {
             bump!(tier1_unsat);
             span.attr("tier", "tier1");
@@ -175,6 +338,14 @@ fn satisfiable_with_key(rows: &[Row], n_vars: usize, key: (u64, u64)) -> bool {
                 span.attr("sat", hit);
                 break 'tier2 hit;
             }
+            // Only tier 2 needs the canonical (sorted, deduplicated)
+            // system. Determinism across thread counts requires the
+            // *solver input* to be a pure function of the fingerprinted
+            // multiset — the solver's budget cutoff is order-sensitive
+            // even though exact verdicts are not.
+            let mut work: Vec<Row> = rows.iter().filter(|r| !r.is_constant()).cloned().collect();
+            work.sort_by(|a, b| (a.kind as u8, &a.c).cmp(&(b.kind as u8, &b.c)));
+            work.dedup();
             // Tier 2: the exact Omega test. The per-query call tree is a
             // *detached* trace root keyed by the cache fingerprint —
             // which thread or phase happens to ask a cold query first is
@@ -269,25 +440,82 @@ pub(crate) fn exact_satisfiable(rows: &[Row], n_vars: usize) -> bool {
 /// capacity. The key depends only on the rows, so it is stable across
 /// processes and also keys the persistent tier ([`crate::persist`]).
 fn cache_key(rows: &[Row]) -> (u64, u64) {
-    let mut s1: u64 = 0;
-    let mut s2: u64 = 0x9e37_79b9_7f4a_7c15;
-    let mut n: u64 = 0;
-    for r in rows {
-        if r.is_constant() {
-            continue;
-        }
-        let mut h1: u64 = 0xcbf2_9ce4_8422_2325 ^ (r.kind as u64);
-        let mut h2: u64 = 0x517c_c1b7_2722_0a95 ^ (r.kind as u64).rotate_left(32);
-        for &x in &r.c {
-            h1 = (h1 ^ x as u64).wrapping_mul(0x100_0000_01b3);
-            h2 = (h2.rotate_left(29) ^ (x as u64).wrapping_mul(0xff51_afd7_ed55_8ccd))
-                .wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-        }
-        s1 = s1.wrapping_add(splitmix(h1));
-        s2 = s2.wrapping_add(splitmix(h2 ^ 0x94d0_49bb_1331_11eb));
-        n += 1;
+    let mut sum = KeySum::EMPTY;
+    for r in rows.iter().filter(|r| !r.is_constant()) {
+        sum.add(RowHash::lane(r));
     }
-    (splitmix(s1 ^ n), splitmix(s2.wrapping_add(n)))
+    sum.key()
+}
+
+/// Running hash of one row's kind and coefficients; [`RowHash::finish`]
+/// gives the row's lane, its summand in the fingerprint.
+struct RowHash(u64, u64);
+
+impl RowHash {
+    #[inline]
+    fn new(kind: ConstraintKind) -> RowHash {
+        RowHash(
+            0xcbf2_9ce4_8422_2325 ^ (kind as u64),
+            0x517c_c1b7_2722_0a95 ^ (kind as u64).rotate_left(32),
+        )
+    }
+
+    #[inline]
+    fn mix(&mut self, x: i64) {
+        self.0 = (self.0 ^ x as u64).wrapping_mul(0x100_0000_01b3);
+        self.1 = (self.1.rotate_left(29) ^ (x as u64).wrapping_mul(0xff51_afd7_ed55_8ccd))
+            .wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    }
+
+    #[inline]
+    fn finish(self) -> (u64, u64) {
+        (splitmix(self.0), splitmix(self.1 ^ 0x94d0_49bb_1331_11eb))
+    }
+
+    /// The lane of a whole row.
+    fn lane(r: &Row) -> (u64, u64) {
+        let mut h = RowHash::new(r.kind);
+        for &x in &r.c {
+            h.mix(x);
+        }
+        h.finish()
+    }
+}
+
+/// The order-free part of the fingerprint: a wrapping sum of row lanes
+/// and their count, so a row can be taken out again.
+#[derive(Clone, Copy)]
+struct KeySum {
+    s1: u64,
+    s2: u64,
+    n: u64,
+}
+
+impl KeySum {
+    const EMPTY: KeySum = KeySum {
+        s1: 0,
+        s2: 0x9e37_79b9_7f4a_7c15,
+        n: 0,
+    };
+
+    fn add(&mut self, (l1, l2): (u64, u64)) {
+        self.s1 = self.s1.wrapping_add(l1);
+        self.s2 = self.s2.wrapping_add(l2);
+        self.n += 1;
+    }
+
+    fn sub(&mut self, (l1, l2): (u64, u64)) {
+        self.s1 = self.s1.wrapping_sub(l1);
+        self.s2 = self.s2.wrapping_sub(l2);
+        self.n -= 1;
+    }
+
+    fn key(self) -> (u64, u64) {
+        (
+            splitmix(self.s1 ^ self.n),
+            splitmix(self.s2.wrapping_add(self.n)),
+        )
+    }
 }
 
 /// Final avalanche (splitmix64), so structured coefficient patterns do not
@@ -301,7 +529,7 @@ fn splitmix(mut z: u64) -> u64 {
 
 /// The exact Omega test under a [`Limits`] governor. Every limit trip and
 /// every arithmetic overflow surfaces as a structured [`OmegaError`];
-/// `satisfiable_normalized` catches it at the query boundary and degrades
+/// `satisfiable_with_key` catches it at the query boundary and degrades
 /// to the conservative "satisfiable" — sound for every caller in this
 /// crate (emptiness pruning keeps more pieces; implication checks keep
 /// more constraints — the generated code is merely more conservative,
@@ -718,6 +946,85 @@ pub(crate) fn negate_geq(c: &[i64]) -> Option<Vec<i64>> {
     }
     neg[0] = neg[0].checked_sub(1)?;
     Some(neg)
+}
+
+/// Differential suite for [`Probe`]: over random bases (unnormalized and
+/// constant rows included), swap slots, replacement rows and removal
+/// sequences, a probe answers exactly like the plain Omega test on the
+/// swapped system, keys it like [`cache_key`], and its tier-0 shortcut
+/// agrees with tier 0 on the swapped system.
+#[cfg(test)]
+mod probe_differential {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Small rows over three variables, as generated (not normalized).
+    fn raw_row() -> impl Strategy<Value = Row> {
+        (
+            prop::bool::weighted(0.7),
+            -9i64..=9,
+            -4i64..=4,
+            -4i64..=4,
+            -4i64..=4,
+        )
+            .prop_map(|(geq, c0, a, b, c)| {
+                let kind = if geq {
+                    ConstraintKind::Geq
+                } else {
+                    ConstraintKind::Eq
+                };
+                Row::new(kind, vec![c0, a, b, c])
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn probe_matches_exact_on_every_swap(
+            base in prop::collection::vec(raw_row(), 1..8),
+            ops in prop::collection::vec((0usize..8, raw_row(), prop::bool::weighted(0.3)), 1..8),
+        ) {
+            let mut base = base;
+            let mut probe = Probe::new(base.clone(), 3);
+            for (pick, row, remove) in ops {
+                if base.is_empty() {
+                    break;
+                }
+                let slot = pick % base.len();
+                let mut swapped = base.clone();
+                swapped[slot] = row.clone();
+                let exact = exact_satisfiable(&swapped, 3);
+                let mut normal = row.clone();
+                let lane = Lane::of(&mut normal);
+                match probe.swapped_key(slot, lane) {
+                    Ok(key) => {
+                        let mut rows = probe.rows.clone();
+                        rows[slot] = normal;
+                        prop_assert_eq!(key, cache_key(&rows), "key of {:?}", swapped);
+                        // The tier-0 shortcut, whether the base's
+                        // cleanliness is already known or learned now.
+                        let clean = tier::tier0(&probe.rows) == Verdict::Unknown;
+                        prop_assert!(probe.clean.is_none_or(|c| c == clean), "{:?}", probe.rows);
+                        for mut known in [None, probe.clean] {
+                            prop_assert_eq!(
+                                swapped_tier0(&mut known, &rows, slot, &probe.rows[slot]),
+                                tier::tier0(&rows),
+                                "tier 0 on {:?}", rows
+                            );
+                            prop_assert_eq!(known, Some(clean), "base {:?}", probe.rows);
+                        }
+                    }
+                    Err(decided) => prop_assert_eq!(decided, exact, "{:?}", swapped),
+                }
+                prop_assert_eq!(probe.sat_swapped(slot, row), exact, "{:?}", swapped);
+                if remove {
+                    base.remove(slot);
+                    probe.remove(slot);
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]

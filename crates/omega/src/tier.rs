@@ -55,11 +55,27 @@ const MAX_ROUNDS: usize = 16;
 /// pairwise scan beats building a hash map; large systems fall back to the
 /// hashed single pass.
 pub(crate) fn tier0(rows: &[Row]) -> Verdict {
-    if rows.len() <= PAIRWISE_LIMIT {
-        tier0_pairwise(rows)
-    } else {
-        tier0_hashed(rows)
+    tier0_without(rows, None)
+}
+
+/// [`tier0`] on `rows` without `rows[skip]`, when given.
+pub(crate) fn tier0_without(rows: &[Row], skip: Option<usize>) -> Verdict {
+    let kept = |from: usize| {
+        rows.iter()
+            .enumerate()
+            .skip(from)
+            .filter(move |&(k, _)| Some(k) != skip)
+            .map(|(_, r)| r)
+    };
+    if rows.len() > PAIRWISE_LIMIT {
+        return tier0_hashed(kept(0));
     }
+    for (i, a) in rows.iter().enumerate() {
+        if Some(i) != skip && clashes(a, kept(i + 1)) {
+            return Verdict::Unsat;
+        }
+    }
+    Verdict::Unknown
 }
 
 const PAIRWISE_LIMIT: usize = 24;
@@ -96,32 +112,47 @@ fn same_term(a: &Row, sa: i64, b: &Row, sb: i64) -> bool {
     }
 }
 
-fn tier0_pairwise(rows: &[Row]) -> Verdict {
-    for (i, a) in rows.iter().enumerate() {
-        let Some(sa) = term_sign(a) else { continue };
-        let (mut lo, mut hi) = term_bounds(a, sa);
-        for b in &rows[i + 1..] {
-            let Some(sb) = term_sign(b) else { continue };
-            if !same_term(a, sa, b, sb) {
-                continue;
-            }
-            let (bl, bh) = term_bounds(b, sb);
-            lo = lo.max(bl);
-            hi = hi.min(bh);
-            if lo > hi {
-                return Verdict::Unsat;
-            }
-        }
+/// Tier 0 restricted to the term of `row`: do its bounds clash with those
+/// of the rows of `rows` other than `rows[skip]` on the same term? With
+/// `row = rows[skip]` this equals [`tier0`] on `rows` whenever the other
+/// rows are clean under tier 0, because every other term's rows are then
+/// a subset of a clean system. O(n) instead of tier 0's O(n²) pairwise
+/// scan.
+pub(crate) fn tier0_against(row: &Row, rows: &[Row], skip: usize) -> Verdict {
+    if clashes(row, rows[..skip].iter().chain(&rows[skip + 1..])) {
+        return Verdict::Unsat;
     }
     Verdict::Unknown
 }
 
-fn tier0_hashed(rows: &[Row]) -> Verdict {
-    let mut bounds: HashMap<Vec<i64>, (i128, i128)> = HashMap::with_capacity(rows.len());
+/// Does `a`'s bound, intersected with the bounds of the `others` on the
+/// same term, leave an empty interval? Constant rows have no term.
+fn clashes<'r>(a: &Row, others: impl IntoIterator<Item = &'r Row>) -> bool {
+    let Some(sa) = term_sign(a) else {
+        return false;
+    };
+    let (mut lo, mut hi) = term_bounds(a, sa);
+    for b in others {
+        let Some(sb) = term_sign(b) else { continue };
+        if !same_term(a, sa, b, sb) {
+            continue;
+        }
+        let (bl, bh) = term_bounds(b, sb);
+        lo = lo.max(bl);
+        hi = hi.min(bh);
+        if lo > hi {
+            return true;
+        }
+    }
+    false
+}
+
+fn tier0_hashed<'r>(rows: impl Iterator<Item = &'r Row>) -> Verdict {
+    let mut bounds: HashMap<Vec<i64>, (i128, i128)> = HashMap::new();
     let mut flipped: Vec<i64> = Vec::new();
     for r in rows {
         let Some(sign) = term_sign(r) else {
-            continue; // constant rows were filtered by the caller
+            continue; // a constant row bounds no term
         };
         let w = &r.c[1..];
         let key: &[i64] = if sign == 1 {
@@ -159,12 +190,39 @@ fn tier0_hashed(rows: &[Row]) -> Verdict {
 /// candidate points inside the box; any point satisfying every row proves
 /// `Sat` outright (all variables are existential).
 pub(crate) fn tier1(rows: &[Row], ncols: usize) -> Verdict {
-    let mut lo = vec![None::<i128>; ncols];
-    let mut hi = vec![None::<i128>; ncols];
-    for _ in 0..MAX_ROUNDS {
+    if ncols <= STACK_COLS {
+        let mut lo = [None; STACK_COLS];
+        let mut hi = [None; STACK_COLS];
+        let mut nz = [0; STACK_COLS];
+        tier1_in(rows, &mut lo[..ncols], &mut hi[..ncols], &mut nz[..ncols])
+    } else {
+        let (mut lo, mut hi) = (vec![None; ncols], vec![None; ncols]);
+        tier1_in(rows, &mut lo, &mut hi, &mut vec![0; ncols])
+    }
+}
+
+/// Systems up to this many columns keep tier 1's intervals, witness
+/// points and scratch on the stack.
+const STACK_COLS: usize = 16;
+
+/// Tier 1 over caller-provided intervals (all unbounded on entry) and a
+/// scratch buffer for a row's nonzero columns, each `ncols` long.
+fn tier1_in(
+    rows: &[Row],
+    lo: &mut [Option<i128>],
+    hi: &mut [Option<i128>],
+    nz: &mut [usize],
+) -> Verdict {
+    for round in 0..MAX_ROUNDS {
         let mut changed = false;
         for r in rows {
-            match tighten(r, &mut lo, &mut hi) {
+            let n = nonzero_columns(r, nz);
+            // A row over one variable derives the same bound every round:
+            // once applied in the first round it never changes anything.
+            if round > 0 && n == 1 {
+                continue;
+            }
+            match tighten(r, &nz[..n], lo, hi) {
                 Tighten::Contradiction => return Verdict::Unsat,
                 Tighten::Changed => changed = true,
                 Tighten::Fixed => {}
@@ -174,10 +232,23 @@ pub(crate) fn tier1(rows: &[Row], ncols: usize) -> Verdict {
             break;
         }
     }
-    if witness(rows, &lo, &hi) {
+    if witness(rows, lo, hi) {
         return Verdict::Sat;
     }
     Verdict::Unknown
+}
+
+/// Writes the variable columns `r` mentions into `nz`, in increasing
+/// order, and returns how many there are.
+fn nonzero_columns(r: &Row, nz: &mut [usize]) -> usize {
+    let mut n = 0;
+    for (j, &a) in r.c.iter().enumerate().skip(1) {
+        if a != 0 {
+            nz[n] = j;
+            n += 1;
+        }
+    }
+    n
 }
 
 enum Tighten {
@@ -186,23 +257,21 @@ enum Tighten {
     Contradiction,
 }
 
-/// One bounds-consistency step: for every variable in `r`, derive the bound
-/// implied by the extremal values the remaining terms can take.
-fn tighten(r: &Row, lo: &mut [Option<i128>], hi: &mut [Option<i128>]) -> Tighten {
+/// One bounds-consistency step: for every variable in `r` (its nonzero
+/// columns are `nz`), derive the bound implied by the extremal values the
+/// remaining terms can take.
+fn tighten(r: &Row, nz: &[usize], lo: &mut [Option<i128>], hi: &mut [Option<i128>]) -> Tighten {
     let mut changed = false;
-    for j in 1..r.c.len() {
-        let a = r.c[j];
-        if a == 0 {
-            continue;
-        }
+    for &j in nz {
+        let a = r.c[j] as i128;
         // w·x + c ≥ 0  ⇒  a·xⱼ ≥ -c - max(Σ_{k≠j} aₖ·xₖ); for equalities the
         // mirrored bound via the minimum of the rest also holds.
-        if let Some(rest_max) = rest_extreme(r, j, lo, hi, true) {
+        if let Some(rest_max) = rest_extreme(r, j, nz, lo, hi, true) {
             let rhs = -(r.c[0] as i128) - rest_max;
             let new = if a > 0 {
-                Bound::Lower(div_ceil(rhs, a as i128))
+                Bound::Lower(div_ceil(rhs, a))
             } else {
-                Bound::Upper(div_floor(-rhs, -a as i128))
+                Bound::Upper(div_floor(-rhs, -a))
             };
             match apply(new, &mut lo[j], &mut hi[j]) {
                 Applied::Contradiction => return Tighten::Contradiction,
@@ -211,12 +280,12 @@ fn tighten(r: &Row, lo: &mut [Option<i128>], hi: &mut [Option<i128>]) -> Tighten
             }
         }
         if r.kind == ConstraintKind::Eq {
-            if let Some(rest_min) = rest_extreme(r, j, lo, hi, false) {
+            if let Some(rest_min) = rest_extreme(r, j, nz, lo, hi, false) {
                 let rhs = -(r.c[0] as i128) - rest_min;
                 let new = if a > 0 {
-                    Bound::Upper(div_floor(rhs, a as i128))
+                    Bound::Upper(div_floor(rhs, a))
                 } else {
-                    Bound::Lower(div_ceil(-rhs, -a as i128))
+                    Bound::Lower(div_ceil(-rhs, -a))
                 };
                 match apply(new, &mut lo[j], &mut hi[j]) {
                     Applied::Contradiction => return Tighten::Contradiction,
@@ -269,22 +338,23 @@ fn apply(b: Bound, lo: &mut Option<i128>, hi: &mut Option<i128>) -> Applied {
     }
 }
 
-/// Extremal value of `Σ_{k≠j} aₖ·xₖ` under the current intervals — the
-/// maximum when `want_max`, otherwise the minimum. `None` when some needed
-/// bound is missing.
+/// Extremal value of `Σ_{k≠j} aₖ·xₖ` over the nonzero columns `nz` under
+/// the current intervals — the maximum when `want_max`, otherwise the
+/// minimum. `None` when some needed bound is missing.
 fn rest_extreme(
     r: &Row,
     j: usize,
+    nz: &[usize],
     lo: &[Option<i128>],
     hi: &[Option<i128>],
     want_max: bool,
 ) -> Option<i128> {
     let mut acc: i128 = 0;
-    for k in 1..r.c.len() {
-        let a = r.c[k];
-        if k == j || a == 0 {
+    for &k in nz {
+        if k == j {
             continue;
         }
+        let a = r.c[k];
         let pick_hi = (a > 0) == want_max;
         let v = if pick_hi { hi[k]? } else { lo[k]? };
         acc = acc.checked_add((a as i128).checked_mul(v)?)?;
@@ -295,24 +365,25 @@ fn rest_extreme(
 /// Tries a few concrete points inside the interval box; any one of them
 /// satisfying every row proves the system satisfiable.
 fn witness(rows: &[Row], lo: &[Option<i128>], hi: &[Option<i128>]) -> bool {
-    // Candidate 1: zero clamped into each interval — the common case where
-    // the polyhedron contains (a translate of) the origin.
-    // Candidate 2: each variable at its lower bound (upper when only an
-    // upper bound exists) — catches boxes far from the origin.
-    let clamped: Vec<i128> = lo
-        .iter()
-        .zip(hi)
-        .map(|(&l, &h)| 0.clamp(l.unwrap_or(i128::MIN), h.unwrap_or(i128::MAX)))
-        .collect();
-    if satisfies_all(rows, &clamped) {
-        return true;
+    let ncols = lo.len();
+    let mut stack = [0; 2 * STACK_COLS];
+    let mut heap = Vec::new();
+    let points: &mut [i128] = if ncols <= STACK_COLS {
+        &mut stack[..2 * ncols]
+    } else {
+        heap.resize(2 * ncols, 0);
+        &mut heap
+    };
+    let (clamped, corner) = points.split_at_mut(ncols);
+    for (j, (&l, &h)) in lo.iter().zip(hi).enumerate() {
+        // Candidate 1: zero clamped into each interval — the common case
+        // where the polyhedron contains (a translate of) the origin.
+        clamped[j] = 0.clamp(l.unwrap_or(i128::MIN), h.unwrap_or(i128::MAX));
+        // Candidate 2: each variable at its lower bound (upper when only
+        // an upper bound exists) — catches boxes far from the origin.
+        corner[j] = l.or(h).unwrap_or(0);
     }
-    let corner: Vec<i128> = lo
-        .iter()
-        .zip(hi)
-        .map(|(&l, &h)| l.or(h).unwrap_or(0))
-        .collect();
-    corner != clamped && satisfies_all(rows, &corner)
+    satisfies_all(rows, clamped) || (corner != clamped && satisfies_all(rows, corner))
 }
 
 fn satisfies_all(rows: &[Row], point: &[i128]) -> bool {

@@ -390,48 +390,97 @@ impl Trace {
     /// A plain-text hot-spot summary: the top `n` span names by exclusive
     /// time, with counts and inclusive totals.
     pub fn hotspots(&self, n: usize) -> String {
-        struct Agg {
-            count: u64,
-            incl_ns: u64,
-            excl_ns: u64,
-        }
-        let mut by_name: Vec<(&'static str, Agg)> = Vec::new();
-        self.walk(&mut |s| {
-            let entry = match by_name.iter_mut().find(|(k, _)| *k == s.name) {
-                Some((_, a)) => a,
-                None => {
-                    by_name.push((
-                        s.name,
-                        Agg {
-                            count: 0,
-                            incl_ns: 0,
-                            excl_ns: 0,
-                        },
-                    ));
-                    &mut by_name.last_mut().unwrap().1
-                }
-            };
-            entry.count += 1;
-            entry.incl_ns += s.duration_ns();
-            entry.excl_ns += s.exclusive_ns();
-        });
-        by_name.sort_by(|a, b| b.1.excl_ns.cmp(&a.1.excl_ns).then(a.0.cmp(b.0)));
         let mut out = String::new();
         out.push_str(&format!(
             "{:<28} {:>9} {:>13} {:>13}\n",
             "span", "count", "exclusive", "inclusive"
         ));
-        for (name, a) in by_name.iter().take(n) {
+        for h in self.hotspot_rows().iter().take(n) {
             out.push_str(&format!(
                 "{:<28} {:>9} {:>13} {:>13}\n",
-                name,
-                a.count,
-                format_ns(a.excl_ns),
-                format_ns(a.incl_ns),
+                h.name,
+                h.count,
+                format_ns(h.excl_ns),
+                format_ns(h.incl_ns),
             ));
         }
         out
     }
+
+    /// Per-name totals behind [`Trace::hotspots`], by exclusive time.
+    ///
+    /// A span's exclusive time is its duration minus the spans nested
+    /// directly inside it: its children, and the detached roots (the
+    /// solver's `sat_exact`/`gist_exact`) opened while it was the
+    /// innermost open span on its thread. Those roots are recorded apart
+    /// from their asker, but their time was spent inside it; nesting is
+    /// read off the same-thread intervals. Children stitched in from
+    /// other threads are charged to their structural parent.
+    fn hotspot_rows(&self) -> Vec<Hotspot> {
+        let mut spans: Vec<&Span> = Vec::new();
+        self.walk(&mut |s| spans.push(s));
+        let mut excl: Vec<i64> = spans.iter().map(|s| s.duration_ns() as i64).collect();
+        // Per thread, outer spans first: by start, then longest first; the
+        // stable sort keeps parents (walked first) ahead on ties.
+        let mut order: Vec<usize> = (0..spans.len()).collect();
+        order.sort_by_key(|&i| {
+            let s = spans[i];
+            (
+                s.thread,
+                s.start_ns,
+                std::cmp::Reverse(s.end_ns.max(s.start_ns)),
+            )
+        });
+        let mut open: Vec<usize> = Vec::new();
+        let mut thread = None;
+        for i in order {
+            let s = spans[i];
+            if thread != Some(s.thread) {
+                open.clear();
+                thread = Some(s.thread);
+            }
+            while open.last().is_some_and(|&p| spans[p].end_ns < s.end_ns) {
+                open.pop();
+            }
+            if let Some(&p) = open.last() {
+                excl[p] -= s.duration_ns() as i64;
+            }
+            open.push(i);
+        }
+        for (i, s) in spans.iter().enumerate() {
+            for c in s.children.iter().filter(|c| c.thread != s.thread) {
+                excl[i] -= c.duration_ns() as i64;
+            }
+        }
+        let mut rows: Vec<Hotspot> = Vec::new();
+        for (s, x) in spans.iter().zip(excl) {
+            let row = match rows.iter_mut().find(|h| h.name == s.name) {
+                Some(h) => h,
+                None => {
+                    rows.push(Hotspot {
+                        name: s.name,
+                        count: 0,
+                        incl_ns: 0,
+                        excl_ns: 0,
+                    });
+                    rows.last_mut().expect("just pushed")
+                }
+            };
+            row.count += 1;
+            row.incl_ns += s.duration_ns();
+            row.excl_ns += x.max(0) as u64;
+        }
+        rows.sort_by(|a, b| b.excl_ns.cmp(&a.excl_ns).then(a.name.cmp(b.name)));
+        rows
+    }
+}
+
+/// One row of [`Trace::hotspots`].
+struct Hotspot {
+    name: &'static str,
+    count: u64,
+    incl_ns: u64,
+    excl_ns: u64,
 }
 
 fn format_ns(ns: u64) -> String {
@@ -1188,4 +1237,37 @@ macro_rules! root_span {
         $(guard.attr(stringify!($key), $value);)+
         guard
     }};
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Duration;
+
+    #[test]
+    fn hotspots_exclude_detached_roots_from_their_asker() {
+        let c = Collector::new();
+        with_collector(Some(c.clone()), || {
+            let _probe = crate::span!(sat_query);
+            std::thread::sleep(Duration::from_millis(2));
+            {
+                // Detached, like the solver's exact queries.
+                let _exact = crate::root_span!(sat_exact);
+                std::thread::sleep(Duration::from_millis(4));
+                let _fm = crate::span!(fm_eliminate);
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        });
+        let trace = c.finish();
+        let rows = trace.hotspot_rows();
+        let row = |name: &str| rows.iter().find(|h| h.name == name).expect(name);
+        let (probe, exact, fm) = (row("sat_query"), row("sat_exact"), row("fm_eliminate"));
+        assert_eq!(probe.excl_ns, probe.incl_ns - exact.incl_ns);
+        assert_eq!(exact.excl_ns, exact.incl_ns - fm.incl_ns);
+        assert!(probe.excl_ns >= 2_000_000);
+        // Nothing counted twice: the exclusive column sums to the traced
+        // wall time, the probe span's.
+        let total: u64 = rows.iter().map(|h| h.excl_ns).sum();
+        assert_eq!(total, probe.incl_ns);
+    }
 }

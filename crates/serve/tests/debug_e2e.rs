@@ -10,7 +10,18 @@ use common::TempDir;
 use serve::{spawn, Config, LogTarget};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
+
+/// Serializes the tests that generate code: the solver's memo cache is
+/// process-wide, and the degraded-job test needs it to stay cold between
+/// its reset and its query. A kernel generated concurrently by another
+/// test would warm it with exact verdicts, and the deadline would never
+/// be consulted.
+fn solver_cache() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn connect(addr: SocketAddr) -> BufReader<TcpStream> {
     BufReader::new(TcpStream::connect(addr).unwrap())
@@ -59,6 +70,7 @@ fn default_daemon(dir: &std::path::Path, cfg: Config) -> serve::Daemon {
 
 #[test]
 fn default_flags_populate_debug_requests_flight_stats_and_config() {
+    let _cache = solver_cache();
     let dir = TempDir::new("debug-default");
     // Default observability flags: no dump dir, no slow threshold — the
     // acceptance criterion is that introspection works with nothing
@@ -145,6 +157,7 @@ fn default_flags_populate_debug_requests_flight_stats_and_config() {
 
 #[test]
 fn slow_ms_zero_retains_trace_and_provenance() {
+    let _cache = solver_cache();
     let dir = TempDir::new("debug-slow0");
     let daemon = default_daemon(
         dir.path(),
@@ -198,6 +211,7 @@ fn slow_ms_zero_retains_trace_and_provenance() {
 
 #[test]
 fn fast_jobs_below_threshold_retain_nothing() {
+    let _cache = solver_cache();
     let dir = TempDir::new("debug-fast");
     let daemon = default_daemon(
         dir.path(),
@@ -227,6 +241,7 @@ fn fast_jobs_below_threshold_retain_nothing() {
 
 #[test]
 fn errors_and_degrades_trigger_retention_regardless_of_latency() {
+    let _cache = solver_cache();
     let dir = TempDir::new("debug-trig");
     let daemon = default_daemon(
         dir.path(),
