@@ -2,7 +2,7 @@
 //!
 //! Dumps are produced by tracing a run with query provenance enabled
 //! (e.g. `table1 --trace out.json --dump-dir dumps/`, or `codegend
-//! --dump-dir dumps/`); each file is a tier-2 sat or gist query in the
+//! --slow-ms 0 --slow-dir dumps/`); each file is a tier-2 sat or gist query in the
 //! parser's input syntax together with the verdict recorded at dump
 //! time. Replaying recomputes the verdict from scratch and reports
 //! whether it matches, turning any slow or degraded query found in a

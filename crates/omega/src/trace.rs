@@ -34,10 +34,9 @@
 //!
 //! A process may install one [`SpanHook`] (see [`install_span_hook`])
 //! that observes every span open/close on every thread, independent of
-//! collectors — the seam through which the always-on flight recorder
-//! (`telemetry::flight`, drained by `codegend`'s `/debug/flight`) and the
-//! sampling profiler's span attribution (`telemetry::profile`) plug in
-//! without `omega` gaining a dependency.
+//! collectors — the seam through which the sampling profiler's span
+//! attribution (`telemetry::profile`) plugs in without `omega` gaining a
+//! dependency.
 //!
 //! # Example
 //!
@@ -603,12 +602,16 @@ impl fmt::Display for LogHistogram {
 /// Where a collector sends replayable `.omega` query dumps.
 enum DumpSink {
     /// Write each dump to this directory as it happens (pre-armed
-    /// provenance: `--dump-dir`).
+    /// provenance: `table1 --dump-dir`).
     Dir(PathBuf),
     /// Hold rendered dumps in memory as `(stem, text)` pairs; the owner
     /// decides after the fact whether to keep them (tail sampling:
-    /// `--slow-ms` retains only slow/erroring/degrading jobs).
-    Buffer(Vec<(String, String)>),
+    /// `codegend --slow-ms` retains only slow/erroring/degrading jobs).
+    /// `dropped` counts dumps refused past [`DUMP_BUFFER_CAP`].
+    Buffer {
+        dumps: Vec<(String, String)>,
+        dropped: usize,
+    },
 }
 
 /// Cap on in-memory buffered dumps per collector, so a pathological job
@@ -672,11 +675,14 @@ impl Collector {
     /// Enables *buffered* query provenance: dumps are rendered and held
     /// in memory (up to an internal cap) instead of touching disk, so the
     /// owner can decide after the job whether to retain them — the
-    /// tail-sampling mode behind `codegend --slow-ms`. Retrieve with
-    /// [`Collector::take_buffered_dumps`] or persist with
-    /// [`Collector::write_buffered_dumps`].
+    /// tail-sampling mode behind `codegend --slow-ms`. Persist with
+    /// [`Collector::write_buffered_dumps`]; dropping the collector
+    /// discards them.
     pub fn buffer_queries(&self) {
-        *lock(&self.inner.dump) = Some(DumpSink::Buffer(Vec::new()));
+        *lock(&self.inner.dump) = Some(DumpSink::Buffer {
+            dumps: Vec::new(),
+            dropped: 0,
+        });
     }
 
     /// True when a dump sink (directory or buffer) is armed; the solver's
@@ -697,37 +703,36 @@ impl Collector {
                     eprintln!("omega: failed to write query dump: {e}");
                 }
             }
-            Some(DumpSink::Buffer(buf)) if buf.len() < DUMP_BUFFER_CAP => {
-                buf.push((stem, text));
+            Some(DumpSink::Buffer { dumps, .. }) if dumps.len() < DUMP_BUFFER_CAP => {
+                dumps.push((stem, text));
             }
-            _ => {}
+            Some(DumpSink::Buffer { dropped, .. }) => *dropped += 1,
+            None => {}
         }
     }
 
-    /// Takes the buffered `(stem, text)` dumps accumulated under
-    /// [`Collector::buffer_queries`], leaving an empty buffer armed.
-    /// Empty when buffering was never enabled.
-    pub fn take_buffered_dumps(&self) -> Vec<(String, String)> {
-        match &mut *lock(&self.inner.dump) {
-            Some(DumpSink::Buffer(buf)) => std::mem::take(buf),
-            _ => Vec::new(),
-        }
-    }
-
-    /// Writes the buffered dumps into `dir` (created if needed) as
-    /// replayable `.omega` files, returning how many were written. The
-    /// retention half of tail sampling: called only for jobs worth
-    /// keeping.
+    /// Writes the dumps buffered under [`Collector::buffer_queries`] into
+    /// `dir` (created if needed) as replayable `.omega` files and empties
+    /// the buffer. Returns `(written, dropped)`: the files written, and
+    /// the dumps refused earlier because the buffer was full — nonzero
+    /// means `dir` holds only the job's first queries. The retention half
+    /// of tail sampling: called only for jobs worth keeping. `(0, 0)`
+    /// when buffering was never enabled.
     ///
     /// # Errors
     ///
     /// Propagates directory-creation and file-write errors.
-    pub fn write_buffered_dumps(&self, dir: &Path) -> io::Result<usize> {
-        let dumps = self.take_buffered_dumps();
+    pub fn write_buffered_dumps(&self, dir: &Path) -> io::Result<(usize, usize)> {
+        let (dumps, dropped) = match &mut *lock(&self.inner.dump) {
+            Some(DumpSink::Buffer { dumps, dropped }) => {
+                (std::mem::take(dumps), std::mem::take(dropped))
+            }
+            _ => (Vec::new(), 0),
+        };
         for (stem, text) in &dumps {
             crate::provenance::write_dump(dir, stem, text)?;
         }
-        Ok(dumps.len())
+        Ok((dumps.len(), dropped))
     }
 
     fn now_ns(&self) -> u64 {
@@ -918,11 +923,11 @@ pub fn active() -> bool {
 /// whether or not a collector is installed. Closes arrive in LIFO order.
 ///
 /// This is the one seam between `omega` (which owns the probe sites but
-/// depends on nothing) and the always-on sinks living elsewhere
-/// (`telemetry::span_hook` feeds the flight recorder and the profiler's
-/// per-thread span stack). The hook must be cheap, lock-free,
-/// allocation-free and panic-free — it runs inside every `span!` site,
-/// and the profiler's signal handler reads what it writes.
+/// depends on nothing) and the always-on sink living elsewhere
+/// (`telemetry::span_hook` feeds the profiler's per-thread span stack).
+/// The hook must be cheap, lock-free, allocation-free and panic-free —
+/// it runs inside every `span!` site, and the profiler's signal handler
+/// reads what it writes.
 pub type SpanHook = fn(begin: bool, name: &'static str);
 
 static SPAN_HOOK: OnceLock<SpanHook> = OnceLock::new();
@@ -1269,5 +1274,22 @@ mod tests {
         // wall time, the probe span's.
         let total: u64 = rows.iter().map(|h| h.excl_ns).sum();
         assert_eq!(total, probe.incl_ns);
+    }
+
+    #[test]
+    fn buffered_dumps_past_the_cap_are_counted_as_dropped() {
+        let c = Collector::new();
+        c.buffer_queries();
+        for i in 0..DUMP_BUFFER_CAP + 3 {
+            c.submit_dump("sat", format!("# dump {i}\n"));
+        }
+        let dir = std::env::temp_dir().join(format!("omega-trace-cap-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(c.write_buffered_dumps(&dir).unwrap(), (DUMP_BUFFER_CAP, 3));
+        let files = std::fs::read_dir(&dir).unwrap().count();
+        assert_eq!(files, DUMP_BUFFER_CAP);
+        // The buffer and its drop count start over.
+        assert_eq!(c.write_buffered_dumps(&dir).unwrap(), (0, 0));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -8,16 +8,15 @@
 //! ```text
 //! codegend [--jobs ADDR] [--http ADDR] [--effort N] [--threads N]
 //!          [--deadline-ms MS] [--workers N] [--queue-depth N]
-//!          [--queue-timeout-ms MS]
-//!          [--dump-dir DIR] [--cache-dir DIR] [--cache-flush-ms MS]
-//!          [--slow-ms MS] [--slow-dir DIR] [--flight-kb KB]
+//!          [--queue-timeout-ms MS] [--cache-dir DIR] [--cache-flush-ms MS]
+//!          [--slow-ms MS] [--slow-dir DIR]
 //!          [--log FILE] [--log-max-mb MB] [--log-keep N]
-//!          [--no-phase-trace]
 //! ```
 //!
 //! Defaults: jobs on 127.0.0.1:7077, HTTP on 127.0.0.1:9077, effort 1,
-//! 1 thread per job, no deadline, request log as JSON lines on stderr,
-//! phase tracing on. `--workers` sizes the pool draining the FIFO job
+//! 1 thread per job, no deadline, request log as JSON lines on stderr.
+//! Every job runs under a span collector that feeds the phase histograms
+//! and its query report. `--workers` sizes the pool draining the FIFO job
 //! queue (0 = machine cores, the default); `--queue-depth` bounds how
 //! many admitted jobs may wait (default 256 — over it, requests get
 //! `busy` / HTTP 503); `--queue-timeout-ms` errors jobs that wait longer
@@ -29,8 +28,7 @@
 //! sampling: a job slower than the threshold (or erroring, or degrading)
 //! keeps its full span trace and replayable `.omega` provenance under
 //! `--slow-dir` (default `codegend-slow`); fast healthy jobs keep
-//! nothing. `--flight-kb` sizes the always-on flight recorder's
-//! per-thread rings (default 256), drained live at `/debug/flight`.
+//! nothing, and `--slow-ms 0` keeps every job's artifacts.
 //! `--log-max-mb` rotates a `--log FILE` when it would exceed that many
 //! MiB, keeping `--log-keep` numbered generations (default 3). The
 //! sampling profiler is always serving at
@@ -97,7 +95,6 @@ fn main() -> ExitCode {
                 }
                 _ => Err(()),
             },
-            "--dump-dir" => val("--dump-dir").map(|v| cfg.dump_dir = Some(PathBuf::from(v))),
             "--cache-dir" => val("--cache-dir").map(|v| cfg.cache_dir = Some(PathBuf::from(v))),
             "--cache-flush-ms" => match val("--cache-flush-ms").map(|v| v.parse()) {
                 Ok(Ok(ms)) => {
@@ -114,13 +111,6 @@ fn main() -> ExitCode {
                 _ => Err(()),
             },
             "--slow-dir" => val("--slow-dir").map(|v| cfg.slow_dir = PathBuf::from(v)),
-            "--flight-kb" => match val("--flight-kb").map(|v| v.parse::<usize>()) {
-                Ok(Ok(kb)) => {
-                    cfg.flight_bytes = kb * 1024;
-                    Ok(())
-                }
-                _ => Err(()),
-            },
             "--log" => val("--log").map(|v| cfg.log = LogTarget::File(PathBuf::from(v))),
             "--log-max-mb" => match val("--log-max-mb").map(|v| v.parse()) {
                 Ok(Ok(mb)) if mb >= 1 => {
@@ -136,19 +126,13 @@ fn main() -> ExitCode {
                 }
                 _ => Err(()),
             },
-            "--no-phase-trace" => {
-                cfg.phase_trace = false;
-                Ok(())
-            }
             "--help" | "-h" => {
                 eprintln!(
                     "usage: codegend [--jobs ADDR] [--http ADDR] [--effort N] [--threads N]\n\
                      \x20               [--deadline-ms MS] [--workers N] [--queue-depth N]\n\
-                     \x20               [--queue-timeout-ms MS]\n\
-                     \x20               [--dump-dir DIR] [--cache-dir DIR] [--cache-flush-ms MS]\n\
-                     \x20               [--slow-ms MS] [--slow-dir DIR] [--flight-kb KB]\n\
-                     \x20               [--log FILE] [--log-max-mb MB] [--log-keep N]\n\
-                     \x20               [--no-phase-trace]"
+                     \x20               [--queue-timeout-ms MS] [--cache-dir DIR] [--cache-flush-ms MS]\n\
+                     \x20               [--slow-ms MS] [--slow-dir DIR]\n\
+                     \x20               [--log FILE] [--log-max-mb MB] [--log-keep N]"
                 );
                 return ExitCode::SUCCESS;
             }

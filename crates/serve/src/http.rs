@@ -171,14 +171,12 @@ fn route(
         ),
         "/healthz" => ("200 OK", "application/json", state.healthz_json()),
         "/debug/requests" => ("200 OK", "application/json", state.debug_requests_json()),
-        "/debug/flight" => ("200 OK", "application/json", state.debug_flight_json()),
-        "/debug/stats" => ("200 OK", "application/json", state.debug_stats_json()),
         "/debug/config" => ("200 OK", "application/json", state.debug_config_json()),
         "/debug/pprof/profile" => get_profile(state, query),
         _ => (
             "404 Not Found",
             "text/plain; charset=utf-8",
-            "not found (try /metrics, /healthz, /debug/requests, /debug/flight, /debug/stats, /debug/config, /debug/pprof/profile, POST /v1/gen, POST /v1/batch)\n"
+            "not found (try /metrics, /healthz, /debug/requests, /debug/config, /debug/pprof/profile, POST /v1/gen, POST /v1/batch)\n"
                 .to_owned(),
         ),
     }

@@ -15,24 +15,25 @@
 //! * **`GET /healthz`** — a JSON readiness probe with uptime, job
 //!   totals, queue occupancy, resolved thread counts, cumulative
 //!   degradations, and the persistent-cache tier state;
-//! * **structured JSON request logs** — one line per request with a
-//!   request id that, when `--dump-dir` is set, names the directory of
-//!   replayable `.omega` provenance dumps for that request's tier-2
-//!   solver queries (`omega-replay` closes the loop from a slow request
-//!   in the log to a standalone reproduction), plus one canonical
-//!   [`report::QueryReport`] wide event per job with per-phase wall
-//!   times, queue wait, and solver counter deltas;
+//! * **structured JSON request logs** — one line per request, plus one
+//!   canonical [`report::QueryReport`] wide event per job with per-phase
+//!   wall times, queue wait, and solver counter deltas; both carry the
+//!   request id;
 //! * **`GET /debug/*`** — live introspection: `/debug/requests` (the
-//!   recent [`report::QueryReport`]s), `/debug/flight` (drains the
-//!   always-on [`telemetry::flight`] recorder as a Chrome trace),
-//!   `/debug/stats` (solver counters + recorder occupancy),
-//!   `/debug/config` (the resolved [`Config`]), and
-//!   `/debug/pprof/profile` (a sampling-profiler capture as
-//!   collapsed stacks);
-//! * **tail sampling** — with `--slow-ms N`, only jobs slower than `N`
-//!   milliseconds (or that error or degrade) retain their full span
-//!   trace and `.omega` provenance dumps under `--slow-dir`; fast,
-//!   healthy jobs leave nothing on disk.
+//!   recent [`report::QueryReport`]s), `/debug/config` (the resolved
+//!   [`Config`]), and `/debug/pprof/profile` (a sampling-profiler
+//!   capture as collapsed stacks);
+//! * **tail sampling** — the one way to keep a job's artifacts. With
+//!   `--slow-ms N`, only jobs slower than `N` milliseconds (or that
+//!   error or degrade) retain their full span trace and replayable
+//!   `.omega` provenance dumps under `<slow-dir>/<request-id>/`
+//!   (`omega-replay` closes the loop from a slow request in the log to a
+//!   standalone reproduction); fast, healthy jobs leave nothing on disk.
+//!   `--slow-ms 0` keeps every job's artifacts.
+//!
+//! Each job runs under its own [`omega::trace::Collector`], the daemon's
+//! only recording of the job's spans: it feeds the phase histograms, the
+//! report's phases, and the retained `trace.json`.
 //!
 //! ## The service core
 //!
@@ -118,9 +119,6 @@ pub struct Config {
     /// the staleness of work under sustained overload: shed at admission
     /// when full, time out in queue when slow.
     pub queue_timeout: Option<Duration>,
-    /// When set, each request's tier-2 solver queries are dumped as
-    /// replayable `.omega` files under `<dump_dir>/<request-id>/`.
-    pub dump_dir: Option<PathBuf>,
     /// When set, the persistent solver cache ([`omega::persist`]) is
     /// opened under this directory at boot: warm-starts every exact sat
     /// verdict and gist result a previous process flushed, and appends
@@ -133,9 +131,6 @@ pub struct Config {
     /// (a final flush also runs at shutdown). Only meaningful with
     /// `cache_dir`.
     pub cache_flush: Duration,
-    /// Run each job under a span collector and feed the per-phase wall
-    /// times into the `codegend_phase_seconds` histograms.
-    pub phase_trace: bool,
     /// Tail-sampling threshold. When set, a job slower than this many
     /// milliseconds — or one that errors or degrades — retains its full
     /// span trace (`trace.json`) and buffered `.omega` provenance dumps
@@ -144,12 +139,6 @@ pub struct Config {
     pub slow_ms: Option<u64>,
     /// Where tail-sampled slow-job artifacts land (only with `slow_ms`).
     pub slow_dir: PathBuf,
-    /// Per-thread byte budget of the always-on flight recorder
-    /// ([`telemetry::flight`]); drained by `GET /debug/flight`.
-    pub flight_bytes: usize,
-    /// How many recent [`report::QueryReport`]s `GET /debug/requests`
-    /// retains in memory.
-    pub report_ring: usize,
     /// Structured request-log sink.
     pub log: LogTarget,
     /// Size-rotate the request-log file (`LogTarget::File`) once it
@@ -170,20 +159,20 @@ impl Default for Config {
             workers: 0,
             queue_depth: 256,
             queue_timeout: None,
-            dump_dir: None,
             cache_dir: None,
             cache_flush: Duration::from_secs(5),
-            phase_trace: true,
             slow_ms: None,
             slow_dir: PathBuf::from("codegend-slow"),
-            flight_bytes: 256 * 1024,
-            report_ring: 256,
             log: LogTarget::Stderr,
             log_max_mb: None,
             log_keep: 3,
         }
     }
 }
+
+/// How many recent [`report::QueryReport`]s `GET /debug/requests`
+/// retains in memory.
+const REPORT_RING: usize = 256;
 
 /// The build fingerprint reported on `/healthz` and `/debug/config`:
 /// crate version, target, and build profile — enough to tell *which*
@@ -319,56 +308,18 @@ impl State {
         self.reports.to_json()
     }
 
-    /// The `/debug/flight` body: drains the flight recorder into one
-    /// Chrome trace. Draining consumes — two concurrent drains split the
-    /// events between them, each still a valid trace.
-    pub(crate) fn debug_flight_json(&self) -> String {
-        let trace = telemetry::flight::drain();
-        let mut buf = Vec::new();
-        // Writing to a Vec cannot fail.
-        let _ = trace.write_chrome_json(&mut buf);
-        String::from_utf8(buf).unwrap_or_default()
-    }
-
-    /// The `/debug/stats` body: cumulative solver counters (with the
-    /// derived rates) plus flight-recorder occupancy.
-    pub(crate) fn debug_stats_json(&self) -> String {
-        let stats = omega::stats::snapshot();
-        let fl = telemetry::flight::stats();
-        let mut out = String::from("{\"counters\":{");
-        for (i, (name, value)) in stats.fields().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{name}\":{value}");
-        }
-        let _ = writeln!(
-            out,
-            "}},\"exact_solves\":{},\"fast_path_rate\":{:.4},\
-             \"flight\":{{\"threads\":{},\"allocated_bytes\":{},\"budget_bytes\":{},\"recorded\":{}}}}}",
-            stats.exact_solves(),
-            stats.fast_path_rate(),
-            fl.threads,
-            fl.allocated_bytes,
-            fl.budget_bytes,
-            fl.recorded,
-        );
-        out
-    }
-
     /// The `/debug/config` body: the resolved daemon configuration.
     pub(crate) fn debug_config_json(&self) -> String {
         let c = &self.cfg;
         let mut out = format!(
             "{{\"jobs_addr\":\"{}\",\"http_addr\":\"{}\",\"default_effort\":{},\"default_threads\":{},\
-             \"workers\":{},\"queue_depth\":{},\"phase_trace\":{}",
+             \"workers\":{},\"queue_depth\":{}",
             json_escape(&c.jobs_addr),
             json_escape(&c.http_addr),
             c.default_effort,
             c.default_threads,
             self.workers,
             c.queue_depth,
-            c.phase_trace,
         );
         match c.queue_timeout {
             Some(d) => {
@@ -381,16 +332,6 @@ impl State {
                 let _ = write!(out, ",\"deadline_ms\":{}", d.as_millis());
             }
             None => out.push_str(",\"deadline_ms\":null"),
-        }
-        match &c.dump_dir {
-            Some(p) => {
-                let _ = write!(
-                    out,
-                    ",\"dump_dir\":\"{}\"",
-                    json_escape(&p.display().to_string())
-                );
-            }
-            None => out.push_str(",\"dump_dir\":null"),
         }
         match &c.cache_dir {
             Some(p) => {
@@ -410,10 +351,8 @@ impl State {
         }
         let _ = write!(
             out,
-            ",\"slow_dir\":\"{}\",\"flight_bytes\":{},\"report_ring\":{}",
+            ",\"slow_dir\":\"{}\"",
             json_escape(&c.slow_dir.display().to_string()),
-            c.flight_bytes,
-            c.report_ring,
         );
         match c.log_max_mb {
             Some(mb) => {
@@ -468,13 +407,10 @@ pub fn spawn(cfg: Config) -> io::Result<Daemon> {
         (LogTarget::File(p), None) => Logger::file(p)?,
         (LogTarget::File(p), Some(mb)) => Logger::rotating_file(p, mb << 20, cfg.log_keep)?,
     };
-    // The always-on flight recorder: bounded per-thread rings fed by every
-    // span probe in the process via the omega span hook, which also keeps
-    // the per-thread span stack `/debug/pprof/profile` samples are tagged
-    // with. Both calls are idempotent (first budget/hook wins), so
-    // embedding several daemons in one process (the tests do) shares one
-    // recorder.
-    telemetry::flight::enable(cfg.flight_bytes);
+    // The omega span hook keeps the per-thread span stack
+    // `/debug/pprof/profile` samples are tagged with. Installing is
+    // idempotent (first hook wins), so embedding several daemons in one
+    // process (the tests do) is fine.
     omega::trace::install_span_hook(telemetry::span_hook);
     let workers = if cfg.workers == 0 {
         thread::available_parallelism()
@@ -491,7 +427,7 @@ pub fn spawn(cfg: Config) -> io::Result<Daemon> {
         inflight: AtomicU64::new(0),
         jobs_total: AtomicU64::new(0),
         stop: AtomicBool::new(false),
-        reports: report::ReportRing::new(cfg.report_ring),
+        reports: report::ReportRing::new(REPORT_RING),
         queue: Queue::new(cfg.queue_depth),
         workers,
         cfg,
@@ -958,8 +894,8 @@ fn timeout_job(state: &State, job: Job, queue_ns: u64) {
 }
 
 /// Executes one task (a `gen`, or one space of a `batch`) on a worker:
-/// span collection, provenance dumps, the panic fence, the
-/// [`QueryReport`] wide event, tail sampling, logging, and metrics.
+/// span collection, the panic fence, the [`QueryReport`] wide event,
+/// tail sampling, logging, and metrics.
 fn execute_task(
     state: &State,
     id: &str,
@@ -970,36 +906,21 @@ fn execute_task(
 ) -> Result<JobOutput, String> {
     let t0 = Instant::now();
     let source_tag = spec.source.tag();
-    // Span collection runs when phase histograms or provenance dumps want
-    // it — and also whenever tail sampling is armed, because the trace is
-    // the artifact a slow job retains. Dumps go straight to --dump-dir
-    // when set; otherwise (tail sampling only) they are buffered in
-    // memory so the keep/discard decision can happen after the job.
+    // Every job runs under its own span collector: the trace feeds the
+    // phase histograms and the report, and is the artifact a slow job
+    // retains. With tail sampling armed, provenance dumps are buffered in
+    // memory so the keep/discard decision can happen after the job;
+    // dropping the collector discards them.
     let slow_ms = state.cfg.slow_ms;
-    let slow_armed = slow_ms.is_some();
-    let collector = (state.cfg.phase_trace || state.cfg.dump_dir.is_some() || slow_armed)
-        .then(omega::trace::Collector::new);
-    let dump = match (&collector, &state.cfg.dump_dir) {
-        (Some(c), Some(root)) => {
-            let dir = root.join(id);
-            c.dump_queries(&dir);
-            Some(dir.display().to_string())
-        }
-        (Some(c), None) if slow_armed => {
-            c.buffer_queries();
-            None
-        }
-        _ => None,
-    };
+    let collector = omega::trace::Collector::new();
+    if slow_ms.is_some() {
+        collector.buffer_queries();
+    }
     let stats_before = omega::stats::snapshot();
-    telemetry::flight::record(telemetry::flight::FlightKind::Begin, "request");
     // A panicking job must cost only that request, not the daemon: the
     // solver itself is panic-free, but ad-hoc inputs reach library
     // preconditions (space padding, arity checks) that assert.
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        run_job(state, spec, collector.as_ref())
-    }));
-    telemetry::flight::record(telemetry::flight::FlightKind::End, "request");
+    let result = catch_unwind(AssertUnwindSafe(|| run_job(state, spec, &collector)));
     let result = match result {
         Ok(r) => r,
         Err(payload) => {
@@ -1013,11 +934,9 @@ fn execute_task(
     };
     let request_ns = t0.elapsed().as_nanos() as u64;
     let counters = omega::stats::snapshot().delta(&stats_before);
-    let trace = collector.as_ref().map(|c| c.finish());
-    if let Some(t) = &trace {
-        state.metrics.record_phases(t);
-    }
-    let phases = trace.as_ref().map(report::phase_totals).unwrap_or_default();
+    let trace = collector.finish();
+    state.metrics.record_phases(&trace);
+    let phases = report::phase_totals(&trace);
     let mut rep = match &result {
         Ok(out) => QueryReport {
             id: id.to_owned(),
@@ -1083,16 +1002,21 @@ fn execute_task(
         if let Some(reason) = reason {
             rep.slow = true;
             let dir = state.cfg.slow_dir.join(id);
-            let mut kept = 0usize;
-            match retain_slow_artifacts(&dir, trace.as_ref(), collector.as_ref(), &mut kept) {
-                Ok(()) => rep.retained = Some(dir.display().to_string()),
+            let (kept, dropped) = match retain_slow_artifacts(&dir, &trace, &collector) {
+                Ok(counts) => {
+                    rep.retained = Some(dir.display().to_string());
+                    counts
+                }
                 // Retention must never fail the request.
-                Err(e) => state.logger.log(
-                    Record::new("slow_retain_error")
-                        .str("id", id)
-                        .str("msg", &e.to_string()),
-                ),
-            }
+                Err(e) => {
+                    state.logger.log(
+                        Record::new("slow_retain_error")
+                            .str("id", id)
+                            .str("msg", &e.to_string()),
+                    );
+                    (0, 0)
+                }
+            };
             state.metrics.slow.with(&[reason]).inc();
             state.logger.log(
                 Record::new("slow_query")
@@ -1101,16 +1025,14 @@ fn execute_task(
                     .int("request_ns", request_ns as i64)
                     .int("threshold_ms", ms as i64)
                     .int("dumps", kept as i64)
+                    .int("dumps_dropped", dropped as i64)
                     .str("dir", &dir.display().to_string()),
             );
-        } else if let Some(c) = &collector {
-            // Fast healthy job: discard any buffered provenance.
-            drop(c.take_buffered_dumps());
         }
     }
     // The compact per-request record first (the line older tooling greps
     // for), then the canonical wide event — both carry the id, so either
-    // one joins to the other and to the provenance directories.
+    // one joins to the other and to the retained slow-job directory.
     match &result {
         Ok(out) => {
             state.jobs_total.fetch_add(1, Ordering::Relaxed);
@@ -1132,8 +1054,7 @@ fn execute_task(
                     .int("compile_ns", out.compile_ns as i64)
                     .int("queue_ns", queue_ns as i64)
                     .int("request_ns", request_ns as i64)
-                    .str("certainty", &out.certainty)
-                    .opt_str("dump", dump.as_deref()),
+                    .str("certainty", &out.certainty),
             );
         }
         Err(msg) => {
@@ -1184,13 +1105,12 @@ fn statements_of(kernel: &chill::Kernel) -> Vec<Statement> {
 /// Builds the statements, runs CodeGen+ (and the stand-in compiler for
 /// its pass timings), executes kernel jobs for their dynamic cost, and
 /// counts degradations per reason. Span collection is the caller's: the
-/// collector (when any) is installed here but finished by
-/// `execute_task`, which owns the trace for phase histograms, reports
-/// and tail sampling.
+/// collector is installed here but finished by `execute_task`, which
+/// owns the trace for phase histograms, reports and tail sampling.
 fn run_job(
     state: &State,
     spec: &JobSpec,
-    collector: Option<&omega::trace::Collector>,
+    collector: &omega::trace::Collector,
 ) -> Result<JobOutput, String> {
     let (stmts, params) = match &spec.source {
         JobSource::Kernel { name, n } => {
@@ -1216,15 +1136,13 @@ fn run_job(
     let mut cg = CodeGen::new()
         .statements(stmts)
         .effort(effort)
-        .threads(threads);
+        .threads(threads)
+        .trace(collector.clone());
     if let Some(d) = state.cfg.deadline {
         cg = cg.limits(omega::Limits {
             deadline: Some(Instant::now() + d),
             ..omega::Limits::default()
         });
-    }
-    if let Some(c) = collector {
-        cg = cg.trace(c.clone());
     }
     // Log the *resolved* counts: `threads == 0` means "available
     // parallelism", probed once per process, and the structured request
@@ -1238,7 +1156,7 @@ fn run_job(
     // compile-time column the batch harness also reports.
     let t1 = Instant::now();
     let compiled =
-        omega::trace::with_collector(collector.cloned(), || polyir::passes::compile(&g.code));
+        omega::trace::with_collector(Some(collector.clone()), || polyir::passes::compile(&g.code));
     let compile_ns = t1.elapsed().as_nanos() as u64;
     // Dynamic cost under the default cost model, when the job's execution
     // parameters are known (kernel jobs). This gives cost attribution a
@@ -1276,23 +1194,18 @@ fn run_job(
 
 /// Writes a tail-sampled job's artifacts under `dir`: the span trace as
 /// `trace.json` (Chrome trace-event format, same exporter as `table1
-/// --trace`) and any buffered `.omega` provenance dumps, replayable with
-/// `omega-replay`.
+/// --trace`) and the buffered `.omega` provenance dumps, replayable with
+/// `omega-replay`. Returns the dumps written and those the collector's
+/// buffer dropped.
 fn retain_slow_artifacts(
     dir: &std::path::Path,
-    trace: Option<&omega::trace::Trace>,
-    collector: Option<&omega::trace::Collector>,
-    kept: &mut usize,
-) -> io::Result<()> {
+    trace: &omega::trace::Trace,
+    collector: &omega::trace::Collector,
+) -> io::Result<(usize, usize)> {
     std::fs::create_dir_all(dir)?;
-    if let Some(t) = trace {
-        let mut f = std::fs::File::create(dir.join("trace.json"))?;
-        t.write_chrome_json(&mut f)?;
-    }
-    if let Some(c) = collector {
-        *kept = c.write_buffered_dumps(dir)?;
-    }
-    Ok(())
+    let mut f = std::fs::File::create(dir.join("trace.json"))?;
+    trace.write_chrome_json(&mut f)?;
+    collector.write_buffered_dumps(dir)
 }
 
 #[cfg(test)]

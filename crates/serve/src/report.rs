@@ -239,7 +239,7 @@ pub(crate) struct ReportRing {
 impl ReportRing {
     pub(crate) fn new(cap: usize) -> ReportRing {
         ReportRing {
-            cap: cap.max(1),
+            cap,
             ring: Mutex::new(VecDeque::new()),
         }
     }

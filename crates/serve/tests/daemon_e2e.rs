@@ -64,7 +64,9 @@ fn concurrent_kernel_jobs_are_byte_identical_to_batch() {
     let daemon = spawn(Config {
         jobs_addr: "127.0.0.1:0".into(),
         http_addr: "127.0.0.1:0".into(),
-        dump_dir: Some(dir.join("dumps")),
+        // Every job is "slow": each keeps its trace and provenance.
+        slow_ms: Some(0),
+        slow_dir: dir.join("slow"),
         log: LogTarget::File(dir.join("requests.jsonl")),
         ..Config::default()
     })
@@ -129,26 +131,36 @@ fn concurrent_kernel_jobs_are_byte_identical_to_batch() {
     assert!(head.starts_with("HTTP/1.1 404"), "{head}");
 
     // The structured log carries one ok line per request, ids linking to
-    // the per-request provenance dump directories.
+    // the per-request retained directories.
     let log = std::fs::read_to_string(dir.join("requests.jsonl")).unwrap();
     for (name, _) in &expected {
         let id = format!("e2e-{name}");
         let line = log
             .lines()
-            .find(|l| l.contains(&format!("\"id\":\"{id}\"")))
-            .unwrap_or_else(|| panic!("no log line for {id}"));
-        assert!(line.contains("\"event\":\"request\""), "{line}");
+            .find(|l| {
+                l.contains("\"event\":\"request\"") && l.contains(&format!("\"id\":\"{id}\""))
+            })
+            .unwrap_or_else(|| panic!("no request log line for {id}"));
         assert!(line.contains("\"status\":\"ok\""), "{line}");
         assert!(line.contains("\"certainty\":\"exact\""), "{line}");
-        assert!(line.contains("\"dump\":"), "{line}");
         assert!(line.contains("\"ts_ms\":"), "{line}");
+        assert!(
+            dir.join("slow").join(&id).join("trace.json").is_file(),
+            "no retained trace for {id}"
+        );
     }
-    // At least one request ran against a cold cache and dumped tier-2
-    // queries into its id-named directory.
-    let dumped: usize = std::fs::read_dir(dir.join("dumps"))
-        .map(|d| d.count())
-        .unwrap_or(0);
-    assert!(dumped >= 1, "expected per-request dump directories");
+    // At least one request ran against a cold cache and kept tier-2
+    // queries in its id-named directory.
+    let dumped: usize = expected
+        .iter()
+        .filter_map(|(name, _)| {
+            std::fs::read_dir(dir.join("slow").join(format!("e2e-{name}"))).ok()
+        })
+        .flatten()
+        .filter_map(|e| e.ok())
+        .filter(|e| e.path().extension().is_some_and(|x| x == "omega"))
+        .count();
+    assert!(dumped >= 1, "expected retained .omega dumps");
 
     daemon.shutdown();
     daemon.wait();

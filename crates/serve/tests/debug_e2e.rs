@@ -1,8 +1,8 @@
 //! End-to-end tests of the introspection surface: the `/debug/*`
 //! endpoints, the per-job QueryReport wide events, and `--slow-ms`
-//! tail sampling — a daemon with *default* flags (no `--dump-dir`, no
+//! tail sampling — a daemon with *default* flags (no `--slow-ms`, no
 //! trace file) must still answer `/debug/requests` with populated
-//! reports and `/debug/flight` with a drainable Chrome trace.
+//! reports.
 
 mod common;
 
@@ -69,12 +69,11 @@ fn default_daemon(dir: &std::path::Path, cfg: Config) -> serve::Daemon {
 }
 
 #[test]
-fn default_flags_populate_debug_requests_flight_stats_and_config() {
+fn default_flags_populate_debug_requests_and_config() {
     let _cache = solver_cache();
     let dir = TempDir::new("debug-default");
-    // Default observability flags: no dump dir, no slow threshold — the
-    // acceptance criterion is that introspection works with nothing
-    // pre-armed.
+    // Default observability flags, no slow threshold: the acceptance
+    // criterion is that introspection works with nothing pre-armed.
     let daemon = default_daemon(dir.path(), Config::default());
     let mut conn = connect(daemon.jobs_addr());
     for name in ["gemv", "qr", "swim", "gemm", "lu"] {
@@ -91,7 +90,7 @@ fn default_flags_populate_debug_requests_flight_stats_and_config() {
     }
     assert!(body.contains("\"status\":\"ok\""), "{body}");
     assert!(body.contains("\"certainty\":\"exact\""), "{body}");
-    // Phase attribution from the span collector (phase_trace defaults on).
+    // Phase attribution from the per-job span collector.
     assert!(body.contains("\"cg_generate\":"), "{body}");
     assert!(body.contains("\"sat_query\":"), "{body}");
     // Solver counter deltas + the derived exact-solve count.
@@ -116,28 +115,16 @@ fn default_flags_populate_debug_requests_flight_stats_and_config() {
         }
     }
 
-    // /debug/flight: the always-on recorder drains into a Chrome trace
-    // with the request spans of the jobs just served.
-    let (head, flight) = http_get(daemon.http_addr(), "/debug/flight");
-    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
-    assert!(flight.trim_start().starts_with('['), "{flight}");
-    assert!(flight.trim_end().ends_with(']'), "{flight}");
-    assert!(flight.contains("\"ph\":\"B\""), "no begin events: {flight}");
-    assert!(flight.contains("\"ph\":\"E\""), "no end events: {flight}");
-    assert!(flight.contains("\"name\":\"request\""), "{flight}");
-
-    // /debug/stats: full counter vocabulary + recorder occupancy.
-    let (_, stats) = http_get(daemon.http_addr(), "/debug/stats");
-    assert!(stats.contains("\"counters\":{\"tier0_unsat\":"), "{stats}");
-    assert!(stats.contains("\"exact_solves\":"), "{stats}");
-    assert!(stats.contains("\"flight\":{\"threads\":"), "{stats}");
-    assert!(stats.contains("\"budget_bytes\":"), "{stats}");
+    // A job's spans live only in its collector and the solver counters
+    // on /metrics, so neither has a /debug page.
+    for path in ["/debug/flight", "/debug/stats"] {
+        let (head, _) = http_get(daemon.http_addr(), path);
+        assert!(head.starts_with("HTTP/1.1 404"), "{path}: {head}");
+    }
 
     // /debug/config: the resolved configuration.
     let (_, cfg_body) = http_get(daemon.http_addr(), "/debug/config");
     assert!(cfg_body.contains("\"slow_ms\":null"), "{cfg_body}");
-    assert!(cfg_body.contains("\"phase_trace\":true"), "{cfg_body}");
-    assert!(cfg_body.contains("\"report_ring\":256"), "{cfg_body}");
 
     // /healthz grew the tier state, resolved threads and degrade totals.
     let (_, health) = http_get(daemon.http_addr(), "/healthz");
@@ -185,6 +172,21 @@ fn slow_ms_zero_retains_trace_and_provenance() {
         .filter(|e| e.path().extension().is_some_and(|x| x == "omega"))
         .count();
     assert!(dumps >= 1, "cold-cache slow job must retain .omega dumps");
+    // Every kept dump reproduces its recorded verdict standalone.
+    for entry in std::fs::read_dir(&job_dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.extension().is_some_and(|x| x == "omega") {
+            let r = omega::provenance::replay_file(&path)
+                .unwrap_or_else(|e| panic!("{}: {e:?}", path.display()));
+            assert!(
+                r.matched,
+                "{}: expected {}, got {}",
+                path.display(),
+                r.expected,
+                r.got
+            );
+        }
+    }
 
     // The report records the retention; the log explains the trigger.
     let (_, body) = http_get(daemon.http_addr(), "/debug/requests");
@@ -197,6 +199,10 @@ fn slow_ms_zero_retains_trace_and_provenance() {
         .expect("slow_query log record");
     assert!(
         slow_line.contains("\"reason\":\"threshold\""),
+        "{slow_line}"
+    );
+    assert!(
+        slow_line.contains(&format!("\"dumps\":{dumps},\"dumps_dropped\":0")),
         "{slow_line}"
     );
     let (_, metrics) = http_get(daemon.http_addr(), "/metrics");

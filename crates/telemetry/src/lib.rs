@@ -6,9 +6,8 @@
 //! families — [`Counter`]s, [`Gauge`]s and log₂-bucketed latency
 //! [`Histogram`]s, each optionally split by a small fixed label set — plus
 //! OpenMetrics/Prometheus text exposition ([`Registry::expose`]), a
-//! structured JSON log-line builder ([`log::Record`]), and an always-on
-//! bounded [`flight`] recorder of recent span events, drainable at any
-//! moment as a Chrome trace.
+//! structured JSON log-line builder ([`log::Record`]), and a sampling
+//! [`profile`]r whose samples carry the innermost active span.
 //!
 //! # Design
 //!
@@ -47,7 +46,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod flight;
 pub mod log;
 pub mod profile;
 
@@ -60,17 +58,14 @@ pub use registry::{Counter, Family, Gauge, Registry};
 
 /// The span sink to install as `omega::trace`'s process-wide span hook
 /// (`omega::trace::install_span_hook(telemetry::span_hook)`). Every span
-/// open/close feeds the [`flight`] recorder (a no-op until
-/// [`flight::enable`]) and the [`profile`]r's per-thread span stack, so
-/// samples are attributed to the innermost active solver phase. Opens
-/// record flight-then-profile and closes undo them in reverse, keeping
-/// both sinks LIFO.
+/// open/close pushes or pops the [`profile`]r's per-thread span stack,
+/// so samples are attributed to the innermost active solver phase. The
+/// stack lives here rather than in the span collector because the
+/// SIGPROF handler needs lock-free, async-signal-safe reads.
 pub fn span_hook(begin: bool, name: &'static str) {
     if begin {
-        flight::record(flight::FlightKind::Begin, name);
         profile::span_enter(name);
     } else {
         profile::span_exit();
-        flight::record(flight::FlightKind::End, name);
     }
 }

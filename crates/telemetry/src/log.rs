@@ -92,15 +92,6 @@ impl Record {
         self
     }
 
-    /// Adds a string field only when `v` is `Some` (absent fields beat
-    /// `null`s for line-oriented grep-ability).
-    pub fn opt_str(self, key: &str, v: Option<&str>) -> Record {
-        match v {
-            Some(v) => self.str(key, v),
-            None => self,
-        }
-    }
-
     /// Closes the object and returns the JSON line (no trailing newline).
     pub fn finish(mut self) -> String {
         self.buf.push('}');
@@ -320,12 +311,10 @@ mod tests {
             .float("f", 1.5)
             .float("nan", f64::NAN)
             .bool("b", false)
-            .opt_str("absent", None)
-            .opt_str("present", Some("x"))
             .finish();
         assert_eq!(
             line,
-            r#"{"event":"e\"v","k":"a\\b\nc","n":-3,"f":1.5,"nan":null,"b":false,"present":"x"}"#
+            r#"{"event":"e\"v","k":"a\\b\nc","n":-3,"f":1.5,"nan":null,"b":false}"#
         );
     }
 

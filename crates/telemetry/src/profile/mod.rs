@@ -33,7 +33,7 @@ mod sys;
 pub use symbolize::{demangle, Symbolizer};
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{compiler_fence, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -272,8 +272,12 @@ pub fn span_enter(name: &'static str) {
             s.lens[d].store(name.len(), Ordering::Relaxed);
         }
         // Write the entry before exposing it: the handler reads only
-        // indices < depth. Depth still advances past capacity so
-        // enter/exit stay balanced; overflow entries just aren't recorded.
+        // indices < depth. Relaxed stores alone do not order the slot
+        // before `depth`; the compiler fence does, and it is enough
+        // because the only reader is a signal handler on this thread.
+        // Depth still advances past capacity so enter/exit stay
+        // balanced; overflow entries just aren't recorded.
+        compiler_fence(Ordering::Release);
         s.depth.store(d + 1, Ordering::Relaxed);
     });
 }
@@ -293,6 +297,9 @@ pub fn span_exit() {
 fn current_span_raw() -> (usize, usize) {
     SPAN_STACK.with(|s| {
         let d = s.depth.load(Ordering::Relaxed).min(SPAN_DEPTH);
+        // Pairs with the fence in `span_enter`: slot reads stay after
+        // the `depth` read that exposed them.
+        compiler_fence(Ordering::Acquire);
         if d == 0 {
             (0, 0)
         } else {

@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Validate a Chrome trace-event JSON file.
 
-Accepts traces from `table1 --trace` and from the codegend flight
-recorder (`GET /debug/flight`). Checks that the file is well-formed JSON
-and that the duration events are balanced: every `E` closes the
+Accepts traces from `table1 --trace` and the `trace.json` codegend
+retains for a tail-sampled job (`--slow-ms`, under
+`<slow-dir>/<request-id>/`); both come from the same exporter. Checks
+that the file is well-formed JSON and that the duration events are
+balanced: every `E` closes the
 innermost open `B` of the same thread, and no thread ends with an open
 span. Instant events (`ph: "i"`) are allowed and do not affect balance.
 Run with `--self-test` to verify the checker itself rejects the
