@@ -5,8 +5,7 @@
 //!
 //! Usage:
 //!   difftest [--seeds N] [--start S] [--time-budget DUR] [--minimize]
-//!            [--intra N] [--out DIR] [--cache-dir DIR]
-//!            [--replay FILE.difftest]
+//!            [--intra N] [--out DIR] [--replay FILE.difftest]
 //!
 //! * `--seeds N`       check seeds `S .. S+N` (default 1000)
 //! * `--start S`       first seed (default 0)
@@ -17,11 +16,6 @@
 //!   intra-query task budget of N (default: budget 1 only), asserting
 //!   byte-identical output on that axis too
 //! * `--out DIR`       artifact directory (default `difftest-out`)
-//! * `--cache-dir DIR` open a persistent solver cache at DIR: exact
-//!   verdicts recorded by earlier runs are served without re-solving, and
-//!   this run's new verdicts are flushed back on exit — fuzzing and
-//!   replay must be deterministic across cache states, so a warm cache
-//!   only changes speed, never outcomes
 //! * `--replay FILE`   check one committed `.difftest` case instead of
 //!   fuzzing (reproduces a CI failure locally)
 //!
@@ -60,7 +54,6 @@ fn main() -> ExitCode {
     let mut minimize = false;
     let mut intra: usize = 1;
     let mut out = PathBuf::from("difftest-out");
-    let mut cache_dir: Option<PathBuf> = None;
     let mut replay: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -97,10 +90,6 @@ fn main() -> ExitCode {
                 Ok(p) => out = PathBuf::from(p),
                 Err(()) => return ExitCode::from(2),
             },
-            "--cache-dir" => match val("--cache-dir") {
-                Ok(p) => cache_dir = Some(PathBuf::from(p)),
-                Err(()) => return ExitCode::from(2),
-            },
             "--replay" => match val("--replay") {
                 Ok(p) => replay = Some(PathBuf::from(p)),
                 Err(()) => return ExitCode::from(2),
@@ -112,28 +101,8 @@ fn main() -> ExitCode {
         }
     }
 
-    if let Some(dir) = &cache_dir {
-        match omega::persist::init(dir) {
-            Ok(s) => eprintln!(
-                "persistent cache open at {} ({} sat / {} gist records, {} bytes truncated)",
-                dir.display(),
-                s.sat_records,
-                s.gist_records,
-                s.truncated_bytes,
-            ),
-            Err(e) => eprintln!(
-                "persistent cache degraded ({}): {e}; continuing with process-local caching",
-                e.as_str()
-            ),
-        }
-    }
-
     if let Some(path) = replay {
-        let code = replay_one(&path);
-        if cache_dir.is_some() {
-            omega::persist::flush();
-        }
-        return code;
+        return replay_one(&path);
     }
 
     // Budget 1 always runs (it is the executed configuration); --intra N
@@ -165,11 +134,6 @@ fn main() -> ExitCode {
             CaseOutcome::Fail(d) => {
                 println!("seed {seed}: DISCREPANCY {d}");
                 println!("{case}");
-                if cache_dir.is_some() {
-                    // Exact verdicts stay valid even when codegen itself
-                    // disagrees with the oracle — keep them for the rerun.
-                    omega::persist::flush();
-                }
                 return match write_artifacts(&out, seed, &case, minimize) {
                     Ok(()) => ExitCode::FAILURE,
                     Err(e) => {
@@ -199,9 +163,6 @@ fn main() -> ExitCode {
         "clean: {checked} seeds in {:.1?} ({pass} pass, {skip} skip, 0 discrepancies)",
         t0.elapsed()
     );
-    if cache_dir.is_some() {
-        omega::persist::flush();
-    }
     ExitCode::SUCCESS
 }
 

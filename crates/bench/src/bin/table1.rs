@@ -5,7 +5,7 @@
 //!
 //! Usage: `cargo run --release -p bench-harness --bin table1 [N] [--gcc]
 //! [--json FILE] [--trace FILE.json [--force]] [--dump-dir DIR]
-//! [--cache-dir DIR] [--profile FILE]`
+//! [--profile FILE]`
 //! (N = problem size; default 64). With `--gcc` and a gcc on PATH, two
 //! extra column groups report the *real* `gcc -O3` compile time and the
 //! compiled binary's execution time — the paper's literal methodology.
@@ -27,13 +27,6 @@
 //! `--dump-dir DIR`, every tier-2 solver query of the traced runs is also
 //! written as a replayable `.omega` dump (see `omega-replay`).
 //!
-//! With `--cache-dir DIR`, the run warm-starts from the crash-safe
-//! persistent solver cache in that directory and flushes new exact
-//! verdicts back at the end; each row's `report.counters` in the `--json`
-//! snapshot then carries the `persist_*` hit/miss/degrade deltas. A broken
-//! or unwritable cache degrades to process-local caching (reported on
-//! stderr + counted), never a failure.
-//!
 //! With `--profile FILE`, the whole run executes under the sampling CPU
 //! profiler (`telemetry::profile`, the same engine behind the daemon's
 //! `/debug/pprof/profile`) and the collapsed-stack flamegraph text is
@@ -53,7 +46,6 @@ fn main() -> ExitCode {
     let mut trace_path: Option<PathBuf> = None;
     let mut dump_dir: Option<PathBuf> = None;
     let mut json_path: Option<PathBuf> = None;
-    let mut cache_dir: Option<PathBuf> = None;
     let mut profile_path: Option<PathBuf> = None;
     let mut n: i64 = 64;
     let mut args = std::env::args().skip(1);
@@ -79,13 +71,6 @@ fn main() -> ExitCode {
                 Some(p) => dump_dir = Some(PathBuf::from(p)),
                 None => {
                     eprintln!("--dump-dir requires a directory argument");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--cache-dir" => match args.next() {
-                Some(p) => cache_dir = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("--cache-dir requires a directory argument");
                     return ExitCode::FAILURE;
                 }
             },
@@ -116,21 +101,6 @@ fn main() -> ExitCode {
                 p.display()
             );
             return ExitCode::FAILURE;
-        }
-    }
-    if let Some(dir) = &cache_dir {
-        match omega::persist::init(dir) {
-            Ok(s) => eprintln!(
-                "persistent cache open at {} ({} sat / {} gist records, {} bytes truncated)",
-                dir.display(),
-                s.sat_records,
-                s.gist_records,
-                s.truncated_bytes,
-            ),
-            Err(e) => eprintln!(
-                "persistent cache degraded ({}): {e}; continuing with process-local caching",
-                e.as_str()
-            ),
         }
     }
     let mut profiling = false;
@@ -367,9 +337,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
         println!("bench snapshot written to {}", p.display());
-    }
-    if cache_dir.is_some() {
-        omega::persist::flush();
     }
     ExitCode::SUCCESS
 }

@@ -8,7 +8,7 @@
 //! thread. Sharding by fingerprint keeps lock contention negligible (64
 //! independent mutexes per cache), and eviction is bounded second-chance
 //! instead of a full wipe: entries re-hit since the last sweep survive, so
-//! the hot working set persists across evictions.
+//! the hot working set outlives each sweep.
 //!
 //! **Only exact results are ever inserted.** A verdict or gist computed
 //! under a tripped resource limit ([`crate::limits`]) depends on the

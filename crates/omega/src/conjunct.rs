@@ -124,28 +124,6 @@ impl Conjunct {
         c
     }
 
-    /// Reassembles a conjunct from its stored parts (the persistence
-    /// layer's deserializer). The caller is responsible for row widths
-    /// matching `1 + space.n_named() + n_locals`; rows are taken as-is —
-    /// no re-normalization — so a round-trip through
-    /// [`crate::persist`]'s codec reproduces the original exactly.
-    pub(crate) fn from_raw_parts(
-        space: Space,
-        n_locals: usize,
-        rows: Vec<Row>,
-        known_false: bool,
-    ) -> Self {
-        debug_assert!(rows
-            .iter()
-            .all(|r| r.c.len() == 1 + space.n_named() + n_locals));
-        Conjunct {
-            space,
-            n_locals,
-            rows,
-            known_false,
-        }
-    }
-
     /// The space of this conjunct.
     pub fn space(&self) -> &Space {
         &self.space

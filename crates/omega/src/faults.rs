@@ -162,130 +162,6 @@ pub(crate) fn tick() -> Result<(), OmegaError> {
     Ok(())
 }
 
-// ---------------------------------------------------------------------------
-// Persistence-layer fault injection
-// ---------------------------------------------------------------------------
-
-/// A failure mode to force on the persistent cache ([`crate::persist`]).
-/// Unlike [`Fault`], these model the *environment* failing (the disk),
-/// not the solver's own limits — the contract under test
-/// is that every one degrades to process-local caching with a counted
-/// reason and a correct verdict.
-#[cfg(feature = "faults")]
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum PersistFault {
-    /// An I/O error on a log read (open/scan) or append (flush).
-    Io,
-    /// A torn append: half the pending bytes land, then the write fails —
-    /// the moral equivalent of SIGKILL mid-write.
-    ShortWrite,
-    /// A flipped bit in a record read by the recovery scan, which must
-    /// surface as a checksum mismatch.
-    BitFlip,
-}
-
-#[cfg(feature = "faults")]
-impl PersistFault {
-    /// Every injectable persistence fault, for matrix-style test drivers.
-    pub const ALL: [PersistFault; 3] = [
-        PersistFault::Io,
-        PersistFault::ShortWrite,
-        PersistFault::BitFlip,
-    ];
-
-    /// Parses the tags used by CI drivers (`OMEGA_PERSIST_FAULT`).
-    pub fn from_tag(tag: &str) -> Option<PersistFault> {
-        Some(match tag {
-            "persist-io" => PersistFault::Io,
-            "persist-short-write" => PersistFault::ShortWrite,
-            "persist-bitflip" => PersistFault::BitFlip,
-            _ => return None,
-        })
-    }
-}
-
-/// What [`persist_tick`] tells the persistence layer to do. Always
-/// defined (the call sites live in non-feature-gated code); only the
-/// `faults` feature can ever produce a value — hence the dead-code
-/// allowance on featureless builds.
-#[cfg_attr(not(feature = "faults"), allow(dead_code))]
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum PersistDisruption {
-    /// Fail the current read/append with an injected I/O error.
-    Io,
-    /// Append only half the pending bytes, then fail.
-    ShortWrite,
-    /// Flip one bit of the bytes about to be checksum-verified.
-    BitFlip,
-}
-
-#[cfg(feature = "faults")]
-mod persist_armed {
-    use std::sync::atomic::{AtomicU64, AtomicU8};
-
-    /// Op index at which to fire; `u64::MAX` means disarmed.
-    pub(super) static TRIGGER: AtomicU64 = AtomicU64::new(u64::MAX);
-    /// Discriminant of the armed [`super::PersistFault`].
-    pub(super) static KIND: AtomicU8 = AtomicU8::new(0);
-    /// Global (process-wide) persist-operation counter. Unlike the solver
-    /// harness there is no per-query scope — persistence operations are
-    /// sequential per store, so a global counter is already deterministic
-    /// for single-threaded tests.
-    pub(super) static OPS: AtomicU64 = AtomicU64::new(0);
-}
-
-/// Arms the persistence harness: the `n_ops`-th counted persistence
-/// operation after this call is disrupted with `fault`, **once** (the
-/// harness disarms after firing, so one armed fault disrupts exactly one
-/// operation). `n_ops == 1` fires on the very first operation. The
-/// operation count restarts at every arm.
-///
-/// If the targeted operation does not support the armed kind (e.g. a
-/// `BitFlip` landing on an append), the shot is spent with no effect —
-/// tests pick `n_ops` to land on the operation they mean to disrupt.
-#[cfg(feature = "faults")]
-pub fn inject_persist(n_ops: u64, fault: PersistFault) {
-    use std::sync::atomic::Ordering;
-    persist_armed::KIND.store(
-        PersistFault::ALL.iter().position(|f| *f == fault).unwrap() as u8,
-        Ordering::Relaxed,
-    );
-    persist_armed::OPS.store(0, Ordering::Relaxed);
-    persist_armed::TRIGGER.store(n_ops, Ordering::Relaxed);
-}
-
-/// Disarms the persistence harness.
-#[cfg(feature = "faults")]
-pub fn clear_persist() {
-    use std::sync::atomic::Ordering;
-    persist_armed::TRIGGER.store(u64::MAX, Ordering::Relaxed);
-}
-
-/// Counts one persistence operation; returns the armed disruption when
-/// this is the operation the harness was aimed at (and disarms). Always
-/// `None` without the `faults` feature.
-#[inline]
-pub(crate) fn persist_tick() -> Option<PersistDisruption> {
-    #[cfg(feature = "faults")]
-    {
-        use std::sync::atomic::Ordering;
-        let trigger = persist_armed::TRIGGER.load(Ordering::Relaxed);
-        if trigger != u64::MAX {
-            let n = persist_armed::OPS.fetch_add(1, Ordering::Relaxed) + 1;
-            if n == trigger {
-                persist_armed::TRIGGER.store(u64::MAX, Ordering::Relaxed);
-                let kind = persist_armed::KIND.load(Ordering::Relaxed);
-                return Some(match PersistFault::ALL[kind as usize] {
-                    PersistFault::Io => PersistDisruption::Io,
-                    PersistFault::ShortWrite => PersistDisruption::ShortWrite,
-                    PersistFault::BitFlip => PersistDisruption::BitFlip,
-                });
-            }
-        }
-    }
-    None
-}
-
 #[cfg(all(test, feature = "faults"))]
 mod tests {
     use super::*;

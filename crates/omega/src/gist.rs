@@ -42,16 +42,6 @@ pub(crate) fn gist_conjunct(a: &Conjunct, ctx: &Conjunct) -> Conjunct {
         span.attr("tier", "cache");
         return hit;
     }
-    // Warm persistent tier: an exact gist from a prior process, under the
-    // same order-sensitive `key` as the hot cache (gist output depends on
-    // row order). Probed *before* the miss is counted: a persist hit
-    // runs no gist pipeline, and the `gist_exact` span-count invariant
-    // (spans == gist_misses delta) must keep holding.
-    if let Some(hit) = crate::persist::gist_lookup(key, a.space()) {
-        crate::cache::GIST.insert(key, hit.clone());
-        span.attr("tier", "persist");
-        return hit;
-    }
     crate::stats::bump!(gist_misses);
     // Uncached gist: a detached per-query trace root, keyed by the cache
     // fingerprint so merged traces order it deterministically.
@@ -65,9 +55,6 @@ pub(crate) fn gist_conjunct(a: &Conjunct, ctx: &Conjunct) -> Conjunct {
     let (out, reasons) = crate::limits::observe(|| gist_conjunct_uncached(a, ctx));
     if reasons.is_empty() {
         crate::cache::GIST.insert(key, out.clone());
-        // Exact gists (and only exact gists) are queued for the durable
-        // tier — same no-poisoning rule as the in-memory insert above.
-        crate::persist::gist_record(key, &out);
         // Exact gists are dumpable as replayable test cases (degraded ones
         // carry no checkable expectation and are only recorded in spans).
         if let Some(c) = crate::trace::current().filter(|c| c.wants_dumps()) {

@@ -37,7 +37,6 @@ pub mod faults;
 pub mod limits;
 pub mod num;
 pub mod par;
-pub mod persist;
 pub mod provenance;
 pub mod stats;
 pub mod trace;

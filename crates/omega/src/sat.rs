@@ -326,18 +326,7 @@ fn satisfiable_with_key(
             span.attr("sat", true);
             true
         }
-        Verdict::Unknown => 'tier2: {
-            // Warm persistent tier: an exact verdict computed by a prior
-            // process. Probed only past tiers 0/1 (so the on-disk log
-            // holds only queries that were worth an exact solve), under
-            // the hot cache's `key`, which is stable across processes. A
-            // hit is exact by the no-poisoning-on-disk invariant, so it
-            // is promoted into the hot cache by the shared insert below.
-            if let Some(hit) = crate::persist::sat_lookup(key) {
-                span.attr("tier", "persist");
-                span.attr("sat", hit);
-                break 'tier2 hit;
-            }
+        Verdict::Unknown => {
             // Only tier 2 needs the canonical (sorted, deduplicated)
             // system. Determinism across thread counts requires the
             // *solver input* to be a pure function of the fingerprinted
@@ -360,11 +349,6 @@ fn satisfiable_with_key(
             match solve(work, 0, &mut budget, &lim) {
                 Ok(v) => {
                     exact.attr("sat", v);
-                    // Exact verdict: queue it for the durable tier under
-                    // the same key the warm probe used. The Err arm below
-                    // records nothing — degraded verdicts never reach
-                    // disk (no-poisoning-on-disk).
-                    crate::persist::sat_record(key, v);
                     if let Some(c) = &dump {
                         let text = crate::provenance::sat_dump_text(
                             dump_rows.as_deref().unwrap_or(&[]),
@@ -437,8 +421,7 @@ pub(crate) fn exact_satisfiable(rows: &[Row], n_vars: usize) -> bool {
 /// queries fingerprint identically *regardless of row order* and no sorted
 /// copy is needed on the lookup path. Constant rows are skipped to keep
 /// the key canonical. Collision odds are negligible at the cache's
-/// capacity. The key depends only on the rows, so it is stable across
-/// processes and also keys the persistent tier ([`crate::persist`]).
+/// capacity.
 fn cache_key(rows: &[Row]) -> (u64, u64) {
     let mut sum = KeySum::EMPTY;
     for r in rows.iter().filter(|r| !r.is_constant()) {

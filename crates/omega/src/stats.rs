@@ -112,16 +112,6 @@ define_counters! {
     par_batches: "Fan-outs (pass-level or intra-query) that ran on more than one thread.",
     par_tasks: "Items run by parallel fan-outs; par_tasks / par_batches is the mean batch size.",
     par_steals: "Fan-out items claimed by a thread other than the submitting one (dynamic load-balancing transfers).",
-    persist_hits: "Warm persistent-tier hits on sat-verdict probes (exact solves avoided by the on-disk cache).",
-    persist_misses: "Warm persistent-tier misses on sat-verdict probes (the query went on to the exact solver).",
-    persist_gist_hits: "Warm persistent-tier hits on gist probes (gist pipelines avoided by the on-disk cache).",
-    persist_gist_misses: "Warm persistent-tier misses on gist probes.",
-    persist_writes: "Exact verdicts queued for the durable persistent tier (appended to the log on the next flush).",
-    persist_truncations: "Torn or corrupt log tails truncated during persistent-cache recovery at open.",
-    persist_degrade_io: "Persistent-tier degradations from I/O errors (failed reads at open, or a failed append that disabled the write path).",
-    persist_degrade_checksum: "Persistent-tier records dropped for checksum mismatches during the recovery scan at open.",
-    persist_degrade_version: "Persistent caches refused for format-version or build-fingerprint skew (the log is left untouched).",
-    persist_degrade_unwritable: "Persistent caches disabled because the cache directory or log was unwritable.",
 }
 
 impl Snapshot {
@@ -133,8 +123,7 @@ impl Snapshot {
     }
 
     /// Queries that ran the exact Omega test: cache misses not settled
-    /// by tier 0, tier 1, or the warm persistent tier (a `persist_hits`
-    /// probe serves a prior process's exact verdict without solving).
+    /// by tier 0 or tier 1.
     ///
     /// The tier sum is clamped to `cache_misses` before subtracting:
     /// under the relaxed per-field loads of [`snapshot`] a tier
@@ -142,8 +131,7 @@ impl Snapshot {
     /// and an unclamped difference would wrap (or saturate to a
     /// misleading 0 while the true value is small but nonzero).
     pub fn exact_solves(&self) -> u64 {
-        let tiered = (self.tier0_unsat + self.tier1_unsat + self.tier1_sat + self.persist_hits)
-            .min(self.cache_misses);
+        let tiered = (self.tier0_unsat + self.tier1_unsat + self.tier1_sat).min(self.cache_misses);
         self.cache_misses - tiered
     }
 
@@ -187,17 +175,6 @@ mod tests {
             ..Snapshot::default()
         };
         assert_eq!(s.exact_solves(), 3);
-        // Warm persistent-tier hits answer without solving, so they
-        // subtract like a tier verdict.
-        let s = Snapshot {
-            tier0_unsat: 2,
-            tier1_unsat: 1,
-            tier1_sat: 1,
-            persist_hits: 2,
-            cache_misses: 7,
-            ..Snapshot::default()
-        };
-        assert_eq!(s.exact_solves(), 1);
     }
 
     #[test]
@@ -246,16 +223,6 @@ mod tests {
             "par_batches",
             "par_tasks",
             "par_steals",
-            "persist_hits",
-            "persist_misses",
-            "persist_gist_hits",
-            "persist_gist_misses",
-            "persist_writes",
-            "persist_truncations",
-            "persist_degrade_io",
-            "persist_degrade_checksum",
-            "persist_degrade_version",
-            "persist_degrade_unwritable",
             "fast-path",
         ] {
             assert!(text.contains(field), "Display missing {field}: {text}");

@@ -675,7 +675,7 @@ impl Collector {
     /// Enables *buffered* query provenance: dumps are rendered and held
     /// in memory (up to an internal cap) instead of touching disk, so the
     /// owner can decide after the job whether to retain them — the
-    /// tail-sampling mode behind `codegend --slow-ms`. Persist with
+    /// tail-sampling mode behind `codegend --slow-ms`. Write them out with
     /// [`Collector::write_buffered_dumps`]; dropping the collector
     /// discards them.
     pub fn buffer_queries(&self) {

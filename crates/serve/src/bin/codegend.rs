@@ -8,8 +8,7 @@
 //! ```text
 //! codegend [--jobs ADDR] [--http ADDR] [--effort N] [--threads N]
 //!          [--deadline-ms MS] [--workers N] [--queue-depth N]
-//!          [--queue-timeout-ms MS] [--cache-dir DIR] [--cache-flush-ms MS]
-//!          [--slow-ms MS] [--slow-dir DIR]
+//!          [--queue-timeout-ms MS] [--slow-ms MS] [--slow-dir DIR]
 //!          [--log FILE] [--log-max-mb MB] [--log-keep N]
 //! ```
 //!
@@ -20,11 +19,7 @@
 //! queue (0 = machine cores, the default); `--queue-depth` bounds how
 //! many admitted jobs may wait (default 256 — over it, requests get
 //! `busy` / HTTP 503); `--queue-timeout-ms` errors jobs that wait longer
-//! instead of running them stale. `--cache-dir` warm-starts the
-//! crash-safe persistent solver cache from that directory and flushes new
-//! exact verdicts to it every `--cache-flush-ms` (default 5000) and at
-//! shutdown; a missing or broken cache degrades to process-local caching
-//! (logged + counted), never a startup failure. `--slow-ms` arms tail
+//! instead of running them stale. `--slow-ms` arms tail
 //! sampling: a job slower than the threshold (or erroring, or degrading)
 //! keeps its full span trace and replayable `.omega` provenance under
 //! `--slow-dir` (default `codegend-slow`); fast healthy jobs keep
@@ -95,14 +90,6 @@ fn main() -> ExitCode {
                 }
                 _ => Err(()),
             },
-            "--cache-dir" => val("--cache-dir").map(|v| cfg.cache_dir = Some(PathBuf::from(v))),
-            "--cache-flush-ms" => match val("--cache-flush-ms").map(|v| v.parse()) {
-                Ok(Ok(ms)) => {
-                    cfg.cache_flush = Duration::from_millis(ms);
-                    Ok(())
-                }
-                _ => Err(()),
-            },
             "--slow-ms" => match val("--slow-ms").map(|v| v.parse()) {
                 Ok(Ok(ms)) => {
                     cfg.slow_ms = Some(ms);
@@ -130,8 +117,7 @@ fn main() -> ExitCode {
                 eprintln!(
                     "usage: codegend [--jobs ADDR] [--http ADDR] [--effort N] [--threads N]\n\
                      \x20               [--deadline-ms MS] [--workers N] [--queue-depth N]\n\
-                     \x20               [--queue-timeout-ms MS] [--cache-dir DIR] [--cache-flush-ms MS]\n\
-                     \x20               [--slow-ms MS] [--slow-dir DIR]\n\
+                     \x20               [--queue-timeout-ms MS] [--slow-ms MS] [--slow-dir DIR]\n\
                      \x20               [--log FILE] [--log-max-mb MB] [--log-keep N]"
                 );
                 return ExitCode::SUCCESS;

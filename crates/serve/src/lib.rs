@@ -14,7 +14,7 @@
 //!   counters bridged at scrape time;
 //! * **`GET /healthz`** — a JSON readiness probe with uptime, job
 //!   totals, queue occupancy, resolved thread counts, cumulative
-//!   degradations, and the persistent-cache tier state;
+//!   degradations, and the profiler state;
 //! * **structured JSON request logs** — one line per request, plus one
 //!   canonical [`report::QueryReport`] wide event per job with per-phase
 //!   wall times, queue wait, and solver counter deltas; both carry the
@@ -119,18 +119,6 @@ pub struct Config {
     /// the staleness of work under sustained overload: shed at admission
     /// when full, time out in queue when slow.
     pub queue_timeout: Option<Duration>,
-    /// When set, the persistent solver cache ([`omega::persist`]) is
-    /// opened under this directory at boot: warm-starts every exact sat
-    /// verdict and gist result a previous process flushed, and appends
-    /// this process's new exact results on a periodic + shutdown flush.
-    /// Every failure mode (unwritable dir, version skew, corruption)
-    /// degrades to plain process-local caching with the reason logged
-    /// and counted — never a startup failure.
-    pub cache_dir: Option<PathBuf>,
-    /// How often the durable cache tier is flushed to disk while running
-    /// (a final flush also runs at shutdown). Only meaningful with
-    /// `cache_dir`.
-    pub cache_flush: Duration,
     /// Tail-sampling threshold. When set, a job slower than this many
     /// milliseconds — or one that errors or degrades — retains its full
     /// span trace (`trace.json`) and buffered `.omega` provenance dumps
@@ -159,8 +147,6 @@ impl Default for Config {
             workers: 0,
             queue_depth: 256,
             queue_timeout: None,
-            cache_dir: None,
-            cache_flush: Duration::from_secs(5),
             slow_ms: None,
             slow_dir: PathBuf::from("codegend-slow"),
             log: LogTarget::Stderr,
@@ -224,8 +210,8 @@ impl State {
 
     /// The `/healthz` body: readiness plus the operational facts a probe
     /// wants before paging anyone — queue occupancy, resolved
-    /// parallelism, cumulative degradations by kind, and the
-    /// persistent-cache tier state.
+    /// parallelism, cumulative degradations by kind, and the profiler
+    /// state.
     pub(crate) fn healthz_json(&self) -> String {
         let stats = omega::stats::snapshot();
         let cg = CodeGen::new().threads(self.cfg.default_threads);
@@ -255,22 +241,6 @@ impl State {
             stats.degrade_rowcap,
             stats.degrade_deadline,
         );
-        match omega::persist::installed() {
-            Some(store) => {
-                let s = store.open_summary();
-                let _ = write!(
-                    out,
-                    ",\"persist\":{{\"enabled\":true,\"dir\":\"{}\",\"sat_records\":{},\"gist_records\":{},\
-                     \"pending_bytes\":{},\"write_disabled\":{}}}",
-                    json_escape(&store.dir().display().to_string()),
-                    s.sat_records,
-                    s.gist_records,
-                    store.pending_bytes(),
-                    store.write_disabled(),
-                );
-            }
-            None => out.push_str(",\"persist\":{\"enabled\":false}"),
-        }
         let p = telemetry::profile::state();
         let _ = write!(
             out,
@@ -332,16 +302,6 @@ impl State {
                 let _ = write!(out, ",\"deadline_ms\":{}", d.as_millis());
             }
             None => out.push_str(",\"deadline_ms\":null"),
-        }
-        match &c.cache_dir {
-            Some(p) => {
-                let _ = write!(
-                    out,
-                    ",\"cache_dir\":\"{}\"",
-                    json_escape(&p.display().to_string())
-                );
-            }
-            None => out.push_str(",\"cache_dir\":null"),
         }
         match c.slow_ms {
             Some(ms) => {
@@ -443,37 +403,6 @@ pub fn spawn(cfg: Config) -> io::Result<Daemon> {
             .int("workers", workers as i64)
             .int("queue_depth", state.cfg.queue_depth as i64),
     );
-    // Warm-start the persistent solver cache. Failure is a logged
-    // degradation (the omega::stats counters carry the structured
-    // reason), never a startup error: a daemon on a broken disk serves
-    // from process-local caches exactly like one with no --cache-dir.
-    let cache_enabled = if let Some(dir) = &state.cfg.cache_dir {
-        match omega::persist::init(dir) {
-            Ok(s) => {
-                state.logger.log(
-                    Record::new("persist_open")
-                        .str("dir", &dir.display().to_string())
-                        .int("sat_records", s.sat_records as i64)
-                        .int("gist_records", s.gist_records as i64)
-                        .int("truncated_bytes", s.truncated_bytes as i64),
-                );
-                true
-            }
-            Err(e) => {
-                state.logger.log(
-                    Record::new("persist_degraded")
-                        .str("dir", &dir.display().to_string())
-                        .str("reason", e.as_str())
-                        .str("msg", &e.to_string()),
-                );
-                // An already-installed store (another daemon in this
-                // process) still wants this daemon's flush thread.
-                matches!(e, omega::persist::PersistError::AlreadyEnabled)
-            }
-        }
-    } else {
-        false
-    };
     let mut worker_threads = Vec::with_capacity(workers);
     for i in 0..workers {
         let state = Arc::clone(&state);
@@ -484,14 +413,6 @@ pub fn spawn(cfg: Config) -> io::Result<Daemon> {
         );
     }
     let mut accept_threads = Vec::new();
-    if cache_enabled {
-        let state = Arc::clone(&state);
-        accept_threads.push(
-            thread::Builder::new()
-                .name("codegend-cache-flush".into())
-                .spawn(move || cache_flush_loop(state))?,
-        );
-    }
     {
         let state = Arc::clone(&state);
         accept_threads.push(
@@ -531,14 +452,10 @@ impl Daemon {
     /// Asks the accept loops and the worker pool to stop (idempotent).
     /// In-flight connection handlers finish their current request;
     /// workers finish their current job; still-queued jobs are dropped
-    /// and their submitters answered with a shutdown error. Pending
-    /// persistent-cache records are flushed immediately (the flush
-    /// thread also flushes on its way out, but a caller that exits right
-    /// after `shutdown` must not race it).
+    /// and their submitters answered with a shutdown error.
     pub fn shutdown(&self) {
         self.state.stop.store(true, Ordering::SeqCst);
         self.state.queue.stop();
-        omega::persist::flush();
         // Unblock the blocking accepts with one throwaway connection each.
         let _ = TcpStream::connect(self.jobs_addr);
         let _ = TcpStream::connect(self.http_addr);
@@ -554,23 +471,6 @@ impl Daemon {
             let _ = t.join();
         }
     }
-}
-
-/// Periodic durable-tier flush, plus one final flush at shutdown. Sleeps
-/// in short steps so shutdown is prompt regardless of the interval.
-fn cache_flush_loop(state: Arc<State>) {
-    let interval = state.cfg.cache_flush.max(Duration::from_millis(10));
-    let step = interval.min(Duration::from_millis(100));
-    let mut since_flush = Duration::ZERO;
-    while !state.stop.load(Ordering::SeqCst) {
-        thread::sleep(step);
-        since_flush += step;
-        if since_flush >= interval {
-            omega::persist::flush();
-            since_flush = Duration::ZERO;
-        }
-    }
-    omega::persist::flush();
 }
 
 fn accept_loop(listener: TcpListener, state: Arc<State>, handler: fn(Arc<State>, TcpStream)) {

@@ -7,6 +7,7 @@
 mod common;
 
 use common::TempDir;
+use serve::json::Json;
 use serve::{spawn, Config, LogTarget};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -47,6 +48,14 @@ fn submit(conn: &mut BufReader<TcpStream>, line: &str) -> String {
         conn.read_exact(&mut payload).unwrap();
     }
     header
+}
+
+/// The sorted top-level keys of a JSON object body.
+fn top_level_keys(body: &str) -> Vec<String> {
+    match serve::json::parse(body) {
+        Ok(Json::Obj(m)) => m.into_keys().collect(),
+        other => panic!("not a JSON object: {other:?}: {body}"),
+    }
 }
 
 fn http_get(addr: SocketAddr, path: &str) -> (String, String) {
@@ -122,19 +131,56 @@ fn default_flags_populate_debug_requests_and_config() {
         assert!(head.starts_with("HTTP/1.1 404"), "{path}: {head}");
     }
 
-    // /debug/config: the resolved configuration.
+    // /debug/config: the resolved configuration, and nothing else (the
+    // solver caches are in-memory only, so no cache directory).
     let (_, cfg_body) = http_get(daemon.http_addr(), "/debug/config");
     assert!(cfg_body.contains("\"slow_ms\":null"), "{cfg_body}");
+    assert_eq!(
+        top_level_keys(&cfg_body),
+        [
+            "build",
+            "deadline_ms",
+            "default_effort",
+            "default_threads",
+            "http_addr",
+            "jobs_addr",
+            "log_keep",
+            "log_max_mb",
+            "log_rotations",
+            "profiler_supported",
+            "queue_depth",
+            "queue_timeout_ms",
+            "slow_dir",
+            "slow_ms",
+            "workers",
+        ],
+        "{cfg_body}"
+    );
 
-    // /healthz grew the tier state, resolved threads and degrade totals.
+    // /healthz: resolved threads and degrade totals, and no on-disk
+    // solver tier to report.
     let (_, health) = http_get(daemon.http_addr(), "/healthz");
     assert!(health.contains("\"status\":\"ready\""), "{health}");
     assert!(health.contains("\"jobs_total\":5"), "{health}");
     assert!(health.contains("\"threads\":"), "{health}");
     assert!(health.contains("\"intra_threads\":"), "{health}");
     assert!(health.contains("\"degraded\":{\"sat\":"), "{health}");
-    assert!(
-        health.contains("\"persist\":{\"enabled\":false}"),
+    assert_eq!(
+        top_level_keys(&health),
+        [
+            "build",
+            "degraded",
+            "inflight",
+            "intra_threads",
+            "jobs_total",
+            "profiler",
+            "queue",
+            "shed_total",
+            "status",
+            "threads",
+            "uptime_ms",
+            "uptime_seconds",
+        ],
         "{health}"
     );
 

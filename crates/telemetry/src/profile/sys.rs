@@ -1,7 +1,7 @@
 //! Raw Linux syscalls for the sampling profiler.
 //!
-//! The workspace is dependency-free, so — as with `omega::persist`'s raw
-//! mmap — the profiler talks to the kernel directly: `rt_sigaction` to
+//! The workspace is dependency-free, so the profiler talks to the kernel
+//! directly: `rt_sigaction` to
 //! install the SIGPROF handler (x86_64 must supply its own `sa_restorer`
 //! trampoline; arm64 falls back to the vDSO sigreturn), POSIX interval
 //! timers (`timer_create`/`timer_settime`/`timer_delete`) to drive the

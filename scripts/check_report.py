@@ -38,16 +38,6 @@ COUNTER_FIELDS = (
     "par_batches",
     "par_tasks",
     "par_steals",
-    "persist_hits",
-    "persist_misses",
-    "persist_gist_hits",
-    "persist_gist_misses",
-    "persist_writes",
-    "persist_truncations",
-    "persist_degrade_io",
-    "persist_degrade_checksum",
-    "persist_degrade_version",
-    "persist_degrade_unwritable",
 )
 
 REQUIRED = {
@@ -109,9 +99,7 @@ def check_report(r):
         if not isinstance(ns, int) or isinstance(ns, bool) or ns < 0:
             raise AssertionError(f"phase {name!r} is not non-negative ns: {ns!r}")
     c = r["counters"]
-    cheap = (
-        c["tier0_unsat"] + c["tier1_unsat"] + c["tier1_sat"] + c["persist_hits"]
-    )
+    cheap = c["tier0_unsat"] + c["tier1_unsat"] + c["tier1_sat"]
     derived = max(0, c["cache_misses"] - cheap)
     if r["exact_solves"] != derived:
         raise AssertionError(
