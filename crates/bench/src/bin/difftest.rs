@@ -5,16 +5,13 @@
 //!
 //! Usage:
 //!   difftest [--seeds N] [--start S] [--time-budget DUR] [--minimize]
-//!            [--intra N] [--out DIR] [--replay FILE.difftest]
+//!            [--out DIR] [--replay FILE.difftest]
 //!
 //! * `--seeds N`       check seeds `S .. S+N` (default 1000)
 //! * `--start S`       first seed (default 0)
 //! * `--time-budget D` stop early after D (`90s`, `20m`, `1h`, or bare
 //!   seconds); with a budget the seed count is a cap, not a target
 //! * `--minimize`      shrink a failing case before writing artifacts
-//! * `--intra N`       additionally generate every configuration with an
-//!   intra-query task budget of N (default: budget 1 only), asserting
-//!   byte-identical output on that axis too
 //! * `--out DIR`       artifact directory (default `difftest-out`)
 //! * `--replay FILE`   check one committed `.difftest` case instead of
 //!   fuzzing (reproduces a CI failure locally)
@@ -52,7 +49,6 @@ fn main() -> ExitCode {
     let mut start: u64 = 0;
     let mut budget: Option<Duration> = None;
     let mut minimize = false;
-    let mut intra: usize = 1;
     let mut out = PathBuf::from("difftest-out");
     let mut replay: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
@@ -79,13 +75,6 @@ fn main() -> ExitCode {
                 }
             },
             "--minimize" => minimize = true,
-            "--intra" => match val("--intra").map(|v| v.parse::<usize>()) {
-                Ok(Ok(v)) if v >= 1 => intra = v,
-                _ => {
-                    eprintln!("--intra takes a task budget >= 1");
-                    return ExitCode::from(2);
-                }
-            },
             "--out" => match val("--out") {
                 Ok(p) => out = PathBuf::from(p),
                 Err(()) => return ExitCode::from(2),
@@ -105,13 +94,6 @@ fn main() -> ExitCode {
         return replay_one(&path);
     }
 
-    // Budget 1 always runs (it is the executed configuration); --intra N
-    // adds the parallel variant to the determinism matrix.
-    let mut opts = difftest::CheckOptions::default();
-    if intra > 1 {
-        opts.intra.push(intra);
-    }
-
     let t0 = Instant::now();
     let (mut pass, mut skip) = (0u64, 0u64);
     let mut checked = 0u64;
@@ -126,7 +108,7 @@ fn main() -> ExitCode {
                 break;
             }
         }
-        let (case, outcome) = difftest::fuzz_one_with(seed, &opts);
+        let (case, outcome) = difftest::fuzz_one(seed);
         checked += 1;
         match outcome {
             CaseOutcome::Pass => pass += 1,
@@ -234,7 +216,6 @@ fn write_artifacts(out: &Path, seed: u64, case: &DiffCase, minimize: bool) -> st
         .unwrap_or(GenConfig {
             effort: 1,
             threads: 1,
-            intra: 1,
         });
     let qdir = out.join("queries");
     std::fs::create_dir_all(&qdir)?;

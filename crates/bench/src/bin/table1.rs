@@ -17,7 +17,8 @@
 //! object — the same `QueryReport` wide-event schema the `codegend`
 //! daemon logs per job and serves at `/debug/requests` — so batch and
 //! daemon cost attribution share one vocabulary
-//! (`scripts/check_report.py` validates both sides).
+//! (`scripts/check_report.py` validates both sides). Its `counters` are
+//! the solver work of one untimed cold-cache CodeGen+ generation.
 //!
 //! With `--trace FILE.json`, one extra cold-cache CodeGen+ generation per
 //! kernel runs under a span collector; the merged trace is written as
@@ -147,6 +148,15 @@ fn main() -> ExitCode {
     let mut expected_gist_exact = 0u64;
     let mut json_rows: Vec<String> = Vec::new();
     for kernel in chill::recipes::all(n) {
+        // The report's counters describe one untimed cold CG+ generation,
+        // so they repeat exactly from run to run (the timing loop below
+        // repeats as often as the measured time allows). It runs first,
+        // leaving the rest of the row a cache that holds this kernel's
+        // CG+ answers.
+        omega::reset_sat_cache();
+        let before = omega::stats::snapshot();
+        generate(&statements_of(&kernel), Tool::codegenplus());
+        let counters = omega::stats::snapshot().delta(&before);
         // Solver activity attributable to *this* kernel, from the trace
         // check through the timed row: a snapshot diff, not
         // process-cumulative totals (which would make every row's numbers
@@ -176,7 +186,6 @@ fn main() -> ExitCode {
                 ts_ms: serve::report::now_ms(),
                 effort: 1,
                 threads: codegenplus::CodeGen::new().resolved_threads(),
-                intra_threads: codegenplus::CodeGen::new().resolved_intra_threads(),
                 lines: row.cgplus.lines,
                 bytes: row.cgplus.bytes,
                 codegen_ns: row.cgplus.codegen_time.as_nanos() as u64,
@@ -185,7 +194,7 @@ fn main() -> ExitCode {
                 certainty: row.cgplus.certainty.clone(),
                 dynamic_cost: Some(row.cgplus.dynamic_cost),
                 phases: Vec::new(),
-                counters: delta,
+                counters,
                 slow: false,
                 retained: None,
                 error: None,

@@ -11,8 +11,7 @@ use crate::{CodeGen, Generated, Statement};
 use std::fmt;
 
 /// One point of the configuration matrix a fuzz case is driven through:
-/// an overhead-removal depth, a worker-thread count, and an intra-query
-/// task budget.
+/// an overhead-removal depth and a worker-thread count.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct GenConfig {
     /// Loop overhead removal depth ([`CodeGen::effort`]).
@@ -20,18 +19,11 @@ pub struct GenConfig {
     /// Worker threads ([`CodeGen::threads`]); the generated AST must be
     /// identical for every value.
     pub threads: usize,
-    /// Intra-query task budget ([`CodeGen::intra_threads`]); also covered
-    /// by the byte-identical-output promise.
-    pub intra: usize,
 }
 
 impl fmt::Display for GenConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "effort={} threads={} intra={}",
-            self.effort, self.threads, self.intra
-        )
+        write!(f, "effort={} threads={}", self.effort, self.threads)
     }
 }
 
@@ -42,7 +34,6 @@ pub fn codegen_for(stmts: &[Statement], cfg: &GenConfig) -> CodeGen {
         .statements(stmts.to_vec())
         .effort(cfg.effort)
         .threads(cfg.threads)
-        .intra_threads(cfg.intra)
 }
 
 /// Runs the adapter end to end (the default "candidate" of the harness;
@@ -152,7 +143,6 @@ mod tests {
         let cfg = GenConfig {
             effort: 2,
             threads: 1,
-            intra: 1,
         };
         let g = generate_for(&[s], &cfg).unwrap();
         // Effort 2 lifts the n >= 2 guard out of the loop entirely.
@@ -167,7 +157,6 @@ mod tests {
             Some(GenConfig {
                 effort: 1,
                 threads: 2,
-                intra: 1,
             }),
             "instance s0[7] outside domain",
         );

@@ -100,7 +100,6 @@ pub struct CodeGen {
     merge_ifs: bool,
     reorder_leaves: bool,
     threads: usize,
-    intra_threads: usize,
     limits: omega::Limits,
     trace: Option<omega::trace::Collector>,
 }
@@ -122,7 +121,6 @@ impl CodeGen {
             merge_ifs: true,
             reorder_leaves: false,
             threads: 1,
-            intra_threads: 0,
             limits: omega::Limits::default(),
             trace: None,
         }
@@ -182,32 +180,20 @@ impl CodeGen {
     /// costs more than it saves on the Table 1 kernels (see the README's
     /// "Thread scaling"). `0` opts in to the machine's available
     /// parallelism, probed once per process (see
-    /// [`CodeGen::resolved_threads`]). The generated AST is byte-identical
-    /// for every thread count: parallel maps collect results in input
-    /// order and the satisfiability cache stores verdicts of canonicalized
-    /// systems only.
-    ///
-    /// `threads` and [`CodeGen::intra_threads`] are shares of one budget,
-    /// not factors: a fan-out nested inside a parallel one runs inline, so
-    /// one [`CodeGen::generate`] call uses at most
-    /// `max(threads, intra_threads)` threads at once.
+    /// [`CodeGen::resolved_threads`]). Solver queries always run on the
+    /// thread that asks them. The generated AST is byte-identical for
+    /// every thread count: parallel maps collect results in input order,
+    /// only the exact solver's input is canonicalized (so its budget
+    /// cutoff does not depend on row order), and the memo caches store
+    /// only values that are pure functions of their keys.
     pub fn threads(mut self, n: usize) -> CodeGen {
         self.threads = n;
         self
     }
 
-    /// Sets the *intra-query* thread budget: solver-level task batches
-    /// (per-conjunct gists, hull candidate chunks, splinter branches) fan
-    /// out across up to `n` threads inside a single query. `0` (the
-    /// default) follows [`CodeGen::threads`], so the default run is
-    /// sequential; `1` keeps every query on its calling thread. A query
-    /// asked from inside a parallel pass-level fan-out runs its batches
-    /// inline, so the two settings never multiply (see
-    /// [`CodeGen::threads`]). Like the pass-level policy, results are
-    /// joined in input order, so generated code is byte-identical at every
-    /// budget.
-    pub fn intra_threads(mut self, n: usize) -> CodeGen {
-        self.intra_threads = n;
+    /// No-op, kept only until the repository benchmark stops calling it:
+    /// every solver query runs on its calling thread.
+    pub fn intra_threads(self, _n: usize) -> CodeGen {
         self
     }
 
@@ -219,15 +205,10 @@ impl CodeGen {
         omega::par::resolve_threads(self.threads)
     }
 
-    /// The intra-query thread budget [`CodeGen::generate`] will actually
-    /// install: `intra_threads(0)` follows [`CodeGen::resolved_threads`].
-    /// Telemetry reports this resolved value, never the `0` sentinel.
+    /// Always `1`, kept only until the repository benchmark stops calling
+    /// it: every solver query runs on its calling thread.
     pub fn resolved_intra_threads(&self) -> usize {
-        if self.intra_threads == 0 {
-            self.resolved_threads()
-        } else {
-            self.intra_threads
-        }
+        1
     }
 
     /// Enables or disables the Figure 5 if-statement simplification
@@ -245,8 +226,8 @@ impl CodeGen {
     /// default ([`omega::Limits::default`]) is generous enough that every
     /// benchmark kernel generates exactly. Note that a wall-clock
     /// `deadline` makes results timing-dependent; the other limits keep
-    /// generation fully deterministic for a given thread-count-independent
-    /// pipeline.
+    /// generation fully deterministic at every thread count, because each
+    /// query spends its budget on the thread that asks it.
     pub fn limits(mut self, limits: omega::Limits) -> CodeGen {
         self.limits = limits;
         self
@@ -276,13 +257,10 @@ impl CodeGen {
     /// statements disagree on the scanning space, every domain is empty, or
     /// a loop level is unbounded.
     pub fn generate(&self) -> Result<Generated, CodeGenError> {
-        let budget = omega::par::Budget {
-            threads: self.resolved_threads(),
-            intra: self.resolved_intra_threads(),
-        };
+        let threads = self.resolved_threads();
         let (result, certainty) = omega::limits::with_limits(self.limits, || {
             omega::trace::with_collector(self.trace.clone(), || {
-                omega::par::with_budget(budget, || self.generate_inner())
+                omega::par::with_threads(threads, || self.generate_inner())
             })
         });
         let (code, names) = result?;

@@ -12,8 +12,7 @@
 //!    (the signature of an off-by-one bound); anything else is a
 //!    [`DiscrepancyKind::TraceMismatch`].
 //! 2. **Thread determinism** — each effort must render byte-identical
-//!    code at 1, 2 and 4 worker threads, and at every configured
-//!    intra-query task budget.
+//!    code at 1, 2 and 4 worker threads.
 //! 3. **Monotone trade-off** — on convex stride-free cases, raising the
 //!    effort must not increase the number of ifs inside loops, and full
 //!    effort must lift every guard out (the §3.2.2 contract). The general
@@ -43,11 +42,6 @@ pub struct CheckOptions {
     /// Thread counts every effort is generated at (first entry is the one
     /// executed). Default `[1, 2, 4]`.
     pub threads: Vec<usize>,
-    /// Intra-query task budgets ([`codegenplus::CodeGen::intra_threads`])
-    /// crossed with every effort × thread count; the determinism property
-    /// covers this axis too. Default `[1]` — the fuzz smoke lane widens it
-    /// to exercise solver-level fan-out.
-    pub intra: Vec<usize>,
     /// Assert the monotone code-size/overhead trade-off (default on).
     pub check_monotone: bool,
 }
@@ -56,7 +50,6 @@ impl Default for CheckOptions {
     fn default() -> Self {
         CheckOptions {
             threads: vec![1, 2, 4],
-            intra: vec![1],
             check_monotone: true,
         }
     }
@@ -130,7 +123,6 @@ pub fn check_statements(
     opts: &CheckOptions,
 ) -> CaseOutcome {
     assert!(!opts.threads.is_empty(), "need at least one thread count");
-    assert!(!opts.intra.is_empty(), "need at least one intra budget");
     let nv = stmts[0].domain.space().n_vars();
     let efforts: Vec<usize> = (0..=nv).collect();
 
@@ -140,14 +132,8 @@ pub fn check_statements(
     let mut runs: Vec<(GenConfig, Result<Generated, CodeGenError>)> = Vec::new();
     for &effort in &efforts {
         for &threads in &opts.threads {
-            for &intra in &opts.intra {
-                let cfg = GenConfig {
-                    effort,
-                    threads,
-                    intra,
-                };
-                runs.push((cfg, candidate(stmts, &cfg)));
-            }
+            let cfg = GenConfig { effort, threads };
+            runs.push((cfg, candidate(stmts, &cfg)));
         }
     }
     let n_err = runs.iter().filter(|(_, r)| r.is_err()).count() + usize::from(cloog.is_err());
@@ -211,10 +197,7 @@ pub fn check_statements(
     ) {
         return CaseOutcome::Fail(Box::new(d));
     }
-    for (cfg, r) in runs
-        .iter()
-        .filter(|(c, _)| c.threads == opts.threads[0] && c.intra == opts.intra[0])
-    {
+    for (cfg, r) in runs.iter().filter(|(c, _)| c.threads == opts.threads[0]) {
         if let Some(d) = diff_against_oracle(
             &expected,
             r.as_ref().unwrap(),
@@ -234,7 +217,7 @@ pub fn check_statements(
     if opts.check_monotone && monotone_fragment(stmts) {
         let metrics: Vec<(GenConfig, polyir::CodeMetrics)> = runs
             .iter()
-            .filter(|(c, _)| c.threads == opts.threads[0] && c.intra == opts.intra[0])
+            .filter(|(c, _)| c.threads == opts.threads[0])
             .map(|(c, r)| (*c, r.as_ref().unwrap().metrics()))
             .collect();
         for pair in metrics.windows(2) {

@@ -41,13 +41,7 @@ pub use shrink::shrink;
 /// Generates and checks the case for one seed with default options — the
 /// fuzz loop's body.
 pub fn fuzz_one(seed: u64) -> (DiffCase, CaseOutcome) {
-    fuzz_one_with(seed, &CheckOptions::default())
-}
-
-/// [`fuzz_one`] with explicit checker options (e.g. a widened intra-query
-/// task-budget axis for the parallel fuzz smoke lane).
-pub fn fuzz_one_with(seed: u64, opts: &CheckOptions) -> (DiffCase, CaseOutcome) {
     let case = gen_case(seed);
-    let outcome = check_case_with(&case, &codegenplus::diff::generate_for, opts);
+    let outcome = check_case(&case);
     (case, outcome)
 }

@@ -117,21 +117,6 @@ pub fn clear() {
     armed::TRIGGER.store(u64::MAX, Ordering::Relaxed);
 }
 
-/// True when a fault is currently armed. Always false without the `faults`
-/// feature. The splinter loop uses this to stay sequential under fault
-/// injection: the per-query operation counter is thread-local, so splitting
-/// *one* query's branches across workers would change which operation
-/// count each branch sees — whole-query task parallelism is unaffected.
-#[inline]
-pub(crate) fn is_armed() -> bool {
-    #[cfg(feature = "faults")]
-    {
-        armed::trigger() != u64::MAX
-    }
-    #[cfg(not(feature = "faults"))]
-    false
-}
-
 /// Resets the per-query operation counter; called when a query enters the
 /// exact solver. No-op without the `faults` feature.
 #[inline]

@@ -14,15 +14,9 @@ pub(crate) fn gist(a: &Set, ctx: &Set) -> Set {
         Some(c) => c.clone(),
         None => ctx.hull(),
     };
-    // Per-conjunct gists are independent; fan them out under the installed
-    // intra-query thread budget. The ordered join keeps the output conjunct
-    // sequence — and therefore the generated code — byte-identical at every
-    // thread count.
-    let gists = crate::par::map_tasks(a.conjuncts().iter().collect(), |c| {
-        gist_conjunct(c, &ctx_conj)
-    });
     let mut out = Set::empty(a.space());
-    for g in gists {
+    for c in a.conjuncts() {
+        let g = gist_conjunct(c, &ctx_conj);
         if !g.is_known_false() {
             out.push_conjunct(g);
         }

@@ -59,7 +59,7 @@ pub(crate) fn hull(s: &Set) -> Conjunct {
     // `0 ≥ 0`) for the negated candidate: each implication test is then a
     // single row swap plus a satisfiability query instead of a conjunct
     // clone per (conjunct, candidate) pair.
-    let tests: Vec<Probe> = live
+    let mut tests: Vec<Probe> = live
         .iter()
         .map(|c| {
             let n_vars = c.ncols() - 1;
@@ -68,43 +68,9 @@ pub(crate) fn hull(s: &Set) -> Conjunct {
             Probe::new(sys, n_vars)
         })
         .collect();
-    // Candidate tests are independent of each other (each swap restores
-    // its slot), so with an intra-query thread budget they fan out
-    // in fixed-size chunks — chunk boundaries don't depend on the budget,
-    // and the flag vector is joined in candidate order, so the hull is
-    // byte-identical at every thread count. Each worker clones the probes
-    // once per chunk; sequential runs keep the zero-clone loop.
-    // Traced runs also keep it: the chunk decision reads the intra budget,
-    // which CodeGen derives from its thread count, so letting it shape the
-    // recorded spans would break trace-shape thread-count invariance
-    // (map_tasks would run the chunks sequentially under a trace anyway).
-    let implied: Vec<bool> = if crate::par::budget().intra > 1
-        && candidates.len() > 1
-        && crate::trace::current().is_none()
-    {
-        const CHUNK: usize = 8;
-        let chunks: Vec<Vec<Vec<i64>>> = candidates.chunks(CHUNK).map(<[_]>::to_vec).collect();
-        crate::par::map_tasks(chunks, |chunk| {
-            let mut scratch = tests.clone();
-            chunk
-                .iter()
-                .map(|cand| implied_by_all(&mut scratch, cand))
-                .collect::<Vec<bool>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect()
-    } else {
-        let mut scratch = tests;
-        candidates
-            .iter()
-            .map(|cand| implied_by_all(&mut scratch, cand))
-            .collect()
-    };
     let mut out = Conjunct::universe(&space);
-    for (cand, implied) in candidates.into_iter().zip(implied) {
-        if implied {
-            let mut row = cand;
+    for mut row in candidates {
+        if implied_by_all(&mut tests, &row) {
             row.resize(out.ncols(), 0);
             out.push_row(Row::new(ConstraintKind::Geq, row));
         }

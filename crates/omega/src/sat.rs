@@ -121,7 +121,6 @@ pub(crate) fn rows_satisfiable(rows: &[Row], n_vars: usize) -> bool {
 /// entries, as [`rows_satisfiable`] on the swapped system. Like that
 /// pipeline, a probe runs no tier 0 until a query misses the cache: the
 /// base's cleanliness is learned at the first miss.
-#[derive(Clone)]
 pub(crate) struct Probe {
     /// The base rows, normalized (a row normalization proves false is
     /// kept as given: it only ever makes a probe answer `false`).
@@ -747,89 +746,24 @@ fn fm_solve(
         // 0 ≤ i ≤ (a·b_max - a - b_max)/b_max.
         let vb = bounds_for(&rows, col);
         let b_max = vb.uppers.iter().map(|&(_, b)| b).max().unwrap_or(1);
-        let mut branches: Vec<Vec<Row>> = Vec::new();
-        let mut materialized = true;
-        'mat: for &(li, a) in &vb.lowers {
+        // One branch at a time under the shared budget, so the first
+        // satisfiable branch stops the loop before later ones are built.
+        for &(li, a) in &vb.lowers {
             let spread = num::try_sub(num::try_sub(num::try_mul(a, b_max)?, a)?, b_max)?;
             let max_i = num::floor_div(spread, b_max);
             for i in 0..=max_i {
-                if branches.len() >= MAX_EAGER_SPLINTERS {
-                    // Pathologically wide splinter fan: stay lazy (and
-                    // sequential) so an early satisfiable branch avoids
-                    // materializing the rest. The cutoff depends only on
-                    // the system, never on the thread budget.
-                    branches.clear();
-                    materialized = false;
-                    break 'mat;
-                }
                 let mut sys = rows.clone();
                 let mut c = rows[li].c.clone();
                 c[0] = num::try_add(c[0], -i)?;
                 sys.push(Row::new(ConstraintKind::Eq, c));
-                branches.push(sys);
-            }
-        }
-        if !materialized || faults::is_armed() {
-            // Lazy fallback, shared budget — the seed's behavior. Also
-            // taken under fault injection: the per-query fault counter is
-            // thread-local, so splitting one query's branches across
-            // workers would change which operation each branch counts.
-            for &(li, a) in &vb.lowers {
-                let spread = num::try_sub(num::try_sub(num::try_mul(a, b_max)?, a)?, b_max)?;
-                let max_i = num::floor_div(spread, b_max);
-                for i in 0..=max_i {
-                    let mut sys = rows.clone();
-                    let mut c = rows[li].c.clone();
-                    c[0] = num::try_add(c[0], -i)?;
-                    sys.push(Row::new(ConstraintKind::Eq, c));
-                    if solve(sys, depth + 1, budget, lim)? {
-                        return Ok(true);
-                    }
-                }
-            }
-            return Ok(false);
-        }
-        if branches.is_empty() {
-            return Ok(false);
-        }
-        // Independent sub-solves with *deterministic per-branch budget
-        // slices*: each branch owns remaining/n of the budget whether it
-        // runs on this thread or a worker, and the join consumes results
-        // in branch order — first satisfiable branch wins, an error in an
-        // earlier branch preempts later results, and budget spent by
-        // branches after the deciding one is not charged. Verdict,
-        // degradations, and final budget are therefore identical at every
-        // thread count (including 1).
-        let slice = *budget / branches.len() as u64;
-        let results = crate::par::map_tasks(branches, |sys| {
-            let mut b = slice;
-            let r = solve(sys, depth + 1, &mut b, lim);
-            (r, slice - b)
-        });
-        let mut used = 0u64;
-        let mut verdict = Ok(false);
-        for (r, u) in results {
-            used = used.saturating_add(u);
-            match r {
-                Ok(true) => {
-                    verdict = Ok(true);
-                    break;
-                }
-                Ok(false) => {}
-                Err(e) => {
-                    verdict = Err(e);
-                    break;
+                if solve(sys, depth + 1, budget, lim)? {
+                    return Ok(true);
                 }
             }
         }
-        *budget -= used.min(*budget);
-        return verdict;
+        return Ok(false);
     }
 }
-
-/// Splinter fan-outs wider than this are solved lazily (one branch at a
-/// time, sequentially) instead of being materialized for the task pool.
-const MAX_EAGER_SPLINTERS: usize = 64;
 
 /// Fourier–Motzkin elimination of `col` from a pure-inequality system.
 /// `slack = 0` gives the real shadow (exact when a unit coefficient is
@@ -1107,6 +1041,88 @@ mod tests {
         ));
         // 7 <= 3x <= 8 (x in [7/3, 8/3]) — no integer
         assert!(!rows_satisfiable(&[geq(&[-7, 3]), geq(&[8, -3])], 1));
+    }
+
+    /// The value of inequality row `r` at `(x, y)`.
+    fn at(r: &Row, (x, y): (i64, i64)) -> i64 {
+        r.c[0] + r.c[1] * x + r.c[2] * y
+    }
+
+    /// Brute-force integer points of a two-variable system in `[-20, 20]²`
+    /// (every system below is bounded well inside that box).
+    fn points_in_box(rows: &[Row]) -> Vec<(i64, i64)> {
+        let square = (-20..=20).flat_map(|x| (-20..=20).map(move |y| (x, y)));
+        square
+            .filter(|&p| rows.iter().all(|r| at(r, p) >= 0))
+            .collect()
+    }
+
+    /// Asserts that eliminating `col` must splinter (a non-unit coefficient
+    /// among both its lower and its upper bounds, an empty dark shadow, a
+    /// non-empty real shadow) and returns the width of the splinter fan.
+    fn splinter_width(rows: &[Row], col: usize) -> i64 {
+        let vb = bounds_for(rows, col);
+        assert!(
+            vb.lowers.iter().any(|&(_, a)| a > 1),
+            "col {col}: exact lower"
+        );
+        assert!(
+            vb.uppers.iter().any(|&(_, b)| b > 1),
+            "col {col}: exact upper"
+        );
+        let dark = fm_eliminate(rows, col, 1).unwrap();
+        let real = fm_eliminate(rows, col, 0).unwrap();
+        assert!(
+            !exact_satisfiable(&dark, 2),
+            "col {col}: dark shadow decides"
+        );
+        assert!(
+            exact_satisfiable(&real, 2),
+            "col {col}: real shadow decides"
+        );
+        let b_max = vb.uppers.iter().map(|&(_, b)| b).max().unwrap();
+        vb.lowers
+            .iter()
+            .map(|&(_, a)| (a * b_max - a - b_max).div_euclid(b_max) + 1)
+            .sum()
+    }
+
+    #[test]
+    fn splinter_verdicts_match_enumeration() {
+        // `exact_satisfiable` bypasses the cache and tiers 0/1, so every
+        // verdict below comes out of the splinter loop. Whichever variable
+        // the solver eliminates first, it has to splinter (checked by
+        // `splinter_width`).
+        let system = |rows: &[[i64; 3]]| rows.iter().map(|c| geq(c)).collect::<Vec<Row>>();
+
+        // Pugh's dark-shadow example: unsatisfiable, which takes every
+        // branch of the fan.
+        let pugh = system(&[[-27, 11, 13], [45, -11, -13], [10, 7, -9], [4, -7, 9]]);
+        // One integer point, (1, 2), with slack in every row: no branch
+        // that pins a lower bound to its minimum holds it, and dropping
+        // either the last branch of each lower bound's fan or every fan
+        // after the first loses it.
+        let later = system(&[[-15, 8, 5], [-2, -21, 22], [-25, 13, 12], [50, -14, -17]]);
+        assert_eq!(points_in_box(&later), [(1, 2)]);
+        assert!(later.iter().all(|r| at(r, (1, 2)) >= 1));
+        // Fans wider than 64 branches on either variable, one
+        // unsatisfiable and one with the single point (1, -1).
+        let wide_unsat = system(&[[33, -35, 26], [1, 43, 19], [-5, 22, -41], [-21, 28, 27]]);
+        let wide_sat = system(&[[62, 40, -43], [-64, 27, -44], [62, -15, 43], [86, -41, 25]]);
+        assert_eq!(points_in_box(&wide_sat), [(1, -1)]);
+        for rows in [&wide_unsat, &wide_sat] {
+            for col in 1..=2 {
+                assert!(splinter_width(rows, col) > 64, "{rows:?} col {col}");
+            }
+        }
+
+        for rows in [pugh, later, wide_unsat, wide_sat] {
+            for col in 1..=2 {
+                splinter_width(&rows, col);
+            }
+            let brute = !points_in_box(&rows).is_empty();
+            assert_eq!(exact_satisfiable(&rows, 2), brute, "rows: {rows:?}");
+        }
     }
 
     #[test]

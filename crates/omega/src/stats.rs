@@ -109,7 +109,7 @@ define_counters! {
     degrade_depth: "Degradations caused by exceeding Limits::max_depth (OmegaError::DepthExceeded).",
     degrade_rowcap: "Degradations caused by exceeding Limits::row_cap (OmegaError::RowCapExceeded).",
     degrade_deadline: "Degradations caused by the Limits::deadline wall-clock firing (OmegaError::DeadlineExceeded).",
-    par_batches: "Fan-outs (pass-level or intra-query) that ran on more than one thread.",
+    par_batches: "Pass-level fan-outs (omega::par::map_ordered) that ran on more than one thread.",
     par_tasks: "Items run by parallel fan-outs; par_tasks / par_batches is the mean batch size.",
     par_steals: "Fan-out items claimed by a thread other than the submitting one (dynamic load-balancing transfers).",
 }

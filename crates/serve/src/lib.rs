@@ -219,7 +219,7 @@ impl State {
             "{{\"status\":\"ready\",\"uptime_ms\":{},\"uptime_seconds\":{},\"build\":\"{}\",\
              \"jobs_total\":{},\"inflight\":{},\"shed_total\":{},\
              \"queue\":{{\"depth\":{},\"capacity\":{},\"workers\":{}}},\
-             \"threads\":{},\"intra_threads\":{},\
+             \"threads\":{},\
              \"degraded\":{{\"sat\":{},\"gist\":{},\"by_reason\":{{\"overflow\":{},\"budget\":{},\
              \"depth\":{},\"rowcap\":{},\"deadline\":{}}}}}",
             self.started.elapsed().as_millis(),
@@ -232,7 +232,6 @@ impl State {
             self.queue.capacity(),
             self.workers,
             cg.resolved_threads(),
-            cg.resolved_intra_threads(),
             stats.sat_degraded,
             stats.gist_degraded,
             stats.degrade_overflow,
@@ -847,7 +846,6 @@ fn execute_task(
             ts_ms: report::now_ms(),
             effort: out.effort,
             threads: out.threads,
-            intra_threads: out.intra_threads,
             lines: out.lines,
             bytes: out.code.len(),
             codegen_ns: out.codegen_ns,
@@ -870,7 +868,6 @@ fn execute_task(
             ts_ms: report::now_ms(),
             effort: spec.effort.unwrap_or(state.cfg.default_effort),
             threads: 0,
-            intra_threads: 0,
             lines: 0,
             bytes: 0,
             codegen_ns: 0,
@@ -985,7 +982,6 @@ pub(crate) struct JobOutput {
     pub(crate) certainty: String,
     pub(crate) effort: usize,
     pub(crate) threads: usize,
-    pub(crate) intra_threads: usize,
     pub(crate) dynamic_cost: Option<u64>,
 }
 
@@ -1048,7 +1044,6 @@ fn run_job(
     // parallelism", probed once per process, and the structured request
     // records should show what actually ran, not the sentinel.
     let threads = cg.resolved_threads();
-    let intra_threads = cg.resolved_intra_threads();
     let t0 = Instant::now();
     let g = cg.generate().map_err(|e| e.to_string())?;
     let codegen_ns = t0.elapsed().as_nanos() as u64;
@@ -1087,7 +1082,6 @@ fn run_job(
         certainty: certainty_tag(g.certainty),
         effort,
         threads,
-        intra_threads,
         dynamic_cost,
     })
 }

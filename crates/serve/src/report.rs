@@ -48,8 +48,6 @@ pub struct QueryReport {
     pub effort: usize,
     /// Resolved worker thread count (never the `0` sentinel).
     pub threads: usize,
-    /// Resolved intra-query thread budget.
-    pub intra_threads: usize,
     /// Lines of generated code (0 on error).
     pub lines: usize,
     /// Bytes of generated code (0 on error).
@@ -101,12 +99,11 @@ impl QueryReport {
         esc(self.status, &mut out);
         let _ = write!(
             out,
-            "\",\"ts_ms\":{},\"effort\":{},\"threads\":{},\"intra_threads\":{},\
+            "\",\"ts_ms\":{},\"effort\":{},\"threads\":{},\
              \"lines\":{},\"bytes\":{},\"codegen_ns\":{},\"compile_ns\":{},\"queue_ns\":{},\"request_ns\":{}",
             self.ts_ms,
             self.effort,
             self.threads,
-            self.intra_threads,
             self.lines,
             self.bytes,
             self.codegen_ns,
@@ -281,7 +278,6 @@ mod tests {
             ts_ms: 123,
             effort: 1,
             threads: 2,
-            intra_threads: 2,
             lines: 10,
             bytes: 200,
             codegen_ns: 1_000,

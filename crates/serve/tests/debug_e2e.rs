@@ -109,7 +109,38 @@ fn default_flags_populate_debug_requests_and_config() {
     assert!(body.contains("\"dynamic_cost\":"), "{body}");
     // Resolved thread counts, never the 0 sentinel.
     assert!(body.contains("\"threads\":1"), "{body}");
-    assert!(body.contains("\"intra_threads\":1"), "{body}");
+    // Every report carries exactly the QueryReport fields.
+    for line in body.lines() {
+        let line = line.trim_end_matches(',');
+        if line.starts_with("{\"event\":\"report\"") {
+            assert_eq!(
+                top_level_keys(line),
+                [
+                    "bytes",
+                    "certainty",
+                    "codegen_ns",
+                    "compile_ns",
+                    "counters",
+                    "dynamic_cost",
+                    "effort",
+                    "event",
+                    "exact_solves",
+                    "id",
+                    "kind",
+                    "lines",
+                    "phases",
+                    "queue_ns",
+                    "request_ns",
+                    "slow",
+                    "source",
+                    "status",
+                    "threads",
+                    "ts_ms",
+                ],
+                "{line}"
+            );
+        }
+    }
 
     // The request log carries the *same bytes*: every report line served
     // by /debug/requests is one line of the log, verbatim.
@@ -163,7 +194,6 @@ fn default_flags_populate_debug_requests_and_config() {
     assert!(health.contains("\"status\":\"ready\""), "{health}");
     assert!(health.contains("\"jobs_total\":5"), "{health}");
     assert!(health.contains("\"threads\":"), "{health}");
-    assert!(health.contains("\"intra_threads\":"), "{health}");
     assert!(health.contains("\"degraded\":{\"sat\":"), "{health}");
     assert_eq!(
         top_level_keys(&health),
@@ -171,7 +201,6 @@ fn default_flags_populate_debug_requests_and_config() {
             "build",
             "degraded",
             "inflight",
-            "intra_threads",
             "jobs_total",
             "profiler",
             "queue",

@@ -49,7 +49,6 @@ REQUIRED = {
     "ts_ms": int,
     "effort": int,
     "threads": int,
-    "intra_threads": int,
     "lines": int,
     "bytes": int,
     "codegen_ns": int,
@@ -155,7 +154,6 @@ def sample():
         "ts_ms": 1,
         "effort": 1,
         "threads": 2,
-        "intra_threads": 2,
         "lines": 12,
         "bytes": 240,
         "codegen_ns": 1000,

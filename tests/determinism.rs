@@ -1,7 +1,7 @@
 //! `CodeGen::threads(n)` promises byte-identical generated code for every
 //! thread count: the parallel recursion collects results by input index,
-//! the solver input is canonicalized before budgeted solves, and memo
-//! caches only store values that are pure functions of their keys. These
+//! the exact solver's input is canonicalized before budgeted solves, and
+//! memo caches only store values that are pure functions of their keys. These
 //! tests pin that promise across all five Table 1 kernels, and the cache
 //! test also across the committed difftest corpus.
 
@@ -30,39 +30,6 @@ fn thread_count_never_changes_generated_code() {
                 "{} differs between threads(1) and threads({})",
                 k.name,
                 threads
-            );
-        }
-    }
-}
-
-#[test]
-fn intra_query_budget_never_changes_generated_code() {
-    // Intra-query task parallelism (per-conjunct gists, hull candidate
-    // chunks, splinter branches) makes the same promise as the pass-level
-    // pool: solver-level batches join in input order and splinter branches
-    // get budget slices that don't depend on the thread count, so the
-    // emitted code is byte-identical at every intra budget.
-    for k in recipes::all(10) {
-        let stmts = statements_of(&k);
-        let sequential = CodeGen::new()
-            .statements(stmts.to_vec())
-            .threads(2)
-            .intra_threads(1)
-            .generate()
-            .unwrap()
-            .to_c();
-        for intra in [2, 4, 8] {
-            let budgeted = CodeGen::new()
-                .statements(stmts.to_vec())
-                .threads(2)
-                .intra_threads(intra)
-                .generate()
-                .unwrap()
-                .to_c();
-            assert_eq!(
-                sequential, budgeted,
-                "{} differs between intra_threads(1) and intra_threads({})",
-                k.name, intra
             );
         }
     }
@@ -130,19 +97,17 @@ fn cache_state_never_changes_generated_code() {
 
 #[test]
 fn default_is_sequential_and_matches_every_opt_in() {
-    // The default run is sequential (intra follows threads), and opting in
-    // to threads — explicit budgets or all cores — changes only speed.
-    let default = CodeGen::new();
-    assert_eq!(default.resolved_threads(), 1);
-    assert_eq!(default.resolved_intra_threads(), 1);
+    // The default run is sequential, and opting in to threads — an
+    // explicit count or all cores — changes only speed.
+    assert_eq!(CodeGen::new().resolved_threads(), 1);
     for k in recipes::all(10) {
         let stmts = statements_of(&k);
         let gen = |cg: CodeGen| cg.statements(stmts.to_vec()).generate().unwrap().to_c();
         let sequential = gen(CodeGen::new());
         assert_eq!(
             sequential,
-            gen(CodeGen::new().threads(2).intra_threads(4)),
-            "{} differs between the default and threads(2).intra_threads(4)",
+            gen(CodeGen::new().threads(2)),
+            "{} differs between the default and threads(2)",
             k.name
         );
         assert_eq!(
