@@ -1,7 +1,8 @@
 //! The CI fuzz lane: drive seeded random iteration spaces through the
-//! CLooG baseline and CodeGen+ at every effort × thread count, check
-//! every run against the `polyir` enumeration oracle, and on the first
-//! discrepancy shrink to a minimal reproducer with full artifacts.
+//! CLooG baseline and CodeGen+ at every effort (each run twice, cold
+//! then warm), check every run against the `polyir` enumeration oracle,
+//! and on the first discrepancy shrink to a minimal reproducer with full
+//! artifacts.
 //!
 //! Usage:
 //!   difftest [--seeds N] [--start S] [--time-budget DUR] [--minimize]
@@ -213,10 +214,7 @@ fn write_artifacts(out: &Path, seed: u64, case: &DiffCase, minimize: bool) -> st
     let cfg = check_case(&final_case)
         .discrepancy()
         .and_then(|d| d.config)
-        .unwrap_or(GenConfig {
-            effort: 1,
-            threads: 1,
-        });
+        .unwrap_or(GenConfig { effort: 1 });
     let qdir = out.join("queries");
     std::fs::create_dir_all(&qdir)?;
     omega::reset_sat_cache();

@@ -185,7 +185,6 @@ fn main() -> ExitCode {
                 queue_ns: 0,
                 ts_ms: serve::report::now_ms(),
                 effort: 1,
-                threads: codegenplus::CodeGen::new().resolved_threads(),
                 lines: row.cgplus.lines,
                 bytes: row.cgplus.bytes,
                 codegen_ns: row.cgplus.codegen_time.as_nanos() as u64,
@@ -200,9 +199,8 @@ fn main() -> ExitCode {
                 error: None,
             };
             json_rows.push(format!(
-                "    {{\"kernel\": {:?}, \"threads\": {}, \"cloog\": {}, \"cgplus\": {}, \"report\": {}}}",
+                "    {{\"kernel\": {:?}, \"cloog\": {}, \"cgplus\": {}, \"report\": {}}}",
                 row.name,
-                codegenplus::CodeGen::new().resolved_threads(),
                 json_report(&row.cloog),
                 json_report(&row.cgplus),
                 report.to_json()

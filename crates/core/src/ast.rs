@@ -24,7 +24,7 @@ pub(crate) struct Problem {
     /// `l ∈ 1..=max_level`, computed on first use: every recompute pass
     /// re-reads the same projections, but some (piece, level) pairs are
     /// never requested, so eager computation would waste the saving.
-    projections: Vec<Vec<std::sync::OnceLock<Set>>>,
+    projections: Vec<Vec<std::cell::OnceCell<Set>>>,
 }
 
 impl Problem {
@@ -33,7 +33,7 @@ impl Problem {
             .iter()
             .map(|_| {
                 (0..max_level.max(1))
-                    .map(|_| std::sync::OnceLock::new())
+                    .map(|_| std::cell::OnceCell::new())
                     .collect()
             })
             .collect();
@@ -143,15 +143,14 @@ impl Node {
                     .into_iter()
                     .filter(|p| parent_active.contains(p))
                     .collect();
-                let new_parts: Vec<(Conjunct, Node)> =
-                    omega::par::map_ordered(parts, |(r, child)| {
+                let new_parts: Vec<(Conjunct, Node)> = parts
+                    .into_iter()
+                    .filter_map(|(r, child)| {
                         let child_restriction = restriction.intersect(&r);
                         child
                             .recompute(pb, &active, known, &child_restriction)
                             .map(|c| (r, c))
                     })
-                    .into_iter()
-                    .flatten()
                     .collect();
                 if new_parts.is_empty() {
                     return None;
@@ -181,13 +180,17 @@ impl Node {
                     .copied()
                     .filter(|p| parent_active.contains(p))
                     .collect();
-                // Restrict each piece's projection in parallel; the union is
-                // folded in input order afterwards so the result is
-                // independent of thread scheduling.
-                let restricted = omega::par::map_ordered(cands, |p| {
-                    let rs = pb.project_inner(p, level).intersect_conjunct(restriction);
-                    (p, rs)
-                });
+                // Restrict every piece's projection first, then fold the
+                // union in input order.
+                let restricted: Vec<(usize, Set)> = cands
+                    .into_iter()
+                    .map(|p| {
+                        (
+                            p,
+                            pb.project_inner(p, level).intersect_conjunct(restriction),
+                        )
+                    })
+                    .collect();
                 for (p, rs) in restricted {
                     if rs.is_empty() {
                         continue;

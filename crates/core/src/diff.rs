@@ -11,29 +11,23 @@ use crate::{CodeGen, Generated, Statement};
 use std::fmt;
 
 /// One point of the configuration matrix a fuzz case is driven through:
-/// an overhead-removal depth and a worker-thread count.
+/// an overhead-removal depth.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct GenConfig {
     /// Loop overhead removal depth ([`CodeGen::effort`]).
     pub effort: usize,
-    /// Worker threads ([`CodeGen::threads`]); the generated AST must be
-    /// identical for every value.
-    pub threads: usize,
 }
 
 impl fmt::Display for GenConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "effort={} threads={}", self.effort, self.threads)
+        write!(f, "effort={}", self.effort)
     }
 }
 
 /// Builds the [`CodeGen`] run for a case at one configuration — the
 /// single place the harness maps a `DiffCase` onto generator knobs.
 pub fn codegen_for(stmts: &[Statement], cfg: &GenConfig) -> CodeGen {
-    CodeGen::new()
-        .statements(stmts.to_vec())
-        .effort(cfg.effort)
-        .threads(cfg.threads)
+    CodeGen::new().statements(stmts.to_vec()).effort(cfg.effort)
 }
 
 /// Runs the adapter end to end (the default "candidate" of the harness;
@@ -59,8 +53,8 @@ pub enum DiscrepancyKind {
     /// The executed sequence differs from the oracle's expected sequence
     /// (missing, duplicated, or reordered instances).
     TraceMismatch,
-    /// The same case and effort produced different code at different
-    /// thread counts.
+    /// The same case and effort produced different code on a cold cache
+    /// and on the warm cache the first run left behind.
     NonDeterministic,
     /// Raising the overhead-removal effort made the static trade-off move
     /// the wrong way (guards inside loops increased, or code shrank while
@@ -78,7 +72,7 @@ impl fmt::Display for DiscrepancyKind {
         f.write_str(match self {
             DiscrepancyKind::OutOfBounds => "out-of-bounds execution",
             DiscrepancyKind::TraceMismatch => "trace mismatch",
-            DiscrepancyKind::NonDeterministic => "thread-count nondeterminism",
+            DiscrepancyKind::NonDeterministic => "cold/warm nondeterminism",
             DiscrepancyKind::NonMonotone => "non-monotone trade-off",
             DiscrepancyKind::GenDisagreement => "generation disagreement",
             DiscrepancyKind::ExecFailure => "execution failure",
@@ -140,10 +134,7 @@ mod tests {
             "s0",
             Set::parse("[n] -> { [i] : 0 <= i < n && n >= 2 }").unwrap(),
         );
-        let cfg = GenConfig {
-            effort: 2,
-            threads: 1,
-        };
+        let cfg = GenConfig { effort: 2 };
         let g = generate_for(&[s], &cfg).unwrap();
         // Effort 2 lifts the n >= 2 guard out of the loop entirely.
         assert_eq!(g.metrics().ifs_inside_loops, 0, "{}", g.to_c());
@@ -154,10 +145,7 @@ mod tests {
         let d = Discrepancy::new(
             DiscrepancyKind::OutOfBounds,
             "codegen+",
-            Some(GenConfig {
-                effort: 1,
-                threads: 2,
-            }),
+            Some(GenConfig { effort: 1 }),
             "instance s0[7] outside domain",
         );
         let msg = d.to_string();

@@ -99,7 +99,6 @@ pub struct CodeGen {
     known: Option<Conjunct>,
     merge_ifs: bool,
     reorder_leaves: bool,
-    threads: usize,
     limits: omega::Limits,
     trace: Option<omega::trace::Collector>,
 }
@@ -120,7 +119,6 @@ impl CodeGen {
             known: None,
             merge_ifs: true,
             reorder_leaves: false,
-            threads: 1,
             limits: omega::Limits::default(),
             trace: None,
         }
@@ -175,19 +173,10 @@ impl CodeGen {
         self
     }
 
-    /// Sets the number of worker threads for the scanning passes. `1` (the
-    /// default) runs the fully sequential path: per-call thread fan-out
-    /// costs more than it saves on the Table 1 kernels (see the README's
-    /// "Thread scaling"). `0` opts in to the machine's available
-    /// parallelism, probed once per process (see
-    /// [`CodeGen::resolved_threads`]). Solver queries always run on the
-    /// thread that asks them. The generated AST is byte-identical for
-    /// every thread count: parallel maps collect results in input order,
-    /// only the exact solver's input is canonicalized (so its budget
-    /// cutoff does not depend on row order), and the memo caches store
-    /// only values that are pure functions of their keys.
-    pub fn threads(mut self, n: usize) -> CodeGen {
-        self.threads = n;
+    /// No-op, kept only until the repository benchmark stops calling it:
+    /// every generation runs on its calling thread (see the README's "One
+    /// thread per generation").
+    pub fn threads(self, _n: usize) -> CodeGen {
         self
     }
 
@@ -197,12 +186,10 @@ impl CodeGen {
         self
     }
 
-    /// The worker thread count [`CodeGen::generate`] will actually use:
-    /// `threads(0)` resolves to the machine's available parallelism, read
-    /// once per process so every run (and telemetry) reports the same
-    /// value.
+    /// Always `1`, kept only until the repository benchmark stops calling
+    /// it: every generation runs on its calling thread.
     pub fn resolved_threads(&self) -> usize {
-        omega::par::resolve_threads(self.threads)
+        1
     }
 
     /// Always `1`, kept only until the repository benchmark stops calling
@@ -226,8 +213,7 @@ impl CodeGen {
     /// default ([`omega::Limits::default`]) is generous enough that every
     /// benchmark kernel generates exactly. Note that a wall-clock
     /// `deadline` makes results timing-dependent; the other limits keep
-    /// generation fully deterministic at every thread count, because each
-    /// query spends its budget on the thread that asks it.
+    /// generation fully deterministic, on a cold cache or a warm one.
     pub fn limits(mut self, limits: omega::Limits) -> CodeGen {
         self.limits = limits;
         self
@@ -257,11 +243,8 @@ impl CodeGen {
     /// statements disagree on the scanning space, every domain is empty, or
     /// a loop level is unbounded.
     pub fn generate(&self) -> Result<Generated, CodeGenError> {
-        let threads = self.resolved_threads();
         let (result, certainty) = omega::limits::with_limits(self.limits, || {
-            omega::trace::with_collector(self.trace.clone(), || {
-                omega::par::with_threads(threads, || self.generate_inner())
-            })
+            omega::trace::with_collector(self.trace.clone(), || self.generate_inner())
         });
         let (code, names) = result?;
         Ok(Generated {
@@ -348,20 +331,19 @@ impl CodeGen {
             }
         }
         // Preprocessing: split every statement's space into disjoint
-        // single-conjunct pieces (statements are independent, so this maps
-        // in parallel; flattening keeps statement order).
-        let pieces: Vec<Piece> =
-            omega::par::map_ordered(self.stmts.iter().enumerate().collect(), |(i, s)| {
+        // single-conjunct pieces, in statement order.
+        let pieces: Vec<Piece> = self
+            .stmts
+            .iter()
+            .enumerate()
+            .flat_map(|(i, s)| {
                 s.domain
                     .make_disjoint()
                     .into_iter()
                     .map(|c| c.simplified())
                     .filter(|c| c.is_sat())
-                    .map(|domain| Piece { stmt: i, domain })
-                    .collect::<Vec<Piece>>()
+                    .map(move |domain| Piece { stmt: i, domain })
             })
-            .into_iter()
-            .flatten()
             .collect();
         if pieces.is_empty() {
             return Err(CodeGenError::EmptyDomains);

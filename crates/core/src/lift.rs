@@ -221,12 +221,13 @@ fn lift(
                 let r1 = restriction_n.intersect(&first);
                 let r2 = restriction_n.intersect(&second);
                 // The two split sides are independent subtrees: recompute
-                // them in parallel, keeping (first, second) order.
-                let halves = omega::par::map_ordered(
-                    vec![(node, first, r1), (copy, second, r2)],
-                    |(n, side, r)| n.recompute(pb, &active_n, &known_n, &r).map(|c| (side, c)),
-                );
-                let parts: Vec<_> = halves.into_iter().flatten().collect();
+                // each, keeping (first, second) order.
+                let parts: Vec<_> = [(node, first, r1), (copy, second, r2)]
+                    .into_iter()
+                    .filter_map(|(n, side, r)| {
+                        n.recompute(pb, &active_n, &known_n, &r).map(|c| (side, c))
+                    })
+                    .collect();
                 let split = match parts.len() {
                     0 => unreachable!("both split sides empty"),
                     1 => parts.into_iter().next().unwrap().1,

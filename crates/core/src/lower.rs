@@ -220,13 +220,11 @@ impl LowerCtx<'_> {
             return self.merge(nodes1, postponed, &known_c, depth + 1);
         }
         if nodes2.is_empty() {
-            let mut halves = omega::par::map_ordered(
-                vec![(nodes1, Some(c), known_c), (nodes3, None, known.clone())],
-                |(items, post, k)| self.merge(items, post, &k, depth + 1),
-            );
-            let s2 = halves.pop().expect("pair")?;
-            let s1 = halves.pop().expect("pair")?;
-            return self.wrap(postponed, Stmt::seq(vec![s1, s2]));
+            // Both halves run before an error is reported; the second
+            // half's error takes precedence.
+            let s1 = self.merge(nodes1, Some(c), &known_c, depth + 1);
+            let s2 = self.merge(nodes3, None, known, depth + 1)?;
+            return self.wrap(postponed, Stmt::seq(vec![s1?, s2]));
         }
         let Some(comp) = comp else {
             return Err(CodeGenError::Internal {
@@ -234,13 +232,11 @@ impl LowerCtx<'_> {
             });
         };
         let known_nc = known.intersect(&comp);
-        // The then/else regions are disjoint: merge them in parallel.
-        let mut halves =
-            omega::par::map_ordered(vec![(nodes1, known_c), (nodes2, known_nc)], |(items, k)| {
-                self.merge(items, None, &k, depth + 1)
-            });
-        let s2 = halves.pop().expect("pair")?;
-        let s1 = halves.pop().expect("pair")?;
+        // The then/else regions are disjoint; as above, both are merged
+        // before an error is reported.
+        let s1 = self.merge(nodes1, None, &known_c, depth + 1);
+        let s2 = self.merge(nodes2, None, &known_nc, depth + 1)?;
+        let s1 = s1?;
         let s4 = Stmt::If {
             cond: self.cond_of(&c)?,
             then_: Box::new(s1),

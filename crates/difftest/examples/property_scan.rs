@@ -132,7 +132,7 @@ fn main() {
         let mut gens = Vec::new();
         let mut ok = true;
         for effort in 0..=nv {
-            match generate_for(&stmts, &GenConfig { effort, threads: 1 }) {
+            match generate_for(&stmts, &GenConfig { effort }) {
                 Ok(g) => gens.push(g),
                 Err(_) => {
                     ok = false;

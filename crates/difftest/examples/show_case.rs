@@ -20,7 +20,7 @@ fn main() {
         Ok(g) => println!("\n--- cloog ---\n{}", g.to_c()),
         Err(e) => println!("\n--- cloog: error {e}"),
     }
-    match generate_for(&case.stmts, &GenConfig { effort, threads: 1 }) {
+    match generate_for(&case.stmts, &GenConfig { effort }) {
         Ok(g) => println!("--- codegen+ effort {effort} ---\n{}", g.to_c()),
         Err(e) => println!("--- codegen+: error {e}"),
     }

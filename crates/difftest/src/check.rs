@@ -1,7 +1,6 @@
 //! The differential check: one case driven through the CLooG-style
-//! baseline and CodeGen+ at every overhead-removal depth and several
-//! thread counts, with every run's execution compared against the
-//! enumeration oracle.
+//! baseline and CodeGen+ at every overhead-removal depth, with every
+//! run's execution compared against the enumeration oracle.
 //!
 //! Properties asserted per case:
 //!
@@ -11,8 +10,9 @@
 //!    lies outside its domain is classified [`DiscrepancyKind::OutOfBounds`]
 //!    (the signature of an off-by-one bound); anything else is a
 //!    [`DiscrepancyKind::TraceMismatch`].
-//! 2. **Thread determinism** — each effort must render byte-identical
-//!    code at 1, 2 and 4 worker threads.
+//! 2. **Cold/warm determinism** — each effort is generated twice in a
+//!    row, the second time on the memo caches the first run filled, and
+//!    both runs must render byte-identical code.
 //! 3. **Monotone trade-off** — on convex stride-free cases, raising the
 //!    effort must not increase the number of ifs inside loops, and full
 //!    effort must lift every guard out (the §3.2.2 contract). The general
@@ -39,9 +39,6 @@ pub type Candidate = dyn Fn(&[Statement], &GenConfig) -> Result<Generated, CodeG
 /// Checker knobs.
 #[derive(Clone, Debug)]
 pub struct CheckOptions {
-    /// Thread counts every effort is generated at (first entry is the one
-    /// executed). Default `[1, 2, 4]`.
-    pub threads: Vec<usize>,
     /// Assert the monotone code-size/overhead trade-off (default on).
     pub check_monotone: bool,
 }
@@ -49,7 +46,6 @@ pub struct CheckOptions {
 impl Default for CheckOptions {
     fn default() -> Self {
         CheckOptions {
-            threads: vec![1, 2, 4],
             check_monotone: true,
         }
     }
@@ -122,17 +118,17 @@ pub fn check_statements(
     candidate: &Candidate,
     opts: &CheckOptions,
 ) -> CaseOutcome {
-    assert!(!opts.threads.is_empty(), "need at least one thread count");
     let nv = stmts[0].domain.space().n_vars();
     let efforts: Vec<usize> = (0..=nv).collect();
 
     // Generate everything first so error consistency can be judged as a
-    // whole. CLooG is the reference; CodeGen+ runs the full matrix.
+    // whole. CLooG is the reference; CodeGen+ runs every effort twice in a
+    // row, so `runs` holds (first, repeat) pairs in effort order.
     let cloog = Cloog::new().statements(stmts.to_vec()).generate();
     let mut runs: Vec<(GenConfig, Result<Generated, CodeGenError>)> = Vec::new();
     for &effort in &efforts {
-        for &threads in &opts.threads {
-            let cfg = GenConfig { effort, threads };
+        let cfg = GenConfig { effort };
+        for _ in 0..2 {
             runs.push((cfg, candidate(stmts, &cfg)));
         }
     }
@@ -166,22 +162,19 @@ pub fn check_statements(
         )));
     }
 
-    // Thread determinism: per effort, every thread count must render the
-    // same program.
-    for &effort in &efforts {
-        let variants: Vec<&(GenConfig, Result<Generated, CodeGenError>)> =
-            runs.iter().filter(|(c, _)| c.effort == effort).collect();
-        let base = variants[0].1.as_ref().unwrap().to_c();
-        for (cfg, r) in &variants[1..] {
-            let text = r.as_ref().unwrap().to_c();
-            if text != base {
-                return CaseOutcome::Fail(Box::new(Discrepancy::new(
-                    DiscrepancyKind::NonDeterministic,
-                    "codegen+",
-                    Some(*cfg),
-                    format!("[{}] and [{}] render different code", variants[0].0, cfg),
-                )));
-            }
+    // Cold/warm determinism: the repeat of each effort, run on the caches
+    // the first run filled, must render the same program.
+    for pair in runs.chunks(2) {
+        let [(cfg, first), (_, repeat)] = pair else {
+            unreachable!("runs come in pairs")
+        };
+        if first.as_ref().unwrap().to_c() != repeat.as_ref().unwrap().to_c() {
+            return CaseOutcome::Fail(Box::new(Discrepancy::new(
+                DiscrepancyKind::NonDeterministic,
+                "codegen+",
+                Some(*cfg),
+                "the first run and its warm-cache repeat render different code",
+            )));
         }
     }
 
@@ -197,7 +190,7 @@ pub fn check_statements(
     ) {
         return CaseOutcome::Fail(Box::new(d));
     }
-    for (cfg, r) in runs.iter().filter(|(c, _)| c.threads == opts.threads[0]) {
+    for (cfg, r) in runs.iter().step_by(2) {
         if let Some(d) = diff_against_oracle(
             &expected,
             r.as_ref().unwrap(),
@@ -210,14 +203,14 @@ pub fn check_statements(
         }
     }
 
-    // Monotone trade-off across efforts (at the executed thread count).
+    // Monotone trade-off across efforts (on the first run of each).
     // Asserted only on the fragment where it is an implementation contract:
     // one statement, one conjunct, no existentials — see
     // `monotone_fragment` for why the general case is exempt.
     if opts.check_monotone && monotone_fragment(stmts) {
         let metrics: Vec<(GenConfig, polyir::CodeMetrics)> = runs
             .iter()
-            .filter(|(c, _)| c.threads == opts.threads[0])
+            .step_by(2)
             .map(|(c, r)| (*c, r.as_ref().unwrap().metrics()))
             .collect();
         for pair in metrics.windows(2) {

@@ -10,10 +10,11 @@
 //!   multi-statement lexicographic interleavings (the §2.2 repertoire) —
 //!   deterministically, via [`omega::arbitrary`];
 //! * [`check::check_case`] drives it through the CLooG baseline and
-//!   through CodeGen+ at every effort depth × {1, 2, 4} threads, executes
-//!   everything through the `polyir` oracle, and asserts oracle equality,
-//!   thread determinism, and (on the convex stride-free fragment where it
-//!   is a hard contract) monotone trade-offs;
+//!   through CodeGen+ at every effort depth (each generated twice, cold
+//!   then warm), executes everything through the `polyir` oracle, and
+//!   asserts oracle equality, cold/warm determinism, and (on the convex
+//!   stride-free fragment where it is a hard contract) monotone
+//!   trade-offs;
 //! * [`shrink::shrink`] minimizes any failing case (drop statements →
 //!   drop dimensions → drop conjuncts → drop constraints → shrink
 //!   coefficients) to a reproducer small enough to read;

@@ -67,3 +67,24 @@ fn unbroken_pipeline_passes_where_broken_fails() {
         assert!(!out.is_fail(), "seed {seed}: {:?}", out.discrepancy());
     }
 }
+
+#[test]
+fn output_that_changes_on_the_warm_repeat_is_nondeterministic() {
+    // A candidate whose second call renders different code, as a cache
+    // that served a wrong warm answer would.
+    let calls = std::sync::atomic::AtomicUsize::new(0);
+    let flaky = move |stmts: &[codegenplus::Statement], cfg: &codegenplus::diff::GenConfig| {
+        let mut g = generate_for(stmts, cfg)?;
+        if calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed) == 1 {
+            difftest::testing::widen_first_loop(&mut g.code);
+        }
+        Ok(g)
+    };
+    let case = parse_case("# difftest v1\nstmt: { [t1] : 0 <= t1 <= 5 }").unwrap();
+    let out =
+        difftest::check_statements(&case.stmts, &case.params, &flaky, &CheckOptions::default());
+    let d = out.discrepancy().expect("the changed repeat must fail");
+    assert_eq!(d.kind, DiscrepancyKind::NonDeterministic, "{d}");
+    assert_eq!(d.config.map(|c| c.effort), Some(0), "{d}");
+    assert!(d.to_string().contains("cold/warm nondeterminism"), "{d}");
+}

@@ -3,12 +3,12 @@
 //! results.
 //!
 //! The scanning recursion re-asks identical queries from many sibling
-//! subtrees; with parallel scanning those siblings run on different worker
-//! threads, so a thread-local table would re-solve each query once per
-//! thread. Sharding by fingerprint keeps lock contention negligible (64
-//! independent mutexes per cache), and eviction is bounded second-chance
-//! instead of a full wipe: entries re-hit since the last sweep survive, so
-//! the hot working set outlives each sweep.
+//! subtrees, and concurrent generations (the daemon's worker pool) ask
+//! the same queries from different threads, so a thread-local table would
+//! re-solve each query once per thread. Sharding by fingerprint keeps lock
+//! contention negligible (64 independent mutexes per cache), and eviction
+//! is bounded second-chance instead of a full wipe: entries re-hit since
+//! the last sweep survive, so the hot working set outlives each sweep.
 //!
 //! **Only exact results are ever inserted.** A verdict or gist computed
 //! under a tripped resource limit ([`crate::limits`]) depends on the

@@ -10,9 +10,9 @@
 //!
 //! Determinism: the operation counter is **per query**, reset when a query
 //! enters the exact solver — not a process-global countdown. A given query
-//! therefore either always or never faults, independent of how many worker
-//! threads run or how queries interleave, so generated code stays
-//! byte-identical per thread count even with a fault armed. Degraded
+//! therefore either always or never faults, independent of how queries
+//! interleave or which caller reaches it first, so generated code stays
+//! deterministic even with a fault armed. Degraded
 //! verdicts are never cached, so an armed fault behaves identically on
 //! cold and warm caches (exact cached verdicts short-circuit the solver
 //! and never reach the counter — by design: a cache hit is exact).

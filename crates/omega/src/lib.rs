@@ -36,7 +36,6 @@ pub mod coeffs;
 pub mod faults;
 pub mod limits;
 pub mod num;
-pub mod par;
 pub mod provenance;
 pub mod stats;
 pub mod trace;

@@ -14,7 +14,7 @@
 //! [`Certainty`] certificate — [`Certainty::Exact`] when no query inside
 //! the scope degraded, [`Certainty::Approximate`] (with the union of
 //! reasons) otherwise. Reasons are a commutative bitmask, so the
-//! certificate is deterministic regardless of worker-thread interleaving.
+//! certificate does not depend on the order in which queries degraded.
 //!
 //! Degraded verdicts are **never** inserted into the process-wide memo
 //! caches ([`crate::cache`]): exact verdicts are exact under any limits and
@@ -42,8 +42,8 @@ pub struct Limits {
     pub row_cap: usize,
     /// Optional wall-clock deadline. `None` (the default) keeps results
     /// a pure function of the input — required for byte-identical output
-    /// across thread counts; set it only when latency matters more than
-    /// run-to-run reproducibility.
+    /// from run to run; set it only when latency matters more than
+    /// reproducibility.
     pub deadline: Option<Instant>,
 }
 
@@ -140,8 +140,8 @@ impl fmt::Display for OmegaError {
 impl Error for OmegaError {}
 
 /// The set of failure modes observed inside a scope, as a commutative
-/// bitmask: the union is order-independent, so certificates are identical
-/// for every thread count and scheduling.
+/// bitmask: the union is order-independent, so certificates do not depend
+/// on query order.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct DegradeReasons(u8);
 
@@ -272,14 +272,6 @@ pub(crate) fn note(e: OmegaError) {
         OmegaError::RowCapExceeded => crate::stats::bump!(degrade_rowcap),
         OmegaError::DeadlineExceeded => crate::stats::bump!(degrade_deadline),
     }
-}
-
-/// Merges externally observed reasons into the current scope. Public so a
-/// fork/join caller can propagate reasons collected on worker threads back
-/// into the spawning scope (the union is order-independent, keeping
-/// certificates deterministic under any scheduling).
-pub fn note_reasons(reasons: DegradeReasons) {
-    REASONS.with(|r| r.set(r.get() | reasons.0));
 }
 
 /// Runs `f` under `limits` and reports what happened: the closure's result

@@ -27,7 +27,7 @@ use crate::tier::{self, Verdict};
 /// * **tier 1** — interval-propagation fixpoint: an empty interval proves
 ///   unsat, and a cheap witness probe inside the box proves sat;
 /// * **tier 2** — the exact Omega test, memoized in a process-wide sharded
-///   cache so results are shared across scanning worker threads.
+///   cache so results are shared across generations and threads.
 ///
 /// Tiers 0 and 1 are exact when they answer; only `Unknown` falls through,
 /// so the overall verdict always equals the plain Omega test's.
@@ -327,7 +327,7 @@ fn satisfiable_with_key(
         }
         Verdict::Unknown => {
             // Only tier 2 needs the canonical (sorted, deduplicated)
-            // system. Determinism across thread counts requires the
+            // system. Determinism across cache states requires the
             // *solver input* to be a pure function of the fingerprinted
             // multiset — the solver's budget cutoff is order-sensitive
             // even though exact verdicts are not.
@@ -336,8 +336,8 @@ fn satisfiable_with_key(
             work.dedup();
             // Tier 2: the exact Omega test. The per-query call tree is a
             // *detached* trace root keyed by the cache fingerprint —
-            // which thread or phase happens to ask a cold query first is
-            // scheduling-dependent, the query itself is not.
+            // which phase happens to ask a cold query first depends on the
+            // cache state, the query itself does not.
             let exact = crate::root_span!(sat_exact, rows = work.len(), vars = n_vars);
             exact.attr("key", format!("{:016x}{:016x}", key.0, key.1));
             let dump = crate::trace::current().filter(|c| c.wants_dumps());

@@ -46,8 +46,8 @@ macro_rules! define_counters {
 
         /// Reads all counters.
         ///
-        /// Loads are **relaxed and per-field**: while worker threads
-        /// are still bumping counters, a snapshot is not an atomic
+        /// Loads are **relaxed and per-field**: while other threads
+        /// (concurrent daemon jobs) are still bumping counters, a snapshot is not an atomic
         /// cross-field cut — one field can reflect an event whose
         /// sibling field does not yet (e.g. a tier verdict counted
         /// before its cache miss). Derived quantities clamp
@@ -109,9 +109,9 @@ define_counters! {
     degrade_depth: "Degradations caused by exceeding Limits::max_depth (OmegaError::DepthExceeded).",
     degrade_rowcap: "Degradations caused by exceeding Limits::row_cap (OmegaError::RowCapExceeded).",
     degrade_deadline: "Degradations caused by the Limits::deadline wall-clock firing (OmegaError::DeadlineExceeded).",
-    par_batches: "Pass-level fan-outs (omega::par::map_ordered) that ran on more than one thread.",
-    par_tasks: "Items run by parallel fan-outs; par_tasks / par_batches is the mean batch size.",
-    par_steals: "Fan-out items claimed by a thread other than the submitting one (dynamic load-balancing transfers).",
+    par_batches: "Always 0: every generation runs on its calling thread, so nothing fans out. Kept so existing readers of the counter set keep working.",
+    par_tasks: "Always 0 (see par_batches).",
+    par_steals: "Always 0 (see par_batches).",
 }
 
 impl Snapshot {

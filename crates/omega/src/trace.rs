@@ -9,12 +9,11 @@
 //! * a **span API** ([`span!`]) recording a per-query call tree with
 //!   monotonic timestamps, depth, thread id and key attributes (conjunct
 //!   counts, the tier that answered, degradation reasons);
-//! * a **collector** ([`Collector`]) installed for a scope; worker threads
-//!   record into local buffers that are merged *deterministically* at the
-//!   end of the scope (children stitched under their logical parent and
-//!   ordered by explicit `index` attributes, never by arrival time), so
-//!   the byte-identical-output-per-thread-count guarantee extends to the
-//!   span tree's *shape*;
+//! * a **collector** ([`Collector`]) installed on the calling thread for a
+//!   scope. A generation runs on one thread, so children keep program
+//!   order; detached per-query roots are ordered by name and query key at
+//!   the end of the scope, never by arrival time, so a trace's *shape* is
+//!   a pure function of the work done;
 //! * **exporters** — a Chrome trace-event JSON file (loadable in
 //!   `chrome://tracing` / Perfetto) and a plain-text hot-spot summary
 //!   (top-N span names by inclusive/exclusive time);
@@ -144,11 +143,8 @@ pub struct Span {
     /// Process-unique recording thread id (small integer, stable per
     /// thread, not an OS tid).
     pub thread: u64,
-    /// Child spans, in completion-site order (stitched children are
-    /// re-ordered deterministically at merge time).
+    /// Child spans, in completion-site order.
     pub children: Vec<Span>,
-    /// Stitching id: set when a parallel fan-out forked from this span.
-    id: Option<u64>,
 }
 
 impl Span {
@@ -170,7 +166,7 @@ impl Span {
 
     /// The structural shape of this span — name, attributes and child
     /// shapes, but no timestamps or thread ids. Two traces of the same
-    /// work at different thread counts compare equal on shapes.
+    /// work compare equal on shapes.
     pub fn shape(&self) -> String {
         let mut out = String::new();
         self.write_shape(&mut out);
@@ -212,20 +208,10 @@ impl Span {
         }
         let mut prev_start = self.start_ns;
         for c in &self.children {
-            // Stitched children ran on other threads; same-thread children
-            // are totally ordered. Both must stay inside the parent.
-            if c.start_ns < self.start_ns || c.end_ns > self.end_ns {
+            if c.start_ns < prev_start || c.end_ns > self.end_ns || !c.is_well_formed() {
                 return false;
             }
-            if c.thread == self.thread {
-                if c.start_ns < prev_start {
-                    return false;
-                }
-                prev_start = c.start_ns;
-            }
-            if !c.is_well_formed() {
-                return false;
-            }
+            prev_start = c.start_ns;
         }
         true
     }
@@ -413,8 +399,7 @@ impl Trace {
     /// solver's `sat_exact`/`gist_exact`) opened while it was the
     /// innermost open span on its thread. Those roots are recorded apart
     /// from their asker, but their time was spent inside it; nesting is
-    /// read off the same-thread intervals. Children stitched in from
-    /// other threads are charged to their structural parent.
+    /// read off the same-thread intervals.
     fn hotspot_rows(&self) -> Vec<Hotspot> {
         let mut spans: Vec<&Span> = Vec::new();
         self.walk(&mut |s| spans.push(s));
@@ -445,11 +430,6 @@ impl Trace {
                 excl[p] -= s.duration_ns() as i64;
             }
             open.push(i);
-        }
-        for (i, s) in spans.iter().enumerate() {
-            for c in s.children.iter().filter(|c| c.thread != s.thread) {
-                excl[i] -= c.duration_ns() as i64;
-            }
         }
         let mut rows: Vec<Hotspot> = Vec::new();
         for (s, x) in spans.iter().zip(excl) {
@@ -498,8 +478,8 @@ fn format_ns(ns: u64) -> String {
 ///
 /// Bucket `i` counts samples with `floor(log2(ns)) == i` (bucket 0 also
 /// takes 0 ns). Merging is bucket-wise addition — commutative and
-/// associative, so per-thread histograms merge into the same result
-/// regardless of thread count or interleaving.
+/// associative, so histograms from separate runs or threads merge into
+/// the same result in any order.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LogHistogram {
     buckets: [u64; 64],
@@ -622,9 +602,8 @@ const DUMP_BUFFER_CAP: usize = 4096;
 
 struct CollectorInner {
     base: Instant,
-    next_id: AtomicU64,
-    // Completed roots from every recording thread: (stitch parent, span).
-    done: Mutex<Vec<(Option<u64>, Span)>>,
+    // Completed roots from every thread that recorded into this collector.
+    done: Mutex<Vec<Span>>,
     // When set, tier-2 sat/gist queries are rendered as replayable
     // `.omega` dumps (see `crate::provenance`) into the sink.
     dump: Mutex<Option<DumpSink>>,
@@ -657,7 +636,6 @@ impl Collector {
         Collector {
             inner: Arc::new(CollectorInner {
                 base: Instant::now(),
-                next_id: AtomicU64::new(1),
                 done: Mutex::new(Vec::new()),
                 dump: Mutex::new(None),
                 dump_seq: AtomicU64::new(0),
@@ -739,68 +717,18 @@ impl Collector {
         self.inner.base.elapsed().as_nanos() as u64
     }
 
-    fn fresh_id(&self) -> u64 {
-        self.inner.next_id.fetch_add(1, Ordering::Relaxed)
-    }
-
     /// Drains everything recorded so far into a deterministic [`Trace`]:
-    /// worker-thread subtrees are stitched under the span active at their
-    /// fork point and ordered by their `index` attribute (then name), so
-    /// the resulting forest's *shape* is a pure function of the work done,
-    /// not of thread count or scheduling.
+    /// roots are ordered by name, then the query fingerprint `key`
+    /// attribute (per-query call trees); timestamps only break ties
+    /// between genuinely identical roots.
     pub fn finish(&self) -> Trace {
-        let mut done = std::mem::take(&mut *lock(&self.inner.done));
-        // Partition into top-level roots and stitchable subtrees.
-        let mut roots: Vec<Span> = Vec::new();
-        let mut orphans: Vec<(u64, Span)> = Vec::new();
-        for (parent, span) in done.drain(..) {
-            match parent {
-                None => roots.push(span),
-                Some(pid) => orphans.push((pid, span)),
-            }
-        }
-        // Repeatedly attach orphans whose parent is already in the forest;
-        // an orphan's parent may itself be an orphan (nested fan-out).
-        loop {
-            let mut progressed = false;
-            let mut rest: Vec<(u64, Span)> = Vec::new();
-            for (pid, span) in orphans.drain(..) {
-                let mut placed = false;
-                for r in roots.iter_mut() {
-                    if let Some(slot) = find_span_mut(r, pid) {
-                        slot.children.push(span.clone());
-                        placed = true;
-                        break;
-                    }
-                }
-                if placed {
-                    progressed = true;
-                } else {
-                    rest.push((pid, span));
-                }
-            }
-            orphans = rest;
-            if orphans.is_empty() || !progressed {
-                break;
-            }
-        }
-        // Unstitchable subtrees (fork parent closed on a scope that never
-        // reported, or cross-collector confusion) surface as roots rather
-        // than being dropped.
-        roots.extend(orphans.into_iter().map(|(_, s)| s));
-        let mut trace = Trace { roots };
-        for r in &mut trace.roots {
-            canonicalize(r);
-        }
-        // Canonical root order: by name, then the query fingerprint `key`
-        // attribute (per-query call trees), then explicit `index`;
-        // timestamps only break ties between genuinely identical roots.
-        trace.roots.sort_by(|a, b| {
+        let mut roots = std::mem::take(&mut *lock(&self.inner.done));
+        roots.sort_by(|a, b| {
             root_key(a)
                 .cmp(&root_key(b))
                 .then(a.start_ns.cmp(&b.start_ns))
         });
-        trace
+        Trace { roots }
     }
 }
 
@@ -808,56 +736,14 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-fn find_span_mut(s: &mut Span, id: u64) -> Option<&mut Span> {
-    if s.id == Some(id) {
-        return Some(s);
-    }
-    for c in s.children.iter_mut() {
-        if let Some(hit) = find_span_mut(c, id) {
-            return Some(hit);
-        }
-    }
-    None
-}
-
-/// Sort key for stitched children: the explicit `index` attribute (set by
-/// ordered parallel maps), then the name — never timestamps.
-fn stitch_key(s: &Span) -> (i64, &'static str) {
-    let idx = match s.attr("index") {
-        Some(AttrValue::Int(v)) => *v,
-        _ => i64::MAX,
-    };
-    (idx, s.name)
-}
-
 /// Sort key for top-level roots: name, then the query fingerprint `key`
-/// attribute, then the explicit `index` attribute — never timestamps.
-fn root_key(s: &Span) -> (&'static str, String, i64) {
+/// attribute — never timestamps.
+fn root_key(s: &Span) -> (&'static str, String) {
     let key = match s.attr("key") {
         Some(v) => v.to_string(),
         None => String::new(),
     };
-    (s.name, key, stitch_key(s).0)
-}
-
-/// Re-orders children deterministically: children carrying an `index`
-/// attribute (ordered-parallel-map items — the only spans that can arrive
-/// from another thread via stitching) are sorted globally by
-/// (index, name) and placed first; all other children keep their recorded
-/// (program) order. The result is a pure function of the work done, not
-/// of which thread claimed which item.
-fn canonicalize(s: &mut Span) {
-    s.children.sort_by(|a, b| {
-        match (a.attr("index").is_some(), b.attr("index").is_some()) {
-            (true, true) => stitch_key(a).cmp(&stitch_key(b)),
-            (true, false) => std::cmp::Ordering::Less,
-            (false, true) => std::cmp::Ordering::Greater,
-            (false, false) => std::cmp::Ordering::Equal, // stable: keep order
-        }
-    });
-    for c in s.children.iter_mut() {
-        canonicalize(c);
-    }
+    (s.name, key)
 }
 
 thread_local! {
@@ -888,7 +774,6 @@ struct OpenSpan {
     attrs: Vec<(String, AttrValue)>,
     start_ns: u64,
     children: Vec<Span>,
-    id: Option<u64>,
     /// Detached spans are recorded as top-level roots (per-query call
     /// trees) even when enclosing spans are open — see [`root_span!`].
     detached: bool,
@@ -897,8 +782,6 @@ struct OpenSpan {
 struct ThreadState {
     collector: Option<Collector>,
     stack: Vec<OpenSpan>,
-    /// Stitch parent for roots recorded on this thread (worker scopes).
-    fork_parent: Option<u64>,
 }
 
 impl ThreadState {
@@ -906,7 +789,6 @@ impl ThreadState {
         ThreadState {
             collector: None,
             stack: Vec::new(),
-            fork_parent: None,
         }
     }
 }
@@ -962,79 +844,34 @@ pub fn current() -> Option<Collector> {
     STATE.with(|s| s.borrow().collector.clone())
 }
 
-/// Installs `collector` (or none) on the current thread for the duration
-/// of `f`, restoring the previous state afterwards. Spans recorded inside
-/// land in the collector; the previous collector's open spans are
-/// unaffected.
+/// Installs `collector` on the current thread for the duration of `f`,
+/// restoring the previous state afterwards — also when `f` unwinds. Spans
+/// recorded inside land in `collector`; the previous collector's open
+/// spans are set aside and resume afterwards. `None` runs `f` under
+/// whatever is already installed.
 pub fn with_collector<R>(collector: Option<Collector>, f: impl FnOnce() -> R) -> R {
-    let ctx = collector.map(|c| ForkCtx {
-        collector: c,
-        parent: None,
-    });
-    in_fork(ctx, f)
-}
-
-/// A capture of the current collector plus the innermost open span,
-/// for handing to worker threads: spans the workers record become
-/// children of that span in the merged trace.
-#[derive(Clone, Debug)]
-pub struct ForkCtx {
-    collector: Collector,
-    parent: Option<u64>,
-}
-
-/// Captures the current collector and open span as a [`ForkCtx`], or
-/// `None` when tracing is inactive. Call on the coordinating thread right
-/// before fanning work out.
-pub fn fork_context() -> Option<ForkCtx> {
-    if !active() {
-        return None;
-    }
-    STATE.with(|s| {
-        let mut st = s.borrow_mut();
-        let collector = st.collector.clone()?;
-        let parent = match st.stack.last_mut() {
-            Some(open) => {
-                if open.id.is_none() {
-                    open.id = Some(collector.fresh_id());
-                }
-                open.id
-            }
-            None => st.fork_parent,
-        };
-        Some(ForkCtx { collector, parent })
-    })
-}
-
-/// Runs `f` with the forked trace context installed (a no-op wrapper when
-/// `ctx` is `None`). Roots recorded inside are stitched under the fork
-/// point at [`Collector::finish`] time.
-pub fn in_fork<R>(ctx: Option<ForkCtx>, f: impl FnOnce() -> R) -> R {
-    let Some(ctx) = ctx else {
+    let Some(collector) = collector else {
         return f();
     };
     // The outer scope's open spans are set aside so spans recorded inside
     // `f` cannot attach to a different collector's tree.
-    let (prev_collector, prev_fork, prev_stack, prev_active) = STATE.with(|s| {
+    let (prev_collector, prev_stack, prev_active) = STATE.with(|s| {
         let mut st = s.borrow_mut();
-        let pc = st.collector.replace(ctx.collector);
-        let pf = std::mem::replace(&mut st.fork_parent, ctx.parent);
+        let pc = st.collector.replace(collector);
         let ps = std::mem::take(&mut st.stack);
-        (pc, pf, ps, ACTIVE.with(Cell::get))
+        (pc, ps, ACTIVE.with(Cell::get))
     });
     ACTIVE.with(|a| a.set(true));
-    // Panic safety: restore on unwind so a panicking worker cannot leave
+    // Panic safety: restore on unwind so a panicking scope cannot leave
     // the thread recording into a finished collector.
     struct Restore {
         prev_collector: Option<Collector>,
-        prev_fork: Option<u64>,
         prev_stack: Vec<OpenSpan>,
         prev_active: bool,
     }
     impl Drop for Restore {
         fn drop(&mut self) {
             let pc = self.prev_collector.take();
-            let pf = self.prev_fork;
             let ps = std::mem::take(&mut self.prev_stack);
             STATE.with(|s| {
                 let mut st = s.borrow_mut();
@@ -1044,7 +881,6 @@ pub fn in_fork<R>(ctx: Option<ForkCtx>, f: impl FnOnce() -> R) -> R {
                     close_top(&mut st);
                 }
                 st.collector = pc;
-                st.fork_parent = pf;
                 st.stack = ps;
             });
             ACTIVE.with(|a| a.set(self.prev_active));
@@ -1052,7 +888,6 @@ pub fn in_fork<R>(ctx: Option<ForkCtx>, f: impl FnOnce() -> R) -> R {
     }
     let _restore = Restore {
         prev_collector,
-        prev_fork,
         prev_stack,
         prev_active,
     };
@@ -1073,18 +908,13 @@ fn close_top(st: &mut ThreadState) {
         depth: if detached { 0 } else { st.stack.len() as u32 },
         thread: thread_id(),
         children: open.children,
-        id: open.id,
     };
-    if detached {
-        // Per-query call tree: always a top-level root, regardless of what
-        // phase happened to ask the query (cache races make the asker
-        // nondeterministic under threads, the query itself is not).
-        lock(&collector.inner.done).push((None, span));
-        return;
-    }
+    // A detached span is a per-query call tree: always a top-level root,
+    // regardless of what phase happened to ask the query (the cache
+    // decides which asker runs the query cold; the query itself is fixed).
     match st.stack.last_mut() {
-        Some(parent) => parent.children.push(span),
-        None => lock(&collector.inner.done).push((st.fork_parent, span)),
+        Some(parent) if !detached => parent.children.push(span),
+        _ => lock(&collector.inner.done).push(span),
     }
 }
 
@@ -1156,7 +986,6 @@ fn begin(name: &'static str, detached: bool) -> SpanGuard {
             attrs: Vec::new(),
             start_ns: collector.now_ns(),
             children: Vec::new(),
-            id: None,
             detached,
         });
         SpanGuard { slot, hooked: None }
@@ -1227,7 +1056,7 @@ macro_rules! span {
 /// per-query call tree — regardless of what spans are open around it.
 /// Roots are ordered canonically at [`Collector::finish`] time by
 /// (name, `key` attribute), so the trace shape stays a pure function of
-/// the queries asked, not of which phase or worker happened to ask first.
+/// the queries asked, not of which phase happened to ask first.
 #[macro_export]
 macro_rules! root_span {
     ($name:ident) => {
@@ -1274,6 +1103,29 @@ mod tests {
         // wall time, the probe span's.
         let total: u64 = rows.iter().map(|h| h.excl_ns).sum();
         assert_eq!(total, probe.incl_ns);
+    }
+
+    #[test]
+    fn a_panic_in_a_nested_collector_restores_the_outer_one() {
+        // The daemon catches a panicking job and reuses its worker thread,
+        // so an unwinding scope must hand the thread back intact.
+        let (outer, inner) = (Collector::new(), Collector::new());
+        with_collector(Some(outer.clone()), || {
+            let _phase = crate::span!(outer_phase);
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                with_collector(Some(inner.clone()), || {
+                    let _work = crate::span!(inner_work);
+                    panic!("job failed");
+                })
+            }));
+            assert!(result.is_err());
+            let now = current().expect("outer collector reinstalled");
+            assert!(Arc::ptr_eq(&now.inner, &outer.inner));
+            let _after = crate::span!(after_panic);
+        });
+        assert!(!active());
+        assert_eq!(outer.finish().shape(), "outer_phase(after_panic)");
+        assert_eq!(inner.finish().shape(), "inner_work");
     }
 
     #[test]

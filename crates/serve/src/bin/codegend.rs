@@ -6,14 +6,15 @@
 //! and the README quick-start.
 //!
 //! ```text
-//! codegend [--jobs ADDR] [--http ADDR] [--effort N] [--threads N]
-//!          [--deadline-ms MS] [--workers N] [--queue-depth N]
+//! codegend [--jobs ADDR] [--http ADDR] [--effort N] [--deadline-ms MS]
+//!          [--workers N] [--queue-depth N]
 //!          [--queue-timeout-ms MS] [--slow-ms MS] [--slow-dir DIR]
 //!          [--log FILE] [--log-max-mb MB] [--log-keep N]
 //! ```
 //!
 //! Defaults: jobs on 127.0.0.1:7077, HTTP on 127.0.0.1:9077, effort 1,
-//! 1 thread per job, no deadline, request log as JSON lines on stderr.
+//! no deadline, request log as JSON lines on stderr. Each job runs on
+//! one worker thread.
 //! Every job runs under a span collector that feeds the phase histograms
 //! and its query report. `--workers` sizes the pool draining the FIFO job
 //! queue (0 = machine cores, the default); `--queue-depth` bounds how
@@ -51,13 +52,6 @@ fn main() -> ExitCode {
             "--effort" => match val("--effort").map(|v| v.parse()) {
                 Ok(Ok(v)) => {
                     cfg.default_effort = v;
-                    Ok(())
-                }
-                _ => Err(()),
-            },
-            "--threads" => match val("--threads").map(|v| v.parse()) {
-                Ok(Ok(v)) if v >= 1 => {
-                    cfg.default_threads = v;
                     Ok(())
                 }
                 _ => Err(()),
@@ -115,8 +109,8 @@ fn main() -> ExitCode {
             },
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: codegend [--jobs ADDR] [--http ADDR] [--effort N] [--threads N]\n\
-                     \x20               [--deadline-ms MS] [--workers N] [--queue-depth N]\n\
+                    "usage: codegend [--jobs ADDR] [--http ADDR] [--effort N] [--deadline-ms MS]\n\
+                     \x20               [--workers N] [--queue-depth N]\n\
                      \x20               [--queue-timeout-ms MS] [--slow-ms MS] [--slow-dir DIR]\n\
                      \x20               [--log FILE] [--log-max-mb MB] [--log-keep N]"
                 );

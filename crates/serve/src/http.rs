@@ -14,7 +14,7 @@
 //! `POST /v1/gen` body (one job; `kernel`/`n` or `spaces`):
 //!
 //! ```json
-//! {"kernel": "gemm", "n": 64, "effort": 1, "threads": 2, "id": "x-1"}
+//! {"kernel": "gemm", "n": 64, "effort": 1, "id": "x-1"}
 //! ```
 //!
 //! `POST /v1/batch` body (independent single-space generations):
@@ -339,12 +339,8 @@ fn respond_busy(stream: &mut TcpStream, shed: &Shed) {
 // Body parsing
 // ---------------------------------------------------------------------------
 
-/// The optional fields shared by both `/v1/*` bodies, in body order:
-/// `id`, `effort`, `threads`.
-type CommonFields = (Option<String>, Option<usize>, Option<usize>);
-
-/// The fields shared by both `/v1/*` bodies.
-fn common_fields(v: &Json) -> Result<CommonFields, String> {
+/// The optional fields shared by both `/v1/*` bodies: `id` and `effort`.
+fn common_fields(v: &Json) -> Result<(Option<String>, Option<usize>), String> {
     let id = match v.get("id") {
         None | Some(Json::Null) => None,
         Some(j) => {
@@ -359,14 +355,7 @@ fn common_fields(v: &Json) -> Result<CommonFields, String> {
         None | Some(Json::Null) => None,
         Some(j) => Some(j.as_u64().ok_or("effort must be a non-negative integer")? as usize),
     };
-    let threads = match v.get("threads") {
-        None | Some(Json::Null) => None,
-        Some(j) => match j.as_u64() {
-            Some(t) if t >= 1 => Some(t as usize),
-            _ => return Err("threads must be a positive integer".to_owned()),
-        },
-    };
-    Ok((id, effort, threads))
+    Ok((id, effort))
 }
 
 fn spaces_field(v: &Json) -> Result<Option<Vec<String>>, String> {
@@ -389,7 +378,7 @@ fn spaces_field(v: &Json) -> Result<Option<Vec<String>>, String> {
 /// Parses a `POST /v1/gen` body into a [`JobSpec`].
 fn gen_spec_of(body: &str) -> Result<JobSpec, String> {
     let v = json::parse(body)?;
-    let (id, effort, threads) = common_fields(&v)?;
+    let (id, effort) = common_fields(&v)?;
     let kernel = v.get("kernel").and_then(Json::as_str);
     let spaces = spaces_field(&v)?;
     let source = match (kernel, spaces) {
@@ -412,19 +401,14 @@ fn gen_spec_of(body: &str) -> Result<JobSpec, String> {
         }
         (None, None) => return Err("body needs \"kernel\" or \"spaces\"".to_owned()),
     };
-    Ok(JobSpec {
-        id,
-        source,
-        effort,
-        threads,
-    })
+    Ok(JobSpec { id, source, effort })
 }
 
 /// Parses a `POST /v1/batch` body into the shared base spec plus the
 /// per-space work list.
 fn batch_spec_of(body: &str) -> Result<(JobSpec, Vec<String>), String> {
     let v = json::parse(body)?;
-    let (id, effort, threads) = common_fields(&v)?;
+    let (id, effort) = common_fields(&v)?;
     if v.get("kernel").is_some() {
         return Err("batch takes \"spaces\", not \"kernel\"".to_owned());
     }
@@ -443,7 +427,6 @@ fn batch_spec_of(body: &str) -> Result<(JobSpec, Vec<String>), String> {
             id,
             source: JobSource::Spaces(sets.clone()),
             effort,
-            threads,
         },
         sets,
     ))
@@ -514,8 +497,7 @@ mod tests {
 
     #[test]
     fn gen_body_shapes() {
-        let spec =
-            gen_spec_of(r#"{"kernel":"gemm","n":32,"effort":2,"threads":4,"id":"x-1"}"#).unwrap();
+        let spec = gen_spec_of(r#"{"kernel":"gemm","n":32,"effort":2,"id":"x-1"}"#).unwrap();
         assert_eq!(
             spec.source,
             JobSource::Kernel {
@@ -524,7 +506,6 @@ mod tests {
             }
         );
         assert_eq!(spec.effort, Some(2));
-        assert_eq!(spec.threads, Some(4));
         assert_eq!(spec.id.as_deref(), Some("x-1"));
 
         let spec = gen_spec_of(r#"{"spaces":["{ [i] : 0 <= i < 4 }"]}"#).unwrap();
@@ -538,7 +519,6 @@ mod tests {
             r#"{"kernel":"gemm","spaces":["x"]}"#,
             r#"{"spaces":[]}"#,
             r#"{"spaces":["x"],"n":4}"#,
-            r#"{"kernel":"gemm","threads":0}"#,
             r#"{"kernel":"gemm","id":"a/b"}"#,
             "not json",
         ] {

@@ -13,7 +13,7 @@
 //!   the `span!` probes, and the cumulative `omega::stats` solver
 //!   counters bridged at scrape time;
 //! * **`GET /healthz`** — a JSON readiness probe with uptime, job
-//!   totals, queue occupancy, resolved thread counts, cumulative
+//!   totals, queue occupancy and worker count, cumulative
 //!   degradations, and the profiler state;
 //! * **structured JSON request logs** — one line per request, plus one
 //!   canonical [`report::QueryReport`] wide event per job with per-phase
@@ -100,8 +100,6 @@ pub struct Config {
     pub http_addr: String,
     /// Effort when a job does not specify one (the paper's default is 1).
     pub default_effort: usize,
-    /// Worker threads per job when a job does not specify them.
-    pub default_threads: usize,
     /// Per-job wall-clock deadline. When set, a job that blows it degrades
     /// (sound, `Certainty::Approximate`) instead of running long — the
     /// load-shedding behavior for overloaded deployments. `None` keeps
@@ -142,7 +140,6 @@ impl Default for Config {
             jobs_addr: "127.0.0.1:7077".to_owned(),
             http_addr: "127.0.0.1:9077".to_owned(),
             default_effort: 1,
-            default_threads: 1,
             deadline: None,
             workers: 0,
             queue_depth: 256,
@@ -209,17 +206,14 @@ impl State {
     }
 
     /// The `/healthz` body: readiness plus the operational facts a probe
-    /// wants before paging anyone — queue occupancy, resolved
-    /// parallelism, cumulative degradations by kind, and the profiler
-    /// state.
+    /// wants before paging anyone — queue occupancy, the worker pool,
+    /// cumulative degradations by kind, and the profiler state.
     pub(crate) fn healthz_json(&self) -> String {
         let stats = omega::stats::snapshot();
-        let cg = CodeGen::new().threads(self.cfg.default_threads);
         let mut out = format!(
             "{{\"status\":\"ready\",\"uptime_ms\":{},\"uptime_seconds\":{},\"build\":\"{}\",\
              \"jobs_total\":{},\"inflight\":{},\"shed_total\":{},\
              \"queue\":{{\"depth\":{},\"capacity\":{},\"workers\":{}}},\
-             \"threads\":{},\
              \"degraded\":{{\"sat\":{},\"gist\":{},\"by_reason\":{{\"overflow\":{},\"budget\":{},\
              \"depth\":{},\"rowcap\":{},\"deadline\":{}}}}}",
             self.started.elapsed().as_millis(),
@@ -231,7 +225,6 @@ impl State {
             self.queue.len(),
             self.queue.capacity(),
             self.workers,
-            cg.resolved_threads(),
             stats.sat_degraded,
             stats.gist_degraded,
             stats.degrade_overflow,
@@ -281,12 +274,11 @@ impl State {
     pub(crate) fn debug_config_json(&self) -> String {
         let c = &self.cfg;
         let mut out = format!(
-            "{{\"jobs_addr\":\"{}\",\"http_addr\":\"{}\",\"default_effort\":{},\"default_threads\":{},\
+            "{{\"jobs_addr\":\"{}\",\"http_addr\":\"{}\",\"default_effort\":{},\
              \"workers\":{},\"queue_depth\":{}",
             json_escape(&c.jobs_addr),
             json_escape(&c.http_addr),
             c.default_effort,
-            c.default_threads,
             self.workers,
             c.queue_depth,
         );
@@ -720,7 +712,6 @@ fn worker_loop(state: Arc<State>) {
                         id: Some(task_id.clone()),
                         source: JobSource::Spaces(vec![space.clone()]),
                         effort: base.effort,
-                        threads: base.threads,
                     };
                     let outcome =
                         execute_task(&state, &task_id, &job.peer, "batch", queue_ns, &spec);
@@ -845,7 +836,6 @@ fn execute_task(
             queue_ns,
             ts_ms: report::now_ms(),
             effort: out.effort,
-            threads: out.threads,
             lines: out.lines,
             bytes: out.code.len(),
             codegen_ns: out.codegen_ns,
@@ -867,7 +857,6 @@ fn execute_task(
             queue_ns,
             ts_ms: report::now_ms(),
             effort: spec.effort.unwrap_or(state.cfg.default_effort),
-            threads: 0,
             lines: 0,
             bytes: 0,
             codegen_ns: 0,
@@ -943,7 +932,6 @@ fn execute_task(
                     .str("kind", kind)
                     .str("source", &source_tag)
                     .int("effort", out.effort as i64)
-                    .int("threads", out.threads as i64)
                     .str("status", "ok")
                     .int("lines", out.lines as i64)
                     .int("bytes", out.code.len() as i64)
@@ -981,7 +969,6 @@ pub(crate) struct JobOutput {
     pub(crate) compile_ns: u64,
     pub(crate) certainty: String,
     pub(crate) effort: usize,
-    pub(crate) threads: usize,
     pub(crate) dynamic_cost: Option<u64>,
 }
 
@@ -1028,11 +1015,9 @@ fn run_job(
         }
     };
     let effort = spec.effort.unwrap_or(state.cfg.default_effort);
-    let threads = spec.threads.unwrap_or(state.cfg.default_threads);
     let mut cg = CodeGen::new()
         .statements(stmts)
         .effort(effort)
-        .threads(threads)
         .trace(collector.clone());
     if let Some(d) = state.cfg.deadline {
         cg = cg.limits(omega::Limits {
@@ -1040,10 +1025,6 @@ fn run_job(
             ..omega::Limits::default()
         });
     }
-    // Log the *resolved* counts: `threads == 0` means "available
-    // parallelism", probed once per process, and the structured request
-    // records should show what actually ran, not the sentinel.
-    let threads = cg.resolved_threads();
     let t0 = Instant::now();
     let g = cg.generate().map_err(|e| e.to_string())?;
     let codegen_ns = t0.elapsed().as_nanos() as u64;
@@ -1081,7 +1062,6 @@ fn run_job(
         compile_ns,
         certainty: certainty_tag(g.certainty),
         effort,
-        threads,
         dynamic_cost,
     })
 }
@@ -1127,7 +1107,6 @@ mod tests {
             id: None,
             source: JobSource::Spaces(vec!["{ [i] : i = 0 }".into()]),
             effort: None,
-            threads: None,
         };
         assert_eq!(kind_of(&Work::Single(spec.clone())), "adhoc");
         assert_eq!(

@@ -208,7 +208,6 @@ mod tests {
         assert!(is_phase_name("cg_lower"));
         assert!(is_phase_name("pass_fold"));
         assert!(is_phase_name("sat_exact"));
-        assert!(!is_phase_name("par_item"));
         assert!(!is_phase_name("anything_else"));
     }
 }

@@ -10,9 +10,9 @@
 //! ```text
 //! ping
 //! quit
-//! gen kernel=gemm n=64 [effort=1] [threads=2] [id=my-req]
-//! gen [effort=1] [threads=2] space=[n] -> { [i] : 0 <= i < n } ; [n] -> { ... }
-//! batch [effort=1] [threads=2] [id=b1] space=S1 ; S2 ; S3
+//! gen kernel=gemm n=64 [effort=1] [id=my-req]
+//! gen [effort=1] space=[n] -> { [i] : 0 <= i < n } ; [n] -> { ... }
+//! batch [effort=1] [id=b1] space=S1 ; S2 ; S3
 //! ```
 //!
 //! `space=` must come last: it consumes the rest of the line (set syntax
@@ -56,8 +56,6 @@ pub struct JobSpec {
     pub source: JobSource,
     /// Overhead-removal effort (`CodeGen::effort`); daemon default if absent.
     pub effort: Option<usize>,
-    /// Worker threads (`CodeGen::threads`); daemon default if absent.
-    pub threads: Option<usize>,
 }
 
 /// Where the iteration spaces come from.
@@ -128,7 +126,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     let mut kernel: Option<String> = None;
     let mut n: Option<i64> = None;
     let mut effort = None;
-    let mut threads = None;
     for tok in head.split_whitespace() {
         let Some((key, value)) = tok.split_once('=') else {
             return Err(format!("malformed field {tok:?} (expected key=value)"));
@@ -143,10 +140,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             "effort" => match value.parse() {
                 Ok(v) => effort = Some(v),
                 Err(_) => return Err(format!("effort={value:?} is not an integer")),
-            },
-            "threads" => match value.parse::<usize>() {
-                Ok(v) if v >= 1 => threads = Some(v),
-                _ => return Err(format!("threads={value:?} is not a positive integer")),
             },
             other => return Err(format!("unknown field {other:?}")),
         }
@@ -185,7 +178,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 id,
                 source: JobSource::Spaces(sets.clone()),
                 effort,
-                threads,
             },
             sets,
         ));
@@ -208,12 +200,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         }
         (None, None) => return Err("gen needs kernel=NAME or space=SETS".to_owned()),
     };
-    Ok(Request::Gen(JobSpec {
-        id,
-        source,
-        effort,
-        threads,
-    }))
+    Ok(Request::Gen(JobSpec { id, source, effort }))
 }
 
 #[cfg(test)]
@@ -222,7 +209,7 @@ mod tests {
 
     #[test]
     fn parses_kernel_jobs() {
-        let r = parse_request("gen kernel=gemm n=64 effort=2 threads=4 id=x1").unwrap();
+        let r = parse_request("gen kernel=gemm n=64 effort=2 id=x1").unwrap();
         assert_eq!(
             r,
             Request::Gen(JobSpec {
@@ -232,7 +219,6 @@ mod tests {
                     n: 64
                 },
                 effort: Some(2),
-                threads: Some(4),
             })
         );
         // n defaults to 64, the Table 1 problem size.
@@ -251,12 +237,12 @@ mod tests {
     #[test]
     fn space_consumes_rest_of_line_and_splits_on_semicolons() {
         let r = parse_request(
-            "gen threads=2 space=[n] -> { [i] : 0 <= i < n } ; [n] -> { [i] : i = 0 }",
+            "gen effort=2 space=[n] -> { [i] : 0 <= i < n } ; [n] -> { [i] : i = 0 }",
         )
         .unwrap();
         match r {
             Request::Gen(s) => {
-                assert_eq!(s.threads, Some(2));
+                assert_eq!(s.effort, Some(2));
                 assert_eq!(
                     s.source,
                     JobSource::Spaces(vec![
@@ -310,7 +296,7 @@ mod tests {
         assert!(parse_request("generate").is_err());
         assert!(parse_request("gen").is_err());
         assert!(parse_request("gen kernel=a space=b").is_err());
-        assert!(parse_request("gen kernel=a threads=0").is_err());
+        assert!(parse_request("gen kernel=a effort=x").is_err());
         assert!(parse_request("gen kernel=a id=a b").is_err());
         assert!(parse_request("batches x").is_err());
         assert!(parse_request("frobnicate x").is_err());

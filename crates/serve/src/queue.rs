@@ -23,7 +23,7 @@ pub(crate) enum Work {
     /// A `batch`: each space generates independently; replies stream
     /// back per space in submission order.
     Batch {
-        /// Shared effort/threads/id defaults for every space.
+        /// Shared effort/id defaults for every space.
         base: JobSpec,
         /// The spaces, one independent generation each.
         spaces: Vec<String>,
@@ -162,7 +162,6 @@ mod tests {
                 n: 8,
             },
             effort: None,
-            threads: None,
         };
         (
             Job {

@@ -46,8 +46,6 @@ pub struct QueryReport {
     pub ts_ms: u64,
     /// Overhead-removal effort the job ran at.
     pub effort: usize,
-    /// Resolved worker thread count (never the `0` sentinel).
-    pub threads: usize,
     /// Lines of generated code (0 on error).
     pub lines: usize,
     /// Bytes of generated code (0 on error).
@@ -99,11 +97,10 @@ impl QueryReport {
         esc(self.status, &mut out);
         let _ = write!(
             out,
-            "\",\"ts_ms\":{},\"effort\":{},\"threads\":{},\
+            "\",\"ts_ms\":{},\"effort\":{},\
              \"lines\":{},\"bytes\":{},\"codegen_ns\":{},\"compile_ns\":{},\"queue_ns\":{},\"request_ns\":{}",
             self.ts_ms,
             self.effort,
-            self.threads,
             self.lines,
             self.bytes,
             self.codegen_ns,
@@ -277,7 +274,6 @@ mod tests {
             queue_ns: 700,
             ts_ms: 123,
             effort: 1,
-            threads: 2,
             lines: 10,
             bytes: 200,
             codegen_ns: 1_000,

@@ -73,8 +73,8 @@ fn concurrent_kernel_jobs_are_byte_identical_to_batch() {
     .unwrap();
     let n = 16;
 
-    // All five Table 1 kernels concurrently, at 2 worker threads each —
-    // the answer must still be a pure function of the job.
+    // All five Table 1 kernels concurrently on the worker pool — the
+    // answer must still be a pure function of the job.
     let expected: Vec<(String, String)> = chill::recipes::all(n)
         .iter()
         .map(|k| (k.name.to_owned(), batch_code(k)))
@@ -92,7 +92,7 @@ fn concurrent_kernel_jobs_are_byte_identical_to_batch() {
                 let mut conn = connect(jobs_addr);
                 let r = roundtrip(
                     &mut conn,
-                    &format!("gen kernel={name} n={n} effort=1 threads=2 id=e2e-{name}"),
+                    &format!("gen kernel={name} n={n} effort=1 id=e2e-{name}"),
                 );
                 assert!(r.header.starts_with("ok "), "unexpected reply {}", r.header);
                 assert_eq!(r.fields["id"], format!("e2e-{name}"));

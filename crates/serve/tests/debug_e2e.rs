@@ -107,8 +107,6 @@ fn default_flags_populate_debug_requests_and_config() {
     assert!(body.contains("\"exact_solves\":"), "{body}");
     // Kernel jobs carry the dynamic-cost performance proxy.
     assert!(body.contains("\"dynamic_cost\":"), "{body}");
-    // Resolved thread counts, never the 0 sentinel.
-    assert!(body.contains("\"threads\":1"), "{body}");
     // Every report carries exactly the QueryReport fields.
     for line in body.lines() {
         let line = line.trim_end_matches(',');
@@ -134,7 +132,6 @@ fn default_flags_populate_debug_requests_and_config() {
                     "slow",
                     "source",
                     "status",
-                    "threads",
                     "ts_ms",
                 ],
                 "{line}"
@@ -172,7 +169,6 @@ fn default_flags_populate_debug_requests_and_config() {
             "build",
             "deadline_ms",
             "default_effort",
-            "default_threads",
             "http_addr",
             "jobs_addr",
             "log_keep",
@@ -188,12 +184,11 @@ fn default_flags_populate_debug_requests_and_config() {
         "{cfg_body}"
     );
 
-    // /healthz: resolved threads and degrade totals, and no on-disk
-    // solver tier to report.
+    // /healthz: queue facts and degrade totals, and no on-disk solver
+    // tier to report.
     let (_, health) = http_get(daemon.http_addr(), "/healthz");
     assert!(health.contains("\"status\":\"ready\""), "{health}");
     assert!(health.contains("\"jobs_total\":5"), "{health}");
-    assert!(health.contains("\"threads\":"), "{health}");
     assert!(health.contains("\"degraded\":{\"sat\":"), "{health}");
     assert_eq!(
         top_level_keys(&health),
@@ -206,7 +201,6 @@ fn default_flags_populate_debug_requests_and_config() {
             "queue",
             "shed_total",
             "status",
-            "threads",
             "uptime_ms",
             "uptime_seconds",
         ],

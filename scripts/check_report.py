@@ -48,7 +48,6 @@ REQUIRED = {
     "queue_ns": int,
     "ts_ms": int,
     "effort": int,
-    "threads": int,
     "lines": int,
     "bytes": int,
     "codegen_ns": int,
@@ -153,7 +152,6 @@ def sample():
         "queue_ns": 700,
         "ts_ms": 1,
         "effort": 1,
-        "threads": 2,
         "lines": 12,
         "bytes": 240,
         "codegen_ns": 1000,

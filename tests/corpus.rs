@@ -3,8 +3,8 @@
 //! Every `tests/corpus/*.difftest` entry is a shrunk reproducer of a real
 //! bug the fuzzer found (the file name records the bug class; DESIGN.md
 //! §"Differential testing" tells each story). Each entry must pass the
-//! full differential check — CLooG baseline vs CodeGen+ at every effort
-//! and thread count, executed against the enumeration oracle — so a
+//! full differential check — CLooG baseline vs CodeGen+ at every effort,
+//! cold and warm, executed against the enumeration oracle — so a
 //! reintroduced bug fails tier-1 CI with the minimal reproducer attached.
 
 use difftest::{check_statements, parse_case, CaseOutcome, CheckOptions};

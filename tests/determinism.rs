@@ -1,39 +1,13 @@
-//! `CodeGen::threads(n)` promises byte-identical generated code for every
-//! thread count: the parallel recursion collects results by input index,
-//! the exact solver's input is canonicalized before budgeted solves, and
-//! memo caches only store values that are pure functions of their keys. These
-//! tests pin that promise across all five Table 1 kernels, and the cache
-//! test also across the committed difftest corpus.
+//! Generated code is a pure function of the input: the exact solver's
+//! input is canonicalized before budgeted solves, and the memo caches only
+//! store values that are pure functions of their keys, so a cold cache, a
+//! warm one and a freshly reset one all give byte-identical code. These
+//! tests pin that promise across all five Table 1 kernels and the
+//! committed difftest corpus.
 
 use bench_harness::statements_of;
 use chill::recipes;
 use codegenplus::CodeGen;
-
-fn emit(stmts: &[codegenplus::Statement], threads: usize) -> String {
-    CodeGen::new()
-        .statements(stmts.to_vec())
-        .threads(threads)
-        .generate()
-        .unwrap()
-        .to_c()
-}
-
-#[test]
-fn thread_count_never_changes_generated_code() {
-    for k in recipes::all(10) {
-        let stmts = statements_of(&k);
-        let sequential = emit(&stmts, 1);
-        for threads in [2, 4, 8] {
-            assert_eq!(
-                sequential,
-                emit(&stmts, threads),
-                "{} differs between threads(1) and threads({})",
-                k.name,
-                threads
-            );
-        }
-    }
-}
 
 /// The committed `tests/corpus/*.difftest` reproducers as named inputs.
 fn corpus_cases() -> Vec<(String, Vec<codegenplus::Statement>)> {
@@ -69,20 +43,19 @@ fn cache_state_never_changes_generated_code() {
     inputs.extend(corpus_cases());
     for (name, stmts) in &inputs {
         for effort in 0..=2 {
-            let gen = |threads| {
+            let gen = || {
                 CodeGen::new()
                     .statements(stmts.clone())
                     .effort(effort)
-                    .threads(threads)
                     .generate()
                     .unwrap()
                     .to_c()
             };
             omega::reset_sat_cache();
-            let cold = gen(8);
-            let warm = gen(8);
+            let cold = gen();
+            let warm = gen();
             omega::reset_sat_cache();
-            let recold = gen(1);
+            let recold = gen();
             assert_eq!(
                 cold, warm,
                 "{name} effort {effort} differs cold vs warm cache"
@@ -92,29 +65,5 @@ fn cache_state_never_changes_generated_code() {
                 "{name} effort {effort} differs across cache resets"
             );
         }
-    }
-}
-
-#[test]
-fn default_is_sequential_and_matches_every_opt_in() {
-    // The default run is sequential, and opting in to threads — an
-    // explicit count or all cores — changes only speed.
-    assert_eq!(CodeGen::new().resolved_threads(), 1);
-    for k in recipes::all(10) {
-        let stmts = statements_of(&k);
-        let gen = |cg: CodeGen| cg.statements(stmts.to_vec()).generate().unwrap().to_c();
-        let sequential = gen(CodeGen::new());
-        assert_eq!(
-            sequential,
-            gen(CodeGen::new().threads(2)),
-            "{} differs between the default and threads(2)",
-            k.name
-        );
-        assert_eq!(
-            sequential,
-            gen(CodeGen::new().threads(0)),
-            "{} differs between the default and threads(0)",
-            k.name
-        );
     }
 }

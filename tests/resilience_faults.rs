@@ -2,8 +2,7 @@
 //! failure mode forced at the first exact-solver operation, `CodeGen`
 //! never panics — it either finishes (with the degradation on the
 //! certificate and the exact statement trace) or returns a structured
-//! error — and the outcome is byte-identical across thread counts and
-//! cache states.
+//! error — and the outcome is byte-identical across cache states.
 //!
 //! Kept in its own binary: the armed fault is process-global, so these
 //! tests must not share a process with non-faulted generation tests.
@@ -22,10 +21,9 @@ static ARMED: Mutex<()> = Mutex::new(());
 
 /// The full observable outcome of a generation run: emitted code and
 /// certificate on success, the structured error's message on failure.
-fn emit(stmts: &[Statement], threads: usize) -> Result<(String, Certainty), String> {
+fn emit(stmts: &[Statement]) -> Result<(String, Certainty), String> {
     CodeGen::new()
         .statements(stmts.to_vec())
-        .threads(threads)
         .generate()
         .map(|g| (g.to_c(), g.certainty))
         .map_err(|e| e.to_string())
@@ -33,7 +31,7 @@ fn emit(stmts: &[Statement], threads: usize) -> Result<(String, Certainty), Stri
 
 /// Each fault variant, forced at the first counted operation of every
 /// exact-solver query, on every Table 1 kernel: generation never panics,
-/// the outcome is identical per thread count on both cold and warm caches,
+/// the outcome is identical on cold, warm and reset caches,
 /// and successful runs execute the exact statement trace.
 #[test]
 fn fault_armed_generation_is_deterministic_and_sound() {
@@ -52,22 +50,20 @@ fn fault_armed_generation_is_deterministic_and_sound() {
 
             omega::reset_sat_cache();
             faults::inject_after(1, fault);
-            let cold = emit(&stmts, 1);
-            let warm = emit(&stmts, 1);
+            let cold = emit(&stmts);
+            let warm = emit(&stmts);
             assert_eq!(
                 cold, warm,
                 "{} differs cold vs warm cache under {fault:?}",
                 k.name
             );
-            for threads in [2, 8] {
-                omega::reset_sat_cache();
-                assert_eq!(
-                    cold,
-                    emit(&stmts, threads),
-                    "{} differs between threads(1) and threads({threads}) under {fault:?}",
-                    k.name
-                );
-            }
+            omega::reset_sat_cache();
+            assert_eq!(
+                cold,
+                emit(&stmts),
+                "{} differs across cache resets under {fault:?}",
+                k.name
+            );
 
             match &cold {
                 Ok((_, certainty)) => {

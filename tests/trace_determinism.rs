@@ -1,14 +1,13 @@
 //! The observability layer's determinism contract: the *shape* of a
 //! recorded span tree (names, attributes, nesting, canonical order — not
 //! timestamps or thread ids) is a pure function of the work performed, so
-//! `CodeGen::threads(1)` and `threads(8)` produce identical trace shapes
-//! the same way they produce byte-identical ASTs.
+//! two runs of the same generation produce identical trace shapes the
+//! same way they produce byte-identical ASTs.
 //!
-//! The cache caveat: cold-cache traces legitimately differ across thread
-//! counts (which thread first misses a memo entry is scheduling-dependent,
-//! changing per-query tiers and the set of tier-2 solves), so shape
-//! comparisons run against a warm solver cache, where every query answers
-//! at the `cache` tier deterministically.
+//! The cache caveat: a cold-cache trace legitimately differs from a warm
+//! one (a memo hit replaces the per-query tiers and the tier-2 solves), so
+//! shape comparisons run against a warm solver cache, where every query
+//! answers at the `cache` tier deterministically.
 
 use bench_harness::gcc::scratch_dir;
 use bench_harness::statements_of;
@@ -17,11 +16,10 @@ use codegenplus::CodeGen;
 use omega::trace::{Collector, Trace};
 use proptest::prelude::*;
 
-fn traced_generate(stmts: &[codegenplus::Statement], threads: usize) -> (String, Trace) {
+fn traced_generate(stmts: &[codegenplus::Statement]) -> (String, Trace) {
     let collector = Collector::new();
     let g = CodeGen::new()
         .statements(stmts.to_vec())
-        .threads(threads)
         .trace(collector.clone())
         .generate()
         .unwrap();
@@ -29,26 +27,24 @@ fn traced_generate(stmts: &[codegenplus::Statement], threads: usize) -> (String,
 }
 
 #[test]
-fn trace_shape_is_thread_count_invariant() {
+fn warm_traced_runs_have_equal_shapes_and_code() {
     for k in recipes::all(8) {
         let stmts = statements_of(&k);
         // Warm the process-wide solver caches so every traced query below
-        // answers at the cache tier regardless of scheduling.
+        // answers at the cache tier.
         CodeGen::new()
             .statements(stmts.to_vec())
             .generate()
             .unwrap();
-        let (code1, t1) = traced_generate(&stmts, 1);
-        for threads in [2, 8] {
-            let (code_n, tn) = traced_generate(&stmts, threads);
-            assert_eq!(code1, code_n, "{}: generated code must not differ", k.name);
-            assert_eq!(
-                t1.shape(),
-                tn.shape(),
-                "{}: trace shape differs between threads(1) and threads({threads})",
-                k.name
-            );
-        }
+        let (code1, t1) = traced_generate(&stmts);
+        let (code2, t2) = traced_generate(&stmts);
+        assert_eq!(code1, code2, "{}: generated code must not differ", k.name);
+        assert_eq!(
+            t1.shape(),
+            t2.shape(),
+            "{}: trace shape differs between two warm runs",
+            k.name
+        );
     }
 }
 
@@ -56,7 +52,7 @@ fn trace_shape_is_thread_count_invariant() {
 fn traces_are_well_formed_and_spans_accounted() {
     let k = &recipes::all(10)[0];
     let stmts = statements_of(k);
-    let (_, trace) = traced_generate(&stmts, 8);
+    let (_, trace) = traced_generate(&stmts);
     assert!(trace.is_well_formed(), "intervals must nest LIFO");
     assert!(trace.count_named("cg_generate") == 1);
     assert!(trace.count_named("cg_prepare") == 1);
@@ -72,7 +68,7 @@ fn traces_are_well_formed_and_spans_accounted() {
 fn chrome_export_is_balanced() {
     let k = &recipes::all(8)[2];
     let stmts = statements_of(k);
-    let (_, trace) = traced_generate(&stmts, 4);
+    let (_, trace) = traced_generate(&stmts);
     let mut buf = Vec::new();
     trace.write_chrome_json(&mut buf).unwrap();
     let text = String::from_utf8(buf).unwrap();
@@ -118,10 +114,10 @@ fn dumped_queries_replay_to_recorded_verdicts() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Random workloads drive the span machinery through arbitrary nesting and
-/// fan-out patterns; whatever the schedule, the harvested forest must be
-/// interval-well-formed (children nested inside parents, LIFO close) and
-/// shape-deterministic across thread counts.
+/// Random workloads drive the span machinery through arbitrary nesting
+/// patterns; the harvested forest must be interval-well-formed (children
+/// nested inside parents, LIFO close) and shape-deterministic from run to
+/// run.
 fn arb_workload() -> impl Strategy<Value = (u8, Vec<(i64, i64, Option<i64>)>)> {
     (
         1u8..4,
@@ -158,12 +154,12 @@ proptest! {
                 codegenplus::Statement::new(format!("s{i}"), omega::Set::parse(&d).unwrap())
             })
             .collect();
-        // Warm cache for the cross-thread-count shape comparison.
+        // Warm cache for the run-to-run shape comparison.
         CodeGen::new().statements(stmts.clone()).generate().unwrap();
-        let (_, t1) = traced_generate(&stmts, 1);
-        let (_, t4) = traced_generate(&stmts, 4);
+        let (_, t1) = traced_generate(&stmts);
+        let (_, t2) = traced_generate(&stmts);
         prop_assert!(t1.is_well_formed());
-        prop_assert!(t4.is_well_formed());
-        prop_assert_eq!(t1.shape(), t4.shape());
+        prop_assert!(t2.is_well_formed());
+        prop_assert_eq!(t1.shape(), t2.shape());
     }
 }

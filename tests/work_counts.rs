@@ -119,7 +119,6 @@ fn cold_work_counts_are_pinned() {
                 "cgplus" => {
                     CodeGen::new()
                         .statements(stmts.clone())
-                        .threads(1)
                         .generate()
                         .expect("codegen+ generates every Table 1 kernel");
                 }
