@@ -340,25 +340,24 @@ impl LowerCtx<'_> {
         let (lowers, uppers) = bounds.bounds_on(v);
         let lower_exprs: Vec<Expr> = lowers.iter().map(lower_bound_expr).collect();
         let upper_exprs: Vec<Expr> = uppers.iter().map(upper_bound_expr).collect();
-        // When the hull cannot bound the union in a single conjunct (e.g.
-        // `i ≤ max(n-1, 8)`), fall back to min/max over the per-piece
-        // bounds, as in Omega code generation (Kelly et al.); residual
-        // guards re-establish exactness inside the loop.
-        let mut lower = match (
-            lower_exprs.is_empty(),
-            self.piece_bounds(active, restriction, *level, true),
-        ) {
-            (false, _) => Expr::max_of(lower_exprs),
-            (true, Some(fallback)) => Expr::min_of(fallback),
-            (true, None) => return Err(CodeGenError::UnboundedLoop { level: *level }),
+        // Only when the hull gives no bound in a direction (it cannot bound
+        // the union in a single conjunct, e.g. `i ≤ max(n-1, 8)`) is the
+        // fallback computed: min/max over the per-piece bounds, as in Omega
+        // code generation (Kelly et al.); residual guards re-establish
+        // exactness inside the loop. The lower side is settled first, so
+        // its `UnboundedLoop` wins before the upper fallback runs.
+        let unbounded = || CodeGenError::UnboundedLoop { level: *level };
+        let mut lower = if lower_exprs.is_empty() {
+            let fallback = self.piece_bounds(active, restriction, *level, true);
+            Expr::min_of(fallback.ok_or_else(unbounded)?)
+        } else {
+            Expr::max_of(lower_exprs)
         };
-        let upper = match (
-            upper_exprs.is_empty(),
-            self.piece_bounds(active, restriction, *level, false),
-        ) {
-            (false, _) => Expr::min_of(upper_exprs),
-            (true, Some(fallback)) => Expr::max_of(fallback),
-            (true, None) => return Err(CodeGenError::UnboundedLoop { level: *level }),
+        let upper = if upper_exprs.is_empty() {
+            let fallback = self.piece_bounds(active, restriction, *level, false);
+            Expr::max_of(fallback.ok_or_else(unbounded)?)
+        } else {
+            Expr::min_of(upper_exprs)
         };
         let mut step = 1;
         if let Some((m, r)) = bounds.stride_on(v) {

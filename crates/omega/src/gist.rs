@@ -40,7 +40,7 @@ pub(crate) fn gist_conjunct(a: &Conjunct, ctx: &Conjunct) -> Conjunct {
     // Uncached gist: a detached per-query trace root, keyed by the cache
     // fingerprint so merged traces order it deterministically.
     let exact = crate::root_span!(gist_exact, rows = a.rows().len(), locals = a.n_locals());
-    exact.attr("key", format!("{:016x}{:016x}", key.0, key.1));
+    exact.attr_with("key", || format!("{:016x}{:016x}", key.0, key.1));
     // Observe the degradation delta of this one computation: a gist built
     // on degraded (conservative) implication answers is still sound, but
     // it must not be memoized — a later caller with fresher limits

@@ -339,7 +339,7 @@ fn satisfiable_with_key(
             // which phase happens to ask a cold query first depends on the
             // cache state, the query itself does not.
             let exact = crate::root_span!(sat_exact, rows = work.len(), vars = n_vars);
-            exact.attr("key", format!("{:016x}{:016x}", key.0, key.1));
+            exact.attr_with("key", || format!("{:016x}{:016x}", key.0, key.1));
             let dump = crate::trace::current().filter(|c| c.wants_dumps());
             let dump_rows = dump.as_ref().map(|_| work.clone());
             faults::begin_query();
@@ -665,6 +665,36 @@ fn bounds_for(rows: &[Row], col: usize) -> VarBounds {
     vb
 }
 
+/// What [`fm_solve`]'s column choice needs of [`bounds_for`], counted in
+/// one scan without allocating: how many lower and upper bounds `col`
+/// has, and whether all of each side are unit.
+struct BoundCounts {
+    lowers: usize,
+    uppers: usize,
+    unit_lower: bool,
+    unit_upper: bool,
+}
+
+fn count_bounds(rows: &[Row], col: usize) -> BoundCounts {
+    let mut bc = BoundCounts {
+        lowers: 0,
+        uppers: 0,
+        unit_lower: true,
+        unit_upper: true,
+    };
+    for r in rows {
+        let c = r.c[col];
+        if c > 0 {
+            bc.lowers += 1;
+            bc.unit_lower &= c == 1;
+        } else if c < 0 {
+            bc.uppers += 1;
+            bc.unit_upper &= c == -1;
+        }
+    }
+    bc
+}
+
 /// Solves a system of inequalities (no equalities) exactly.
 fn fm_solve(
     mut rows: Vec<Row>,
@@ -697,20 +727,18 @@ fn fm_solve(
         let mut best_combo = usize::MAX;
         let mut dropped_unbounded = false;
         for col in 1..ncols {
-            let vb = bounds_for(&rows, col);
-            if vb.lowers.is_empty() && vb.uppers.is_empty() {
+            let bc = count_bounds(&rows, col);
+            if bc.lowers == 0 && bc.uppers == 0 {
                 continue;
             }
-            if vb.lowers.is_empty() || vb.uppers.is_empty() {
+            if bc.lowers == 0 || bc.uppers == 0 {
                 // Unbounded on one side: variable (and its rows) can go away.
                 rows.retain(|r| r.c[col] == 0);
                 dropped_unbounded = true;
                 break;
             }
-            let unit_lower = vb.lowers.iter().all(|&(_, a)| a == 1);
-            let unit_upper = vb.uppers.iter().all(|&(_, b)| b == 1);
-            let combos = vb.lowers.len() * vb.uppers.len();
-            if unit_lower || unit_upper {
+            let combos = bc.lowers * bc.uppers;
+            if bc.unit_lower || bc.unit_upper {
                 if exact.is_none() || combos < best_combo {
                     exact = Some(col);
                     best_combo = combos;
@@ -1153,6 +1181,25 @@ mod tests {
             eq(&[-8, 0, 1]),
         ];
         assert!(rows_satisfiable(&rows, 2));
+    }
+
+    #[test]
+    fn count_bounds_agrees_with_bounds_for() {
+        let rows = [
+            geq(&[0, 1, 0, 2]),
+            geq(&[10, -1, 3, 0]),
+            geq(&[4, 2, -1, 0]),
+            geq(&[7, 0, -1, -2]),
+            geq(&[1, 0, 0, 1]),
+        ];
+        for col in 1..4 {
+            let vb = bounds_for(&rows, col);
+            let bc = count_bounds(&rows, col);
+            assert_eq!(bc.lowers, vb.lowers.len(), "col {col}");
+            assert_eq!(bc.uppers, vb.uppers.len(), "col {col}");
+            assert_eq!(bc.unit_lower, vb.lowers.iter().all(|&(_, a)| a == 1));
+            assert_eq!(bc.unit_upper, vb.uppers.iter().all(|&(_, b)| b == 1));
+        }
     }
 
     #[test]

@@ -949,6 +949,14 @@ impl SpanGuard {
         });
     }
 
+    /// Like [`attr`](Self::attr), but builds the value only when the span
+    /// is recording: for values that cost an allocation to make.
+    pub fn attr_with<V: Into<AttrValue>>(&self, key: &str, value: impl FnOnce() -> V) {
+        if self.slot != usize::MAX {
+            self.attr(key, value());
+        }
+    }
+
     /// The no-op guard used by [`span!`] when tracing is inactive.
     #[inline]
     pub fn inert() -> SpanGuard {

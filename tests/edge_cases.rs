@@ -1,6 +1,6 @@
 //! Edge cases both scanners must handle gracefully: zero-dimensional
 //! spaces, parameter-only guards, single points, known contexts, deep
-//! strides, and negative coordinates.
+//! strides, negative coordinates, and loops whose hull has no single bound.
 
 use cloog::Cloog;
 use codegenplus::{CodeGen, Statement};
@@ -149,4 +149,58 @@ fn guard_only_parameter_difference() {
             "p={p} q={q}"
         );
     }
+}
+
+/// CodeGen+ at effort 0 (no overhead removal: every statement shares one
+/// loop per level) over `domains`, checked against the oracle at each
+/// parameter value; returns the rendered code.
+fn cg_effort0_matches_oracle(domains: &[&str], ns: &[i64]) -> String {
+    let stmts: Vec<Statement> = domains
+        .iter()
+        .enumerate()
+        .map(|(i, d)| Statement::new(format!("s{i}"), Set::parse(d).unwrap()))
+        .collect();
+    let g = CodeGen::new()
+        .effort(0)
+        .statements(stmts.clone())
+        .generate()
+        .unwrap();
+    let c = polyir::to_c(&g.code, &g.names);
+    assert_eq!(g.certainty, omega::Certainty::Exact, "{c}");
+    for &n in ns {
+        assert_eq!(
+            polyir::execute(&g.code, &[n]).unwrap().trace,
+            difftest::check::expected_trace(&stmts, &[n]),
+            "n={n}\n{c}"
+        );
+    }
+    c
+}
+
+#[test]
+fn hull_without_a_single_upper_bound_falls_back_to_max() {
+    // The hull of `i <= n-1` and `i <= 8` has no single upper bound on
+    // `i`, so the loop runs to the max of the per-piece bounds.
+    let c = cg_effort0_matches_oracle(
+        &[
+            "[n] -> { [i] : 0 <= i <= n-1 }",
+            "[n] -> { [i] : 0 <= i <= 8 }",
+        ],
+        &[-1, 0, 5, 8, 9, 10, 15],
+    );
+    assert!(c.contains("t1<=max(n-1,8)"), "{c}");
+}
+
+#[test]
+fn hull_without_a_single_lower_bound_falls_back_to_min() {
+    // Mirror image: `i >= n` and `i >= 9` leave the hull no single lower
+    // bound, so the loop starts at the min of the per-piece bounds.
+    let c = cg_effort0_matches_oracle(
+        &[
+            "[n] -> { [i] : n <= i <= 20 }",
+            "[n] -> { [i] : 9 <= i <= 20 }",
+        ],
+        &[-1, 0, 5, 8, 9, 10, 15, 21],
+    );
+    assert!(c.contains("t1=min(n,9)"), "{c}");
 }

@@ -48,45 +48,41 @@ type Table = [(&'static str, &'static str, [u64; 9])];
 
 /// `(kernel, tool, [FIELDS...])` in a release build.
 const RELEASE: &Table = &[
-    ("gemv", "cgplus", [375, 94, 75, 16, 176, 199, 14, 9, 19]),
+    ("gemv", "cgplus", [313, 94, 72, 16, 117, 196, 14, 9, 19]),
     ("gemv", "cloog", [226, 34, 60, 13, 104, 122, 15, 0, 0]),
-    ("qr", "cgplus", [360, 49, 37, 2, 258, 102, 14, 10, 15]),
+    ("qr", "cgplus", [294, 49, 37, 2, 192, 102, 14, 10, 15]),
     ("qr", "cloog", [313, 51, 67, 0, 163, 150, 32, 0, 0]),
     (
         "swim",
         "cgplus",
-        [9882, 2789, 1003, 319, 5759, 4123, 12, 125, 369],
+        [7226, 2703, 896, 263, 3352, 3874, 12, 125, 369],
     ),
     (
         "swim",
         "cloog",
         [8003, 1385, 811, 250, 5534, 2469, 23, 0, 0],
     ),
-    (
-        "gemm",
-        "cgplus",
-        [2046, 439, 471, 94, 939, 1107, 103, 23, 33],
-    ),
+    ("gemm", "cgplus", [1384, 433, 391, 73, 393, 991, 94, 23, 33]),
     (
         "gemm",
         "cloog",
         [6428, 1320, 1408, 560, 2615, 3813, 525, 0, 0],
     ),
-    ("lu", "cgplus", [3246, 644, 605, 1, 1631, 1615, 365, 34, 62]),
+    ("lu", "cgplus", [2168, 592, 441, 1, 867, 1301, 267, 34, 62]),
     ("lu", "cloog", [4411, 913, 679, 0, 2012, 2399, 807, 0, 0]),
 ];
 
 /// The same in a debug build, where the solver's `debug_assert!`s (the
 /// hull's containment check among them) ask sat queries of their own.
 const DEBUG: &Table = &[
-    ("gemv", "cgplus", [399, 95, 75, 16, 197, 202, 16, 9, 19]),
+    ("gemv", "cgplus", [337, 95, 72, 16, 138, 199, 16, 9, 19]),
     ("gemv", "cloog", [226, 34, 60, 13, 104, 122, 15, 0, 0]),
-    ("qr", "cgplus", [372, 49, 37, 2, 270, 102, 14, 10, 15]),
+    ("qr", "cgplus", [306, 49, 37, 2, 204, 102, 14, 10, 15]),
     ("qr", "cloog", [313, 51, 67, 0, 163, 150, 32, 0, 0]),
     (
         "swim",
         "cgplus",
-        [11364, 2935, 1059, 319, 7028, 4336, 23, 125, 369],
+        [8708, 2849, 952, 263, 4621, 4087, 23, 125, 369],
     ),
     (
         "swim",
@@ -96,14 +92,14 @@ const DEBUG: &Table = &[
     (
         "gemm",
         "cgplus",
-        [2286, 466, 477, 94, 1133, 1153, 116, 23, 33],
+        [1624, 460, 397, 73, 587, 1037, 107, 23, 33],
     ),
     (
         "gemm",
         "cloog",
         [6428, 1320, 1408, 560, 2615, 3813, 525, 0, 0],
     ),
-    ("lu", "cgplus", [3564, 661, 606, 1, 1896, 1668, 400, 34, 62]),
+    ("lu", "cgplus", [2486, 609, 442, 1, 1132, 1354, 302, 34, 62]),
     ("lu", "cloog", [4609, 913, 684, 0, 2193, 2416, 819, 0, 0]),
 ];
 
