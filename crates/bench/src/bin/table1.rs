@@ -10,6 +10,13 @@
 //! extra column groups report the *real* `gcc -O3` compile time and the
 //! compiled binary's execution time — the paper's literal methodology.
 //!
+//! An ablation section follows the table: each kernel under CodeGen+ at
+//! efforts 0–3 with if-merging on and off, and under the baseline with
+//! compaction on and off. Each cell is one generation against cold solver
+//! caches and reports exact figures only: lines, dynamic cost, statement
+//! instances and sat queries. With `--gcc` each cell also gets the
+//! compiled binary's run time, for information.
+//!
 //! With `--json FILE`, the per-kernel measurements are also written as a
 //! machine-readable snapshot (see `BENCH_table1.json` at the repo root
 //! for the committed baseline and `scripts/compare_bench.py` for the CI
@@ -18,7 +25,8 @@
 //! daemon logs per job and serves at `/debug/requests` — so batch and
 //! daemon cost attribution share one vocabulary
 //! (`scripts/check_report.py` validates both sides). Its `counters` are
-//! the solver work of one untimed cold-cache CodeGen+ generation.
+//! the solver work of one untimed cold-cache CodeGen+ generation. The
+//! ablation cells follow as a top-level `ablations` array.
 //!
 //! With `--trace FILE.json`, one extra cold-cache CodeGen+ generation per
 //! kernel runs under a span collector; the merged trace is written as
@@ -37,7 +45,7 @@
 //! warn and run unprofiled.
 
 use bench_harness::gcc::{gcc_available, measure_with_gcc};
-use bench_harness::{compare, generate, statements_of, trace_kernel, traces_match, Tool};
+use bench_harness::{ablate, compare, generate, statements_of, trace_kernel, traces_match, Tool};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -147,6 +155,8 @@ fn main() -> ExitCode {
     let mut expected_sat_exact = 0u64;
     let mut expected_gist_exact = 0u64;
     let mut json_rows: Vec<String> = Vec::new();
+    let mut ablation_rows: Vec<String> = Vec::new();
+    let mut json_ablations: Vec<String> = Vec::new();
     for kernel in chill::recipes::all(n) {
         // The report's counters describe one untimed cold CG+ generation,
         // so they repeat exactly from run to run (the timing loop below
@@ -157,6 +167,7 @@ fn main() -> ExitCode {
         let before = omega::stats::snapshot();
         generate(&statements_of(&kernel), Tool::codegenplus());
         let counters = omega::stats::snapshot().delta(&before);
+        let cold_queries = counters.cache_hits + counters.cache_misses;
         // Solver activity attributable to *this* kernel, from the trace
         // check through the timed row: a snapshot diff, not
         // process-cumulative totals (which would make every row's numbers
@@ -253,6 +264,47 @@ fn main() -> ExitCode {
             }
         }
         println!();
+        for tool in Tool::ablations() {
+            let (g, cell) = ablate(&kernel, tool);
+            let exact = (cell.lines, cell.dynamic_cost, cell.sat_queries);
+            if tool == Tool::codegenplus() {
+                let want = (row.cgplus.lines, row.cgplus.dynamic_cost, cold_queries);
+                assert_eq!(
+                    exact, want,
+                    "{}: ablation cell differs from the row",
+                    row.name
+                );
+            }
+            let mut text = format!(
+                "{:6} | {:29} | {:>6} {:>12} {:>10} {:>11}",
+                row.name,
+                tool.label(),
+                cell.lines,
+                cell.dynamic_cost,
+                cell.instances,
+                cell.sat_queries
+            );
+            let mut json = format!(
+                "    {{\"kernel\": {:?}, \"variant\": {:?}, \"lines\": {}, \"dynamic_cost\": {}, \"instances\": {}, \"sat_queries\": {}",
+                row.name,
+                tool.label(),
+                cell.lines,
+                cell.dynamic_cost,
+                cell.instances,
+                cell.sat_queries
+            );
+            if gcc_ok {
+                match measure_with_gcc(&g, &kernel.params, 20) {
+                    Ok(r) => {
+                        text += &format!(" | {:>10.2?}", r.run_time);
+                        json += &format!(", \"gcc_run_ns\": {}", r.run_time.as_nanos());
+                    }
+                    Err(e) => text += &format!(" | gcc failed: {e:?}"),
+                }
+            }
+            ablation_rows.push(text);
+            json_ablations.push(json + "}");
+        }
         if let Some(c) = &collector {
             println!("         cg+ codegen reps: {}", row.cgplus.codegen_hist);
             let before = omega::stats::snapshot();
@@ -263,6 +315,21 @@ fn main() -> ExitCode {
         }
     }
     println!("\n(All rows verified: both tools execute identical statement traces.)");
+    println!("\nAblations — one generation per cell against cold solver caches (n = {n})\n");
+    println!(
+        "{:6} | {:29} | {:>6} {:>12} {:>10} {:>11}{}",
+        "kernel",
+        "variant",
+        "lines",
+        "dyn. cost",
+        "instances",
+        "sat queries",
+        if gcc_ok { " |    gcc run" } else { "" }
+    );
+    println!("{}", "-".repeat(if gcc_ok { 96 } else { 83 }));
+    for line in &ablation_rows {
+        println!("{line}");
+    }
     if profiling {
         match telemetry::profile::stop() {
             Ok(profile) => {
@@ -336,8 +403,9 @@ fn main() -> ExitCode {
     }
     if let Some(p) = &json_path {
         let body = format!(
-            "{{\n  \"version\": 1,\n  \"n\": {n},\n  \"rows\": [\n{}\n  ]\n}}\n",
-            json_rows.join(",\n")
+            "{{\n  \"version\": 2,\n  \"n\": {n},\n  \"rows\": [\n{}\n  ],\n  \"ablations\": [\n{}\n  ]\n}}\n",
+            json_rows.join(",\n"),
+            json_ablations.join(",\n")
         );
         if let Err(e) = std::fs::write(p, body) {
             eprintln!("cannot write bench snapshot {}: {e}", p.display());
@@ -348,10 +416,10 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// One tool's cell group as a JSON object. Timings are nanoseconds; only
-/// `codegen_ns` is compared (with a tolerance) by `scripts/compare_bench.py`
-/// — `lines`, `dynamic_cost`, and `instances` are deterministic and must
-/// match the committed baseline exactly.
+/// One tool's cell group as a JSON object. Timings are nanoseconds;
+/// `scripts/compare_bench.py` gates `codegen_ns` only as the CLooG/CG+
+/// ratio, while `lines`, `dynamic_cost` and `instances` are deterministic
+/// and must match the committed baseline exactly.
 fn json_report(r: &bench_harness::ToolReport) -> String {
     format!(
         "{{\"lines\": {}, \"codegen_ns\": {}, \"compile_ns\": {}, \"dynamic_cost\": {}, \"instances\": {}}}",

@@ -18,7 +18,7 @@ pub mod gcc;
 use chill::Kernel;
 use cloog::{Cloog, Options};
 use codegenplus::{pad_statements, CodeGen, Generated, Statement};
-use polyir::{CodeMetrics, CostModel, ExecConfig};
+use polyir::{CostModel, ExecConfig};
 use std::time::{Duration, Instant};
 
 /// Which generator to run.
@@ -28,6 +28,8 @@ pub enum Tool {
     CodeGenPlus {
         /// Loop nesting depth for overhead removal (paper default 1).
         effort: usize,
+        /// If-merging, the paper's second algorithm (§3.2); on by default.
+        merge_ifs: bool,
     },
     /// The Quilleré/CLooG-style baseline.
     Cloog {
@@ -39,13 +41,46 @@ pub enum Tool {
 impl Tool {
     /// The paper's default CodeGen+ configuration.
     pub fn codegenplus() -> Tool {
-        Tool::CodeGenPlus { effort: 1 }
+        Tool::CodeGenPlus {
+            effort: 1,
+            merge_ifs: true,
+        }
     }
 
     /// The baseline with default options.
     pub fn cloog() -> Tool {
         Tool::Cloog {
             options: Options::default(),
+        }
+    }
+
+    /// The paper's ablations: CodeGen+ at efforts 0–3 (Figure 7's
+    /// overhead-vs-size trade-off), each with if-merging on and off, then
+    /// the baseline with compaction on and off.
+    pub fn ablations() -> Vec<Tool> {
+        let mut tools: Vec<Tool> = (0..=3)
+            .flat_map(|effort| {
+                [true, false].map(|merge_ifs| Tool::CodeGenPlus { effort, merge_ifs })
+            })
+            .collect();
+        tools.extend([true, false].map(|compact| Tool::Cloog {
+            options: Options {
+                compact,
+                ..Options::default()
+            },
+        }));
+        tools
+    }
+
+    /// A short label naming the tool and its settings, e.g.
+    /// `cgplus effort=1 merge_ifs=on` or `cloog compact=off`.
+    pub fn label(&self) -> String {
+        let on = |b: bool| if b { "on" } else { "off" };
+        match self {
+            Tool::CodeGenPlus { effort, merge_ifs } => {
+                format!("cgplus effort={effort} merge_ifs={}", on(*merge_ifs))
+            }
+            Tool::Cloog { options } => format!("cloog compact={}", on(options.compact)),
         }
     }
 }
@@ -55,12 +90,10 @@ impl Tool {
 pub struct ToolReport {
     /// Lines of generated code.
     pub lines: usize,
-    /// Wall-clock code generation time.
+    /// Wall-clock code generation time: the median repetition.
     pub codegen_time: Duration,
     /// Wall-clock of the stand-in compiler pipeline.
     pub compile_time: Duration,
-    /// Static metrics of the generated code.
-    pub metrics: CodeMetrics,
     /// Dynamic cost under the default [`CostModel`] (performance proxy).
     pub dynamic_cost: u64,
     /// Statement instances executed (sanity: equal across tools).
@@ -73,7 +106,7 @@ pub struct ToolReport {
     /// [`serve::report::certainty_tag`] vocabulary.
     pub certainty: String,
     /// Log-bucketed histogram of every code-generation repetition's
-    /// wall-clock time; [`ToolReport::codegen_time`] is its minimum. The
+    /// wall-clock time; [`ToolReport::codegen_time`] is its median. The
     /// histogram keeps the full latency distribution mergeable across
     /// kernels and runs instead of a single number.
     pub codegen_hist: omega::trace::LogHistogram,
@@ -98,9 +131,10 @@ pub fn statements_of(kernel: &Kernel) -> Vec<Statement> {
 pub fn generate(stmts: &[Statement], tool: Tool) -> (Generated, Duration) {
     let t0 = Instant::now();
     let g = match tool {
-        Tool::CodeGenPlus { effort } => CodeGen::new()
+        Tool::CodeGenPlus { effort, merge_ifs } => CodeGen::new()
             .statements(stmts.to_vec())
             .effort(effort)
+            .merge_ifs(merge_ifs)
             .generate()
             .expect("codegen+ generation failed"),
         Tool::Cloog { options } => Cloog::new()
@@ -112,33 +146,14 @@ pub fn generate(stmts: &[Statement], tool: Tool) -> (Generated, Duration) {
     (g, t0.elapsed())
 }
 
-/// Full measurement of one kernel under one tool.
+/// Runs `g` on `kernel`'s parameters after the stand-in compiler: the
+/// dynamic cost under the default [`CostModel`], the statement instances
+/// executed, and the compiler's wall-clock time.
 ///
 /// # Panics
 ///
-/// Panics when generation or execution fails.
-pub fn measure(kernel: &Kernel, tool: Tool) -> ToolReport {
-    let stmts = statements_of(kernel);
-    // Minimum over a few repetitions: one-shot wall-clock readings on a
-    // shared machine are far too noisy to compare tools, and the first
-    // repetition additionally warms the satisfiability cache for both tools
-    // symmetrically.
-    let (g, mut codegen_time) = generate(&stmts, tool);
-    let mut codegen_hist = omega::trace::LogHistogram::new();
-    codegen_hist.record(codegen_time.as_nanos() as u64);
-    let mut spent = codegen_time;
-    let mut reps = 1;
-    // Sub-millisecond kernels get many repetitions inside the time budget;
-    // multi-millisecond ones still stop after a handful. The window has to
-    // be wide enough that a scheduler stall on a busy shared host cannot
-    // cover every repetition, or the min itself is an outlier.
-    while reps < 100 && spent < Duration::from_millis(400) {
-        let (_, t) = generate(&stmts, tool);
-        codegen_hist.record(t.as_nanos() as u64);
-        codegen_time = codegen_time.min(t);
-        spent += t;
-        reps += 1;
-    }
+/// Panics when the generated code fails to execute.
+fn run_compiled(g: &Generated, kernel: &Kernel) -> (u64, u64, Duration) {
     let t0 = Instant::now();
     let compiled = polyir::passes::compile(&g.code);
     let compile_time = t0.elapsed();
@@ -149,14 +164,25 @@ pub fn measure(kernel: &Kernel, tool: Tool) -> ToolReport {
     let run = polyir::execute_with(&compiled.optimized, &kernel.params, &cfg)
         .expect("generated code must execute");
     let cost = CostModel::default().cost(&run.counters);
+    (cost, run.counters.stmt_execs, compile_time)
+}
+
+/// One tool's Table 1 cell group from its last generated program and the
+/// wall-clock time of every repetition.
+fn report(kernel: &Kernel, g: &Generated, mut times: Vec<Duration>) -> ToolReport {
+    let mut codegen_hist = omega::trace::LogHistogram::new();
+    for t in &times {
+        codegen_hist.record(t.as_nanos() as u64);
+    }
+    times.sort_unstable();
+    let (dynamic_cost, instances, compile_time) = run_compiled(g, kernel);
     let code = g.to_c();
     ToolReport {
         lines: polyir::lines_of_code(&g.code, &g.names),
-        codegen_time,
+        codegen_time: times[times.len() / 2],
         compile_time,
-        metrics: CodeMetrics::of(&g.code, &g.names),
-        dynamic_cost: cost,
-        instances: run.counters.stmt_execs,
+        dynamic_cost,
+        instances,
         bytes: code.len() + usize::from(!code.ends_with('\n')),
         certainty: serve::report::certainty_tag(g.certainty),
         codegen_hist,
@@ -226,14 +252,74 @@ impl Row {
 }
 
 /// Measures one kernel with both tools (a full Table 1 row).
+///
+/// The two tools' code-generation repetitions alternate inside one time
+/// window, so both see the same phases of a shared host, and each tool
+/// reports its median repetition. Sub-millisecond kernels get up to 100
+/// pairs; multi-millisecond ones still stop after a handful.
+///
+/// # Panics
+///
+/// Panics when generation or execution fails.
 pub fn compare(kernel: &Kernel) -> Row {
-    let cgplus = measure(kernel, Tool::codegenplus());
-    let cloog = measure(kernel, Tool::cloog());
+    let stmts = statements_of(kernel);
+    let tools = [Tool::codegenplus(), Tool::cloog()];
+    let mut times: [Vec<Duration>; 2] = Default::default();
+    let mut last = [None, None];
+    let window = Instant::now();
+    while times[0].len() < 100
+        && (times[0].is_empty() || window.elapsed() < Duration::from_millis(800))
+    {
+        for (i, &tool) in tools.iter().enumerate() {
+            let (g, t) = generate(&stmts, tool);
+            times[i].push(t);
+            last[i] = Some(g);
+        }
+    }
+    let [cg_times, cl_times] = times;
+    let [cg, cl] = last.map(|g| g.expect("at least one repetition"));
     Row {
         name: kernel.name,
-        cloog,
-        cgplus,
+        cgplus: report(kernel, &cg, cg_times),
+        cloog: report(kernel, &cl, cl_times),
     }
+}
+
+/// One ablation cell: a kernel under one [`Tool::ablations`] variant,
+/// exact figures only, so the cells repeat from run to run and on any host.
+#[derive(Clone, Debug)]
+pub struct Ablation {
+    /// Lines of generated code.
+    pub lines: usize,
+    /// Dynamic cost of the compiled code, as in the Table 1 column.
+    pub dynamic_cost: u64,
+    /// Statement instances executed.
+    pub instances: u64,
+    /// Sat queries of one generation against cold solver caches (cache
+    /// hits plus misses).
+    pub sat_queries: u64,
+}
+
+/// Generates `kernel` once under `tool` against cold solver caches and
+/// returns the program with its exact [`Ablation`] figures.
+///
+/// # Panics
+///
+/// Panics when generation or execution fails.
+pub fn ablate(kernel: &Kernel, tool: Tool) -> (Generated, Ablation) {
+    let stmts = statements_of(kernel);
+    omega::reset_sat_cache();
+    let before = omega::stats::snapshot();
+    let (g, _) = generate(&stmts, tool);
+    let queries = omega::stats::snapshot().delta(&before);
+    let (dynamic_cost, instances, _) = run_compiled(&g, kernel);
+    let cell = Ablation {
+        lines: polyir::lines_of_code(&g.code, &g.names),
+        dynamic_cost,
+        instances,
+        sat_queries: queries.cache_hits + queries.cache_misses,
+    };
+    (g, cell)
 }
 
 /// Verifies both tools execute the identical statement trace (the

@@ -82,26 +82,61 @@ impl Expr {
         }
     }
 
-    /// `max` over a non-empty list.
+    /// `max` over a non-empty list; see [`Expr::min_of`] for the folding.
     ///
     /// # Panics
     ///
     /// Panics if `items` is empty.
     pub fn max_of(items: Vec<Expr>) -> Expr {
-        let mut it = items.into_iter();
-        let first = it.next().expect("max_of requires at least one expression");
-        it.fold(first, Expr::max2)
+        Expr::extremum_of(items, true)
     }
 
-    /// `min` over a non-empty list.
+    /// `min` over a non-empty list. Nested `min` calls among the items are
+    /// flattened into one term list, repeated terms are dropped and all
+    /// integer literals fold into one, kept where the first literal was;
+    /// the remaining terms keep the order of their first occurrence.
     ///
     /// # Panics
     ///
     /// Panics if `items` is empty.
     pub fn min_of(items: Vec<Expr>) -> Expr {
-        let mut it = items.into_iter();
-        let first = it.next().expect("min_of requires at least one expression");
-        it.fold(first, Expr::min2)
+        Expr::extremum_of(items, false)
+    }
+
+    fn extremum_of(items: Vec<Expr>, max: bool) -> Expr {
+        let mut terms: Vec<Expr> = Vec::new();
+        // Where the folded literal goes, and its value so far.
+        let mut literal: Option<(usize, i64)> = None;
+        let mut stack: Vec<Expr> = items.into_iter().rev().collect();
+        while let Some(e) = stack.pop() {
+            match e {
+                Expr::Max(a, b) if max => stack.extend([*b, *a]),
+                Expr::Min(a, b) if !max => stack.extend([*b, *a]),
+                Expr::Const(c) => match &mut literal {
+                    Some((_, k)) => *k = if max { c.max(*k) } else { c.min(*k) },
+                    None => {
+                        literal = Some((terms.len(), c));
+                        terms.push(e);
+                    }
+                },
+                e if !terms.contains(&e) => terms.push(e),
+                _ => {}
+            }
+        }
+        if let Some((i, k)) = literal {
+            terms[i] = Expr::Const(k);
+        }
+        let mut it = terms.into_iter();
+        let first = it
+            .next()
+            .expect("min_of/max_of requires at least one expression");
+        it.fold(first, |a, b| {
+            if max {
+                Expr::Max(Box::new(a), Box::new(b))
+            } else {
+                Expr::Min(Box::new(a), Box::new(b))
+            }
+        })
     }
 
     /// The number of AST nodes (used by the compile-time stand-in metric).
@@ -255,6 +290,55 @@ mod tests {
     #[test]
     fn max_of_folds() {
         let e = Expr::max_of(vec![Expr::Var(0), Expr::Var(1), Expr::Var(0)]);
-        assert_eq!(e.size(), 5); // max(max(v0, v1), v0)
+        assert_eq!(e, Expr::max2(Expr::Var(0), Expr::Var(1)));
+    }
+
+    #[test]
+    fn max_of_flattens_nested_calls_and_folds_literals() {
+        let n = || Expr::Param(0);
+        let names = crate::print::Names {
+            params: vec!["n".into()],
+            ..Default::default()
+        };
+        // Difftest seed 8 at effort 0: `max(max(n,2),1)`.
+        let nested = Expr::max2(n(), Expr::Const(2));
+        let e = Expr::max_of(vec![nested, Expr::Const(1)]);
+        assert_eq!(crate::print::expr_to_string(&e, &names), "max(n,2)");
+        // Seed 19's shape: repeats and literals anywhere in the nest.
+        let terms = [
+            Expr::add(n(), Expr::Const(2)),
+            Expr::Const(7),
+            Expr::Const(7),
+            Expr::add(Expr::Var(0), Expr::Const(1)),
+            Expr::add(n(), Expr::Const(3)),
+            Expr::Const(2),
+            Expr::Const(6),
+        ];
+        let chain = terms.iter().cloned().reduce(Expr::max2).unwrap();
+        let e = Expr::max_of(vec![chain, Expr::Const(6)]);
+        assert_eq!(
+            crate::print::expr_to_string(&e, &names),
+            "max(max(max(n+2,7),t1+1),n+3)"
+        );
+        // Only literals: one literal.
+        let e = Expr::max_of(vec![Expr::Const(3), Expr::max2(Expr::Const(-1), n())]);
+        assert_eq!(e, Expr::max2(Expr::Const(3), n()));
+        assert_eq!(
+            Expr::max_of(vec![Expr::Const(4), Expr::Const(9)]),
+            Expr::Const(9)
+        );
+    }
+
+    #[test]
+    fn min_of_flattens_only_its_own_kind() {
+        let inner_max = Expr::max2(Expr::Var(0), Expr::Const(5));
+        let e = Expr::min_of(vec![
+            Expr::min2(Expr::Param(0), Expr::Const(8)),
+            inner_max.clone(),
+            Expr::Const(3),
+            Expr::Param(0),
+        ]);
+        let want = Expr::min2(Expr::min2(Expr::Param(0), Expr::Const(3)), inner_max);
+        assert_eq!(e, want);
     }
 }

@@ -205,7 +205,7 @@ def self_test():
     # All three container shapes round-trip through extract().
     as_log = json.dumps(sample())
     as_array = json.dumps([sample(), sample()])
-    as_table1 = json.dumps({"version": 1, "rows": [{"kernel": "gemm", "report": sample()}]})
+    as_table1 = json.dumps({"version": 2, "rows": [{"kernel": "gemm", "report": sample()}]})
     assert len(extract(as_log)) == 1
     assert len(extract(as_array)) == 2
     assert len(extract(as_table1)) == 1

@@ -6,8 +6,10 @@ The gate checks only what does not depend on the host it runs on:
 * **Exact work.** Per kernel and tool, `lines`, `dynamic_cost` and
   `instances`; per kernel, the CodeGen+ solver work of one cold generation
   (the `report.counters` listed in `COUNTERS` and `report.exact_solves`).
-  These change only when code generation itself changes, and such a change
-  must be reviewed by re-committing `BENCH_table1.json`.
+  Per ablation cell (kernel and generator variant), `lines`,
+  `dynamic_cost`, `instances` and `sat_queries`. These change only when
+  code generation itself changes, and such a change must be reviewed by
+  re-committing `BENCH_table1.json`.
 * **Time, as a within-run ratio.** Total CLooG `codegen_ns` over total
   CodeGen+ `codegen_ns` across the kernels. Both tools are timed in the same
   process on the same host, so the host's speed cancels out. The check
@@ -29,6 +31,7 @@ import os
 import sys
 
 EXACT = ("lines", "dynamic_cost", "instances")
+ABLATION = EXACT + ("sat_queries",)
 TOOLS = ("cloog", "cgplus")
 # CodeGen+ solver counters of one cold generation (`report.counters`).
 COUNTERS = (
@@ -50,7 +53,7 @@ def die(msg):
 def load(path):
     with open(path) as f:
         doc = json.load(f)
-    if doc.get("version") != 1:
+    if doc.get("version") != 2:
         die(f"{path}: unsupported snapshot version {doc.get('version')!r}")
     for row in doc["rows"]:
         if "report" not in row:
@@ -136,6 +139,16 @@ def main():
                 failures.append(
                     f"{kernel}/cgplus/{key}: {c_work[key]} != baseline {b_work[key]}"
                 )
+
+    base_cells = {(a["kernel"], a["variant"]): a for a in base["ablations"]}
+    cur_cells = {(a["kernel"], a["variant"]): a for a in cur["ablations"]}
+    if set(base_cells) != set(cur_cells):
+        die(f"ablation cells differ: baseline {sorted(base_cells)}, current {sorted(cur_cells)}")
+    for (kernel, variant), b in base_cells.items():
+        c = cur_cells[(kernel, variant)]
+        for key in ABLATION:
+            if b[key] != c[key]:
+                failures.append(f"{kernel}/{variant}/{key}: {c[key]} != baseline {b[key]}")
 
     base_ratio, cur_ratio = speedup(base["rows"]), speedup(cur["rows"])
     moved = cur_ratio / base_ratio

@@ -2,7 +2,7 @@
 //! polyhedra scanners → execution, verifying semantics and the qualitative
 //! Table 1 relationships at a test-friendly problem size.
 
-use bench_harness::{compare, generate, statements_of, traces_match, Tool};
+use bench_harness::{ablate, compare, generate, statements_of, traces_match, Tool};
 use chill::recipes;
 
 #[test]
@@ -94,12 +94,32 @@ fn gemm_reduction_is_largest_of_tiled_kernels() {
 #[test]
 fn effort_zero_is_smallest_code() {
     for k in recipes::all(10) {
-        let stmts = statements_of(&k);
-        let (g0, _) = generate(&stmts, Tool::CodeGenPlus { effort: 0 });
-        let (g1, _) = generate(&stmts, Tool::CodeGenPlus { effort: 1 });
-        let l0 = polyir::lines_of_code(&g0.code, &g0.names);
-        let l1 = polyir::lines_of_code(&g1.code, &g1.names);
-        assert!(l0 <= l1, "{}: depth-0 {} vs depth-1 {}", k.name, l0, l1);
+        let at = |effort| {
+            ablate(
+                &k,
+                Tool::CodeGenPlus {
+                    effort,
+                    merge_ifs: true,
+                },
+            )
+        };
+        let ((g0, a0), (g1, a1)) = (at(0), at(1));
+        assert!(
+            a0.lines <= a1.lines,
+            "{}: depth-0 {} vs depth-1 {}",
+            k.name,
+            a0.lines,
+            a1.lines
+        );
+        // Figure 7's trade-off: depth 1's extra code buys lower loop
+        // overhead in the compiled code.
+        assert!(
+            a1.dynamic_cost <= a0.dynamic_cost,
+            "{}: depth-1 cost {} vs depth-0 {}",
+            k.name,
+            a1.dynamic_cost,
+            a0.dynamic_cost
+        );
         // And identical semantics.
         assert_eq!(
             polyir::execute(&g0.code, &k.params).unwrap().trace,
@@ -113,16 +133,14 @@ fn effort_zero_is_smallest_code() {
 #[test]
 fn merge_ifs_ablation_preserves_semantics() {
     for k in recipes::all(9) {
-        let stmts = statements_of(&k);
-        let with = codegenplus::CodeGen::new()
-            .statements(stmts.clone())
-            .generate()
-            .unwrap();
-        let without = codegenplus::CodeGen::new()
-            .statements(stmts)
-            .merge_ifs(false)
-            .generate()
-            .unwrap();
+        let (with, merged) = ablate(&k, Tool::codegenplus());
+        let (without, unmerged) = ablate(
+            &k,
+            Tool::CodeGenPlus {
+                effort: 1,
+                merge_ifs: false,
+            },
+        );
         assert_eq!(
             polyir::execute(&with.code, &k.params).unwrap().trace,
             polyir::execute(&without.code, &k.params).unwrap().trace,
@@ -136,6 +154,14 @@ fn merge_ifs_ablation_preserves_semantics() {
             k.name,
             with.code.count_ifs(),
             without.code.count_ifs()
+        );
+        // And never costs more at run time once compiled.
+        assert!(
+            merged.dynamic_cost <= unmerged.dynamic_cost,
+            "{}: merged cost {} vs unmerged {}",
+            k.name,
+            merged.dynamic_cost,
+            unmerged.dynamic_cost
         );
     }
 }
