@@ -27,7 +27,7 @@
 //!   solver query of one cold-cache CodeGen+ run of the (minimized)
 //!   case at the failing configuration
 
-use codegenplus::diff::{codegen_for, GenConfig};
+use codegenplus::diff::codegen_for;
 use difftest::{check_case, parse_case, shrink, CaseOutcome, DiffCase};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -211,16 +211,16 @@ fn write_artifacts(out: &Path, seed: u64, case: &DiffCase, minimize: bool) -> st
 
     // Provenance: replayable dumps of every tier-2 query behind one
     // cold-cache CodeGen+ run of the reproducer at the failing config.
-    let cfg = check_case(&final_case)
+    let effort = check_case(&final_case)
         .discrepancy()
-        .and_then(|d| d.config)
-        .unwrap_or(GenConfig { effort: 1 });
+        .and_then(|d| d.effort)
+        .unwrap_or(1);
     let qdir = out.join("queries");
     std::fs::create_dir_all(&qdir)?;
     omega::reset_sat_cache();
     let collector = omega::trace::Collector::new();
     collector.dump_queries(&qdir);
-    let _ = codegen_for(&final_case.statements(), &cfg)
+    let _ = codegen_for(&final_case.statements(), effort)
         .trace(collector.clone())
         .generate();
     let n = std::fs::read_dir(&qdir)?.count();

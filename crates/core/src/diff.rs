@@ -10,24 +10,11 @@
 use crate::{CodeGen, Generated, Statement};
 use std::fmt;
 
-/// One point of the configuration matrix a fuzz case is driven through:
-/// an overhead-removal depth.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct GenConfig {
-    /// Loop overhead removal depth ([`CodeGen::effort`]).
-    pub effort: usize,
-}
-
-impl fmt::Display for GenConfig {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "effort={}", self.effort)
-    }
-}
-
-/// Builds the [`CodeGen`] run for a case at one configuration — the
-/// single place the harness maps a `DiffCase` onto generator knobs.
-pub fn codegen_for(stmts: &[Statement], cfg: &GenConfig) -> CodeGen {
-    CodeGen::new().statements(stmts.to_vec()).effort(cfg.effort)
+/// Builds the [`CodeGen`] run for a case at one overhead-removal effort
+/// ([`CodeGen::effort`]) — the single place the harness maps a
+/// `DiffCase` onto generator knobs.
+pub fn codegen_for(stmts: &[Statement], effort: usize) -> CodeGen {
+    CodeGen::new().statements(stmts.to_vec()).effort(effort)
 }
 
 /// Runs the adapter end to end (the default "candidate" of the harness;
@@ -37,11 +24,8 @@ pub fn codegen_for(stmts: &[Statement], cfg: &GenConfig) -> CodeGen {
 /// # Errors
 ///
 /// Propagates [`crate::CodeGenError`] from generation.
-pub fn generate_for(
-    stmts: &[Statement],
-    cfg: &GenConfig,
-) -> Result<Generated, crate::CodeGenError> {
-    codegen_for(stmts, cfg).generate()
+pub fn generate_for(stmts: &[Statement], effort: usize) -> Result<Generated, crate::CodeGenError> {
+    codegen_for(stmts, effort).generate()
 }
 
 /// What kind of disagreement a differential run observed.
@@ -81,7 +65,7 @@ impl fmt::Display for DiscrepancyKind {
 }
 
 /// A structured discrepancy report: what went wrong, under which tool and
-/// configuration, with a human-readable detail line (typically a
+/// effort, with a human-readable detail line (typically a
 /// [`polyir::diff::Divergence`] rendering).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Discrepancy {
@@ -90,8 +74,8 @@ pub struct Discrepancy {
     /// Which generator produced the offending code (`"cloog"` /
     /// `"codegen+"`).
     pub tool: String,
-    /// The configuration under which it was observed, when applicable.
-    pub config: Option<GenConfig>,
+    /// The CodeGen+ effort under which it was observed, when applicable.
+    pub effort: Option<usize>,
     /// Diagnosis detail (first divergence, offending instance, …).
     pub detail: String,
 }
@@ -101,13 +85,13 @@ impl Discrepancy {
     pub fn new(
         kind: DiscrepancyKind,
         tool: impl Into<String>,
-        config: Option<GenConfig>,
+        effort: Option<usize>,
         detail: impl Into<String>,
     ) -> Discrepancy {
         Discrepancy {
             kind,
             tool: tool.into(),
-            config,
+            effort,
             detail: detail.into(),
         }
     }
@@ -116,8 +100,8 @@ impl Discrepancy {
 impl fmt::Display for Discrepancy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{} in {}", self.kind, self.tool)?;
-        if let Some(c) = &self.config {
-            write!(f, " ({c})")?;
+        if let Some(e) = self.effort {
+            write!(f, " (effort={e})")?;
         }
         write!(f, ": {}", self.detail)
     }
@@ -134,8 +118,7 @@ mod tests {
             "s0",
             Set::parse("[n] -> { [i] : 0 <= i < n && n >= 2 }").unwrap(),
         );
-        let cfg = GenConfig { effort: 2 };
-        let g = generate_for(&[s], &cfg).unwrap();
+        let g = generate_for(&[s], 2).unwrap();
         // Effort 2 lifts the n >= 2 guard out of the loop entirely.
         assert_eq!(g.metrics().ifs_inside_loops, 0, "{}", g.to_c());
     }
@@ -145,7 +128,7 @@ mod tests {
         let d = Discrepancy::new(
             DiscrepancyKind::OutOfBounds,
             "codegen+",
-            Some(GenConfig { effort: 1 }),
+            Some(1),
             "instance s0[7] outside domain",
         );
         let msg = d.to_string();

@@ -2,7 +2,7 @@
 //! properties, to pick assertions with no false positives.
 //! `cargo run --release -p difftest --example property_scan -- 2000`
 
-use codegenplus::diff::{generate_for, GenConfig};
+use codegenplus::diff::generate_for;
 use difftest::gen::gen_case;
 use polyir::{Cond, CondAtom, Expr, Stmt};
 
@@ -132,7 +132,7 @@ fn main() {
         let mut gens = Vec::new();
         let mut ok = true;
         for effort in 0..=nv {
-            match generate_for(&stmts, &GenConfig { effort }) {
+            match generate_for(&stmts, effort) {
                 Ok(g) => gens.push(g),
                 Err(_) => {
                     ok = false;

@@ -1,7 +1,7 @@
 //! Dev tool: print both tools' generated code for a `.difftest` file.
 //! `cargo run -p difftest --example show_case -- FILE [effort]`
 
-use codegenplus::diff::{generate_for, GenConfig};
+use codegenplus::diff::generate_for;
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -20,7 +20,7 @@ fn main() {
         Ok(g) => println!("\n--- cloog ---\n{}", g.to_c()),
         Err(e) => println!("\n--- cloog: error {e}"),
     }
-    match generate_for(&case.stmts, &GenConfig { effort }) {
+    match generate_for(&case.stmts, effort) {
         Ok(g) => println!("--- codegen+ effort {effort} ---\n{}", g.to_c()),
         Err(e) => println!("--- codegen+: error {e}"),
     }

@@ -26,7 +26,7 @@
 
 use crate::case::DiffCase;
 use cloog::Cloog;
-use codegenplus::diff::{generate_for, Discrepancy, DiscrepancyKind, GenConfig};
+use codegenplus::diff::{generate_for, Discrepancy, DiscrepancyKind};
 use codegenplus::{CodeGenError, Generated, Statement};
 use polyir::diff::first_divergence;
 use polyir::TraceEntry;
@@ -34,7 +34,7 @@ use std::collections::{BTreeSet, HashSet};
 
 /// A pluggable CodeGen+ candidate: the production path by default; tests
 /// substitute deliberately broken ones to prove the harness catches them.
-pub type Candidate = dyn Fn(&[Statement], &GenConfig) -> Result<Generated, CodeGenError>;
+pub type Candidate = dyn Fn(&[Statement], usize) -> Result<Generated, CodeGenError>;
 
 /// Checker knobs.
 #[derive(Clone, Debug)]
@@ -125,11 +125,10 @@ pub fn check_statements(
     // whole. CLooG is the reference; CodeGen+ runs every effort twice in a
     // row, so `runs` holds (first, repeat) pairs in effort order.
     let cloog = Cloog::new().statements(stmts.to_vec()).generate();
-    let mut runs: Vec<(GenConfig, Result<Generated, CodeGenError>)> = Vec::new();
+    let mut runs: Vec<(usize, Result<Generated, CodeGenError>)> = Vec::new();
     for &effort in &efforts {
-        let cfg = GenConfig { effort };
         for _ in 0..2 {
-            runs.push((cfg, candidate(stmts, &cfg)));
+            runs.push((effort, candidate(stmts, effort)));
         }
     }
     let n_err = runs.iter().filter(|(_, r)| r.is_err()).count() + usize::from(cloog.is_err());
@@ -147,7 +146,10 @@ pub fn check_statements(
     }
     if n_err > 0 {
         let detail = std::iter::once(("cloog".to_owned(), &cloog))
-            .chain(runs.iter().map(|(c, r)| (format!("codegen+ {c}"), r)))
+            .chain(
+                runs.iter()
+                    .map(|(e, r)| (format!("codegen+ effort={e}"), r)),
+            )
             .map(|(name, r)| match r {
                 Ok(_) => format!("{name}: ok"),
                 Err(e) => format!("{name}: {e}"),
@@ -165,14 +167,14 @@ pub fn check_statements(
     // Cold/warm determinism: the repeat of each effort, run on the caches
     // the first run filled, must render the same program.
     for pair in runs.chunks(2) {
-        let [(cfg, first), (_, repeat)] = pair else {
+        let [(effort, first), (_, repeat)] = pair else {
             unreachable!("runs come in pairs")
         };
         if first.as_ref().unwrap().to_c() != repeat.as_ref().unwrap().to_c() {
             return CaseOutcome::Fail(Box::new(Discrepancy::new(
                 DiscrepancyKind::NonDeterministic,
                 "codegen+",
-                Some(*cfg),
+                Some(*effort),
                 "the first run and its warm-cache repeat render different code",
             )));
         }
@@ -190,14 +192,14 @@ pub fn check_statements(
     ) {
         return CaseOutcome::Fail(Box::new(d));
     }
-    for (cfg, r) in runs.iter().step_by(2) {
+    for (effort, r) in runs.iter().step_by(2) {
         if let Some(d) = diff_against_oracle(
             &expected,
             r.as_ref().unwrap(),
             stmts,
             params,
             "codegen+",
-            Some(*cfg),
+            Some(*effort),
         ) {
             return CaseOutcome::Fail(Box::new(d));
         }
@@ -208,7 +210,7 @@ pub fn check_statements(
     // one statement, one conjunct, no existentials — see
     // `monotone_fragment` for why the general case is exempt.
     if opts.check_monotone && monotone_fragment(stmts) {
-        let metrics: Vec<(GenConfig, polyir::CodeMetrics)> = runs
+        let metrics: Vec<(usize, polyir::CodeMetrics)> = runs
             .iter()
             .step_by(2)
             .map(|(c, r)| (*c, r.as_ref().unwrap().metrics()))
@@ -222,7 +224,7 @@ pub fn check_statements(
                     Some(*cb),
                     format!(
                         "ifs inside loops rose {} -> {} from effort {} to {}",
-                        ma.ifs_inside_loops, mb.ifs_inside_loops, ca.effort, cb.effort
+                        ma.ifs_inside_loops, mb.ifs_inside_loops, ca, cb
                     ),
                 )));
             }
@@ -286,7 +288,7 @@ fn diff_against_oracle(
     stmts: &[Statement],
     params: &[i64],
     tool: &str,
-    config: Option<GenConfig>,
+    effort: Option<usize>,
 ) -> Option<Discrepancy> {
     let run = match g.execute(params) {
         Ok(r) => r,
@@ -294,7 +296,7 @@ fn diff_against_oracle(
             return Some(Discrepancy::new(
                 DiscrepancyKind::ExecFailure,
                 tool,
-                config,
+                effort,
                 e.to_string(),
             ))
         }
@@ -306,7 +308,7 @@ fn diff_against_oracle(
         Some((k, p)) if !stmts[*k].domain.contains(params, p) => DiscrepancyKind::OutOfBounds,
         _ => DiscrepancyKind::TraceMismatch,
     };
-    Some(Discrepancy::new(kind, tool, config, d.to_string()))
+    Some(Discrepancy::new(kind, tool, effort, d.to_string()))
 }
 
 #[cfg(test)]
@@ -356,8 +358,8 @@ mod tests {
     #[test]
     fn broken_candidate_is_caught_as_out_of_bounds() {
         // A candidate that widens every top-level loop by one iteration.
-        let broken: &Candidate = &|stmts, cfg| {
-            let mut g = generate_for(stmts, cfg)?;
+        let broken: &Candidate = &|stmts, effort| {
+            let mut g = generate_for(stmts, effort)?;
             crate::testing::widen_first_loop(&mut g.code);
             Ok(g)
         };

@@ -10,8 +10,8 @@ use difftest::{gen_case, parse_case, shrink};
 /// The broken scanner: real CodeGen+ output with its first loop's upper
 /// bound bumped by one — the bug a sign slip in bound arithmetic makes.
 fn broken() -> Box<Candidate> {
-    Box::new(|stmts, cfg| {
-        let mut g = generate_for(stmts, cfg)?;
+    Box::new(|stmts, effort| {
+        let mut g = generate_for(stmts, effort)?;
         difftest::testing::widen_first_loop(&mut g.code);
         Ok(g)
     })
@@ -73,8 +73,8 @@ fn output_that_changes_on_the_warm_repeat_is_nondeterministic() {
     // A candidate whose second call renders different code, as a cache
     // that served a wrong warm answer would.
     let calls = std::sync::atomic::AtomicUsize::new(0);
-    let flaky = move |stmts: &[codegenplus::Statement], cfg: &codegenplus::diff::GenConfig| {
-        let mut g = generate_for(stmts, cfg)?;
+    let flaky = move |stmts: &[codegenplus::Statement], effort: usize| {
+        let mut g = generate_for(stmts, effort)?;
         if calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed) == 1 {
             difftest::testing::widen_first_loop(&mut g.code);
         }
@@ -85,6 +85,6 @@ fn output_that_changes_on_the_warm_repeat_is_nondeterministic() {
         difftest::check_statements(&case.stmts, &case.params, &flaky, &CheckOptions::default());
     let d = out.discrepancy().expect("the changed repeat must fail");
     assert_eq!(d.kind, DiscrepancyKind::NonDeterministic, "{d}");
-    assert_eq!(d.config.map(|c| c.effort), Some(0), "{d}");
+    assert_eq!(d.effort, Some(0), "{d}");
     assert!(d.to_string().contains("cold/warm nondeterminism"), "{d}");
 }

@@ -94,7 +94,9 @@ impl Expr {
     /// `min` over a non-empty list. Nested `min` calls among the items are
     /// flattened into one term list, repeated terms are dropped and all
     /// integer literals fold into one, kept where the first literal was;
-    /// the remaining terms keep the order of their first occurrence.
+    /// the remaining terms keep the order of their first occurrence. A
+    /// `max` term is dropped when one of its flattened arguments equals
+    /// another term: `max(a,…) >= a` never wins the `min`.
     ///
     /// # Panics
     ///
@@ -125,6 +127,30 @@ impl Expr {
         }
         if let Some((i, k)) = literal {
             terms[i] = Expr::Const(k);
+        }
+        // A term of the other kind is dead when one of its arguments is
+        // another term: `min(a,…) <= a` never wins a `max` holding `a`.
+        fn other_kind(e: &Expr, max: bool) -> Option<[&Expr; 2]> {
+            match (e, max) {
+                (Expr::Min(x, y), true) | (Expr::Max(x, y), false) => Some([&**x, &**y]),
+                _ => None,
+            }
+        }
+        let dead: Vec<usize> = (0..terms.len())
+            .filter(|&i| {
+                let mut args: Vec<&Expr> =
+                    other_kind(&terms[i], max).into_iter().flatten().collect();
+                while let Some(a) = args.pop() {
+                    if terms.contains(a) {
+                        return true;
+                    }
+                    args.extend(other_kind(a, max).into_iter().flatten());
+                }
+                false
+            })
+            .collect();
+        for i in dead.into_iter().rev() {
+            terms.remove(i);
         }
         let mut it = terms.into_iter();
         let first = it
@@ -319,6 +345,22 @@ mod tests {
         assert_eq!(
             crate::print::expr_to_string(&e, &names),
             "max(max(max(n+2,7),t1+1),n+3)"
+        );
+        // Seed 19 at effort 0: `min(n-2,0) <= n-2`, so the `min` is dead,
+        // as is one holding the folded literal.
+        let n_2 = || Expr::sub(n(), Expr::Const(2));
+        let e = Expr::max_of(vec![
+            Expr::Const(7),
+            n_2(),
+            Expr::min2(n_2(), Expr::Const(0)),
+            Expr::min2(Expr::Var(0), Expr::Const(7)),
+        ]);
+        assert_eq!(crate::print::expr_to_string(&e, &names), "max(7,n-2)");
+        // A `min` that no other term bounds stays.
+        let e = Expr::max_of(vec![n_2(), Expr::min2(Expr::Var(0), Expr::Const(8))]);
+        assert_eq!(
+            crate::print::expr_to_string(&e, &names),
+            "max(n-2,min(t1,8))"
         );
         // Only literals: one literal.
         let e = Expr::max_of(vec![Expr::Const(3), Expr::max2(Expr::Const(-1), n())]);

@@ -1,25 +1,25 @@
 //! `codegend` — the long-running codegen daemon.
 //!
-//! Accepts codegen jobs over a line-delimited TCP protocol and over
-//! HTTP/JSON (`POST /v1/gen`, `POST /v1/batch`), and serves
-//! Prometheus/OpenMetrics telemetry over HTTP. See `crates/serve` docs
-//! and the README quick-start.
+//! Accepts codegen jobs over HTTP/JSON (`POST /v1/gen`, `POST
+//! /v1/batch`) and serves Prometheus/OpenMetrics telemetry, `/healthz`
+//! and `/debug/*` on the same listener. See `crates/serve` docs and the
+//! README quick-start.
 //!
 //! ```text
-//! codegend [--jobs ADDR] [--http ADDR] [--effort N] [--deadline-ms MS]
+//! codegend [--http ADDR] [--effort N] [--deadline-ms MS]
 //!          [--workers N] [--queue-depth N]
 //!          [--queue-timeout-ms MS] [--slow-ms MS] [--slow-dir DIR]
 //!          [--log FILE] [--log-max-mb MB] [--log-keep N]
 //! ```
 //!
-//! Defaults: jobs on 127.0.0.1:7077, HTTP on 127.0.0.1:9077, effort 1,
+//! Defaults: HTTP on 127.0.0.1:9077, effort 1,
 //! no deadline, request log as JSON lines on stderr. Each job runs on
 //! one worker thread.
 //! Every job runs under a span collector that feeds the phase histograms
 //! and its query report. `--workers` sizes the pool draining the FIFO job
 //! queue (0 = machine cores, the default); `--queue-depth` bounds how
 //! many admitted jobs may wait (default 256 — over it, requests get
-//! `busy` / HTTP 503); `--queue-timeout-ms` errors jobs that wait longer
+//! HTTP 503); `--queue-timeout-ms` errors jobs that wait longer
 //! instead of running them stale. `--slow-ms` arms tail
 //! sampling: a job slower than the threshold (or erroring, or degrading)
 //! keeps its full span trace and replayable `.omega` provenance under
@@ -47,7 +47,6 @@ fn main() -> ExitCode {
             }
         };
         let parsed = match a.as_str() {
-            "--jobs" => val("--jobs").map(|v| cfg.jobs_addr = v),
             "--http" => val("--http").map(|v| cfg.http_addr = v),
             "--effort" => match val("--effort").map(|v| v.parse()) {
                 Ok(Ok(v)) => {
@@ -109,7 +108,7 @@ fn main() -> ExitCode {
             },
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: codegend [--jobs ADDR] [--http ADDR] [--effort N] [--deadline-ms MS]\n\
+                    "usage: codegend [--http ADDR] [--effort N] [--deadline-ms MS]\n\
                      \x20               [--workers N] [--queue-depth N]\n\
                      \x20               [--queue-timeout-ms MS] [--slow-ms MS] [--slow-dir DIR]\n\
                      \x20               [--log FILE] [--log-max-mb MB] [--log-keep N]"
@@ -133,11 +132,7 @@ fn main() -> ExitCode {
         }
     };
     // The one stdout line scripts wait for before connecting.
-    println!(
-        "codegend listening jobs={} http={}",
-        daemon.jobs_addr(),
-        daemon.http_addr()
-    );
+    println!("codegend listening http={}", daemon.http_addr());
     daemon.wait();
     ExitCode::SUCCESS
 }

@@ -26,12 +26,10 @@
 //! Keys other than these are ignored.
 //!
 //! Over queue capacity, both answer `503` with `Retry-After` instead of
-//! queueing the connection — the HTTP spelling of the line protocol's
-//! `busy`.
+//! queueing the connection.
 
 use crate::json::{self, Json};
-use crate::proto::{JobSource, JobSpec, MAX_BATCH_SPACES};
-use crate::queue::{TaskReply, Work};
+use crate::queue::{JobSource, JobSpec, TaskReply, Work, MAX_BATCH_SPACES};
 use crate::{submit, Shed, State};
 use std::fmt::Write as _;
 use std::io::{self, Read, Write};
@@ -317,8 +315,8 @@ fn respond(stream: &mut TcpStream, status: &str, content_type: &str, body: &str)
     let _ = stream.flush();
 }
 
-/// The HTTP spelling of the line protocol's `busy`: `503` with a
-/// `Retry-After` hint and the queue facts in the body.
+/// The shed answer: `503` with a `Retry-After` hint and the queue facts
+/// in the body.
 fn respond_busy(stream: &mut TcpStream, shed: &Shed) {
     let mut body = String::from("{\"error\":\"busy\",\"id\":\"");
     json::escape_into(&shed.id, &mut body);

@@ -1,10 +1,10 @@
 //! # serve — the `codegend` daemon
 //!
-//! A long-running service in front of the CodeGen+ pipeline.
-//! Connections (line-delimited TCP, [`proto`], or HTTP/JSON,
-//! `POST /v1/gen` and `POST /v1/batch`) *submit* jobs into one bounded
-//! FIFO queue ([`queue`]); a worker pool sized to cores drains it and
-//! streams replies back per job. The daemon exposes
+//! A long-running service in front of the CodeGen+ pipeline, with one
+//! HTTP listener as its only interface. Connections to `POST /v1/gen` and
+//! `POST /v1/batch` (JSON bodies) *submit* jobs into one bounded FIFO
+//! queue ([`queue`]); a worker pool sized to cores drains it and streams
+//! replies back per job. The daemon exposes
 //!
 //! * **`GET /metrics`** — OpenMetrics text from a [`telemetry::Registry`]:
 //!   request counters, queue depth, in-flight and worker gauges,
@@ -38,11 +38,11 @@
 //! ## The service core
 //!
 //! Admission checks the queue length against `--queue-depth` under the
-//! queue lock — over capacity, the request gets `busy` (line protocol)
-//! or `503` + `Retry-After` (HTTP) immediately instead of a connection
-//! thread piling onto the pipeline. Workers take admitted jobs in
-//! arrival order. A `batch` request runs N spaces as one queue entry —
-//! one parse, one slot, per-space replies streamed back in order.
+//! queue lock — over capacity, the request gets `503` + `Retry-After`
+//! immediately instead of a connection thread piling onto the pipeline.
+//! Workers take admitted jobs in arrival order. A `batch` request runs N
+//! spaces as one queue entry — one parse, one slot, per-space replies
+//! streamed back in order.
 //!
 //! Generation stays deterministic: a daemon answer for a kernel job is
 //! byte-identical to what the batch `table1` pipeline produces for the
@@ -58,19 +58,17 @@
 
 pub mod json;
 pub mod metrics;
-pub mod proto;
 pub mod queue;
 pub mod report;
 
 mod http;
 
 use crate::metrics::Metrics;
-use crate::proto::{parse_request, JobSource, JobSpec, Request};
-use crate::queue::{Job, Queue, TaskReply, Work};
+use crate::queue::{Job, JobSource, JobSpec, Queue, TaskReply, Work};
 use crate::report::{certainty_tag, QueryReport};
 use codegenplus::{pad_statements, CodeGen, Statement};
 use std::fmt::Write as _;
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -93,7 +91,8 @@ pub enum LogTarget {
 /// Daemon configuration.
 #[derive(Clone, Debug)]
 pub struct Config {
-    /// Bind address of the line-delimited job listener.
+    /// No effect, kept only until the repository benchmark stops setting
+    /// it.
     pub jobs_addr: String,
     /// Bind address of the HTTP listener (`/metrics`, `/healthz`,
     /// `/v1/*`).
@@ -109,8 +108,8 @@ pub struct Config {
     /// the machine's available parallelism.
     pub workers: usize,
     /// Bound of the admission queue: jobs queued beyond the pool. Over
-    /// capacity, requests are answered `busy` (line protocol) or `503`
-    /// (HTTP) instead of queueing without bound.
+    /// capacity, requests are answered `503` instead of queueing without
+    /// bound.
     pub queue_depth: usize,
     /// Maximum time a job may wait in the queue before it is answered
     /// with an error instead of executing (`None` waits forever). Bounds
@@ -137,7 +136,7 @@ pub struct Config {
 impl Default for Config {
     fn default() -> Config {
         Config {
-            jobs_addr: "127.0.0.1:7077".to_owned(),
+            jobs_addr: String::new(),
             http_addr: "127.0.0.1:9077".to_owned(),
             default_effort: 1,
             deadline: None,
@@ -274,9 +273,7 @@ impl State {
     pub(crate) fn debug_config_json(&self) -> String {
         let c = &self.cfg;
         let mut out = format!(
-            "{{\"jobs_addr\":\"{}\",\"http_addr\":\"{}\",\"default_effort\":{},\
-             \"workers\":{},\"queue_depth\":{}",
-            json_escape(&c.jobs_addr),
+            "{{\"http_addr\":\"{}\",\"default_effort\":{},\"workers\":{},\"queue_depth\":{}",
             json_escape(&c.http_addr),
             c.default_effort,
             self.workers,
@@ -331,27 +328,23 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// A running daemon: two listener threads, the worker pool, and
+/// A running daemon: the HTTP listener thread, the worker pool, and
 /// per-connection submitter threads.
 pub struct Daemon {
     state: Arc<State>,
-    jobs_addr: SocketAddr,
     http_addr: SocketAddr,
-    accept_threads: Vec<JoinHandle<()>>,
+    accept_thread: JoinHandle<()>,
     worker_threads: Vec<JoinHandle<()>>,
 }
 
-/// Binds both listeners, starts the worker pool, and starts serving.
+/// Binds the HTTP listener, starts the worker pool, and starts serving.
 ///
 /// # Errors
 ///
-/// Propagates bind/logger I/O errors. Port 0 in either address picks an
-/// ephemeral port; read it back from [`Daemon::jobs_addr`] /
-/// [`Daemon::http_addr`].
+/// Propagates bind/logger I/O errors. Port 0 in the address picks an
+/// ephemeral port; read it back from [`Daemon::http_addr`].
 pub fn spawn(cfg: Config) -> io::Result<Daemon> {
-    let jobs = TcpListener::bind(&cfg.jobs_addr)?;
     let http = TcpListener::bind(&cfg.http_addr)?;
-    let jobs_addr = jobs.local_addr()?;
     let http_addr = http.local_addr()?;
     let logger = match (&cfg.log, cfg.log_max_mb) {
         (LogTarget::Stderr, _) => Logger::stderr(),
@@ -389,7 +382,6 @@ pub fn spawn(cfg: Config) -> io::Result<Daemon> {
     state.metrics.workers.set(workers as i64);
     state.logger.log(
         Record::new("start")
-            .str("jobs_addr", &jobs_addr.to_string())
             .str("http_addr", &http_addr.to_string())
             .int("workers", workers as i64)
             .int("queue_depth", state.cfg.queue_depth as i64),
@@ -403,68 +395,48 @@ pub fn spawn(cfg: Config) -> io::Result<Daemon> {
                 .spawn(move || worker_loop(state))?,
         );
     }
-    let mut accept_threads = Vec::new();
-    {
+    let accept_thread = {
         let state = Arc::clone(&state);
-        accept_threads.push(
-            thread::Builder::new()
-                .name("codegend-jobs".into())
-                .spawn(move || accept_loop(jobs, state, handle_jobs_conn))?,
-        );
-    }
-    {
-        let state = Arc::clone(&state);
-        accept_threads.push(
-            thread::Builder::new()
-                .name("codegend-http".into())
-                .spawn(move || accept_loop(http, state, http::handle_conn))?,
-        );
-    }
+        thread::Builder::new()
+            .name("codegend-http".into())
+            .spawn(move || accept_loop(http, state))?
+    };
     Ok(Daemon {
         state,
-        jobs_addr,
         http_addr,
-        accept_threads,
+        accept_thread,
         worker_threads,
     })
 }
 
 impl Daemon {
-    /// Actual bound address of the job listener.
-    pub fn jobs_addr(&self) -> SocketAddr {
-        self.jobs_addr
-    }
-
     /// Actual bound address of the HTTP listener.
     pub fn http_addr(&self) -> SocketAddr {
         self.http_addr
     }
 
-    /// Asks the accept loops and the worker pool to stop (idempotent).
+    /// Asks the accept loop and the worker pool to stop (idempotent).
     /// In-flight connection handlers finish their current request;
     /// workers finish their current job; still-queued jobs are dropped
     /// and their submitters answered with a shutdown error.
     pub fn shutdown(&self) {
         self.state.stop.store(true, Ordering::SeqCst);
         self.state.queue.stop();
-        // Unblock the blocking accepts with one throwaway connection each.
-        let _ = TcpStream::connect(self.jobs_addr);
+        // Unblock the blocking accept with one throwaway connection.
         let _ = TcpStream::connect(self.http_addr);
     }
 
-    /// Blocks until the accept loops and workers exit (after
+    /// Blocks until the accept loop and workers exit (after
     /// [`Daemon::shutdown`], or never in normal daemon operation).
-    pub fn wait(mut self) {
-        for t in self.accept_threads.drain(..) {
-            let _ = t.join();
-        }
-        for t in self.worker_threads.drain(..) {
+    pub fn wait(self) {
+        let _ = self.accept_thread.join();
+        for t in self.worker_threads {
             let _ = t.join();
         }
     }
 }
 
-fn accept_loop(listener: TcpListener, state: Arc<State>, handler: fn(Arc<State>, TcpStream)) {
+fn accept_loop(listener: TcpListener, state: Arc<State>) {
     for stream in listener.incoming() {
         if state.stop.load(Ordering::SeqCst) {
             break;
@@ -473,12 +445,12 @@ fn accept_loop(listener: TcpListener, state: Arc<State>, handler: fn(Arc<State>,
         let state = Arc::clone(&state);
         let _ = thread::Builder::new()
             .name("codegend-conn".into())
-            .spawn(move || handler(state, stream));
+            .spawn(move || http::handle_conn(state, stream));
     }
 }
 
 // ---------------------------------------------------------------------------
-// Job submission (shared by the line protocol and the HTTP API)
+// Job submission
 // ---------------------------------------------------------------------------
 
 /// Why a submission was refused: the queue was at capacity. Carries the
@@ -504,7 +476,7 @@ fn kind_of(work: &Work) -> &'static str {
 /// Builds a [`Job`] from a parsed spec and enqueues it, assigning the id
 /// (`r-NNNNNN` when the client chose none). On shed, the shed counter,
 /// the `busy` request counter, and the request log record are all
-/// emitted here; the caller only formats the refusal.
+/// emitted here; the caller only formats the `503`.
 pub(crate) fn submit(
     state: &State,
     peer: &str,
@@ -546,130 +518,6 @@ pub(crate) fn submit(
             })
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// Job protocol handling
-// ---------------------------------------------------------------------------
-
-fn handle_jobs_conn(state: Arc<State>, stream: TcpStream) {
-    let peer = stream
-        .peer_addr()
-        .map(|p| p.to_string())
-        .unwrap_or_default();
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let reader = BufReader::new(read_half);
-    let mut w = BufWriter::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let done = match parse_request(&line) {
-            Ok(Request::Ping) => {
-                state.metrics.requests.with(&["control", "ok"]).inc();
-                writeln!(w, "pong").is_err()
-            }
-            Ok(Request::Quit) => {
-                state.metrics.requests.with(&["control", "ok"]).inc();
-                true
-            }
-            Ok(Request::Gen(spec)) => handle_gen(&state, &mut w, &peer, spec).is_err(),
-            Ok(Request::Batch(base, spaces)) => {
-                handle_batch(&state, &mut w, &peer, base, spaces).is_err()
-            }
-            Err(msg) => {
-                state.metrics.requests.with(&["control", "err"]).inc();
-                state.logger.log(
-                    Record::new("protocol_error")
-                        .str("peer", &peer)
-                        .str("msg", &msg),
-                );
-                writeln!(w, "err id=- msg={}", sanitize_line(&msg)).is_err()
-            }
-        };
-        if w.flush().is_err() || done {
-            break;
-        }
-    }
-}
-
-/// Formats one worker reply on the line protocol. `None` means the
-/// daemon dropped the job (shutdown closed the reply channel).
-fn write_task_reply(
-    w: &mut impl Write,
-    reply: Option<TaskReply>,
-    fallback_id: &str,
-) -> io::Result<()> {
-    match reply {
-        None => writeln!(w, "err id={fallback_id} msg=daemon shutting down"),
-        Some(r) => match r.outcome {
-            Ok(out) => {
-                writeln!(
-                    w,
-                    "ok id={} source={} lines={} codegen_ns={} compile_ns={} certainty={} bytes={}",
-                    r.id,
-                    r.source,
-                    out.lines,
-                    out.codegen_ns,
-                    out.compile_ns,
-                    out.certainty,
-                    out.code.len()
-                )?;
-                w.write_all(out.code.as_bytes())
-            }
-            Err(msg) => writeln!(w, "err id={} msg={}", r.id, sanitize_line(&msg)),
-        },
-    }
-}
-
-/// One `gen`: submit into the queue, wait for the single reply.
-fn handle_gen(state: &State, w: &mut impl Write, peer: &str, spec: JobSpec) -> io::Result<()> {
-    match submit(state, peer, Work::Single(spec)) {
-        Err(shed) => writeln!(
-            w,
-            "busy id={} queued={} max={}",
-            shed.id, shed.queued, shed.capacity
-        ),
-        Ok((id, rx)) => write_task_reply(w, rx.recv().ok(), &id),
-    }
-}
-
-/// One `batch`: submit the whole batch as one queue entry, then stream
-/// the per-space replies in submission order, flushing each so a slow
-/// later space does not hold back earlier results.
-fn handle_batch(
-    state: &State,
-    w: &mut impl Write,
-    peer: &str,
-    base: JobSpec,
-    spaces: Vec<String>,
-) -> io::Result<()> {
-    let count = spaces.len();
-    match submit(state, peer, Work::Batch { base, spaces }) {
-        Err(shed) => writeln!(
-            w,
-            "busy id={} queued={} max={}",
-            shed.id, shed.queued, shed.capacity
-        ),
-        Ok((id, rx)) => {
-            writeln!(w, "batch id={id} count={count}")?;
-            w.flush()?;
-            for i in 0..count {
-                let fallback = format!("{id}#{i}");
-                write_task_reply(w, rx.recv().ok(), &fallback)?;
-                w.flush()?;
-            }
-            Ok(())
-        }
-    }
-}
-
-/// Keeps an error message on one protocol line.
-fn sanitize_line(msg: &str) -> String {
-    msg.replace(['\n', '\r'], "; ")
 }
 
 // ---------------------------------------------------------------------------
@@ -961,7 +809,7 @@ fn execute_task(
     result
 }
 
-/// A completed job, ready to serialize (over either protocol).
+/// A completed job, ready to serialize.
 pub(crate) struct JobOutput {
     pub(crate) code: String,
     pub(crate) lines: usize,
@@ -1094,11 +942,6 @@ mod tests {
             certainty_tag(omega::Certainty::from_reasons(r)),
             "approximate:deadline-exceeded"
         );
-    }
-
-    #[test]
-    fn sanitize_keeps_one_line() {
-        assert_eq!(sanitize_line("a\nb\r\nc"), "a; b; ; c");
     }
 
     #[test]

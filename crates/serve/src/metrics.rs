@@ -20,7 +20,7 @@ use telemetry::{Counter, Family, Gauge, Histogram, Registry};
 pub struct Metrics {
     /// The backing registry (exposed at `/metrics`).
     pub registry: Registry,
-    /// Requests by `kind` (`kernel`/`adhoc`/`batch`/`control`) and
+    /// Requests by `kind` (`kernel`/`adhoc`/`batch`) and
     /// `status` (`ok`/`err`/`busy`/`timeout`).
     pub requests: Arc<Family<Counter>>,
     /// Jobs currently executing on the worker pool.
@@ -69,7 +69,7 @@ impl Metrics {
         Metrics {
             requests: registry.counter_vec(
                 "codegend_requests",
-                "Requests handled, by kind (kernel/adhoc/batch/control) and status (ok/err/busy/timeout).",
+                "Requests handled, by kind (kernel/adhoc/batch) and status (ok/err/busy/timeout).",
                 &["kind", "status"],
             ),
             inflight: registry.gauge(

@@ -7,11 +7,50 @@
 //! the observable depth never exceeds capacity, and no request is shed
 //! while a slot is free. Workers take jobs in arrival order.
 
-use crate::proto::JobSpec;
 use std::collections::VecDeque;
 use std::sync::mpsc::Sender;
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Instant;
+
+/// What to generate and how hard to try.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct JobSpec {
+    /// Client-chosen request id; the daemon assigns `r-NNNNNN` when absent.
+    pub id: Option<String>,
+    /// The iteration spaces to scan.
+    pub source: JobSource,
+    /// Overhead-removal effort (`CodeGen::effort`); daemon default if absent.
+    pub effort: Option<usize>,
+}
+
+/// Where the iteration spaces come from.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum JobSource {
+    /// A named Table 1 kernel recipe at problem size `n`.
+    Kernel {
+        /// Recipe name (`gemv`, `qr`, `swim`, `gemm`, `lu`).
+        name: String,
+        /// Problem size the recipe is built at.
+        n: i64,
+    },
+    /// Ad-hoc iteration-space descriptions in the `omega` set syntax,
+    /// one statement per set.
+    Spaces(Vec<String>),
+}
+
+impl JobSource {
+    /// Short tag for logs and replies.
+    pub fn tag(&self) -> String {
+        match self {
+            JobSource::Kernel { name, .. } => name.clone(),
+            JobSource::Spaces(s) => format!("adhoc[{}]", s.len()),
+        }
+    }
+}
+
+/// Most spaces one `batch` request may carry; a guard against one request
+/// monopolizing a worker for unbounded wall time.
+pub const MAX_BATCH_SPACES: usize = 4096;
 
 /// What a queued job executes: one generation, or a batch of
 /// independent single-space generations sharing one parse and one queue
@@ -31,8 +70,7 @@ pub(crate) enum Work {
 }
 
 /// One reply to one task (a `gen`, or one space of a `batch`), sent from
-/// a worker back to the submitting connection, which owns the socket
-/// formatting (line protocol or HTTP/JSON).
+/// a worker back to the submitting connection, which renders it as JSON.
 pub(crate) struct TaskReply {
     /// Task id: the job id, or `id#i` for space `i` of a batch.
     pub id: String,
@@ -88,9 +126,9 @@ impl Queue {
     /// # Errors
     ///
     /// Returns the job back when the queue is full — the caller owns the
-    /// `busy` reply.
+    /// `503` reply.
     // The Err variant carries the whole Job on purpose: the caller needs
-    // it back (id, reply channel) to answer `busy` without a clone.
+    // it back (id, reply channel) to answer `503` without a clone.
     #[allow(clippy::result_large_err)]
     pub(crate) fn try_push(&self, job: Job) -> Result<(), Job> {
         {
@@ -147,7 +185,6 @@ impl Queue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::{JobSource, JobSpec};
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::mpsc;
     use std::sync::Arc;

@@ -2,6 +2,9 @@
 //! subset of them.
 #![allow(dead_code)]
 
+use serve::json::Json;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{SystemTime, UNIX_EPOCH};
@@ -56,4 +59,43 @@ pub fn batch_code(kernel: &chill::Kernel) -> String {
         code.push('\n');
     }
     code
+}
+
+/// One HTTP/1.1 exchange on a fresh connection (the daemon answers one
+/// request per connection, then closes): the response head and body.
+fn http(addr: SocketAddr, request: &str) -> (String, String) {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.write_all(request.as_bytes()).unwrap();
+    let mut response = String::new();
+    stream.read_to_string(&mut response).unwrap();
+    let (head, body) = response.split_once("\r\n\r\n").unwrap();
+    (head.to_owned(), body.to_owned())
+}
+
+pub fn http_get(addr: SocketAddr, path: &str) -> (String, String) {
+    http(addr, &format!("GET {path} HTTP/1.1\r\nHost: x\r\n\r\n"))
+}
+
+pub fn http_post(addr: SocketAddr, path: &str, body: &str) -> (String, String) {
+    http(
+        addr,
+        &format!(
+            "POST {path} HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\n\
+             Content-Length: {}\r\n\r\n{body}",
+            body.len()
+        ),
+    )
+}
+
+/// `POST /v1/gen`: the parsed JSON reply of a well-formed job, which is
+/// a `200` whether the generation succeeded (`code`) or not (`error`).
+pub fn gen(addr: SocketAddr, body: &str) -> Json {
+    let (head, reply) = http_post(addr, "/v1/gen", body);
+    assert!(head.starts_with("HTTP/1.1 200"), "{head}: {reply}");
+    serve::json::parse(&reply).unwrap_or_else(|e| panic!("{e}: {reply}"))
+}
+
+/// The string field `key` of a JSON reply, or `""` when absent.
+pub fn field<'a>(reply: &'a Json, key: &str) -> &'a str {
+    reply.get(key).and_then(Json::as_str).unwrap_or("")
 }

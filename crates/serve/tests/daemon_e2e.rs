@@ -1,68 +1,18 @@
-//! End-to-end daemon tests: boot `codegend` in-process on ephemeral
-//! ports, drive the line protocol and the HTTP endpoints over real
-//! sockets, and pin the acceptance criterion — concurrent daemon
-//! responses are byte-identical to batch CodeGen+ output.
+//! End-to-end daemon tests: boot `codegend` in-process on an ephemeral
+//! port, drive the HTTP job API and endpoints over real sockets, and pin
+//! the acceptance criterion — concurrent daemon responses are
+//! byte-identical to batch CodeGen+ output.
 
 mod common;
 
-use common::{batch_code, TempDir};
+use common::{batch_code, field, gen, http_get, http_post, TempDir};
 use serve::{spawn, Config, LogTarget};
-use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpStream};
-
-/// One protocol exchange: send `line`, read the response header and (for
-/// `ok`) the byte-counted payload.
-struct Reply {
-    header: String,
-    fields: HashMap<String, String>,
-    payload: Vec<u8>,
-}
-
-fn roundtrip(conn: &mut BufReader<TcpStream>, line: &str) -> Reply {
-    conn.get_mut()
-        .write_all(format!("{line}\n").as_bytes())
-        .unwrap();
-    let mut header = String::new();
-    conn.read_line(&mut header).unwrap();
-    let header = header.trim_end().to_owned();
-    let fields: HashMap<String, String> = header
-        .split_whitespace()
-        .skip(1)
-        .filter_map(|t| t.split_once('='))
-        .map(|(k, v)| (k.to_owned(), v.to_owned()))
-        .collect();
-    let mut payload = Vec::new();
-    if header.starts_with("ok ") {
-        let bytes: usize = fields["bytes"].parse().unwrap();
-        payload.resize(bytes, 0);
-        conn.read_exact(&mut payload).unwrap();
-    }
-    Reply {
-        header,
-        fields,
-        payload,
-    }
-}
-
-fn connect(addr: SocketAddr) -> BufReader<TcpStream> {
-    BufReader::new(TcpStream::connect(addr).unwrap())
-}
-
-fn http_get(addr: SocketAddr, path: &str) -> (String, String) {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    write!(stream, "GET {path} HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
-    let mut response = String::new();
-    stream.read_to_string(&mut response).unwrap();
-    let (head, body) = response.split_once("\r\n\r\n").unwrap();
-    (head.to_owned(), body.to_owned())
-}
+use std::net::TcpListener;
 
 #[test]
 fn concurrent_kernel_jobs_are_byte_identical_to_batch() {
     let dir = TempDir::new("e2e-main");
     let daemon = spawn(Config {
-        jobs_addr: "127.0.0.1:0".into(),
         http_addr: "127.0.0.1:0".into(),
         // Every job is "slow": each keeps its trace and provenance.
         slow_ms: Some(0),
@@ -83,22 +33,20 @@ fn concurrent_kernel_jobs_are_byte_identical_to_batch() {
     // process-wide memo caches, which would let every daemon job answer
     // from tier 1 and skip the tier-2 provenance dumps this test checks.
     omega::reset_sat_cache();
-    let jobs_addr = daemon.jobs_addr();
+    let addr = daemon.http_addr();
     let handles: Vec<_> = expected
         .iter()
         .cloned()
         .map(|(name, want)| {
             std::thread::spawn(move || {
-                let mut conn = connect(jobs_addr);
-                let r = roundtrip(
-                    &mut conn,
-                    &format!("gen kernel={name} n={n} effort=1 id=e2e-{name}"),
+                let r = gen(
+                    addr,
+                    &format!(r#"{{"kernel":"{name}","n":{n},"effort":1,"id":"e2e-{name}"}}"#),
                 );
-                assert!(r.header.starts_with("ok "), "unexpected reply {}", r.header);
-                assert_eq!(r.fields["id"], format!("e2e-{name}"));
-                assert_eq!(r.fields["certainty"], "exact");
+                assert_eq!(field(&r, "id"), format!("e2e-{name}"));
+                assert_eq!(field(&r, "certainty"), "exact");
                 assert_eq!(
-                    String::from_utf8(r.payload).unwrap(),
+                    field(&r, "code"),
                     want,
                     "daemon code for {name} differs from batch output"
                 );
@@ -167,63 +115,73 @@ fn concurrent_kernel_jobs_are_byte_identical_to_batch() {
 }
 
 #[test]
-fn protocol_control_adhoc_and_error_paths() {
-    let dir = TempDir::new("e2e-proto");
+fn adhoc_and_error_paths() {
+    let dir = TempDir::new("e2e-adhoc");
     let daemon = spawn(Config {
-        jobs_addr: "127.0.0.1:0".into(),
         http_addr: "127.0.0.1:0".into(),
         log: LogTarget::File(dir.join("log.jsonl")),
         ..Config::default()
     })
     .unwrap();
-    let mut conn = connect(daemon.jobs_addr());
-
-    let r = roundtrip(&mut conn, "ping");
-    assert_eq!(r.header, "pong");
+    let addr = daemon.http_addr();
 
     // Ad-hoc iteration space, daemon-assigned id.
-    let r = roundtrip(&mut conn, "gen space=[n] -> { [i] : 0 <= i < n }");
-    assert!(r.header.starts_with("ok "), "{}", r.header);
-    assert!(r.fields["id"].starts_with("r-"));
-    assert_eq!(r.fields["source"], "adhoc[1]");
-    let code = String::from_utf8(r.payload).unwrap();
-    assert!(code.contains("for"), "{code}");
+    let r = gen(addr, r#"{"spaces":["[n] -> { [i] : 0 <= i < n }"]}"#);
+    assert!(field(&r, "id").starts_with("r-"), "{r:?}");
+    assert_eq!(field(&r, "source"), "adhoc[1]");
+    assert!(field(&r, "code").contains("for"), "{r:?}");
 
-    // Unknown kernel and malformed lines produce err, connection stays up.
-    let r = roundtrip(&mut conn, "gen kernel=nosuch");
-    assert!(r.header.starts_with("err "), "{}", r.header);
-    assert!(r.header.contains("unknown kernel"));
-    let r = roundtrip(&mut conn, "what even");
-    assert!(r.header.starts_with("err "), "{}", r.header);
-
-    // A bad set description errors without killing the daemon.
-    let r = roundtrip(&mut conn, "gen space={ not a set }");
-    assert!(r.header.starts_with("err "), "{}", r.header);
-    let r = roundtrip(&mut conn, "ping");
-    assert_eq!(r.header, "pong");
+    // An unknown kernel and a bad set description are job errors; the
+    // daemon keeps serving.
+    let r = gen(addr, r#"{"kernel":"nosuch"}"#);
+    assert!(field(&r, "error").contains("unknown kernel"), "{r:?}");
+    let r = gen(addr, r#"{"spaces":["{ not a set }"]}"#);
+    assert!(!field(&r, "error").is_empty(), "{r:?}");
+    let (head, body) = http_get(addr, "/healthz");
+    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+    assert!(body.contains("\"status\":\"ready\""), "{body}");
 
     daemon.shutdown();
     daemon.wait();
 }
 
 #[test]
-fn admission_control_sheds_jobs_over_the_cap() {
+fn admission_control_sheds_jobs_over_the_cap_with_503() {
     let dir = TempDir::new("e2e-shed");
     let daemon = spawn(Config {
-        jobs_addr: "127.0.0.1:0".into(),
         http_addr: "127.0.0.1:0".into(),
         queue_depth: 0,
         log: LogTarget::File(dir.join("log.jsonl")),
         ..Config::default()
     })
     .unwrap();
-    let mut conn = connect(daemon.jobs_addr());
-    let r = roundtrip(&mut conn, "gen kernel=gemv n=8");
-    assert!(r.header.starts_with("busy "), "{}", r.header);
-    assert_eq!(r.fields["max"], "0");
+    let (head, body) = http_post(daemon.http_addr(), "/v1/gen", r#"{"kernel":"gemv","n":8}"#);
+    assert!(head.starts_with("HTTP/1.1 503"), "{head}");
+    assert!(head.contains("Retry-After: 1"), "{head}");
+    assert!(body.contains("\"error\":\"busy\""), "{body}");
+    assert!(body.contains("\"capacity\":0"), "{body}");
     let (_, metrics) = http_get(daemon.http_addr(), "/metrics");
     assert!(metrics.contains("codegend_jobs_shed_total 1"), "{metrics}");
     assert!(metrics.contains("codegend_requests_total{kind=\"kernel\",status=\"busy\"} 1"));
+    daemon.shutdown();
+    daemon.wait();
+}
+
+/// `Config::jobs_addr` binds nothing: a daemon pointed at an address
+/// another socket already holds still starts and serves jobs.
+#[test]
+fn jobs_addr_binds_nothing() {
+    let dir = TempDir::new("e2e-jobs-addr");
+    let occupied = TcpListener::bind("127.0.0.1:0").unwrap();
+    let daemon = spawn(Config {
+        jobs_addr: occupied.local_addr().unwrap().to_string(),
+        http_addr: "127.0.0.1:0".into(),
+        log: LogTarget::File(dir.join("log.jsonl")),
+        ..Config::default()
+    })
+    .unwrap();
+    let r = gen(daemon.http_addr(), r#"{"kernel":"gemv","n":8}"#);
+    assert_eq!(field(&r, "certainty"), "exact", "{r:?}");
     daemon.shutdown();
     daemon.wait();
 }
@@ -244,7 +202,6 @@ fn byte_identical_across_queue_configurations() {
     for (workers, queue_depth) in configs {
         let dir = TempDir::new("e2e-cfg");
         let daemon = spawn(Config {
-            jobs_addr: "127.0.0.1:0".into(),
             http_addr: "127.0.0.1:0".into(),
             workers,
             queue_depth,
@@ -252,17 +209,18 @@ fn byte_identical_across_queue_configurations() {
             ..Config::default()
         })
         .unwrap();
-        let jobs_addr = daemon.jobs_addr();
+        let addr = daemon.http_addr();
         let handles: Vec<_> = expected
             .iter()
             .cloned()
             .map(|(name, want)| {
                 std::thread::spawn(move || {
-                    let mut conn = connect(jobs_addr);
-                    let r = roundtrip(&mut conn, &format!("gen kernel={name} n={n} effort=1"));
-                    assert!(r.header.starts_with("ok "), "unexpected reply {}", r.header);
+                    let r = gen(
+                        addr,
+                        &format!(r#"{{"kernel":"{name}","n":{n},"effort":1}}"#),
+                    );
                     assert_eq!(
-                        String::from_utf8(r.payload).unwrap(),
+                        field(&r, "code"),
                         want,
                         "workers={workers} depth={queue_depth}: \
                          daemon code for {name} differs from batch output"

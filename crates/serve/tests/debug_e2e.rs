@@ -6,11 +6,9 @@
 
 mod common;
 
-use common::TempDir;
+use common::{field, gen, http_get, TempDir};
 use serve::json::Json;
 use serve::{spawn, Config, LogTarget};
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpStream};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
@@ -24,32 +22,6 @@ fn solver_cache() -> MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-fn connect(addr: SocketAddr) -> BufReader<TcpStream> {
-    BufReader::new(TcpStream::connect(addr).unwrap())
-}
-
-/// Sends one `gen` line, returns the response header, draining any
-/// `ok` payload so the connection can be reused.
-fn submit(conn: &mut BufReader<TcpStream>, line: &str) -> String {
-    conn.get_mut()
-        .write_all(format!("{line}\n").as_bytes())
-        .unwrap();
-    let mut header = String::new();
-    conn.read_line(&mut header).unwrap();
-    let header = header.trim_end().to_owned();
-    if header.starts_with("ok ") {
-        let bytes: usize = header
-            .split_whitespace()
-            .find_map(|t| t.strip_prefix("bytes="))
-            .unwrap()
-            .parse()
-            .unwrap();
-        let mut payload = vec![0u8; bytes];
-        conn.read_exact(&mut payload).unwrap();
-    }
-    header
-}
-
 /// The sorted top-level keys of a JSON object body.
 fn top_level_keys(body: &str) -> Vec<String> {
     match serve::json::parse(body) {
@@ -58,18 +30,8 @@ fn top_level_keys(body: &str) -> Vec<String> {
     }
 }
 
-fn http_get(addr: SocketAddr, path: &str) -> (String, String) {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    write!(stream, "GET {path} HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
-    let mut response = String::new();
-    stream.read_to_string(&mut response).unwrap();
-    let (head, body) = response.split_once("\r\n\r\n").unwrap();
-    (head.to_owned(), body.to_owned())
-}
-
 fn default_daemon(dir: &std::path::Path, cfg: Config) -> serve::Daemon {
     spawn(Config {
-        jobs_addr: "127.0.0.1:0".into(),
         http_addr: "127.0.0.1:0".into(),
         log: LogTarget::File(dir.join("log.jsonl")),
         ..cfg
@@ -84,10 +46,12 @@ fn default_flags_populate_debug_requests_and_config() {
     // Default observability flags, no slow threshold: the acceptance
     // criterion is that introspection works with nothing pre-armed.
     let daemon = default_daemon(dir.path(), Config::default());
-    let mut conn = connect(daemon.jobs_addr());
     for name in ["gemv", "qr", "swim", "gemm", "lu"] {
-        let header = submit(&mut conn, &format!("gen kernel={name} n=12 id=dbg-{name}"));
-        assert!(header.starts_with("ok "), "{header}");
+        let r = gen(
+            daemon.http_addr(),
+            &format!(r#"{{"kernel":"{name}","n":12,"id":"dbg-{name}"}}"#),
+        );
+        assert!(!field(&r, "code").is_empty(), "{r:?}");
     }
 
     // /debug/requests: five populated reports, oldest first.
@@ -170,7 +134,6 @@ fn default_flags_populate_debug_requests_and_config() {
             "deadline_ms",
             "default_effort",
             "http_addr",
-            "jobs_addr",
             "log_keep",
             "log_max_mb",
             "log_rotations",
@@ -226,9 +189,11 @@ fn slow_ms_zero_retains_trace_and_provenance() {
     // Cold solver caches so the job actually runs tier-2 queries whose
     // provenance can be buffered and retained.
     omega::reset_sat_cache();
-    let mut conn = connect(daemon.jobs_addr());
-    let header = submit(&mut conn, "gen kernel=gemm n=10 id=slow-gemm");
-    assert!(header.starts_with("ok "), "{header}");
+    let r = gen(
+        daemon.http_addr(),
+        r#"{"kernel":"gemm","n":10,"id":"slow-gemm"}"#,
+    );
+    assert!(!field(&r, "code").is_empty(), "{r:?}");
 
     let job_dir = dir.join("slow").join("slow-gemm");
     assert!(
@@ -296,9 +261,11 @@ fn fast_jobs_below_threshold_retain_nothing() {
             ..Config::default()
         },
     );
-    let mut conn = connect(daemon.jobs_addr());
-    let header = submit(&mut conn, "gen kernel=gemv n=8 id=fast-gemv");
-    assert!(header.starts_with("ok "), "{header}");
+    let r = gen(
+        daemon.http_addr(),
+        r#"{"kernel":"gemv","n":8,"id":"fast-gemv"}"#,
+    );
+    assert!(!field(&r, "code").is_empty(), "{r:?}");
 
     let retained = std::fs::read_dir(dir.join("slow"))
         .map(|d| d.count())
@@ -326,11 +293,9 @@ fn errors_and_degrades_trigger_retention_regardless_of_latency() {
             ..Config::default()
         },
     );
-    let mut conn = connect(daemon.jobs_addr());
-
     // An erroring job is retained even though it was fast.
-    let header = submit(&mut conn, "gen kernel=nosuch id=trig-err");
-    assert!(header.starts_with("err "), "{header}");
+    let r = gen(daemon.http_addr(), r#"{"kernel":"nosuch","id":"trig-err"}"#);
+    assert!(!field(&r, "error").is_empty(), "{r:?}");
     assert!(
         dir.join("slow")
             .join("trig-err")
@@ -363,10 +328,12 @@ fn errors_and_degrades_trigger_retention_regardless_of_latency() {
     // Cold caches: a warm memo cache answers every query exactly (cached
     // results are always exact) and the deadline would never be consulted.
     omega::reset_sat_cache();
-    let mut conn = connect(daemon.jobs_addr());
-    let header = submit(&mut conn, "gen kernel=qr n=9 id=trig-deg");
-    assert!(header.starts_with("ok "), "{header}");
-    assert!(header.contains("certainty=approximate"), "{header}");
+    let r = gen(
+        daemon.http_addr(),
+        r#"{"kernel":"qr","n":9,"id":"trig-deg"}"#,
+    );
+    assert!(!field(&r, "code").is_empty(), "{r:?}");
+    assert!(field(&r, "certainty").starts_with("approximate"), "{r:?}");
     assert!(
         dir2.join("slow")
             .join("trig-deg")

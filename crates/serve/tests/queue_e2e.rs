@@ -1,109 +1,55 @@
-//! End-to-end tests for the service core: batch requests streaming
-//! per-space replies, the queue timeout, the HTTP/JSON job API (`POST
-//! /v1/gen`, `POST /v1/batch`) including shedding as `503`, and the
+//! End-to-end tests for the service core over the HTTP/JSON job API
+//! (`POST /v1/gen`, `POST /v1/batch`): batch requests streaming
+//! per-space replies, the queue timeout, malformed bodies, and the
 //! request shape the repository benchmark sends.
 
 mod common;
 
-use common::{batch_code, TempDir};
+use common::{batch_code, field, gen, http_get, http_post, TempDir};
+use serve::json::Json;
 use serve::{spawn, Config, LogTarget};
-use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
-struct Reply {
-    header: String,
-    fields: HashMap<String, String>,
-    payload: Vec<u8>,
-}
-
-fn read_reply(conn: &mut BufReader<TcpStream>) -> Reply {
-    let mut header = String::new();
-    conn.read_line(&mut header).unwrap();
-    let header = header.trim_end().to_owned();
-    let fields: HashMap<String, String> = header
-        .split_whitespace()
-        .skip(1)
-        .filter_map(|t| t.split_once('='))
-        .map(|(k, v)| (k.to_owned(), v.to_owned()))
-        .collect();
-    let mut payload = Vec::new();
-    if header.starts_with("ok ") {
-        let bytes: usize = fields["bytes"].parse().unwrap();
-        payload.resize(bytes, 0);
-        conn.read_exact(&mut payload).unwrap();
-    }
-    Reply {
-        header,
-        fields,
-        payload,
-    }
-}
-
-fn roundtrip(conn: &mut BufReader<TcpStream>, line: &str) -> Reply {
-    conn.get_mut()
-        .write_all(format!("{line}\n").as_bytes())
-        .unwrap();
-    read_reply(conn)
-}
-
-fn connect(addr: SocketAddr) -> BufReader<TcpStream> {
-    BufReader::new(TcpStream::connect(addr).unwrap())
-}
-
-fn http_get(addr: SocketAddr, path: &str) -> (String, String) {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    write!(stream, "GET {path} HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
-    let mut response = String::new();
-    stream.read_to_string(&mut response).unwrap();
-    let (head, body) = response.split_once("\r\n\r\n").unwrap();
-    (head.to_owned(), body.to_owned())
-}
-
-fn http_post(addr: SocketAddr, path: &str, body: &str) -> (String, String) {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    write!(
-        stream,
-        "POST {path} HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    )
-    .unwrap();
-    let mut response = String::new();
-    stream.read_to_string(&mut response).unwrap();
-    let (head, body) = response.split_once("\r\n\r\n").unwrap();
-    (head.to_owned(), body.to_owned())
+/// The JSON objects of a chunked NDJSON batch body, in order: every
+/// object is one line, every chunk-size line is not an object.
+fn ndjson(body: &str) -> Vec<Json> {
+    body.lines()
+        .filter(|l| l.starts_with('{'))
+        .map(|l| serve::json::parse(l).unwrap_or_else(|e| panic!("{e}: {l}")))
+        .collect()
 }
 
 #[test]
 fn batch_streams_per_space_replies_in_order() {
     let dir = TempDir::new("queue");
     let daemon = spawn(Config {
-        jobs_addr: "127.0.0.1:0".into(),
         http_addr: "127.0.0.1:0".into(),
         log: LogTarget::File(dir.join("batch.jsonl")),
         ..Config::default()
     })
     .unwrap();
-    let mut conn = connect(daemon.jobs_addr());
 
     // Two good spaces around one bad one: per-space isolation means the
     // bad space errors while its neighbors still generate.
-    let r = roundtrip(
-        &mut conn,
-        "batch id=b1 space={ [i] : 0 <= i < 4 } ; { not a set } ; { [i] : i = 2 }",
+    let (head, body) = http_post(
+        daemon.http_addr(),
+        "/v1/batch",
+        r#"{"id":"b1","spaces":["{ [i] : 0 <= i < 4 }","{ not a set }","{ [i] : i = 2 }"]}"#,
     );
-    assert_eq!(r.header, "batch id=b1 count=3");
-    let first = read_reply(&mut conn);
-    assert!(first.header.starts_with("ok "), "{}", first.header);
-    assert_eq!(first.fields["id"], "b1#0");
-    assert!(String::from_utf8(first.payload).unwrap().contains("for"));
-    let second = read_reply(&mut conn);
-    assert!(second.header.starts_with("err "), "{}", second.header);
-    assert_eq!(second.fields["id"], "b1#1");
-    let third = read_reply(&mut conn);
-    assert!(third.header.starts_with("ok "), "{}", third.header);
-    assert_eq!(third.fields["id"], "b1#2");
+    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+    assert!(head.contains("Transfer-Encoding: chunked"), "{head}");
+    // Chunked framing terminates properly.
+    assert!(body.ends_with("0\r\n\r\n"), "{body:?}");
+    let replies = ndjson(&body);
+    assert_eq!(replies.len(), 4, "{body}");
+    assert_eq!(field(&replies[0], "id"), "b1");
+    assert_eq!(replies[0].get("count").and_then(Json::as_u64), Some(3));
+    let ids: Vec<&str> = replies[1..].iter().map(|r| field(r, "id")).collect();
+    assert_eq!(ids, ["b1#0", "b1#1", "b1#2"]);
+    assert!(field(&replies[1], "code").contains("for"), "{body}");
+    assert_eq!(field(&replies[2], "source"), "adhoc[1]");
+    assert!(!field(&replies[2], "error").is_empty(), "{body}");
+    assert!(!field(&replies[3], "code").is_empty(), "{body}");
 
     // The batch kind is counted per space; the queue histograms observe
     // the whole batch as one job.
@@ -133,17 +79,14 @@ fn batch_streams_per_space_replies_in_order() {
 fn queue_timeout_answers_stale_jobs_with_an_error() {
     let dir = TempDir::new("queue");
     let daemon = spawn(Config {
-        jobs_addr: "127.0.0.1:0".into(),
         http_addr: "127.0.0.1:0".into(),
         queue_timeout: Some(Duration::ZERO),
         log: LogTarget::File(dir.join("timeout.jsonl")),
         ..Config::default()
     })
     .unwrap();
-    let mut conn = connect(daemon.jobs_addr());
-    let r = roundtrip(&mut conn, "gen kernel=gemv n=8");
-    assert!(r.header.starts_with("err "), "{}", r.header);
-    assert!(r.header.contains("timed out in queue"), "{}", r.header);
+    let r = gen(daemon.http_addr(), r#"{"kernel":"gemv","n":8}"#);
+    assert!(field(&r, "error").contains("timed out in queue"), "{r:?}");
     let (_, metrics) = http_get(daemon.http_addr(), "/metrics");
     assert!(
         metrics.contains("codegend_jobs_timeout_total 1"),
@@ -158,10 +101,9 @@ fn queue_timeout_answers_stale_jobs_with_an_error() {
 }
 
 #[test]
-fn http_json_api_gen_batch_and_errors() {
+fn http_json_api_gen_and_errors() {
     let dir = TempDir::new("queue");
     let daemon = spawn(Config {
-        jobs_addr: "127.0.0.1:0".into(),
         http_addr: "127.0.0.1:0".into(),
         log: LogTarget::File(dir.join("http.jsonl")),
         ..Config::default()
@@ -189,29 +131,6 @@ fn http_json_api_gen_batch_and_errors() {
     assert!(head.starts_with("HTTP/1.1 200"), "{head}");
     assert!(body.contains("\"error\":\"unknown kernel"), "{body}");
 
-    // Batch streams chunked NDJSON: a header object, then one object per
-    // space in order.
-    let (head, body) = http_post(
-        addr,
-        "/v1/batch",
-        r#"{"id":"hb","spaces":["{ [i] : 0 <= i < 4 }","{ nope }","{ [i] : i = 1 }"]}"#,
-    );
-    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
-    assert!(head.contains("Transfer-Encoding: chunked"), "{head}");
-    assert!(body.contains("{\"id\":\"hb\",\"count\":3}"), "{body}");
-    assert!(body.contains("\"id\":\"hb#0\""), "{body}");
-    assert!(
-        body.contains("\"id\":\"hb#1\",\"source\":\"adhoc[1]\",\"error\""),
-        "{body}"
-    );
-    assert!(body.contains("\"id\":\"hb#2\""), "{body}");
-    let p0 = body.find("hb#0").unwrap();
-    let p1 = body.find("hb#1").unwrap();
-    let p2 = body.find("hb#2").unwrap();
-    assert!(p0 < p1 && p1 < p2, "replies out of order: {body}");
-    // Chunked framing terminates properly.
-    assert!(body.ends_with("0\r\n\r\n"), "{body:?}");
-
     // Malformed bodies are 400s.
     for (path, bad) in [
         ("/v1/gen", "not json"),
@@ -232,61 +151,27 @@ fn http_json_api_gen_batch_and_errors() {
     daemon.wait();
 }
 
-#[test]
-fn http_api_sheds_with_503_and_retry_after() {
-    let dir = TempDir::new("queue");
-    let daemon = spawn(Config {
-        jobs_addr: "127.0.0.1:0".into(),
-        http_addr: "127.0.0.1:0".into(),
-        queue_depth: 0,
-        log: LogTarget::File(dir.join("shed503.jsonl")),
-        ..Config::default()
-    })
-    .unwrap();
-    let (head, body) = http_post(daemon.http_addr(), "/v1/gen", r#"{"kernel":"gemv","n":8}"#);
-    assert!(head.starts_with("HTTP/1.1 503"), "{head}");
-    assert!(head.contains("Retry-After: 1"), "{head}");
-    assert!(body.contains("\"error\":\"busy\""), "{body}");
-    assert!(body.contains("\"capacity\":0"), "{body}");
-    daemon.shutdown();
-    daemon.wait();
-}
-
 /// The request `perfbench`'s `daemon_table1` workload sends, byte for
 /// byte: its `client` key is not a field of the API and must be ignored,
-/// not refused. The line protocol, by contrast, refuses the retired
-/// scheduling fields by name.
+/// not refused.
 #[test]
-fn benchmark_request_shape_is_served_and_retired_fields_are_refused() {
+fn benchmark_request_shape_is_served() {
     let dir = TempDir::new("queue");
     let daemon = spawn(Config {
-        jobs_addr: "127.0.0.1:0".into(),
         http_addr: "127.0.0.1:0".into(),
         log: LogTarget::File(dir.join("shape.jsonl")),
         ..Config::default()
     })
     .unwrap();
-    let (head, body) = http_post(
+    let r = gen(
         daemon.http_addr(),
-        "/v1/gen",
         r#"{"kernel":"gemv","n":64,"client":"c0"}"#,
     );
-    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
-    let reply = serve::json::parse(&body).unwrap();
     let kernel = chill::recipes::all(64)
         .into_iter()
         .find(|k| k.name == "gemv")
         .unwrap();
-    assert_eq!(
-        reply.get("code").and_then(|v| v.as_str()),
-        Some(batch_code(&kernel).as_str()),
-        "{body}"
-    );
-
-    let mut conn = connect(daemon.jobs_addr());
-    let r = roundtrip(&mut conn, "gen kernel=gemv prio=bulk");
-    assert!(r.header.starts_with("err "), "{}", r.header);
-    assert!(r.header.contains("unknown field \"prio\""), "{}", r.header);
+    assert_eq!(field(&r, "code"), batch_code(&kernel), "{r:?}");
 
     daemon.shutdown();
     daemon.wait();

@@ -472,8 +472,9 @@ def summarize(text):
             int(served), *stats, int(shed), int(timeout)
         ),
     ]
-    # Shed requests are answered `busy` and counted in requests_total, so
-    # the rate is shed-over-total, not shed-over-(total+shed).
+    # Shed requests are answered `503` and counted in requests_total (as
+    # status `busy`), so the rate is shed-over-total, not
+    # shed-over-(total+shed).
     requests = total("codegend_requests_total")
     if requests > 0:
         lines.append("")

@@ -4,17 +4,18 @@
 Usage: load_driver.py [--port PORT] [--jobs N] [--concurrency C]
                       [--batch-share PCT]
 
-Submits N line-protocol jobs from C concurrent connections, folding a
-share of them into multi-space `batch` requests so the queue sees both
+Submits N jobs to the daemon's HTTP port from C concurrent clients:
+`POST /v1/gen` for single-space jobs, and `POST /v1/batch` for a share
+of them folded into multi-space requests, so the queue sees both
 single-space and multi-space entries. Ad-hoc iteration spaces are drawn
 from a small rotation of parametric sets, so each job is real solver
 work but bounded.
 
-Shed replies (`busy ...`) are an expected answer under load, not a
-failure: they are counted and reported, and the exit status reflects
-only protocol failures (malformed replies, truncated bodies, socket
-errors) and `err` replies. CI asserts the shed *rate* separately from
-the scraped /metrics via check_metrics.py --assert.
+Shed replies (`503`) are an expected answer under load, not a failure:
+they are counted and reported, and the exit status reflects only
+protocol failures (other statuses, malformed or truncated bodies, socket
+errors) and job errors. CI asserts the shed *rate* separately from the
+scraped /metrics via check_metrics.py --assert.
 
 The deterministic seed makes a given (jobs, concurrency) configuration
 replayable.
@@ -22,8 +23,9 @@ replayable.
 
 import argparse
 import collections
+import http.client
+import json
 import random
-import socket
 import sys
 import threading
 import time
@@ -36,29 +38,47 @@ SPACES = (
 )
 
 
-def read_reply(f):
-    """One reply: the header line plus, for `ok`, the byte-counted body.
-    Returns (status, header) where status is ok/err/busy/batch/bad."""
-    header = f.readline().decode().strip()
-    if not header:
-        return "bad", "empty reply (connection closed?)"
-    fields = dict(t.split("=", 1) for t in header.split()[1:] if "=" in t)
-    if header.startswith("ok "):
-        body = f.read(int(fields["bytes"]))
-        if len(body) != int(fields["bytes"]):
-            return "bad", f"truncated body: {header}"
-        return "ok", header
-    if header.startswith("busy "):
-        return "busy", header
-    if header.startswith("err "):
-        return "err", header
-    if header.startswith("batch "):
-        return "batch", header
-    return "bad", f"unrecognized reply: {header}"
+def job_status(obj):
+    """ok/err for one job reply object, bad if it is neither."""
+    if isinstance(obj, dict) and "code" in obj:
+        return "ok"
+    if isinstance(obj, dict) and "error" in obj:
+        return "err"
+    return "bad"
 
 
-def job_lines(args):
-    """The full job list, pre-shuffled: (line, replies)."""
+def post(port, path, body, replies):
+    """One request; returns a list of (status, detail) per reply, where
+    status is ok/err/busy/bad. A shed answers the whole request once,
+    batch or not."""
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=300)
+    try:
+        conn.request("POST", path, body=json.dumps(body),
+                     headers={"Content-Type": "application/json"})
+        resp = conn.getresponse()
+        text = resp.read().decode()
+    finally:
+        conn.close()
+    if resp.status == 503:
+        return [("busy", text)]
+    if resp.status != 200:
+        return [("bad", f"{path}: HTTP {resp.status}: {text[:200]}")]
+    try:
+        objs = [json.loads(line) for line in text.splitlines() if line]
+    except ValueError as e:
+        return [("bad", f"{path}: malformed reply ({e}): {text[:200]}")]
+    if path == "/v1/batch":
+        # A header object, then one object per space.
+        if len(objs) != replies + 1 or objs[0].get("count") != replies:
+            return [("bad", f"truncated batch: {text[:200]}")]
+        objs = objs[1:]
+    elif len(objs) != 1:
+        return [("bad", f"expected one reply object: {text[:200]}")]
+    return [(job_status(o), str(o)[:200]) for o in objs]
+
+
+def job_requests(args):
+    """The full request list, pre-shuffled: (path, body, replies)."""
     rng = random.Random(args.seed)
     jobs = []
     i = 0
@@ -67,11 +87,12 @@ def job_lines(args):
             # One batch request carrying several spaces: one queue slot,
             # one reply per space.
             count = rng.randint(2, 6)
-            spaces = " ; ".join(rng.choice(SPACES) for _ in range(count))
-            jobs.append((f"batch id=ld-{i} space={spaces}", count))
+            spaces = [rng.choice(SPACES) for _ in range(count)]
+            jobs.append(("/v1/batch", {"id": f"ld-{i}", "spaces": spaces}, count))
             i += count
         else:
-            jobs.append((f"gen id=ld-{i} space={rng.choice(SPACES)}", 1))
+            body = {"id": f"ld-{i}", "spaces": [rng.choice(SPACES)]}
+            jobs.append(("/v1/gen", body, 1))
             i += 1
     rng.shuffle(jobs)
     return jobs
@@ -79,7 +100,7 @@ def job_lines(args):
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--port", type=int, default=7077)
+    ap.add_argument("--port", type=int, default=9077, help="codegend HTTP port")
     ap.add_argument("--jobs", type=int, default=2000, help="total job count")
     ap.add_argument("--concurrency", type=int, default=64)
     ap.add_argument(
@@ -91,43 +112,30 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args()
 
-    jobs = job_lines(args)
+    jobs = job_requests(args)
     cursor = [0]
     lock = threading.Lock()
     tally = collections.Counter()  # status -> replies
     failures = []
 
     def worker() -> None:
-        try:
-            s = socket.create_connection(("127.0.0.1", args.port), timeout=300)
-            f = s.makefile("rb")
-        except OSError as e:
-            failures.append(f"connect: {e!r}")
-            return
         while True:
             with lock:
                 if cursor[0] >= len(jobs):
                     return
-                line, replies = jobs[cursor[0]]
+                path, body, replies = jobs[cursor[0]]
                 cursor[0] += 1
             try:
-                s.sendall((line + "\n").encode())
-                status, header = read_reply(f)
-                # A batch acknowledgment precedes its per-space replies;
-                # one shed reply answers the whole request, batch or not.
-                if status == "batch":
-                    for _ in range(replies):
-                        status, header = read_reply(f)
-                        with lock:
-                            tally[status] += 1
-                else:
-                    with lock:
-                        tally[status] += 1
-                if status == "bad":
-                    failures.append(header)
-                    return
-            except OSError as e:
-                failures.append(f"{line.split(' space=')[0]}: {e!r}")
+                results = post(args.port, path, body, replies)
+            except (OSError, http.client.HTTPException) as e:
+                failures.append(f"{path} {body['id']}: {e!r}")
+                return
+            with lock:
+                for status, detail in results:
+                    tally[status] += 1
+                    if status == "bad":
+                        failures.append(detail)
+            if any(status == "bad" for status, _ in results):
                 return
 
     start = time.monotonic()
