@@ -21,7 +21,7 @@
 //! machine-readable snapshot (see `BENCH_table1.json` at the repo root
 //! for the committed baseline and `scripts/compare_bench.py` for the CI
 //! regression gate that consumes it). Each row also embeds a `report`
-//! object — the same `QueryReport` wide-event schema the `codegend`
+//! object — the same `omega::report::QueryReport` wide event the `codegend`
 //! daemon logs per job and serves at `/debug/requests` — so batch and
 //! daemon cost attribution share one vocabulary
 //! (`scripts/check_report.py` validates both sides). Its `counters` are
@@ -188,13 +188,13 @@ fn main() -> ExitCode {
             // attribution diff field-for-field (scripts/check_report.py
             // validates both). Phases stay empty here: the Table 1
             // measurements run untraced so timing stays undisturbed.
-            let report = serve::report::QueryReport {
+            let report = omega::report::QueryReport {
                 id: format!("table1-{}", row.name),
                 kind: "kernel",
                 source: row.name.to_owned(),
                 status: "ok",
                 queue_ns: 0,
-                ts_ms: serve::report::now_ms(),
+                ts_ms: omega::report::now_ms(),
                 effort: 1,
                 lines: row.cgplus.lines,
                 bytes: row.cgplus.bytes,
@@ -202,7 +202,6 @@ fn main() -> ExitCode {
                 compile_ns: row.cgplus.compile_time.as_nanos() as u64,
                 request_ns: row_ns,
                 certainty: row.cgplus.certainty.clone(),
-                dynamic_cost: Some(row.cgplus.dynamic_cost),
                 phases: Vec::new(),
                 counters,
                 slow: false,

@@ -102,8 +102,8 @@ pub struct ToolReport {
     /// response body (trailing newline included), so a batch
     /// `QueryReport` matches the daemon's for the same kernel.
     pub bytes: usize,
-    /// `exact` or `approximate:reason+reason` — the shared
-    /// [`serve::report::certainty_tag`] vocabulary.
+    /// `exact` or `approximate:reason+reason` — the
+    /// [`omega::Certainty`] rendering the daemon reports too.
     pub certainty: String,
     /// Log-bucketed histogram of every code-generation repetition's
     /// wall-clock time; [`ToolReport::codegen_time`] is its median. The
@@ -184,7 +184,7 @@ fn report(kernel: &Kernel, g: &Generated, mut times: Vec<Duration>) -> ToolRepor
         dynamic_cost,
         instances,
         bytes: code.len() + usize::from(!code.ends_with('\n')),
-        certainty: serve::report::certainty_tag(g.certainty),
+        certainty: g.certainty.to_string(),
         codegen_hist,
     }
 }

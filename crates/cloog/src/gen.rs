@@ -3,7 +3,7 @@
 
 use crate::separate::{separate, sort_regions, Region};
 use crate::Options;
-use codegenplus::{CodeGenError, Statement};
+use codegenplus::{conv, lower_bound_expr, upper_bound_expr, CodeGenError, Statement};
 use omega::{Conjunct, LinExpr, Set, Space};
 use polyir::{Cond, CondAtom, Expr, Stmt};
 
@@ -389,38 +389,4 @@ fn push_atom_cond(atom: &Conjunct, atoms: &mut Vec<CondAtom>) {
     for a in codegenplus::cond_of_conjunct(atom).atoms() {
         atoms.push(a.clone());
     }
-}
-
-fn lower_bound_expr(b: &omega::VarBound) -> Expr {
-    if b.coeff == 1 {
-        conv(&b.expr)
-    } else {
-        Expr::CeilDiv(Box::new(conv(&b.expr)), b.coeff)
-    }
-}
-
-fn upper_bound_expr(b: &omega::VarBound) -> Expr {
-    if b.coeff == 1 {
-        conv(&b.expr)
-    } else {
-        Expr::FloorDiv(Box::new(conv(&b.expr)), b.coeff)
-    }
-}
-
-fn conv(e: &LinExpr) -> Expr {
-    let space = e.space().clone();
-    let mut acc = Expr::Const(0);
-    for v in 0..space.n_vars() {
-        let c = e.var_coeff(v);
-        if c != 0 {
-            acc = Expr::add(acc, Expr::mul(c, Expr::Var(v)));
-        }
-    }
-    for p in 0..space.n_params() {
-        let c = e.param_coeff(p);
-        if c != 0 {
-            acc = Expr::add(acc, Expr::mul(c, Expr::Param(p)));
-        }
-    }
-    Expr::add(acc, Expr::Const(e.constant_term()))
 }

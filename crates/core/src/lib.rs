@@ -42,7 +42,7 @@ mod lower;
 mod minmax;
 
 pub use input::{pad_statements, CodeGenError, Statement};
-pub use lower::{cond_of_conjunct, try_cond_of_conjunct};
+pub use lower::{cond_of_conjunct, conv, lower_bound_expr, try_cond_of_conjunct, upper_bound_expr};
 
 use ast::{Piece, Problem};
 use omega::{Conjunct, Set, Space};

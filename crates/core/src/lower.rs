@@ -6,6 +6,7 @@ use crate::ast::{Node, Problem};
 use crate::input::{CodeGenError, Statement};
 use polyir::{Cond, CondAtom, Expr, Stmt};
 
+use omega::num::{gcd, mod_inverse};
 use omega::{Conjunct, ConstraintKind, LinExpr};
 
 pub(crate) struct LowerCtx<'a> {
@@ -713,7 +714,7 @@ fn exotic_locals(atom: &Conjunct) -> Option<Vec<CondAtom>> {
         }
         let mut m = 0i64;
         for &w in &wits {
-            m = gcd_i64(m, row[named + w].abs());
+            m = gcd(m, row[named + w].abs());
         }
         if m <= 1 {
             continue; // always solvable
@@ -731,7 +732,7 @@ fn exotic_locals(atom: &Conjunct) -> Option<Vec<CondAtom>> {
     let mut r = vec![0i64; named];
     let mut m = 1i64;
     for (r2, m2) in congs {
-        let g = gcd_i64(m, m2);
+        let g = gcd(m, m2);
         let diff: Vec<i64> = r2.iter().zip(&r).map(|(&a, &b)| a - b).collect();
         if diff.iter().any(|&x| x % g != 0) {
             return None; // compatibility needs a symbolic division
@@ -787,7 +788,7 @@ fn solve_congruence(e: i64, f: &[i64], m: i64) -> Option<(Vec<i64>, i64, Option<
         // No constraint on α; f ≡ 0 (mod m) is a test on the named part.
         return Some((vec![0; f.len()], 1, Some((f.to_vec(), m))));
     }
-    let g = gcd_i64(e.abs(), m);
+    let g = gcd(e.abs(), m);
     if g > 1 {
         if f.iter().any(|&x| x % g != 0) {
             return None; // f ≡ 0 (mod g) would need a symbolic division
@@ -802,32 +803,6 @@ fn solve_congruence(e: i64, f: &[i64], m: i64) -> Option<(Vec<i64>, i64, Option<
     Some((residue, m, None))
 }
 
-fn gcd_i64(a: i64, b: i64) -> i64 {
-    let (mut a, mut b) = (a.abs(), b.abs());
-    while b != 0 {
-        (a, b) = (b, a % b);
-    }
-    a
-}
-
-/// The inverse of `a` modulo `m` (`m > 0`), when `gcd(a, m) = 1`.
-fn mod_inverse(a: i64, m: i64) -> Option<i64> {
-    if m == 1 {
-        return Some(0);
-    }
-    let (mut t, mut new_t) = (0i64, 1i64);
-    let (mut r, mut new_r) = (m, a.rem_euclid(m));
-    while new_r != 0 {
-        let q = r / new_r;
-        (t, new_t) = (new_t, t - q * new_t);
-        (r, new_r) = (new_r, r - q * new_r);
-    }
-    if r != 1 {
-        return None;
-    }
-    Some(t.rem_euclid(m))
-}
-
 struct Item<'n> {
     guard: Conjunct,
     payload: Payload<'n>,
@@ -839,7 +814,7 @@ enum Payload<'n> {
 }
 
 /// `coeff·v ≥ expr` as a runtime lower-bound expression for `v`.
-fn lower_bound_expr(b: &omega::VarBound) -> Expr {
+pub fn lower_bound_expr(b: &omega::VarBound) -> Expr {
     if b.coeff == 1 {
         conv(&b.expr)
     } else {
@@ -848,7 +823,7 @@ fn lower_bound_expr(b: &omega::VarBound) -> Expr {
 }
 
 /// `coeff·v ≤ expr` as a runtime upper-bound expression for `v`.
-fn upper_bound_expr(b: &omega::VarBound) -> Expr {
+pub fn upper_bound_expr(b: &omega::VarBound) -> Expr {
     if b.coeff == 1 {
         conv(&b.expr)
     } else {
@@ -858,7 +833,7 @@ fn upper_bound_expr(b: &omega::VarBound) -> Expr {
 
 /// Converts an affine expression over the scanning space to a runtime
 /// expression (parameters and loop-variable slots).
-pub(crate) fn conv(e: &LinExpr) -> Expr {
+pub fn conv(e: &LinExpr) -> Expr {
     let space = e.space().clone();
     // Variables first, then parameters, constant last — matches the style
     // of generated C (`2*t1+n-3`).

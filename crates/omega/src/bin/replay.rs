@@ -12,10 +12,10 @@
 //!
 //! With `--stats`, each replay is
 //! followed by one machine-readable JSON line with the `omega::stats`
-//! counter deltas it caused — the same field names as `codegend`'s
-//! per-request `QueryReport` records and the `/metrics` bridge — so a
-//! slow query's standalone replay diffs cleanly against its daemon
-//! report (`jq`-friendly: filter stdout lines starting with `{`).
+//! counter deltas it caused — the same field names as the per-job
+//! [`omega::report::QueryReport`] (which `codegend` logs and `table1
+//! --json` embeds) and the `/metrics` bridge — so a slow query's
+//! standalone replay diffs cleanly against its daemon report (`jq`-friendly: filter stdout lines starting with `{`).
 //!
 //! Exit status: 0 when every dump replays to its recorded verdict,
 //! 1 on any mismatch or error.
@@ -83,14 +83,7 @@ fn main() -> ExitCode {
 /// the exact field names `QueryReport` uses.
 fn stats_json(file: &str, delta: &omega::stats::Snapshot) -> String {
     let mut out = String::from("{\"event\":\"replay_stats\",\"file\":\"");
-    for c in file.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    omega::trace::escape_json(file, &mut out);
     out.push_str("\",\"counters\":{");
     for (i, (name, value)) in delta.fields().enumerate() {
         if i > 0 {

@@ -37,6 +37,7 @@ pub mod faults;
 pub mod limits;
 pub mod num;
 pub mod provenance;
+pub mod report;
 pub mod stats;
 pub mod trace;
 

@@ -239,11 +239,14 @@ impl Certainty {
     }
 }
 
+/// `exact`, or `approximate:reason1+reason2` with the stable
+/// [`OmegaError::as_str`] tags: the one `certainty` vocabulary of the
+/// daemon's replies and logs, [`crate::report::QueryReport`]s and `table1`.
 impl fmt::Display for Certainty {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Certainty::Exact => f.write_str("exact"),
-            Certainty::Approximate(r) => write!(f, "approximate({r})"),
+            Certainty::Approximate(r) => write!(f, "approximate:{r}"),
         }
     }
 }
@@ -325,6 +328,21 @@ mod tests {
         assert_eq!(r.to_string(), "overflow+budget-exhausted");
         assert_eq!(DegradeReasons::EMPTY.to_string(), "none");
         assert_eq!(r.iter().count(), 2);
+    }
+
+    #[test]
+    fn certainty_display() {
+        assert_eq!(Certainty::Exact.to_string(), "exact");
+        let r = DegradeReasons::EMPTY.with(OmegaError::DeadlineExceeded);
+        assert_eq!(
+            Certainty::from_reasons(r).to_string(),
+            "approximate:deadline-exceeded"
+        );
+        let r = r.with(OmegaError::Overflow);
+        assert_eq!(
+            Certainty::from_reasons(r).to_string(),
+            "approximate:overflow+deadline-exceeded"
+        );
     }
 
     #[test]

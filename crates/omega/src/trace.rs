@@ -55,6 +55,7 @@
 
 use std::cell::{Cell, RefCell};
 use std::fmt;
+use std::fmt::Write as _;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -300,18 +301,6 @@ impl Trace {
     ///
     /// Propagates write errors from `w`.
     pub fn write_chrome_json<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        fn esc(s: &str, out: &mut String) {
-            for ch in s.chars() {
-                match ch {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    c if (c as u32) < 0x20 => {
-                        out.push_str(&format!("\\u{:04x}", c as u32));
-                    }
-                    c => out.push(c),
-                }
-            }
-        }
         fn event(
             w: &mut impl Write,
             first: &mut bool,
@@ -325,7 +314,7 @@ impl Trace {
             *first = false;
             let mut line = String::new();
             line.push_str("{\"name\":\"");
-            esc(s.name, &mut line);
+            escape_json(s.name, &mut line);
             line.push_str("\",\"cat\":\"omega\",\"ph\":\"");
             line.push(ph);
             // Microsecond floats keep nanosecond precision for short spans.
@@ -341,13 +330,13 @@ impl Trace {
                         line.push(',');
                     }
                     line.push('"');
-                    esc(k, &mut line);
+                    escape_json(k, &mut line);
                     line.push_str("\":");
                     match v {
                         AttrValue::Int(n) => line.push_str(&n.to_string()),
                         AttrValue::Str(t) => {
                             line.push('"');
-                            esc(t, &mut line);
+                            escape_json(t, &mut line);
                             line.push('"');
                         }
                     }
@@ -471,6 +460,24 @@ fn format_ns(ns: u64) -> String {
         format!("{:.3}us", ns as f64 / 1e3)
     } else {
         format!("{ns}ns")
+    }
+}
+
+/// Escapes `s` into `out` as a JSON string body (no surrounding quotes):
+/// quotes and backslashes get a backslash, control characters become
+/// `\u00XX`. The one escaper behind omega's JSON writers: the Chrome trace
+/// export, [`crate::report::QueryReport::to_json`] and `omega-replay
+/// --stats`.
+pub fn escape_json(s: &str, out: &mut String) {
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
     }
 }
 

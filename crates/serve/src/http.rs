@@ -36,6 +36,7 @@ use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
+use telemetry::log::escape_into;
 
 /// Largest accepted `POST /v1/*` body. Generous for a full-size batch
 /// (4096 spaces of a few hundred bytes each) while bounding what one
@@ -235,7 +236,7 @@ fn post_batch(state: &State, stream: &mut TcpStream, peer: &str, body: &str) {
                 )?;
                 let mut head = String::new();
                 let _ = write!(head, "{{\"id\":\"");
-                json::escape_into(&id, &mut head);
+                escape_into(&id, &mut head);
                 let _ = writeln!(head, "\",\"count\":{count}}}");
                 write_chunk(stream, &head)?;
                 for i in 0..count {
@@ -267,13 +268,13 @@ fn task_reply_json(reply: Option<TaskReply>, fallback_id: &str) -> String {
     out.push_str("{\"id\":\"");
     match reply {
         None => {
-            json::escape_into(fallback_id, &mut out);
+            escape_into(fallback_id, &mut out);
             out.push_str("\",\"error\":\"daemon shutting down\"}");
         }
         Some(r) => {
-            json::escape_into(&r.id, &mut out);
+            escape_into(&r.id, &mut out);
             out.push_str("\",\"source\":\"");
-            json::escape_into(&r.source, &mut out);
+            escape_into(&r.source, &mut out);
             match r.outcome {
                 Ok(job) => {
                     let _ = write!(
@@ -285,12 +286,12 @@ fn task_reply_json(reply: Option<TaskReply>, fallback_id: &str) -> String {
                         job.certainty,
                         job.code.len(),
                     );
-                    json::escape_into(&job.code, &mut out);
+                    escape_into(&job.code, &mut out);
                     out.push_str("\"}");
                 }
                 Err(msg) => {
                     out.push_str("\",\"error\":\"");
-                    json::escape_into(&msg, &mut out);
+                    escape_into(&msg, &mut out);
                     out.push_str("\"}");
                 }
             }
@@ -301,7 +302,7 @@ fn task_reply_json(reply: Option<TaskReply>, fallback_id: &str) -> String {
 
 fn error_body(msg: &str) -> String {
     let mut out = String::from("{\"error\":\"");
-    json::escape_into(msg, &mut out);
+    escape_into(msg, &mut out);
     out.push_str("\"}\n");
     out
 }
@@ -319,7 +320,7 @@ fn respond(stream: &mut TcpStream, status: &str, content_type: &str, body: &str)
 /// in the body.
 fn respond_busy(stream: &mut TcpStream, shed: &Shed) {
     let mut body = String::from("{\"error\":\"busy\",\"id\":\"");
-    json::escape_into(&shed.id, &mut body);
+    escape_into(&shed.id, &mut body);
     let _ = writeln!(
         body,
         "\",\"queued\":{},\"capacity\":{}}}",

@@ -9,7 +9,6 @@
 //! body size before parsing.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -278,23 +277,6 @@ impl Parser<'_> {
     }
 }
 
-/// Escapes `s` into `out` as a JSON string body (no surrounding quotes).
-pub fn escape_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -321,9 +303,13 @@ mod tests {
     fn escapes_and_unicode_round_trip() {
         let v = parse(r#"{"s":"a\"b\\c\ndA😀"}"#).unwrap();
         assert_eq!(v.get("s").and_then(Json::as_str), Some("a\"b\\c\ndA😀"));
+        // What the daemon's replies escape with, its parser reads back.
         let mut out = String::new();
-        escape_into("x\"y\\z\n\u{1}", &mut out);
-        assert_eq!(out, "x\\\"y\\\\z\\n\\u0001");
+        telemetry::log::escape_into("x\"y\\z\n\u{1}", &mut out);
+        assert_eq!(
+            parse(&format!("\"{out}\"")).unwrap().as_str(),
+            Some("x\"y\\z\n\u{1}")
+        );
     }
 
     #[test]

@@ -16,11 +16,11 @@
 //!   totals, queue occupancy and worker count, cumulative
 //!   degradations, and the profiler state;
 //! * **structured JSON request logs** — one line per request, plus one
-//!   canonical [`report::QueryReport`] wide event per job with per-phase
-//!   wall times, queue wait, and solver counter deltas; both carry the
-//!   request id;
+//!   canonical [`omega::report::QueryReport`] wide event per job with
+//!   per-phase wall times, queue wait, and solver counter deltas; both
+//!   carry the request id;
 //! * **`GET /debug/*`** — live introspection: `/debug/requests` (the
-//!   recent [`report::QueryReport`]s), `/debug/config` (the resolved
+//!   recent `QueryReport`s), `/debug/config` (the resolved
 //!   [`Config`]), and `/debug/pprof/profile` (a sampling-profiler
 //!   capture as collapsed stacks);
 //! * **tail sampling** — the one way to keep a job's artifacts. With
@@ -33,7 +33,9 @@
 //!
 //! Each job runs under its own [`omega::trace::Collector`], the daemon's
 //! only recording of the job's spans: it feeds the phase histograms, the
-//! report's phases, and the retained `trace.json`.
+//! report's phases, and the retained `trace.json`. A job generates and
+//! compiles; it is never interpreted, so its report carries no dynamic
+//! cost (`table1` reports that per tool, once per kernel).
 //!
 //! ## The service core
 //!
@@ -59,14 +61,14 @@
 pub mod json;
 pub mod metrics;
 pub mod queue;
-pub mod report;
 
 mod http;
+mod report;
 
 use crate::metrics::Metrics;
 use crate::queue::{Job, JobSource, JobSpec, Queue, TaskReply, Work};
-use crate::report::{certainty_tag, QueryReport};
 use codegenplus::{pad_statements, CodeGen, Statement};
+use omega::report::{now_ms, phase_totals, QueryReport};
 use std::fmt::Write as _;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -76,7 +78,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
-use telemetry::log::{Logger, Record};
+use telemetry::log::{escape_into, Logger, Record};
 
 /// Where the structured request log goes.
 #[derive(Clone, Debug, Default)]
@@ -152,7 +154,7 @@ impl Default for Config {
     }
 }
 
-/// How many recent [`report::QueryReport`]s `GET /debug/requests`
+/// How many recent [`QueryReport`]s `GET /debug/requests`
 /// retains in memory.
 const REPORT_RING: usize = 256;
 
@@ -210,14 +212,17 @@ impl State {
     pub(crate) fn healthz_json(&self) -> String {
         let stats = omega::stats::snapshot();
         let mut out = format!(
-            "{{\"status\":\"ready\",\"uptime_ms\":{},\"uptime_seconds\":{},\"build\":\"{}\",\
-             \"jobs_total\":{},\"inflight\":{},\"shed_total\":{},\
+            "{{\"status\":\"ready\",\"uptime_ms\":{},\"uptime_seconds\":{},\"build\":\"",
+            self.started.elapsed().as_millis(),
+            self.started.elapsed().as_secs(),
+        );
+        escape_into(&build_fingerprint(), &mut out);
+        let _ = write!(
+            out,
+            "\",\"jobs_total\":{},\"inflight\":{},\"shed_total\":{},\
              \"queue\":{{\"depth\":{},\"capacity\":{},\"workers\":{}}},\
              \"degraded\":{{\"sat\":{},\"gist\":{},\"by_reason\":{{\"overflow\":{},\"budget\":{},\
              \"depth\":{},\"rowcap\":{},\"deadline\":{}}}}}",
-            self.started.elapsed().as_millis(),
-            self.started.elapsed().as_secs(),
-            json_escape(&build_fingerprint()),
             self.jobs_total.load(Ordering::Relaxed),
             self.inflight.load(Ordering::Relaxed),
             self.metrics.shed.get(),
@@ -272,12 +277,12 @@ impl State {
     /// The `/debug/config` body: the resolved daemon configuration.
     pub(crate) fn debug_config_json(&self) -> String {
         let c = &self.cfg;
-        let mut out = format!(
-            "{{\"http_addr\":\"{}\",\"default_effort\":{},\"workers\":{},\"queue_depth\":{}",
-            json_escape(&c.http_addr),
-            c.default_effort,
-            self.workers,
-            c.queue_depth,
+        let mut out = String::from("{\"http_addr\":\"");
+        escape_into(&c.http_addr, &mut out);
+        let _ = write!(
+            out,
+            "\",\"default_effort\":{},\"workers\":{},\"queue_depth\":{}",
+            c.default_effort, self.workers, c.queue_depth,
         );
         match c.queue_timeout {
             Some(d) => {
@@ -297,11 +302,9 @@ impl State {
             }
             None => out.push_str(",\"slow_ms\":null"),
         }
-        let _ = write!(
-            out,
-            ",\"slow_dir\":\"{}\"",
-            json_escape(&c.slow_dir.display().to_string()),
-        );
+        out.push_str(",\"slow_dir\":\"");
+        escape_into(&c.slow_dir.display().to_string(), &mut out);
+        out.push('"');
         match c.log_max_mb {
             Some(mb) => {
                 let _ = write!(out, ",\"log_max_mb\":{mb}");
@@ -309,23 +312,16 @@ impl State {
             None => out.push_str(",\"log_max_mb\":null"),
         }
         let p = telemetry::profile::state();
-        let _ = writeln!(
+        let _ = write!(
             out,
-            ",\"log_keep\":{},\"log_rotations\":{},\"build\":\"{}\",\"profiler_supported\":{}}}",
+            ",\"log_keep\":{},\"log_rotations\":{},\"build\":\"",
             c.log_keep,
             self.logger.rotations(),
-            json_escape(&build_fingerprint()),
-            p.supported,
         );
+        escape_into(&build_fingerprint(), &mut out);
+        let _ = writeln!(out, "\",\"profiler_supported\":{}}}", p.supported);
         out
     }
-}
-
-/// Minimal JSON string escaping for the hand-rolled debug bodies.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    json::escape_into(s, &mut out);
-    out
 }
 
 /// A running daemon: the HTTP listener thread, the worker pool, and
@@ -674,7 +670,7 @@ fn execute_task(
     let counters = omega::stats::snapshot().delta(&stats_before);
     let trace = collector.finish();
     state.metrics.record_phases(&trace);
-    let phases = report::phase_totals(&trace);
+    let phases = phase_totals(&trace);
     let mut rep = match &result {
         Ok(out) => QueryReport {
             id: id.to_owned(),
@@ -682,7 +678,7 @@ fn execute_task(
             source: source_tag.clone(),
             status: "ok",
             queue_ns,
-            ts_ms: report::now_ms(),
+            ts_ms: now_ms(),
             effort: out.effort,
             lines: out.lines,
             bytes: out.code.len(),
@@ -690,7 +686,6 @@ fn execute_task(
             compile_ns: out.compile_ns,
             request_ns,
             certainty: out.certainty.clone(),
-            dynamic_cost: out.dynamic_cost,
             phases,
             counters,
             slow: false,
@@ -703,7 +698,7 @@ fn execute_task(
             source: source_tag.clone(),
             status: "err",
             queue_ns,
-            ts_ms: report::now_ms(),
+            ts_ms: now_ms(),
             effort: spec.effort.unwrap_or(state.cfg.default_effort),
             lines: 0,
             bytes: 0,
@@ -711,7 +706,6 @@ fn execute_task(
             compile_ns: 0,
             request_ns,
             certainty: String::new(),
-            dynamic_cost: None,
             phases,
             counters,
             slow: false,
@@ -817,7 +811,6 @@ pub(crate) struct JobOutput {
     pub(crate) compile_ns: u64,
     pub(crate) certainty: String,
     pub(crate) effort: usize,
-    pub(crate) dynamic_cost: Option<u64>,
 }
 
 /// Pads and converts a kernel's statements for the generators — the same
@@ -834,8 +827,7 @@ fn statements_of(kernel: &chill::Kernel) -> Vec<Statement> {
 }
 
 /// Builds the statements, runs CodeGen+ (and the stand-in compiler for
-/// its pass timings), executes kernel jobs for their dynamic cost, and
-/// counts degradations per reason. Span collection is the caller's: the
+/// its pass timings), and counts degradations per reason. Span collection is the caller's: the
 /// collector is installed here but finished by `execute_task`, which
 /// owns the trace for phase histograms, reports and tail sampling.
 fn run_job(
@@ -843,7 +835,7 @@ fn run_job(
     spec: &JobSpec,
     collector: &omega::trace::Collector,
 ) -> Result<JobOutput, String> {
-    let (stmts, params) = match &spec.source {
+    let stmts = match &spec.source {
         JobSource::Kernel { name, n } => {
             let kernel = chill::recipes::all(*n)
                 .into_iter()
@@ -851,7 +843,7 @@ fn run_job(
                 .ok_or_else(|| {
                     format!("unknown kernel {name:?} (expected one of gemv qr swim gemm lu)")
                 })?;
-            (statements_of(&kernel), Some(kernel.params))
+            statements_of(&kernel)
         }
         JobSource::Spaces(texts) => {
             let mut stmts = Vec::with_capacity(texts.len());
@@ -859,7 +851,7 @@ fn run_job(
                 let set = omega::Set::parse(text).map_err(|e| format!("statement {i}: {e}"))?;
                 stmts.push(Statement::new(format!("s{i}"), set));
             }
-            (pad_statements(&stmts, 0), None)
+            pad_statements(&stmts, 0)
         }
     };
     let effort = spec.effort.unwrap_or(state.cfg.default_effort);
@@ -879,22 +871,8 @@ fn run_job(
     // The stand-in compiler pipeline, for its pass_* spans and the
     // compile-time column the batch harness also reports.
     let t1 = Instant::now();
-    let compiled =
-        omega::trace::with_collector(Some(collector.clone()), || polyir::passes::compile(&g.code));
+    omega::trace::with_collector(Some(collector.clone()), || polyir::passes::compile(&g.code));
     let compile_ns = t1.elapsed().as_nanos() as u64;
-    // Dynamic cost under the default cost model, when the job's execution
-    // parameters are known (kernel jobs). This gives cost attribution a
-    // performance proxy comparable with the batch harness's Table 1
-    // column; ad-hoc spaces have no parameter values to execute with.
-    let dynamic_cost = params.and_then(|p| {
-        let cfg = polyir::ExecConfig {
-            record_trace: false,
-            ..polyir::ExecConfig::default()
-        };
-        polyir::execute_with(&compiled.optimized, &p, &cfg)
-            .ok()
-            .map(|run| polyir::CostModel::default().cost(&run.counters))
-    });
     state.metrics.codegen_seconds.observe_ns(codegen_ns);
     for reason in g.certainty.reasons().iter() {
         state.metrics.degraded.with(&[reason.as_str()]).inc();
@@ -908,9 +886,8 @@ fn run_job(
         code,
         codegen_ns,
         compile_ns,
-        certainty: certainty_tag(g.certainty),
+        certainty: g.certainty.to_string(),
         effort,
-        dynamic_cost,
     })
 }
 
@@ -933,16 +910,6 @@ fn retain_slow_artifacts(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn certainty_tags() {
-        assert_eq!(certainty_tag(omega::Certainty::Exact), "exact");
-        let r = omega::DegradeReasons::default().with(omega::OmegaError::DeadlineExceeded);
-        assert_eq!(
-            certainty_tag(omega::Certainty::from_reasons(r)),
-            "approximate:deadline-exceeded"
-        );
-    }
 
     #[test]
     fn kind_labels() {

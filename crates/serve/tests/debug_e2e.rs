@@ -69,8 +69,6 @@ fn default_flags_populate_debug_requests_and_config() {
     // Solver counter deltas + the derived exact-solve count.
     assert!(body.contains("\"counters\":{\"tier0_unsat\":"), "{body}");
     assert!(body.contains("\"exact_solves\":"), "{body}");
-    // Kernel jobs carry the dynamic-cost performance proxy.
-    assert!(body.contains("\"dynamic_cost\":"), "{body}");
     // Every report carries exactly the QueryReport fields.
     for line in body.lines() {
         let line = line.trim_end_matches(',');
@@ -83,7 +81,6 @@ fn default_flags_populate_debug_requests_and_config() {
                     "codegen_ns",
                     "compile_ns",
                     "counters",
-                    "dynamic_cost",
                     "effort",
                     "event",
                     "exact_solves",
@@ -170,6 +167,47 @@ fn default_flags_populate_debug_requests_and_config() {
         "{health}"
     );
 
+    daemon.shutdown();
+    daemon.wait();
+}
+
+#[test]
+fn debug_reports_match_the_batch_table1_rows() {
+    let _cache = solver_cache();
+    let dir = TempDir::new("debug-batch");
+    let daemon = default_daemon(dir.path(), Config::default());
+    let n = 16;
+    let bench_harness::Tool::CodeGenPlus { effort, .. } = bench_harness::Tool::codegenplus() else {
+        unreachable!("Tool::codegenplus is a CodeGen+ tool")
+    };
+    let kernels = chill::recipes::all(n);
+    for k in &kernels {
+        // No effort in the body: the daemon's default must be the batch one.
+        gen(
+            daemon.http_addr(),
+            &format!(r#"{{"kernel":"{}","n":{n},"id":"row-{}"}}"#, k.name, k.name),
+        );
+    }
+    let (_, body) = http_get(daemon.http_addr(), "/debug/requests");
+    let reports = serve::json::parse(&body).unwrap_or_else(|e| panic!("{e}: {body}"));
+    let reports = reports.as_arr().expect("/debug/requests is an array");
+    for k in &kernels {
+        let row = bench_harness::compare(k).cgplus;
+        let report = reports
+            .iter()
+            .find(|r| field(r, "id") == format!("row-{}", k.name))
+            .unwrap_or_else(|| panic!("no report for {}: {body}", k.name));
+        let num = |key: &str| report.get(key).and_then(Json::as_u64);
+        assert_eq!(num("lines"), Some(row.lines as u64), "{}: {body}", k.name);
+        assert_eq!(num("bytes"), Some(row.bytes as u64), "{}: {body}", k.name);
+        assert_eq!(num("effort"), Some(effort as u64), "{}: {body}", k.name);
+        assert_eq!(
+            field(report, "certainty"),
+            row.certainty,
+            "{}: {body}",
+            k.name
+        );
+    }
     daemon.shutdown();
     daemon.wait();
 }

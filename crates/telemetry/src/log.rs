@@ -99,7 +99,11 @@ impl Record {
     }
 }
 
-fn escape_into(s: &str, out: &mut String) {
+/// Escapes `s` into `out` as a JSON string body (no surrounding quotes):
+/// quotes and backslashes get a backslash, `\n`/`\r`/`\t` their short
+/// forms, other control characters `\u00XX`. [`Record`] writes through it,
+/// and so do the daemon's hand-built JSON replies.
+pub fn escape_into(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -316,6 +320,13 @@ mod tests {
             line,
             r#"{"event":"e\"v","k":"a\\b\nc","n":-3,"f":1.5,"nan":null,"b":false}"#
         );
+    }
+
+    #[test]
+    fn escape_into_uses_short_forms_then_unicode() {
+        let mut out = String::new();
+        escape_into("x\"y\\z\n\r\t\u{1}é", &mut out);
+        assert_eq!(out, "x\\\"y\\\\z\\n\\r\\t\\u0001é");
     }
 
     #[test]

@@ -5,7 +5,9 @@ One schema, three producers: the codegend request log (JSONL lines with
 `"event": "report"`), the daemon's `GET /debug/requests` (a JSON array),
 and `table1 --json` (each row embeds a `report` object). This checker
 accepts any of the three shapes, auto-detected, and validates every
-report it finds: required fields with the right types, the full
+report it finds: exactly the required fields (plus the optional
+`retained`/`error`) with the right types, so a retired field cannot come
+back unnoticed, the full
 `omega::stats` counter vocabulary (no missing or unknown counters), and
 the derived `exact_solves` consistent with the counters it is derived
 from. Run with `--self-test` to prove the checker rejects the broken
@@ -41,6 +43,7 @@ COUNTER_FIELDS = (
 )
 
 REQUIRED = {
+    "event": str,
     "id": str,
     "kind": str,
     "source": str,
@@ -60,6 +63,9 @@ REQUIRED = {
     "slow": bool,
 }
 
+# Rendered only when present (QueryReport omits them rather than null).
+OPTIONAL = {"retained", "error"}
+
 
 def check_report(r):
     """Raises AssertionError when `r` is not a valid QueryReport."""
@@ -71,6 +77,11 @@ def check_report(r):
         )
         if not ok:
             raise AssertionError(f"field {key!r} is not {ty.__name__}: {r[key]!r}")
+    unknown = set(r) - set(REQUIRED) - OPTIONAL
+    if unknown:
+        raise AssertionError(f"unknown field(s) {sorted(unknown)}: {r}")
+    if r["event"] != "report":
+        raise AssertionError(f"not a report event: {r['event']!r}")
     if r["kind"] not in ("kernel", "adhoc", "batch"):
         raise AssertionError(f"unknown kind {r['kind']!r}")
     if r["status"] not in ("ok", "err"):
@@ -158,7 +169,6 @@ def sample():
         "compile_ns": 2000,
         "request_ns": 4000,
         "certainty": "exact",
-        "dynamic_cost": 42,
         "phases": {"cg_generate": 900},
         "counters": counters,
         "exact_solves": 4,
@@ -193,6 +203,8 @@ def self_test():
         mutate(exact_solves=99),  # derived field inconsistent
         mutate(slow=False, retained="somewhere"),  # fast job kept artifacts
         mutate(ts_ms="yesterday"),  # wrong type
+        mutate(dynamic_cost=42),  # retired field
+        mutate(event="request"),  # not a report
         bad_counters_extra,
         bad_counters_missing,
     ]
