@@ -252,11 +252,11 @@ impl Gen<'_> {
         // reason about the enclosing context, so cross-level redundancy is
         // only removed when syntactically identical (the paper's critique).
         let known = context.intersect(enforced).simplified();
-        let known_atoms: Vec<String> = known.guard_atoms().iter().map(|a| a.to_string()).collect();
+        let known_atoms = known.guard_atoms();
         let mut outer = Vec::new();
         let mut inner = Vec::new();
         for atom in dom.guard_atoms() {
-            if known_atoms.contains(&atom.to_string()) {
+            if known_atoms.contains(&atom) {
                 continue;
             }
             let enforced_implies = atom

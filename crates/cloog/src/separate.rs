@@ -61,7 +61,7 @@ pub(crate) fn separate(projections: &[(usize, Set)], space: &Space) -> Vec<Regio
 /// Orders regions along dimension `v`: `a` strictly precedes `b` when no
 /// point of `a` has a `v` value ≥ some point of `b` under a common prefix.
 ///
-/// `strictly_before` is a *partial* order — parameter-dependent regions
+/// "Strictly before" is a *partial* order — parameter-dependent regions
 /// like `[n+2, 5]` and `[6, n-1]` hold in *both* directions (they are
 /// never non-empty together), and unrelated pairs in neither — so a
 /// comparison sort is wrong: an incomparable neighbour can block an
@@ -77,11 +77,13 @@ pub(crate) fn sort_regions(regions: &mut [Region], v: usize) {
     if n <= 1 {
         return;
     }
+    let shadow = Shadow::new(regions[0].domain.space(), v);
+    let sides: Vec<(Set, Set)> = regions.iter().map(|r| shadow.sides(&r.domain)).collect();
     let mut before = vec![false; n * n];
     for i in 0..n {
         for j in 0..n {
             if i != j {
-                before[i * n + j] = strictly_before(&regions[i].domain, &regions[j].domain, v);
+                before[i * n + j] = Shadow::before(&sides[i], &sides[j]);
             }
         }
     }
@@ -99,40 +101,65 @@ pub(crate) fn sort_regions(regions: &mut [Region], v: usize) {
     regions.clone_from_slice(&sorted);
 }
 
-/// Is every `v` of `a` strictly below every `v` of `b` sharing the same
-/// outer coordinates (variables before `v`)?
-pub(crate) fn strictly_before(a: &Conjunct, b: &Conjunct, v: usize) -> bool {
-    let space = a.space();
-    // Extended space: original vars plus a shadow of var v.
-    let mut vars: Vec<String> = space.var_names().to_vec();
-    let shadow = format!("__{}shadow", space.var_name(v));
-    vars.push(shadow);
-    let pr: Vec<&str> = space.param_names().iter().map(String::as_str).collect();
-    let vr: Vec<&str> = vars.iter().map(String::as_str).collect();
-    let ext = Space::new(&pr, &vr);
-    let shadow_idx = ext.n_vars() - 1;
-    let a_ext = a.embed_into(&ext);
-    let b_ext = b.embed_into(&ext).swap_vars(v, shadow_idx);
-    // Inner variables (deeper than v) are unconstrained couplings; project
-    // them away from both sides first? They are independent copies already
-    // because b's inner vars got b's constraints on shared columns — avoid
-    // accidental coupling by projecting inner dims out of both.
-    let inner_from = v + 1;
-    let inner_count = space.n_vars().saturating_sub(inner_from);
-    let a_set = if inner_count > 0 {
-        a_ext.to_set().project_out(inner_from, inner_count)
-    } else {
-        a_ext.to_set()
-    };
-    let b_set = if inner_count > 0 {
-        b_ext.to_set().project_out(inner_from, inner_count)
-    } else {
-        b_ext.to_set()
-    };
-    // a.v >= b.shadow for shared outer prefix → NOT strictly before.
-    let ge = LinExpr::var(&ext, v).geq(LinExpr::var(&ext, shadow_idx));
-    let joint = a_set.intersect(&b_set).intersect_constraint(&ge);
-    joint.is_empty()
+/// The space of a level's regions extended with a shadow copy of
+/// dimension `v`, where "is every `v` of `a` strictly below every `v` of
+/// `b` sharing the same outer coordinates (variables before `v`)?" is one
+/// emptiness test between a side of `a` and a side of `b`.
+struct Shadow {
+    ext: Space,
+    v: usize,
+    /// The shadow's index in `ext`.
+    shadow: usize,
+    /// Number of inner dimensions (deeper than `v`).
+    inner: usize,
+    /// `v ≥ shadow` over `ext`.
+    ge: Set,
+}
+
+impl Shadow {
+    fn new(space: &Space, v: usize) -> Shadow {
+        let mut vars: Vec<String> = space.var_names().to_vec();
+        vars.push(format!("__{}shadow", space.var_name(v)));
+        let pr: Vec<&str> = space.param_names().iter().map(String::as_str).collect();
+        let vr: Vec<&str> = vars.iter().map(String::as_str).collect();
+        let ext = Space::new(&pr, &vr);
+        let shadow = ext.n_vars() - 1;
+        let ge = LinExpr::var(&ext, v).geq(LinExpr::var(&ext, shadow));
+        Shadow {
+            ge: Set::from_constraints(&ext, [ge]),
+            inner: space.n_vars().saturating_sub(v + 1),
+            ext,
+            v,
+            shadow,
+        }
+    }
+
+    /// A region's two sides, built once per sort: as the earlier region
+    /// (`v` in place, intersected with `v ≥ shadow`) and as the later one
+    /// (`v` moved to the shadow). Inner dimensions are projected out of
+    /// both, so the two copies share only the outer prefix and `v`.
+    fn sides(&self, c: &Conjunct) -> (Set, Set) {
+        let project = |c: Conjunct| {
+            let s = c.to_set();
+            if self.inner > 0 {
+                s.project_out(self.v + 1, self.inner)
+            } else {
+                s
+            }
+        };
+        let a = c.embed_into(&self.ext);
+        let b = a.swap_vars(self.v, self.shadow);
+        (project(a).intersect(&self.ge), project(b))
+    }
+
+    /// Is `a` strictly before `b`? No point of `a` has `v ≥` the `v` of a
+    /// point of `b` with the same outer coordinates.
+    fn before(a: &(Set, Set), b: &(Set, Set)) -> bool {
+        let late = b.1.conjuncts();
+        a.0.conjuncts()
+            .iter()
+            .all(|x| late.iter().all(|y| !x.intersect(y).is_sat()))
+    }
 }
 
 #[cfg(test)]
@@ -166,6 +193,11 @@ mod tests {
         let regions = separate(&[(0, a.clone()), (1, a)], &space);
         assert_eq!(regions.len(), 1);
         assert_eq!(regions[0].active, vec![0, 1]);
+    }
+
+    fn strictly_before(a: &Conjunct, b: &Conjunct, v: usize) -> bool {
+        let shadow = Shadow::new(a.space(), v);
+        Shadow::before(&shadow.sides(a), &shadow.sides(b))
     }
 
     #[test]

@@ -18,8 +18,8 @@ pub(crate) struct Lift {
 /// Repeatedly lifts overhead conditions out of subloops of nesting depth
 /// `≤ d` until no candidate remains. Returns the restructured AST.
 pub(crate) fn lift_overhead(pb: &Problem, mut root: Node, d: usize) -> Node {
-    let mut rejected: HashSet<String> = HashSet::new();
-    let mut inserted: HashMap<String, u32> = HashMap::new();
+    let mut rejected: HashSet<CondKey> = HashSet::new();
+    let mut inserted: HashMap<CondKey, u32> = HashMap::new();
     // Each iteration inserts at least one split or rejects at least one
     // candidate, so this terminates; the cap is a defensive backstop.
     for pass in 0..10_000u32 {
@@ -31,7 +31,7 @@ pub(crate) fn lift_overhead(pb: &Problem, mut root: Node, d: usize) -> Node {
             Some(l) => {
                 // A candidate that reached the driver cannot be legally
                 // inserted anywhere on its path: remember and skip it.
-                rejected.insert(l.cond.to_string());
+                rejected.insert(CondKey::of(&l.cond));
             }
         }
     }
@@ -39,7 +39,46 @@ pub(crate) fn lift_overhead(pb: &Problem, mut root: Node, d: usize) -> Node {
     root
 }
 
-/// How often the textually same condition may be split on across one
+/// The identity `rejected` and the insertion counts know a condition by.
+/// A congruence/range atom `∃α: lo ≤ e − m·α ≤ hi` is its residue window:
+/// `e`'s non-constant part, `m`, the window's start (the constant folded
+/// in, reduced mod `m`) and its width. Splitting on such an atom can
+/// re-absorb an offset into the local, which rewrites the text
+/// (`t1 - 8*a0 - 15 >= 0 && …`, then `…-23…`) but not the set, so a
+/// text key would never see the repeat. Any other condition is its text.
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+enum CondKey {
+    Window {
+        expr: Vec<i64>,
+        m: i64,
+        start: i64,
+        width: i64,
+    },
+    Text(String),
+}
+
+impl CondKey {
+    fn of(cond: &Conjunct) -> CondKey {
+        if cond.n_locals() == 1 {
+            if let Some((e, m, lo, hi)) = cond.range_mod() {
+                let mut expr = e.raw_coeffs().to_vec();
+                let shift = std::mem::take(&mut expr[0]);
+                // e + shift ∈ [lo, hi] (mod m)  ⇔  e ∈ [lo - shift, hi - shift].
+                if let Some(start) = lo.checked_sub(shift) {
+                    return CondKey::Window {
+                        expr,
+                        m,
+                        start: start.rem_euclid(m),
+                        width: hi - lo,
+                    };
+                }
+            }
+        }
+        CondKey::Text(cond.to_string())
+    }
+}
+
+/// How often the same condition ([`CondKey`]) may be split on across one
 /// `lift_overhead` run. When gist is exact every insertion discharges its
 /// condition from the subtree's guards, so the same text only recurs
 /// across originally-disjoint branches — far below this cap. A *degraded*
@@ -55,8 +94,8 @@ fn lift(
     node: Node,
     d: usize,
     propagate_up: bool,
-    rejected: &HashSet<String>,
-    inserted: &mut HashMap<String, u32>,
+    rejected: &HashSet<CondKey>,
+    inserted: &mut HashMap<CondKey, u32>,
 ) -> (Option<Lift>, Node) {
     match node {
         Node::Split { active, parts } => {
@@ -192,7 +231,7 @@ fn lift(
                 }
                 // Insert a split node here: two copies of the subtree, the
                 // side with smaller loop values first.
-                let count = inserted.entry(l.cond.to_string()).or_insert(0);
+                let count = inserted.entry(CondKey::of(&l.cond)).or_insert(0);
                 *count += 1;
                 if *count > MAX_SAME_COND_INSERTIONS {
                     // Splitting on this condition repeatedly has not
@@ -251,7 +290,7 @@ fn lift(
                 // from this subtree (a no-op when gist is exact: the
                 // condition is already discharged).
                 let mut rejected = rejected.clone();
-                rejected.insert(l.cond.to_string());
+                rejected.insert(CondKey::of(&l.cond));
                 return lift(pb, split, d, propagate_up, &rejected, inserted);
             }
             (Some(l), node)
@@ -297,7 +336,7 @@ fn insertion_at_limit(l: &Lift, level: usize) -> bool {
 /// Picks one guard atom with a single-conjunct complement, skipping
 /// rejected candidates and candidates that could never be inserted at any
 /// loop level of this problem.
-fn pick_atom(guard: &Conjunct, pb: &Problem, rejected: &HashSet<String>) -> Option<Lift> {
+fn pick_atom(guard: &Conjunct, pb: &Problem, rejected: &HashSet<CondKey>) -> Option<Lift> {
     if guard.is_universe() || guard.is_known_false() {
         return None;
     }
@@ -305,7 +344,7 @@ fn pick_atom(guard: &Conjunct, pb: &Problem, rejected: &HashSet<String>) -> Opti
         let Some(comp) = atom.complement_single() else {
             continue;
         };
-        if rejected.contains(&atom.to_string()) {
+        if !rejected.is_empty() && rejected.contains(&CondKey::of(&atom)) {
             continue;
         }
         let l = Lift { cond: atom, comp };
@@ -377,7 +416,7 @@ mod tests {
         let g = conj("[n] -> { [i,j] : n >= 2 }");
         let l = pick_atom(&g, &pb, &HashSet::new()).unwrap();
         let mut rej = HashSet::new();
-        rej.insert(l.cond.to_string());
+        rej.insert(CondKey::of(&l.cond));
         assert!(pick_atom(&g, &pb, &rej).is_none());
     }
 
@@ -390,6 +429,37 @@ mod tests {
         // Stride on i can be lifted above the j loop.
         let g = conj("[n] -> { [i,j] : exists(a : i = 2a) }");
         assert!(pick_atom(&g, &pb, &HashSet::new()).is_some());
+    }
+
+    #[test]
+    fn cond_key_sees_through_an_absorbed_offset() {
+        // `t1 ≡ 7 (mod 8)` with the offset absorbed into the local twice
+        // over, as repeated splits rewrite it, and `t1 ≡ 6 (mod 8)`.
+        let key = |t: &str| CondKey::of(&conj(t));
+        let shifted =
+            key("[n] -> { [t1,t2] : exists(a : t1 - 8a - 15 >= 0 && -t1 + 8a + 15 >= 0) }");
+        assert_eq!(
+            shifted,
+            key("[n] -> { [t1,t2] : exists(a : t1 - 8a - 23 >= 0 && -t1 + 8a + 23 >= 0) }")
+        );
+        assert!(matches!(
+            shifted,
+            CondKey::Window {
+                m: 8,
+                start: 7,
+                width: 0,
+                ..
+            }
+        ));
+        assert_ne!(
+            shifted,
+            key("[n] -> { [t1,t2] : exists(a : t1 - 8a - 6 >= 0 && -t1 + 8a + 6 >= 0) }")
+        );
+        // Local-free conditions keep their text.
+        assert_eq!(
+            key("[n] -> { [t1,t2] : t1 >= 5 }"),
+            CondKey::Text("t1 - 5 >= 0".to_owned())
+        );
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! Every failure mode of [`crate::limits::OmegaError`] has a graceful
 //! degradation path that is nearly impossible to reach with realistic
 //! inputs. This harness forces each one on demand: after
-//! [`inject_after`]`(n, fault)`, the Nth counted solver operation of every
+//! `inject_after(n, fault)`, the Nth counted solver operation of every
 //! exact (tier-2) query fails with `fault`, exercising the
 //! catch-note-degrade machinery end to end.
 //!

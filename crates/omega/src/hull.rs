@@ -29,31 +29,31 @@ pub(crate) fn hull(s: &Set) -> Conjunct {
     let named = 1 + space.n_named();
 
     // Candidate inequality constraints: every local-free row of every
-    // conjunct (equalities contribute both directions).
-    let mut candidates: Vec<Vec<i64>> = Vec::new();
-    for c in &live {
+    // conjunct (equalities contribute both directions), each paired with
+    // the index of the conjunct it came from.
+    let mut candidates: Vec<(Vec<i64>, usize)> = Vec::new();
+    for (i, c) in live.iter().enumerate() {
         for r in c.rows() {
             if r.c[named..].iter().any(|&x| x != 0) {
                 continue;
             }
             let base = r.c[..named].to_vec();
             match r.kind {
-                ConstraintKind::Geq => candidates.push(base),
+                ConstraintKind::Geq => candidates.push((base, i)),
                 ConstraintKind::Eq => {
                     if let Some(flipped) = base
                         .iter()
                         .map(|&x| x.checked_neg())
                         .collect::<Option<Vec<i64>>>()
                     {
-                        candidates.push(flipped);
+                        candidates.push((flipped, i));
                     }
-                    candidates.push(base);
+                    candidates.push((base, i));
                 }
             }
         }
     }
     candidates.sort();
-    candidates.dedup();
 
     // One probe per live conjunct, with a reserved trailing slot (holding
     // `0 ≥ 0`) for the negated candidate: each implication test is then a
@@ -69,8 +69,10 @@ pub(crate) fn hull(s: &Set) -> Conjunct {
         })
         .collect();
     let mut out = Conjunct::universe(&space);
-    for mut row in candidates {
-        if implied_by_all(&mut tests, &row) {
+    for group in candidates.chunk_by(|a, b| a.0 == b.0) {
+        let is_source = |i: usize| group.iter().any(|&(_, s)| s == i);
+        if implied_by_all(&mut tests, &group[0].0, is_source) {
+            let mut row = group[0].0.clone();
             row.resize(out.ncols(), 0);
             out.push_row(Row::new(ConstraintKind::Geq, row));
         }
@@ -92,12 +94,16 @@ pub(crate) fn hull(s: &Set) -> Conjunct {
 
 /// Is the candidate inequality implied by every test system? (Each test
 /// swaps the reserved trailing slot for the negated candidate and asks for
-/// unsatisfiability.) An unnegatable candidate (i64-extremal coefficients)
-/// is dropped: the hull only shrinks toward the bounding box, which is
-/// sound.
-fn implied_by_all(tests: &mut [Probe], cand: &[i64]) -> bool {
+/// unsatisfiability.) A system the candidate is a row of (`is_source`)
+/// implies it without a query. An unnegatable candidate (i64-extremal
+/// coefficients) is dropped: the hull only shrinks toward the bounding
+/// box, which is sound.
+fn implied_by_all(tests: &mut [Probe], cand: &[i64], is_source: impl Fn(usize) -> bool) -> bool {
     crate::sat::negate_geq(cand).is_some_and(|neg| {
-        tests.iter_mut().all(|probe| {
+        tests.iter_mut().enumerate().all(|(i, probe)| {
+            if is_source(i) {
+                return true;
+            }
             let mut neg = neg.clone();
             neg.resize(1 + probe.n_vars(), 0);
             !probe.sat_swapped(probe.len() - 1, Row::new(ConstraintKind::Geq, neg))

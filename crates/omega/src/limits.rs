@@ -17,7 +17,7 @@
 //! certificate does not depend on the order in which queries degraded.
 //!
 //! Degraded verdicts are **never** inserted into the process-wide memo
-//! caches ([`crate::cache`]): exact verdicts are exact under any limits and
+//! caches (the private `cache` module): exact verdicts are exact under any limits and
 //! therefore always safe to share, while a budget-starved verdict must not
 //! be replayed to a later caller with a fresh budget.
 

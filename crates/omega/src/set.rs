@@ -493,6 +493,10 @@ fn conjunct_to_syntax(c: &Conjunct) -> String {
 /// congruence/range pattern. Disjointness matters: [`Set::make_disjoint`]
 /// forwards these pieces directly, and a scanner executing overlapping
 /// pieces would run statement instances twice.
+///
+/// Pieces are not sat-checked and may be empty: the one caller,
+/// [`Set::try_subtract`], sat-checks every piece again after intersecting
+/// it with the minuend, which drops the empty ones.
 pub(crate) fn try_complement_conjunct(c: &Conjunct) -> Option<Set> {
     let space = c.space().clone();
     if c.is_known_false() {
@@ -503,10 +507,7 @@ pub(crate) fn try_complement_conjunct(c: &Conjunct) -> Option<Set> {
     for atom in atoms(c) {
         let neg = try_complement_atom(&atom)?;
         for piece in neg {
-            let p = prefix.intersect(&piece);
-            if p.is_sat() {
-                out.push_conjunct(p);
-            }
+            out.push_conjunct(prefix.intersect(&piece));
         }
         prefix = prefix.intersect(&atom);
     }

@@ -1,6 +1,6 @@
 //! Satisfiability-pipeline instrumentation.
 //!
-//! The tiered solver ([`crate::sat`]) reports which tier answered each
+//! The tiered solver (the private `sat` module) reports which tier answered each
 //! query and how the tier-2 memo cache behaved. Each probe is one relaxed
 //! atomic increment, always compiled in.
 

@@ -180,12 +180,16 @@ fn tier0_hashed<'r>(rows: impl Iterator<Item = &'r Row>) -> Verdict {
     Verdict::Unknown
 }
 
-/// Tier 1: interval (bounds-consistency) propagation plus a witness probe.
+/// Tier 1: interval (bounds-consistency) propagation, a cycle certificate
+/// and a witness probe.
 ///
 /// Maintains a per-variable integer interval, repeatedly tightening each
 /// variable against every row under the current intervals of the *other*
 /// variables. An empty interval proves `Unsat` (interval reasoning is a
-/// relaxation, so emptiness is exact). Satisfiability cannot be concluded
+/// relaxation, so emptiness is exact). Each bound remembers the row that
+/// set it; a bound that tightens in a third round is ratcheting around a
+/// cycle of rows, which [`cycle_certificate`] tries to refute in one step
+/// instead of sixteen rounds. Satisfiability cannot be concluded
 /// from non-empty intervals alone, so tier 1 additionally evaluates a few
 /// candidate points inside the box; any point satisfying every row proves
 /// `Sat` outright (all variables are existential).
@@ -194,10 +198,22 @@ pub(crate) fn tier1(rows: &[Row], ncols: usize) -> Verdict {
         let mut lo = [None; STACK_COLS];
         let mut hi = [None; STACK_COLS];
         let mut nz = [0; STACK_COLS];
-        tier1_in(rows, &mut lo[..ncols], &mut hi[..ncols], &mut nz[..ncols])
+        let mut why = [Why::NONE; 2 * STACK_COLS];
+        let mut bx = Intervals {
+            lo: &mut lo[..ncols],
+            hi: &mut hi[..ncols],
+            why: &mut why[..2 * ncols],
+        };
+        tier1_in(rows, &mut bx, &mut nz[..ncols])
     } else {
         let (mut lo, mut hi) = (vec![None; ncols], vec![None; ncols]);
-        tier1_in(rows, &mut lo, &mut hi, &mut vec![0; ncols])
+        let mut why = vec![Why::NONE; 2 * ncols];
+        let mut bx = Intervals {
+            lo: &mut lo,
+            hi: &mut hi,
+            why: &mut why,
+        };
+        tier1_in(rows, &mut bx, &mut vec![0; ncols])
     }
 }
 
@@ -205,34 +221,62 @@ pub(crate) fn tier1(rows: &[Row], ncols: usize) -> Verdict {
 /// points and scratch on the stack.
 const STACK_COLS: usize = 16;
 
-/// Tier 1 over caller-provided intervals (all unbounded on entry) and a
-/// scratch buffer for a row's nonzero columns, each `ncols` long.
-fn tier1_in(
-    rows: &[Row],
-    lo: &mut [Option<i128>],
-    hi: &mut [Option<i128>],
-    nz: &mut [usize],
-) -> Verdict {
+/// Tier 1's box: per-column intervals (all unbounded on entry) and, per
+/// bound, why it holds. Bound `2j` is column `j`'s lower bound, `2j + 1`
+/// its upper bound.
+struct Intervals<'a> {
+    lo: &'a mut [Option<i128>],
+    hi: &'a mut [Option<i128>],
+    why: &'a mut [Why],
+}
+
+/// The row that last set a bound, the sign it was read under (`-1` for an
+/// equality read as `-row ≥ 0`), the round it last changed in (plus one;
+/// 0 = never) and how many rounds changed it.
+#[derive(Clone, Copy)]
+struct Why {
+    row: u32,
+    sign: i8,
+    round: u8,
+    rounds: u8,
+}
+
+impl Why {
+    const NONE: Why = Why {
+        row: u32::MAX,
+        sign: 1,
+        round: 0,
+        rounds: 0,
+    };
+}
+
+/// Tier 1 over a fresh box and a scratch buffer for a row's nonzero
+/// columns, `ncols` long.
+fn tier1_in(rows: &[Row], bx: &mut Intervals<'_>, nz: &mut [usize]) -> Verdict {
     for round in 0..MAX_ROUNDS {
         let mut changed = false;
-        for r in rows {
+        for (i, r) in rows.iter().enumerate() {
             let n = nonzero_columns(r, nz);
             // A row over one variable derives the same bound every round:
             // once applied in the first round it never changes anything.
             if round > 0 && n == 1 {
                 continue;
             }
-            match tighten(r, &nz[..n], lo, hi) {
+            let mut ratchet = None;
+            match tighten(r, i, round, &nz[..n], bx, &mut ratchet) {
                 Tighten::Contradiction => return Verdict::Unsat,
                 Tighten::Changed => changed = true,
                 Tighten::Fixed => {}
+            }
+            if ratchet.is_some_and(|b| cycle_certificate(rows, b, bx)) {
+                return Verdict::Unsat;
             }
         }
         if !changed {
             break;
         }
     }
-    if witness(rows, lo, hi) {
+    if witness(rows, bx.lo, bx.hi) {
         return Verdict::Sat;
     }
     Verdict::Unknown
@@ -257,37 +301,46 @@ enum Tighten {
     Contradiction,
 }
 
-/// One bounds-consistency step: for every variable in `r` (its nonzero
-/// columns are `nz`), derive the bound implied by the extremal values the
-/// remaining terms can take.
-fn tighten(r: &Row, nz: &[usize], lo: &mut [Option<i128>], hi: &mut [Option<i128>]) -> Tighten {
+/// One bounds-consistency step: for every variable in `r` (row `ri`, its
+/// nonzero columns are `nz`), derive the bound implied by the extremal
+/// values the remaining terms can take. The first bound to tighten in its
+/// third round is noted in `ratchet`.
+fn tighten(
+    r: &Row,
+    ri: usize,
+    round: usize,
+    nz: &[usize],
+    bx: &mut Intervals<'_>,
+    ratchet: &mut Option<usize>,
+) -> Tighten {
     let mut changed = false;
     for &j in nz {
         let a = r.c[j] as i128;
         // w·x + c ≥ 0  ⇒  a·xⱼ ≥ -c - max(Σ_{k≠j} aₖ·xₖ); for equalities the
-        // mirrored bound via the minimum of the rest also holds.
-        if let Some(rest_max) = rest_extreme(r, j, nz, lo, hi, true) {
+        // mirrored bound via the minimum of the rest also holds (the row
+        // read as -w·x - c ≥ 0).
+        if let Some(rest_max) = rest_extreme(r, j, nz, bx, true) {
             let rhs = -(r.c[0] as i128) - rest_max;
             let new = if a > 0 {
                 Bound::Lower(div_ceil(rhs, a))
             } else {
                 Bound::Upper(div_floor(-rhs, -a))
             };
-            match apply(new, &mut lo[j], &mut hi[j]) {
+            match bx.apply(j, new, (ri, 1), round, ratchet) {
                 Applied::Contradiction => return Tighten::Contradiction,
                 Applied::Changed => changed = true,
                 Applied::Fixed => {}
             }
         }
         if r.kind == ConstraintKind::Eq {
-            if let Some(rest_min) = rest_extreme(r, j, nz, lo, hi, false) {
+            if let Some(rest_min) = rest_extreme(r, j, nz, bx, false) {
                 let rhs = -(r.c[0] as i128) - rest_min;
                 let new = if a > 0 {
                     Bound::Upper(div_floor(rhs, a))
                 } else {
                     Bound::Lower(div_ceil(-rhs, -a))
                 };
-                match apply(new, &mut lo[j], &mut hi[j]) {
+                match bx.apply(j, new, (ri, -1), round, ratchet) {
                     Applied::Contradiction => return Tighten::Contradiction,
                     Applied::Changed => changed = true,
                     Applied::Fixed => {}
@@ -313,28 +366,49 @@ enum Applied {
     Contradiction,
 }
 
-fn apply(b: Bound, lo: &mut Option<i128>, hi: &mut Option<i128>) -> Applied {
-    let changed = match b {
-        Bound::Lower(v) if v.abs() < BOUND_CAP => match *lo {
-            Some(old) if old >= v => false,
-            _ => {
-                *lo = Some(v);
-                true
+impl Intervals<'_> {
+    /// Tightens column `j` to `b` when that is tighter, recording `why`
+    /// (row index and sign) as the bound's reason. A magnitude past the
+    /// cap is treated as unbounded.
+    fn apply(
+        &mut self,
+        j: usize,
+        b: Bound,
+        why: (usize, i8),
+        round: usize,
+        ratchet: &mut Option<usize>,
+    ) -> Applied {
+        let (id, slot, v) = match b {
+            Bound::Lower(v) => (2 * j, &mut self.lo[j], v),
+            Bound::Upper(v) => (2 * j + 1, &mut self.hi[j], v),
+        };
+        let tighter = match *slot {
+            _ if v.abs() >= BOUND_CAP => false,
+            Some(old) if id % 2 == 0 => v > old,
+            Some(old) => v < old,
+            None => true,
+        };
+        if !tighter {
+            return Applied::Fixed;
+        }
+        *slot = Some(v);
+        let w = &mut self.why[id];
+        if usize::from(w.round) != round + 1 {
+            // Propagating from a partial box often tightens a bound in a
+            // second round; a third means a cycle keeps feeding it back.
+            // Counting rounds, not changes, makes this fire once per bound.
+            w.rounds += 1;
+            if w.rounds == 3 && ratchet.is_none() {
+                *ratchet = Some(id);
             }
-        },
-        Bound::Upper(v) if v.abs() < BOUND_CAP => match *hi {
-            Some(old) if old <= v => false,
-            _ => {
-                *hi = Some(v);
-                true
-            }
-        },
-        _ => false, // magnitude past the cap: treat as unbounded
-    };
-    match (*lo, *hi) {
-        (Some(l), Some(h)) if l > h => Applied::Contradiction,
-        _ if changed => Applied::Changed,
-        _ => Applied::Fixed,
+        }
+        w.row = why.0 as u32;
+        w.sign = why.1;
+        w.round = round as u8 + 1;
+        match (self.lo[j], self.hi[j]) {
+            (Some(l), Some(h)) if l > h => Applied::Contradiction,
+            _ => Applied::Changed,
+        }
     }
 }
 
@@ -345,8 +419,7 @@ fn rest_extreme(
     r: &Row,
     j: usize,
     nz: &[usize],
-    lo: &[Option<i128>],
-    hi: &[Option<i128>],
+    bx: &Intervals<'_>,
     want_max: bool,
 ) -> Option<i128> {
     let mut acc: i128 = 0;
@@ -356,10 +429,133 @@ fn rest_extreme(
         }
         let a = r.c[k];
         let pick_hi = (a > 0) == want_max;
-        let v = if pick_hi { hi[k]? } else { lo[k]? };
+        let v = if pick_hi { bx.hi[k]? } else { bx.lo[k]? };
         acc = acc.checked_add((a as i128).checked_mul(v)?)?;
     }
     Some(acc)
+}
+
+/// The cycle certificate: refutes the system from `start`, a bound that is
+/// ratcheting (it has now tightened in three rounds).
+///
+/// Each bound's reason row derived it from the bounds of the row's other
+/// columns. Following, at every step, the most recently changed of those
+/// bounds walks the reasons back until a bound repeats: the rows `e₀ … e_{k-1}`
+/// on that cycle (each read under its recorded sign, so an equality may
+/// enter negated) derive bound `i` on column `vᵢ` from the bound on
+/// `vᵢ₊₁`. Multipliers `λᵢ = Π_{m<i} |eₘ[vₘ₊₁]| · Π_{m>i} |eₘ[vₘ]|` are
+/// positive and cancel every cycle column except `v₀`; the sum `Σ λᵢ·eᵢ ≥ 0`
+/// holds at every integer point of the system. Every box bound is implied
+/// by the rows too, so when the sum's maximum over the box is negative the
+/// system is empty (a Farkas certificate) — exact, whatever the rows'
+/// order. Overflow, an unbounded term or a dead end means no certificate.
+fn cycle_certificate(rows: &[Row], start: usize, bx: &Intervals<'_>) -> bool {
+    let nb = bx.why.len();
+    let found = if nb <= 2 * STACK_COLS {
+        let mut path = [0; 2 * STACK_COLS];
+        let mut lambda = [0; 2 * STACK_COLS];
+        let mut sum = [0; STACK_COLS];
+        certify(
+            rows,
+            start,
+            bx,
+            &mut path[..nb],
+            &mut lambda[..nb],
+            &mut sum[..nb / 2],
+        )
+    } else {
+        certify(
+            rows,
+            start,
+            bx,
+            &mut vec![0; nb],
+            &mut vec![0; nb],
+            &mut vec![0; nb / 2],
+        )
+    };
+    found == Some(true)
+}
+
+/// [`cycle_certificate`] over scratch buffers: the walked bounds and their
+/// multipliers (one entry per bound) and the summed row (one per column).
+/// `Some(true)` is a refutation; `None` means overflow, an unbounded term
+/// or a reason chain that ends before it closes.
+fn certify(
+    rows: &[Row],
+    start: usize,
+    bx: &Intervals<'_>,
+    path: &mut [usize],
+    lambda: &mut [i128],
+    sum: &mut [i128],
+) -> Option<bool> {
+    // Effective coefficient of bound `b`'s reason row on column `col`.
+    let coeff = |b: usize, col: usize| {
+        let w = bx.why[b];
+        i128::from(rows[w.row as usize].c[col]) * i128::from(w.sign)
+    };
+    let mut len = 0;
+    let mut b = start;
+    let from = loop {
+        if let Some(p) = path[..len].iter().position(|&q| q == b) {
+            break p;
+        }
+        path[len] = b;
+        len += 1;
+        let w = bx.why[b];
+        let r = rows.get(w.row as usize)?;
+        let mut next: Option<(usize, u8)> = None;
+        for (k, &a) in r.c.iter().enumerate().skip(1) {
+            if k == b / 2 || a == 0 {
+                continue;
+            }
+            // The bound the derivation read: the upper bound of a column
+            // with a positive effective coefficient, else the lower one.
+            let used = 2 * k + usize::from((a > 0) == (w.sign > 0));
+            let when = bx.why[used].round;
+            if next.is_none_or(|(_, t)| when > t) {
+                next = Some((used, when));
+            }
+        }
+        b = next?.0;
+    };
+    let cycle = &path[from..len];
+    let k = cycle.len();
+    let lambda = &mut lambda[..k];
+    lambda.fill(1);
+    for (i, &bi) in cycle.iter().enumerate() {
+        let alpha = coeff(bi, bi / 2).abs();
+        let beta = coeff(bi, cycle[(i + 1) % k] / 2).abs();
+        for (m, l) in lambda.iter_mut().enumerate() {
+            if m > i {
+                *l = l.checked_mul(beta)?;
+            } else if m < i {
+                *l = l.checked_mul(alpha)?;
+            }
+        }
+    }
+    let g = lambda.iter().fold(0, |g, &l| gcd_i128(g, l));
+    sum.fill(0);
+    for (&bi, l) in cycle.iter().zip(lambda.iter()) {
+        let l = l / g;
+        for (col, s) in sum.iter_mut().enumerate() {
+            *s = s.checked_add(l.checked_mul(coeff(bi, col))?)?;
+        }
+    }
+    let mut max = sum[0];
+    for (j, &s) in sum.iter().enumerate().skip(1) {
+        if s != 0 {
+            let v = if s > 0 { bx.hi[j]? } else { bx.lo[j]? };
+            max = max.checked_add(s.checked_mul(v)?)?;
+        }
+    }
+    Some(max < 0)
+}
+
+fn gcd_i128(mut a: i128, mut b: i128) -> i128 {
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a.abs()
 }
 
 /// Tries a few concrete points inside the interval box; any one of them
@@ -468,6 +664,76 @@ mod differential {
         })
     }
 
+    /// Random ratchet cycles over 2–5 of five variables: row `i` links
+    /// `x_{i+1}` to `xᵢ` with unit or ±2 coefficients and a small offset
+    /// (so the cycle's sum is as often negative as not), sometimes negated
+    /// or an equality, plus an anchor bound on `x₀` and, half the time, a
+    /// far upper bound. The three-variable random rows above rarely form a
+    /// cycle, which is what tier 1's certificate refutes.
+    fn cycles_strategy() -> impl Strategy<Value = Vec<Row>> {
+        let edge = (
+            1i64..=2,
+            1i64..=2,
+            -3i64..=3,
+            prop::bool::weighted(0.2),
+            prop::bool::weighted(0.15),
+        );
+        let anchor = (
+            prop::bool::weighted(0.7),
+            -5i64..=5,
+            prop::bool::weighted(0.5),
+        );
+        (2usize..=5, prop::collection::vec(edge, 5..6), anchor).prop_map(
+            |(n, edges, (lower, at, far))| {
+                let mut rows = Vec::new();
+                for (i, &(p, q, off, flip, eq)) in edges.iter().take(n).enumerate() {
+                    let mut c = vec![0; 6];
+                    c[0] = off;
+                    c[1 + (i + 1) % n] += p;
+                    c[1 + i] -= q;
+                    if flip {
+                        c.iter_mut().for_each(|x| *x = -*x);
+                    }
+                    let kind = if eq {
+                        ConstraintKind::Eq
+                    } else {
+                        ConstraintKind::Geq
+                    };
+                    rows.push(Row::new(kind, c));
+                }
+                let mut c = vec![0; 6];
+                (c[0], c[1]) = if lower { (-at, 1) } else { (at, -1) };
+                rows.push(Row::new(ConstraintKind::Geq, c));
+                if far {
+                    let mut c = vec![0; 6];
+                    (c[0], c[n]) = (50, -1);
+                    rows.push(Row::new(ConstraintKind::Geq, c));
+                }
+                rows.into_iter()
+                    .filter_map(|mut r| (r.normalize() && !r.is_constant()).then_some(r))
+                    .collect()
+            },
+        )
+    }
+
+    /// A definite tier-1 answer must agree with the exact solver.
+    fn check_tier1(rows: &[Row], n_vars: usize) -> Result<(), TestCaseError> {
+        if rows.is_empty() {
+            return Ok(());
+        }
+        let exact = crate::sat::exact_satisfiable(rows, n_vars);
+        match tier1(rows, 1 + n_vars) {
+            Verdict::Sat => {
+                prop_assert!(exact, "tier1 said Sat on an unsatisfiable system: {rows:?}")
+            }
+            Verdict::Unsat => {
+                prop_assert!(!exact, "tier1 said Unsat on a satisfiable system: {rows:?}")
+            }
+            Verdict::Unknown => {}
+        }
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -485,22 +751,9 @@ mod differential {
         }
 
         #[test]
-        fn tier1_never_contradicts_exact(rows in rows_strategy()) {
-            if rows.is_empty() {
-                return Ok(());
-            }
-            let exact = crate::sat::exact_satisfiable(&rows, 3);
-            match tier1(&rows, 4) {
-                Verdict::Sat => prop_assert!(
-                    exact,
-                    "tier1 said Sat on an unsatisfiable system: {rows:?}"
-                ),
-                Verdict::Unsat => prop_assert!(
-                    !exact,
-                    "tier1 said Unsat on a satisfiable system: {rows:?}"
-                ),
-                Verdict::Unknown => {}
-            }
+        fn tier1_never_contradicts_exact(rows in rows_strategy(), cycle in cycles_strategy()) {
+            check_tier1(&rows, 3)?;
+            check_tier1(&cycle, 5)?;
         }
 
         #[test]
@@ -549,6 +802,43 @@ mod differential {
                 exact,
                 "full-budget verdict corrupted by earlier starved query on {:?}", rows
             );
+        }
+    }
+
+    /// `c ≥ b+1, b ≥ a, a ≥ c+1` with `b ≥ 0` ratchets for every round
+    /// under interval propagation alone; the cycle's sum `-2 ≥ 0` refutes it.
+    #[test]
+    fn tier1_refutes_a_ratchet_cycle() {
+        let rows: Vec<Row> = [[-1, 0, -1, 1], [0, -1, 1, 0], [-1, 1, 0, -1], [0, 0, 1, 0]]
+            .iter()
+            .map(|c| Row::new(ConstraintKind::Geq, c.to_vec()))
+            .collect();
+        assert_eq!(tier1(&rows, 4), Verdict::Unsat);
+        assert!(!crate::sat::exact_satisfiable(&rows, 3));
+    }
+
+    /// Near-cycles that have integer points must never be refuted: a
+    /// zero-gain cycle (`c ≥ b ≥ a ≥ c`), and a converging ratchet
+    /// (`2x ≥ y + 10, y ≥ x`, `x ≥ 10` at the fixpoint) whose sum `x ≥ 10`
+    /// is only refutable without its far upper bound `x ≤ 1000`.
+    #[test]
+    fn tier1_keeps_satisfiable_near_cycles() {
+        let geq = |c: &[i64]| Row::new(ConstraintKind::Geq, c.to_vec());
+        let zero_gain = [
+            geq(&[0, 0, -1, 1]),
+            geq(&[0, -1, 1, 0]),
+            geq(&[0, 1, 0, -1]),
+            geq(&[0, 0, 1, 0]),
+        ];
+        let converging = [
+            geq(&[-10, 2, -1, 0]),
+            geq(&[0, -1, 1, 0]),
+            geq(&[0, 0, 1, 0]),
+            geq(&[1000, -1, 0, 0]),
+        ];
+        for rows in [&zero_gain[..], &converging[..], &converging[..3]] {
+            assert!(crate::sat::exact_satisfiable(rows, 3));
+            assert_ne!(tier1(rows, 4), Verdict::Unsat, "{rows:?}");
         }
     }
 }

@@ -6,7 +6,7 @@
 //! if-simplification at level 3?) is the standing instrumentation every
 //! performance change is judged against. This module provides
 //!
-//! * a **span API** ([`span!`]) recording a per-query call tree with
+//! * a **span API** ([`span!`](crate::span!)) recording a per-query call tree with
 //!   monotonic timestamps, depth, thread id and key attributes (conjunct
 //!   counts, the tier that answered, degradation reasons);
 //! * a **collector** ([`Collector`]) installed on the calling thread for a
@@ -23,7 +23,7 @@
 //! # Cost when disabled
 //!
 //! Probes are always compiled but gated on [`probes_live`]: with no
-//! collector installed and no span hook, a [`span!`] site is a
+//! collector installed and no span hook, a [`span!`](crate::span!) site is a
 //! `Cell<bool>` read, a relaxed atomic load and a branch — no timestamp
 //! read, no allocation. Probe sites sit at query/phase granularity
 //! (never inside arithmetic kernels), so the dormant cost is
@@ -782,7 +782,7 @@ struct OpenSpan {
     start_ns: u64,
     children: Vec<Span>,
     /// Detached spans are recorded as top-level roots (per-query call
-    /// trees) even when enclosing spans are open — see [`root_span!`].
+    /// trees) even when enclosing spans are open — see [`root_span!`](crate::root_span!).
     detached: bool,
 }
 
@@ -835,8 +835,8 @@ fn span_hook() -> Option<SpanHook> {
 }
 
 /// True when any span sink wants events: a collector on this thread or
-/// the process-wide span hook. This is the gate the [`span!`] /
-/// [`root_span!`] macros check; without any sink it is one thread-local
+/// the process-wide span hook. This is the gate the [`span!`](crate::span!) /
+/// [`root_span!`](crate::root_span!) macros check; without any sink it is one thread-local
 /// read plus one relaxed atomic load.
 #[inline]
 pub fn probes_live() -> bool {
@@ -925,7 +925,7 @@ fn close_top(st: &mut ThreadState) {
     }
 }
 
-/// RAII guard returned by [`span!`]; records the span's end when dropped.
+/// RAII guard returned by [`span!`](crate::span!); records the span's end when dropped.
 /// The inert (tracing-off) variant carries no drop cost. Guards must be
 /// dropped in LIFO order (the natural scoping discipline); the
 /// well-formedness proptest in `tests/` asserts the resulting invariant.
@@ -964,7 +964,7 @@ impl SpanGuard {
         }
     }
 
-    /// The no-op guard used by [`span!`] when tracing is inactive.
+    /// The no-op guard used by [`span!`](crate::span!) when tracing is inactive.
     #[inline]
     pub fn inert() -> SpanGuard {
         SpanGuard {
@@ -1024,7 +1024,7 @@ fn begin_with_hook(name: &'static str, detached: bool) -> SpanGuard {
     guard
 }
 
-/// Opens a span named `name`. Prefer the [`span!`] macro, which skips even
+/// Opens a span named `name`. Prefer the [`span!`](crate::span!) macro, which skips even
 /// the call when no sink is live.
 pub fn span_begin(name: &'static str) -> SpanGuard {
     begin_with_hook(name, false)
@@ -1032,7 +1032,7 @@ pub fn span_begin(name: &'static str) -> SpanGuard {
 
 /// Opens a *detached* span: recorded as a top-level root of the trace (a
 /// per-query call tree) even when enclosing spans are open. Prefer the
-/// [`root_span!`] macro. The span hook sees it as an ordinary nested
+/// [`root_span!`](crate::root_span!) macro. The span hook sees it as an ordinary nested
 /// span (its sinks are per thread; detachment is a collector merge
 /// concept).
 pub fn root_span_begin(name: &'static str) -> SpanGuard {
@@ -1067,7 +1067,7 @@ macro_rules! span {
     }};
 }
 
-/// Like [`span!`], but the span becomes a top-level root of the trace — a
+/// Like [`span!`](crate::span!), but the span becomes a top-level root of the trace — a
 /// per-query call tree — regardless of what spans are open around it.
 /// Roots are ordered canonically at [`Collector::finish`] time by
 /// (name, `key` attribute), so the trace shape stays a pure function of

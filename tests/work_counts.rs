@@ -48,59 +48,63 @@ type Table = [(&'static str, &'static str, [u64; 9])];
 
 /// `(kernel, tool, [FIELDS...])` in a release build.
 const RELEASE: &Table = &[
-    ("gemv", "cgplus", [313, 94, 72, 16, 117, 196, 14, 9, 19]),
-    ("gemv", "cloog", [226, 34, 60, 13, 104, 122, 15, 0, 0]),
-    ("qr", "cgplus", [294, 49, 37, 2, 192, 102, 14, 10, 15]),
-    ("qr", "cloog", [313, 51, 67, 0, 163, 150, 32, 0, 0]),
+    ("gemv", "cgplus", [276, 85, 71, 25, 91, 185, 4, 9, 19]),
+    ("gemv", "cloog", [201, 36, 48, 18, 96, 105, 3, 0, 0]),
+    ("qr", "cgplus", [238, 45, 36, 5, 142, 96, 10, 10, 15]),
+    ("qr", "cloog", [261, 56, 58, 14, 127, 134, 6, 0, 0]),
     (
         "swim",
         "cgplus",
-        [7226, 2703, 896, 263, 3352, 3874, 12, 125, 369],
+        [5536, 1834, 892, 263, 2535, 3001, 12, 125, 369],
     ),
+    ("swim", "cloog", [6073, 1856, 460, 267, 3490, 2583, 0, 0, 0]),
     (
-        "swim",
-        "cloog",
-        [8003, 1385, 811, 250, 5534, 2469, 23, 0, 0],
+        "gemm",
+        "cgplus",
+        [1105, 275, 390, 126, 279, 826, 35, 23, 33],
     ),
-    ("gemm", "cgplus", [1384, 433, 391, 73, 393, 991, 94, 23, 33]),
     (
         "gemm",
         "cloog",
-        [6428, 1320, 1408, 560, 2615, 3813, 525, 0, 0],
+        [5220, 1540, 998, 825, 1782, 3438, 75, 0, 0],
     ),
-    ("lu", "cgplus", [2168, 592, 441, 1, 867, 1301, 267, 34, 62]),
-    ("lu", "cloog", [4411, 913, 679, 0, 2012, 2399, 807, 0, 0]),
+    (
+        "lu",
+        "cgplus",
+        [1731, 360, 438, 154, 669, 1062, 110, 34, 62],
+    ),
+    ("lu", "cloog", [3422, 850, 630, 376, 1389, 2033, 177, 0, 0]),
 ];
 
 /// The same in a debug build, where the solver's `debug_assert!`s (the
 /// hull's containment check among them) ask sat queries of their own.
 const DEBUG: &Table = &[
-    ("gemv", "cgplus", [337, 95, 72, 16, 138, 199, 16, 9, 19]),
-    ("gemv", "cloog", [226, 34, 60, 13, 104, 122, 15, 0, 0]),
-    ("qr", "cgplus", [306, 49, 37, 2, 204, 102, 14, 10, 15]),
-    ("qr", "cloog", [313, 51, 67, 0, 163, 150, 32, 0, 0]),
+    ("gemv", "cgplus", [288, 92, 71, 25, 96, 192, 4, 9, 19]),
+    ("gemv", "cloog", [201, 36, 48, 18, 96, 105, 3, 0, 0]),
+    ("qr", "cgplus", [244, 48, 36, 5, 145, 99, 10, 10, 15]),
+    ("qr", "cloog", [261, 56, 58, 14, 127, 134, 6, 0, 0]),
     (
         "swim",
         "cgplus",
-        [8708, 2849, 952, 263, 4621, 4087, 23, 125, 369],
+        [6277, 2260, 892, 263, 2850, 3427, 12, 125, 369],
     ),
-    (
-        "swim",
-        "cloog",
-        [8003, 1385, 811, 250, 5534, 2469, 23, 0, 0],
-    ),
+    ("swim", "cloog", [6073, 1856, 460, 267, 3490, 2583, 0, 0, 0]),
     (
         "gemm",
         "cgplus",
-        [1624, 460, 397, 73, 587, 1037, 107, 23, 33],
+        [1225, 389, 390, 126, 285, 940, 35, 23, 33],
     ),
     (
         "gemm",
         "cloog",
-        [6428, 1320, 1408, 560, 2615, 3813, 525, 0, 0],
+        [5220, 1540, 998, 825, 1782, 3438, 75, 0, 0],
     ),
-    ("lu", "cgplus", [2486, 609, 442, 1, 1132, 1354, 302, 34, 62]),
-    ("lu", "cloog", [4609, 913, 684, 0, 2193, 2416, 819, 0, 0]),
+    (
+        "lu",
+        "cgplus",
+        [1890, 510, 438, 154, 677, 1213, 111, 34, 62],
+    ),
+    ("lu", "cloog", [3521, 939, 630, 376, 1399, 2122, 177, 0, 0]),
 ];
 
 #[test]
