@@ -28,6 +28,12 @@ impl Row {
         self.c[1..].iter().all(|&x| x == 0)
     }
 
+    /// The order of rows in a canonical conjunct (and of tier 2's input):
+    /// equalities first, then by coefficients, constant column first.
+    pub(crate) fn canonical_cmp(&self, other: &Row) -> std::cmp::Ordering {
+        (self.kind as u8, &self.c).cmp(&(other.kind as u8, &other.c))
+    }
+
     /// For a constant row, whether it is trivially true.
     pub(crate) fn constant_truth(&self) -> bool {
         match self.kind {
@@ -273,6 +279,23 @@ impl Conjunct {
         out
     }
 
+    /// `self ∧ rows` for local-free `rows` over the named columns, pushed
+    /// in order: what [`Conjunct::intersect`] builds for a local-free
+    /// conjunct holding exactly those rows.
+    pub(crate) fn intersect_free<'r>(&self, rows: impl IntoIterator<Item = &'r Row>) -> Conjunct {
+        if self.known_false {
+            return Conjunct::empty(&self.space);
+        }
+        let mut out = self.clone();
+        let named = 1 + self.space.n_named();
+        for r in rows {
+            let mut c = Coeffs::zeros(out.ncols());
+            c[..named].copy_from_slice(&r.c[..named]);
+            out.push_row(Row::new(r.kind, c));
+        }
+        out
+    }
+
     /// Evaluates membership of a concrete point: true iff there exist
     /// integer values for the locals satisfying all rows. Exact except when
     /// a substituted constant exceeds the `i64` range on a row that still
@@ -488,8 +511,7 @@ impl Conjunct {
     pub(crate) fn canonicalize(&mut self) {
         self.canonicalize_congruence_rows();
         self.compress_locals();
-        self.rows
-            .sort_by(|a, b| (a.kind as u8, &a.c).cmp(&(b.kind as u8, &b.c)));
+        self.rows.sort_by(Row::canonical_cmp);
         self.rows.dedup();
     }
 

@@ -83,7 +83,7 @@ pub(crate) fn rows_satisfiable(rows: &[Row], n_vars: usize) -> bool {
         }
         let key = sum.key();
         debug_assert_eq!(key, cache_key(rows));
-        return satisfiable_with_key(rows, n_vars, key, tier::tier0);
+        return satisfiable_with_key(rows.len(), n_vars, key, || rows, tier::tier0);
     }
     let mut work: Vec<Row> = Vec::with_capacity(rows.len());
     for r in rows {
@@ -102,7 +102,7 @@ pub(crate) fn rows_satisfiable(rows: &[Row], n_vars: usize) -> bool {
     if work.is_empty() {
         return true;
     }
-    satisfiable_with_key(&work, n_vars, cache_key(&work), tier::tier0)
+    satisfiable_with_key(work.len(), n_vars, cache_key(&work), || &work, tier::tier0)
 }
 
 /// One base system asked "is it satisfiable with row `slot` swapped for
@@ -156,7 +156,7 @@ impl Lane {
         } else if r.is_constant() {
             Lane::True
         } else {
-            Lane::Term(RowHash::lane(r))
+            Lane::Term(row_lane(r))
         }
     }
 }
@@ -211,10 +211,15 @@ impl Probe {
         };
         let old_row = std::mem::replace(&mut self.rows[slot], row);
         debug_assert_eq!(key, cache_key(&self.rows));
+        let rows = &self.rows;
         let clean = &mut self.clean;
-        let sat = satisfiable_with_key(&self.rows, self.n_vars, key, |rows| {
-            swapped_tier0(clean, rows, slot, &old_row)
-        });
+        let sat = satisfiable_with_key(
+            rows.len(),
+            self.n_vars,
+            key,
+            || rows,
+            |rows| swapped_tier0(clean, rows, slot, &old_row),
+        );
         self.rows[slot] = old_row;
         sat
     }
@@ -259,6 +264,120 @@ impl Probe {
     }
 }
 
+/// One base system asked "is it satisfiable with these rows added?" for
+/// many row sets: the shape of [`crate::Set::try_subtract`], which asks
+/// it of `a ∧ piece` for every minuend `a` and every piece of `¬b`.
+///
+/// Like [`Probe`], a base keeps each row's fingerprint lane and their
+/// sum, so the caller keys a query by adding only the lanes of the rows
+/// the base lacks ([`Base::has`]), and the rows themselves are written out
+/// only when the cache misses. It also learns at the first miss whether
+/// tier 0 finds the base clean. On a clean base tier 0 checks only the
+/// added rows' terms ([`tier::tier0_against`]): tier 0 answers unsat iff
+/// some term's combined interval is empty, and every term no added row
+/// bounds keeps the clean base's interval. Past that a query runs the
+/// same pipeline, with the same counters, spans and cache entries, as
+/// [`rows_satisfiable`] on the base rows followed by the added rows.
+pub(crate) struct Base<'r> {
+    /// The base rows, each normalized and non-constant (the rows of a
+    /// canonical conjunct).
+    rows: &'r [Row],
+    /// Each base row's fingerprint lane.
+    lanes: Vec<(u64, u64)>,
+    sum: KeySum,
+    n_vars: usize,
+    /// Does tier 0 answer `Unknown` on the base rows? `None` until a query
+    /// first misses the cache.
+    clean: Option<bool>,
+}
+
+impl<'r> Base<'r> {
+    /// A base over `rows`, each with `1 + n_vars` columns.
+    pub(crate) fn new(rows: &'r [Row], n_vars: usize) -> Base<'r> {
+        let mut sum = KeySum::EMPTY;
+        let lanes = rows
+            .iter()
+            .map(|r| {
+                debug_assert_eq!(r.c.len(), 1 + n_vars);
+                debug_assert!(
+                    !r.is_constant() && {
+                        let mut n = r.clone();
+                        n.normalize() && n == *r
+                    }
+                );
+                let lane = row_lane(r);
+                sum.add(lane);
+                lane
+            })
+            .collect();
+        Base {
+            rows,
+            lanes,
+            sum,
+            n_vars,
+            clean: None,
+        }
+    }
+
+    /// The fingerprint sum of the base rows, to which a query adds the
+    /// lanes of its added rows.
+    pub(crate) fn sum(&self) -> KeySum {
+        self.sum
+    }
+
+    /// Is `row`, whose lane is `lane`, one of the base rows?
+    pub(crate) fn has(&self, row: &Row, lane: (u64, u64)) -> bool {
+        has_row(self.rows, &self.lanes, row, lane)
+    }
+
+    /// Is the base plus the `added` rows the base lacks satisfiable?
+    /// `sum` is [`Base::sum`] plus the lanes of exactly those rows, which
+    /// must be normalized, non-constant and distinct. `added` yields
+    /// candidate rows with their lanes in system order; the ones the base
+    /// has are skipped, as [`crate::Conjunct::intersect`] skips them. It
+    /// is walked, and the system written into `buf`, only on a cache
+    /// miss.
+    pub(crate) fn sat_with<'a>(
+        &mut self,
+        sum: KeySum,
+        buf: &mut Vec<Row>,
+        added: impl IntoIterator<Item = (&'a Row, (u64, u64))>,
+    ) -> bool {
+        if sum.n == 0 {
+            return true; // no rows at all, as in `rows_satisfiable`
+        }
+        let (rows, lanes, n_base) = (self.rows, &self.lanes, self.rows.len());
+        let clean = &mut self.clean;
+        let n_rows = n_base + (sum.n - self.sum.n) as usize;
+        let write = move || {
+            buf.clear();
+            buf.extend_from_slice(rows);
+            for (r, lane) in added {
+                if !has_row(rows, lanes, r, lane) {
+                    buf.push(r.clone());
+                }
+            }
+            &buf[..]
+        };
+        satisfiable_with_key(n_rows, self.n_vars, sum.key(), write, |rows| {
+            let clean =
+                *clean.get_or_insert_with(|| tier::tier0(&rows[..n_base]) == Verdict::Unknown);
+            let clash = |i: usize| tier::tier0_against(&rows[i], rows, i) == Verdict::Unsat;
+            if !clean || (n_base..rows.len()).any(clash) {
+                Verdict::Unsat
+            } else {
+                Verdict::Unknown
+            }
+        })
+    }
+}
+
+/// Is `row`, whose lane is `lane`, one of `rows` (whose lanes are
+/// `lanes`)? Lanes filter, rows decide.
+fn has_row(rows: &[Row], lanes: &[(u64, u64)], row: &Row, lane: (u64, u64)) -> bool {
+    lanes.iter().zip(rows).any(|(&l, r)| l == lane && r == row)
+}
+
 /// Tier 0 on `rows`, a probe's base with row `slot` swapped out for
 /// `rows[slot]` (`old` is the base row), given whether the base is
 /// `clean` — learned here, from the rows the two systems share, when not
@@ -282,16 +401,19 @@ fn swapped_tier0(clean: &mut Option<bool>, rows: &[Row], slot: usize, old: &Row)
 }
 
 /// The tiered pipeline proper, entered with the system's fingerprint
-/// already in hand. `rows` are normalized and may contain true constant
-/// rows and duplicates, in any order. `tier0` is tier 0 on `rows`, or an
-/// equivalent shortcut the caller can prove exact.
-fn satisfiable_with_key(
-    rows: &[Row],
+/// already in hand. `rows` gives the system's `n_rows` rows and runs only
+/// on a cache miss, so a caller that keys a system without holding it
+/// writes it out only then. The rows are normalized and may contain true
+/// constant rows and duplicates, in any order. `tier0` is tier 0 on the
+/// rows, or an equivalent shortcut the caller can prove exact.
+fn satisfiable_with_key<'r>(
+    n_rows: usize,
     n_vars: usize,
     key: (u64, u64),
+    rows: impl FnOnce() -> &'r [Row],
     tier0: impl FnOnce(&[Row]) -> Verdict,
 ) -> bool {
-    let span = crate::span!(sat_query, rows = rows.len(), vars = n_vars);
+    let span = crate::span!(sat_query, rows = n_rows, vars = n_vars);
     // The cache sits *before* tiers 0 and 1 and stores their verdicts too:
     // on the warm path (scanning re-asks the same queries constantly) a
     // repeat query costs one fingerprint + shard probe — cheaper than even
@@ -303,6 +425,9 @@ fn satisfiable_with_key(
         return hit;
     }
     bump!(cache_misses);
+    let rows = rows();
+    debug_assert_eq!(rows.len(), n_rows);
+    debug_assert_eq!(key, cache_key(rows));
     if tier0(rows) == Verdict::Unsat {
         bump!(tier0_unsat);
         cache::SAT.insert(key, false);
@@ -332,7 +457,7 @@ fn satisfiable_with_key(
             // multiset — the solver's budget cutoff is order-sensitive
             // even though exact verdicts are not.
             let mut work: Vec<Row> = rows.iter().filter(|r| !r.is_constant()).cloned().collect();
-            work.sort_by(|a, b| (a.kind as u8, &a.c).cmp(&(b.kind as u8, &b.c)));
+            work.sort_by(Row::canonical_cmp);
             work.dedup();
             // Tier 2: the exact Omega test. The per-query call tree is a
             // *detached* trace root keyed by the cache fingerprint —
@@ -408,7 +533,7 @@ pub(crate) fn exact_satisfiable(rows: &[Row], n_vars: usize) -> bool {
         work.push(r);
     }
     debug_assert!(work.iter().all(|r| r.c.len() == 1 + n_vars));
-    work.sort_by(|a, b| (a.kind as u8, &a.c).cmp(&(b.kind as u8, &b.c)));
+    work.sort_by(Row::canonical_cmp);
     work.dedup();
     let lim = Limits::default();
     let mut budget = lim.budget;
@@ -424,9 +549,18 @@ pub(crate) fn exact_satisfiable(rows: &[Row], n_vars: usize) -> bool {
 fn cache_key(rows: &[Row]) -> (u64, u64) {
     let mut sum = KeySum::EMPTY;
     for r in rows.iter().filter(|r| !r.is_constant()) {
-        sum.add(RowHash::lane(r));
+        sum.add(row_lane(r));
     }
     sum.key()
+}
+
+/// A row's lane: its summand in the fingerprint.
+pub(crate) fn row_lane(r: &Row) -> (u64, u64) {
+    let mut h = RowHash::new(r.kind);
+    for &x in &r.c {
+        h.mix(x);
+    }
+    h.finish()
 }
 
 /// Running hash of one row's kind and coefficients; [`RowHash::finish`]
@@ -453,21 +587,12 @@ impl RowHash {
     fn finish(self) -> (u64, u64) {
         (splitmix(self.0), splitmix(self.1 ^ 0x94d0_49bb_1331_11eb))
     }
-
-    /// The lane of a whole row.
-    fn lane(r: &Row) -> (u64, u64) {
-        let mut h = RowHash::new(r.kind);
-        for &x in &r.c {
-            h.mix(x);
-        }
-        h.finish()
-    }
 }
 
 /// The order-free part of the fingerprint: a wrapping sum of row lanes
 /// and their count, so a row can be taken out again.
 #[derive(Clone, Copy)]
-struct KeySum {
+pub(crate) struct KeySum {
     s1: u64,
     s2: u64,
     n: u64,
@@ -480,7 +605,7 @@ impl KeySum {
         n: 0,
     };
 
-    fn add(&mut self, (l1, l2): (u64, u64)) {
+    pub(crate) fn add(&mut self, (l1, l2): (u64, u64)) {
         self.s1 = self.s1.wrapping_add(l1);
         self.s2 = self.s2.wrapping_add(l2);
         self.n += 1;

@@ -1,9 +1,12 @@
 //! Unions of [`Conjunct`]s — the `Set` type mirroring an Omega relation in
 //! disjunctive normal form.
 
+use crate::coeffs::Coeffs;
 use crate::conjunct::{Conjunct, Row};
 use crate::linexpr::{Constraint, ConstraintKind, LinExpr};
+use crate::sat::{self, KeySum};
 use crate::space::Space;
+use crate::stats::bump;
 use std::fmt;
 
 /// An integer set in disjunctive normal form: a union of [`Conjunct`]s over
@@ -187,21 +190,41 @@ impl Set {
 
     /// [`Set::subtract`] returning `None` instead of panicking when `other`
     /// holds a non-complementable existential constraint group.
+    ///
+    /// Each conjunct `b` of `other` replaces every conjunct `a` of the
+    /// running result by the non-empty `a ∧ piece` over the
+    /// pairwise-disjoint pieces of `¬b`. Most such pairs are empty (about
+    /// 95% in CLooG's Table 1 runs), so a pair without existential
+    /// variables is keyed from per-row fingerprints and built only once
+    /// the solver finds it satisfiable. The solver is asked exactly what
+    /// building every pair and checking it would ask.
     pub fn try_subtract(&self, other: &Set) -> Option<Set> {
         assert_eq!(self.space, other.space, "space mismatch in subtract");
         let mut out = self.clone();
+        let mut buf = Vec::new();
         for b in &other.conjuncts {
-            let neg = try_complement_conjunct(b)?;
-            let mut next = Set::empty(&self.space);
-            for piece in &neg.conjuncts {
-                for a in &out.conjuncts {
-                    let c = a.intersect(piece);
-                    if c.is_sat() {
-                        next.push_conjunct(c);
-                    }
+            out = out.minus_conjunct(b, &mut buf)?;
+        }
+        Some(out)
+    }
+
+    /// `self ∧ ¬b`: one step of [`Set::try_subtract`], piece by piece of
+    /// `¬b` ([`Complement`]) and, for each, conjunct by conjunct of
+    /// `self`. Each pair asks the question `a.intersect(piece).is_sat()`
+    /// asks, over the same rows in the same order; a local-free pair is
+    /// keyed through [`sat::Base`] without building it. `buf` is scratch
+    /// for the systems of cache misses.
+    fn minus_conjunct(&self, b: &Conjunct, buf: &mut Vec<Row>) -> Option<Set> {
+        let neg = Complement::of(b)?;
+        let mut minuends: Vec<Minuend<'_>> = self.conjuncts.iter().map(Minuend::new).collect();
+        let mut out = Set::empty(&self.space);
+        for piece in &neg.pieces {
+            for m in &mut minuends {
+                bump!(subtract_pairs);
+                if let Some(c) = neg.meet(piece, m, buf) {
+                    out.push_conjunct(c);
                 }
             }
-            out = next;
         }
         Some(out)
     }
@@ -487,31 +510,205 @@ fn conjunct_to_syntax(c: &Conjunct) -> String {
     }
 }
 
-/// Exact complement of a conjunct as a union of **pairwise-disjoint**
-/// pieces (`¬(c₁∧c₂∧…) = ¬c₁ ∪ (c₁∧¬c₂) ∪ (c₁∧c₂∧¬c₃) ∪ …`), or `None`
-/// when a group of rows sharing a local variable does not match a
-/// congruence/range pattern. Disjointness matters: [`Set::make_disjoint`]
-/// forwards these pieces directly, and a scanner executing overlapping
-/// pieces would run statement instances twice.
+/// The exact complement of a conjunct `b` as **pairwise-disjoint**
+/// pieces over its atoms, `¬(c₁∧c₂∧…) = ¬c₁ ∪ (c₁∧¬c₂) ∪ (c₁∧c₂∧¬c₃) ∪
+/// …`, in order, without building the local-free ones. Disjointness
+/// matters: [`Set::make_disjoint`] forwards `a ∧ piece` directly, and a
+/// scanner executing overlapping pieces would run statement instances
+/// twice.
 ///
-/// Pieces are not sat-checked and may be empty: the one caller,
-/// [`Set::try_subtract`], sat-checks every piece again after intersecting
-/// it with the minuend, which drops the empty ones.
-pub(crate) fn try_complement_conjunct(c: &Conjunct) -> Option<Set> {
-    let space = c.space().clone();
-    if c.is_known_false() {
-        return Some(Set::universe(&space));
+/// `b` is canonical, as every conjunct of a [`Set`] is: its rows are
+/// normalized, distinct and sorted. [`atoms`] puts the local-free rows
+/// first, so the local-free pieces come first, and the piece of row `k`
+/// is `prefix[..k] ∧ ¬row`, held as `k` and the negated row. Each piece
+/// is a canonical conjunct (the prefix is sorted, so the negated row
+/// sorts into place), not known false, and distinct from the others. None
+/// is sat-checked; [`Complement::meet`] checks `a ∧ piece`.
+struct Complement {
+    /// `b`'s local-free rows over the named columns, in `b`'s order.
+    prefix: Vec<Row>,
+    /// Each prefix row's fingerprint lane.
+    lanes: Vec<(u64, u64)>,
+    pieces: Vec<Piece>,
+}
+
+/// One piece of a [`Complement`].
+enum Piece {
+    /// `prefix[..k] ∧ neg`. `neg` holds the negated row, its lane and the
+    /// position it sorts into in `prefix[..k]`; it is `None` when
+    /// `prefix[..k]` already holds the row, and for the one piece
+    /// (universe) of a known-false `b`.
+    Free {
+        k: usize,
+        neg: Option<(Row, (u64, u64), usize)>,
+    },
+    /// A piece with locals (a congruence atom's complement, or a prefix
+    /// holding one), built.
+    Built(Conjunct),
+}
+
+/// One conjunct `a` of the running difference, and what the keyed path
+/// of [`Complement::meet`] knows of it.
+struct Minuend<'a> {
+    a: &'a Conjunct,
+    /// `None` when `a` has locals (or is known false): every pair is built.
+    keyed: Option<Keyed<'a>>,
+}
+
+struct Keyed<'a> {
+    base: sat::Base<'a>,
+    /// The key sum of `a`'s rows plus the prefix rows `a` lacks, up to
+    /// prefix row `done`.
+    run: KeySum,
+    done: usize,
+}
+
+impl<'a> Minuend<'a> {
+    fn new(a: &'a Conjunct) -> Minuend<'a> {
+        let keyed = (a.n_locals() == 0 && !a.is_known_false()).then(|| {
+            let base = sat::Base::new(a.rows(), a.space().n_named());
+            Keyed {
+                run: base.sum(),
+                base,
+                done: 0,
+            }
+        });
+        Minuend { a, keyed }
     }
-    let mut out = Set::empty(&space);
-    let mut prefix = Conjunct::universe(&space);
-    for atom in atoms(c) {
-        let neg = try_complement_atom(&atom)?;
-        for piece in neg {
-            out.push_conjunct(prefix.intersect(&piece));
+}
+
+impl Complement {
+    /// The pieces of `¬b`, or `None` when a group of rows sharing a local
+    /// variable does not match a congruence/range pattern. Those groups
+    /// are checked first, so an uncomplementable `b` asks nothing.
+    fn of(b: &Conjunct) -> Option<Complement> {
+        let mut out = Complement {
+            prefix: Vec::new(),
+            lanes: Vec::new(),
+            pieces: Vec::new(),
+        };
+        if b.is_known_false() {
+            out.pieces.push(Piece::Free { k: 0, neg: None });
+            return Some(out);
         }
-        prefix = prefix.intersect(&atom);
+        let groups = if b.n_locals() == 0 {
+            Vec::new()
+        } else {
+            atoms(b)
+                .into_iter()
+                .filter(|atom| atom.n_locals() > 0)
+                .map(|atom| Some((try_complement_atom(&atom)?, atom)))
+                .collect::<Option<Vec<_>>>()?
+        };
+        let named = 1 + b.space().n_named();
+        for r in b
+            .rows()
+            .iter()
+            .filter(|r| r.c[named..].iter().all(|&x| x == 0))
+        {
+            let row = Row::new(r.kind, &r.c[..named]);
+            let k = out.prefix.len();
+            // ¬(e >= 0) ≡ -e - 1 >= 0;  ¬(e = 0) ≡ e - 1 >= 0 ∨ -e - 1 >= 0
+            let signs: &[i64] = match r.kind {
+                ConstraintKind::Geq => &[-1],
+                ConstraintKind::Eq => &[1, -1],
+            };
+            for &sign in signs {
+                let mut c: Coeffs = row.c.iter().map(|&x| sign * x).collect();
+                c[0] -= 1;
+                let n = Row::new(ConstraintKind::Geq, c);
+                let at = out.prefix.partition_point(|p| p.canonical_cmp(&n).is_lt());
+                // Only an inequality's negation can already be in the
+                // prefix: equalities sort before every inequality, so the
+                // two pieces of an equality never coincide.
+                let neg = (out.prefix.get(at) != Some(&n)).then(|| {
+                    let lane = sat::row_lane(&n);
+                    (n, lane, at)
+                });
+                out.pieces.push(Piece::Free { k, neg });
+            }
+            debug_assert!(out
+                .prefix
+                .last()
+                .is_none_or(|p| p.canonical_cmp(&row).is_lt()));
+            out.lanes.push(sat::row_lane(&row));
+            out.prefix.push(row);
+        }
+        if !groups.is_empty() {
+            let mut prefix = Conjunct::universe(b.space()).intersect_free(&out.prefix);
+            let mut built: Vec<Conjunct> = Vec::new();
+            for (negs, atom) in groups {
+                for piece in negs {
+                    let mut c = prefix.intersect(&piece);
+                    c.canonicalize();
+                    if !c.is_known_false() && !built.contains(&c) {
+                        built.push(c.clone());
+                        out.pieces.push(Piece::Built(c));
+                    }
+                }
+                prefix = prefix.intersect(&atom);
+            }
+        }
+        Some(out)
     }
-    Some(out)
+
+    /// The rows of local-free piece `prefix[..k] ∧ neg` in canonical
+    /// order, with their lanes.
+    fn free_rows<'s>(
+        &'s self,
+        k: usize,
+        neg: Option<&'s (Row, (u64, u64), usize)>,
+    ) -> impl Iterator<Item = (&'s Row, (u64, u64))> + 's {
+        let at = neg.map_or(k, |&(_, _, at)| at);
+        let prefix = |range: std::ops::Range<usize>| {
+            self.prefix[range.clone()]
+                .iter()
+                .zip(self.lanes[range].iter().copied())
+        };
+        prefix(0..at)
+            .chain(neg.map(|(n, lane, _)| (n, *lane)))
+            .chain(prefix(at..k))
+    }
+
+    /// `a ∧ piece` if it is satisfiable, for `m`'s conjunct `a`. Asks the
+    /// question `a.intersect(piece).is_sat()` asks: a local-free pair is
+    /// keyed from `a`'s lanes, the running sum of the prefix rows `a`
+    /// lacks and the negated row's lane, and its rows are written into
+    /// `buf` only on a cache miss; any other pair is built first.
+    fn meet(&self, piece: &Piece, m: &mut Minuend<'_>, buf: &mut Vec<Row>) -> Option<Conjunct> {
+        let known_sat = match (piece, &mut m.keyed) {
+            (&Piece::Free { k, ref neg }, Some(keyed)) => {
+                for j in keyed.done..k {
+                    if !keyed.base.has(&self.prefix[j], self.lanes[j]) {
+                        keyed.run.add(self.lanes[j]);
+                    }
+                }
+                keyed.done = keyed.done.max(k);
+                let mut sum = keyed.run;
+                if let Some((n, lane, _)) = neg {
+                    if !keyed.base.has(n, *lane) {
+                        sum.add(*lane);
+                    }
+                }
+                if !keyed
+                    .base
+                    .sat_with(sum, buf, self.free_rows(k, neg.as_ref()))
+                {
+                    return None;
+                }
+                true
+            }
+            _ => false,
+        };
+        bump!(subtract_built);
+        let c = match piece {
+            Piece::Free { k, neg } => {
+                m.a.intersect_free(self.free_rows(*k, neg.as_ref()).map(|(r, _)| r))
+            }
+            Piece::Built(piece) => m.a.intersect(piece),
+        };
+        (known_sat || c.is_sat()).then_some(c)
+    }
 }
 
 /// Decomposes a conjunct into "atoms": maximal groups of rows connected by
@@ -746,6 +943,310 @@ pub fn param(space: &Space, i: usize) -> LinExpr {
 /// Convenience: constant expression over `space`.
 pub fn constant(space: &Space, c: i64) -> LinExpr {
     LinExpr::constant(space, c)
+}
+
+/// Differential suite for the keyed [`Set::try_subtract`]: against the
+/// loop it replaced, which built `¬b` and every `a ∧ piece` before
+/// sat-checking, it must return the same conjuncts in the same order and
+/// ask the same sat questions in the same order. Questions are compared
+/// as the shape of a trace recorded from an empty sat cache: one
+/// `sat_query` span per question with its row count, the tier that
+/// answered and the verdict, and the key of every exact solve. The trace
+/// is per thread, so unlike the process-wide `omega::stats` counters it
+/// cannot pick up the work of tests running beside this one.
+#[cfg(test)]
+mod subtract_differential {
+    use super::*;
+    use crate::trace::{self, Collector};
+    use proptest::prelude::*;
+
+    /// The difference as it was computed before pieces were keyed.
+    fn subtract_by_building(s: &Set, other: &Set) -> Option<Set> {
+        let mut out = s.clone();
+        for b in &other.conjuncts {
+            out = minus_by_building(&out, b)?;
+        }
+        Some(out)
+    }
+
+    fn minus_by_building(s: &Set, b: &Conjunct) -> Option<Set> {
+        let neg = complement_by_building(b)?;
+        let mut out = Set::empty(&s.space);
+        for piece in &neg.conjuncts {
+            for a in &s.conjuncts {
+                let c = a.intersect(piece);
+                if c.is_sat() {
+                    out.push_conjunct(c);
+                }
+            }
+        }
+        Some(out)
+    }
+
+    fn complement_by_building(c: &Conjunct) -> Option<Set> {
+        let space = c.space().clone();
+        if c.is_known_false() {
+            return Some(Set::universe(&space));
+        }
+        let mut out = Set::empty(&space);
+        let mut prefix = Conjunct::universe(&space);
+        for atom in atoms(c) {
+            let neg = try_complement_atom(&atom)?;
+            for piece in neg {
+                out.push_conjunct(prefix.intersect(&piece));
+            }
+            prefix = prefix.intersect(&atom);
+        }
+        Some(out)
+    }
+
+    /// Held across each comparison: a test that empties the cache while
+    /// another is between its two runs would change the other's hits.
+    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    /// `f`'s result and the shape of its trace, run from an empty cache.
+    fn traced<T>(f: impl FnOnce() -> T) -> (T, String) {
+        crate::reset_sat_cache();
+        let c = Collector::new();
+        let out = trace::with_collector(Some(c.clone()), f);
+        (out, c.finish().shape())
+    }
+
+    /// `minuend \ ¬b` per conjunct `b`, keyed and by building, must agree
+    /// on the result and on every question asked.
+    fn check_minus(minuend: &Set, subtrahend: &[Conjunct]) -> Result<(), TestCaseError> {
+        let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+        let (want, want_trace) = traced(|| {
+            subtrahend
+                .iter()
+                .try_fold(minuend.clone(), |s, b| minus_by_building(&s, b))
+        });
+        let (got, got_trace) = traced(|| {
+            let mut buf = Vec::new();
+            subtrahend
+                .iter()
+                .try_fold(minuend.clone(), |s, b| s.minus_conjunct(b, &mut buf))
+        });
+        prop_assert_eq!(&got, &want, "{} minus {:?}", minuend, subtrahend);
+        prop_assert!(
+            got_trace == want_trace,
+            "{minuend} minus {subtrahend:?}: questions differ\nkeyed:\n{got_trace}\nbuilt:\n{want_trace}"
+        );
+        Ok(())
+    }
+
+    fn check(a: &Set, b: &Set) -> Result<(), TestCaseError> {
+        check_minus(a, &b.conjuncts)?;
+        let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+        let (want, want_trace) = traced(|| subtract_by_building(a, b));
+        let (got, got_trace) = traced(|| a.try_subtract(b));
+        prop_assert_eq!(&got, &want, "{} minus {}", a, b);
+        prop_assert!(got_trace == want_trace, "{a} minus {b}: questions differ");
+        Ok(())
+    }
+
+    /// Two parameters no row mentions widen every system by two zero
+    /// columns, so no other test's queries share this suite's keys.
+    fn sp() -> Space {
+        Space::new(&["n", "unused0", "unused1"], &["i", "j"])
+    }
+
+    /// `c0 + c1*n + c2*i + c3*j` as a row of `kind`.
+    fn row(kind: ConstraintKind, c: [i64; 4]) -> Constraint {
+        let e = LinExpr::from_raw(&sp(), &[c[0], c[1], 0, 0, c[2], c[3]]);
+        match kind {
+            ConstraintKind::Eq => e.eq0(),
+            ConstraintKind::Geq => e.geq0(),
+        }
+    }
+
+    fn geq(c: [i64; 4]) -> Constraint {
+        row(ConstraintKind::Geq, c)
+    }
+
+    fn set(conjuncts: &[&[Constraint]]) -> Set {
+        let mut s = Set::empty(&sp());
+        for cons in conjuncts {
+            s.push_conjunct(Conjunct::from_constraints(&sp(), cons.iter().cloned()));
+        }
+        s
+    }
+
+    /// Small coefficients, so rows repeat and negate each other often.
+    fn arb_row() -> impl Strategy<Value = Constraint> {
+        (
+            prop::bool::weighted(0.2),
+            -3i64..=3,
+            -1i64..=1,
+            -1i64..=1,
+            -1i64..=1,
+        )
+            .prop_map(|(eq, c0, n, i, j)| {
+                let kind = if eq {
+                    ConstraintKind::Eq
+                } else {
+                    ConstraintKind::Geq
+                };
+                row(kind, [c0, n, i, j])
+            })
+    }
+
+    /// A conjunct of random rows, plus a congruence `e ≡ r (mod m)` with
+    /// probability `with_stride`.
+    fn arb_conjunct(with_stride: f64) -> impl Strategy<Value = Conjunct> {
+        (
+            prop::collection::vec(arb_row(), 0..6),
+            prop::option::weighted(
+                with_stride,
+                (-1i64..=1, 1i64..=1, -1i64..=1, 0i64..=3, 2i64..=4),
+            ),
+        )
+            .prop_map(|(rows, stride)| {
+                let mut c = Conjunct::from_constraints(&sp(), rows);
+                if let Some((n, i, j, r, m)) = stride {
+                    c.add_congruence(&LinExpr::from_raw(&sp(), &[0, n, 0, 0, i, j]), r, m);
+                }
+                c
+            })
+    }
+
+    fn arb_set(with_stride: f64) -> impl Strategy<Value = Set> {
+        prop::collection::vec(arb_conjunct(with_stride), 1..4).prop_map(|cs| {
+            let mut s = Set::empty(&sp());
+            for c in cs {
+                s.push_conjunct(c);
+            }
+            s
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn keyed_subtract_matches_building_on_local_free_sets(
+            a in arb_set(0.0),
+            b in arb_set(0.0),
+        ) {
+            check(&a, &b)?;
+        }
+
+        #[test]
+        fn keyed_subtract_matches_building_with_congruences(
+            a in arb_set(0.3),
+            b in arb_set(0.6),
+        ) {
+            check(&a, &b)?;
+        }
+    }
+
+    #[test]
+    fn negated_row_already_in_the_minuend() {
+        // ¬(i >= 3) is 2 - i >= 0, a row of `a`: the piece adds no row.
+        let a = set(&[&[geq([0, 0, 1, 0]), geq([2, 0, -1, 0]), geq([0, 0, 0, 1])]]);
+        let b = set(&[&[geq([-3, 0, 1, 0]), geq([-1, 0, 0, 1])]]);
+        check(&a, &b).unwrap();
+        assert_eq!(a.subtract(&b), a);
+    }
+
+    #[test]
+    fn negated_row_equal_to_an_earlier_row_of_the_subtrahend() {
+        // b = {i >= 5, i <= 4}: ¬(4 - i >= 0) is i - 5 >= 0, b's first row,
+        // so the second piece is the prefix alone.
+        let b = set(&[&[geq([-5, 0, 1, 0]), geq([4, 0, -1, 0])]]);
+        let neg = Complement::of(&b.conjuncts[0]).unwrap();
+        assert!(matches!(
+            neg.pieces[..],
+            [
+                Piece::Free { k: 0, neg: Some(_) },
+                Piece::Free { k: 1, neg: None }
+            ]
+        ));
+        let a = set(&[&[geq([0, 0, 1, 0]), geq([9, 0, -1, 0])]]);
+        check(&a, &b).unwrap();
+        for i in 0..=9 {
+            assert!(a.subtract(&b).contains(&[0, 0, 0], &[i, 0]));
+        }
+    }
+
+    #[test]
+    fn equality_row_gives_two_pieces() {
+        let b = set(&[&[row(ConstraintKind::Eq, [0, 0, 1, -1])]]);
+        let neg = Complement::of(&b.conjuncts[0]).unwrap();
+        assert_eq!(neg.pieces.len(), 2);
+        let a = set(&[&[
+            geq([0, 0, 1, 0]),
+            geq([3, 0, -1, 0]),
+            geq([0, 0, 0, 1]),
+            geq([3, 0, 0, -1]),
+        ]]);
+        check(&a, &b).unwrap();
+        let d = a.subtract(&b);
+        for (i, j) in (0..=3).flat_map(|i| (0..=3).map(move |j| (i, j))) {
+            assert_eq!(d.contains(&[0, 0, 0], &[i, j]), i != j, "({i}, {j})");
+        }
+        // Rows equal to the equality's negations come after it in `b`, so
+        // they are no prefix of its pieces; their own negations are.
+        let b = set(&[&[
+            geq([-1, 0, 1, -1]),
+            row(ConstraintKind::Eq, [0, 0, 1, -1]),
+            geq([-1, 0, -1, 1]),
+        ]]);
+        let neg = Complement::of(&b.conjuncts[0]).unwrap();
+        assert!(matches!(
+            neg.pieces[..],
+            [
+                Piece::Free { k: 0, neg: Some(_) },
+                Piece::Free { k: 0, neg: Some(_) },
+                Piece::Free { k: 1, neg: Some(_) },
+                Piece::Free { k: 2, neg: Some(_) },
+            ]
+        ));
+        check(&a, &b).unwrap();
+    }
+
+    #[test]
+    fn universe_minuend() {
+        // The universe has no rows: only the piece's rows key the query.
+        let u = Set::universe(&sp());
+        let b = set(&[
+            &[geq([0, 0, 1, 0]), geq([-2, 1, -1, 0])],
+            &[geq([0, 0, 0, 1])],
+        ]);
+        check(&u, &b).unwrap();
+        assert!(u.subtract(&b).union(&b).same_set(&u));
+        // Universe minus universe: the one piece set is empty.
+        check(&u, &u).unwrap();
+        assert!(u.subtract(&u).is_empty());
+    }
+
+    #[test]
+    fn known_false_minuend_or_subtrahend() {
+        let s = sp();
+        let a = set(&[&[geq([0, 0, 1, 0]), geq([3, 0, -1, 0])]]);
+        // ¬FALSE is the universe: one piece, which keeps `a` whole and
+        // asks about each conjunct of `a` as is.
+        let neg = Complement::of(&Conjunct::empty(&s)).unwrap();
+        assert!(matches!(neg.pieces[..], [Piece::Free { k: 0, neg: None }]));
+        check_minus(&a, &[Conjunct::empty(&s)]).unwrap();
+        check_minus(&Set::universe(&s), &[Conjunct::empty(&s)]).unwrap();
+        let d = a.minus_conjunct(&Conjunct::empty(&s), &mut Vec::new());
+        assert_eq!(d, Some(a.clone()));
+        // A known-false conjunct among the minuends yields nothing.
+        let with_false = Set {
+            space: s.clone(),
+            conjuncts: vec![Conjunct::empty(&s), a.conjuncts[0].clone()],
+        };
+        check_minus(&with_false, &set(&[&[geq([-1, 0, 1, 0])]]).conjuncts).unwrap();
+        check_minus(&with_false, &[Conjunct::empty(&s)]).unwrap();
+        // Through the public API a contradiction is an empty set.
+        let mut contradiction = Conjunct::universe(&s);
+        contradiction.add_constraint(&row(ConstraintKind::Eq, [-1, 0, 2, 0]));
+        assert!(contradiction.is_known_false());
+        let empty = Set::from_conjunct(contradiction);
+        check(&a, &empty).unwrap();
+        check(&empty, &a).unwrap();
+    }
 }
 
 #[cfg(test)]

@@ -1,8 +1,9 @@
 //! Satisfiability-pipeline instrumentation.
 //!
 //! The tiered solver (the private `sat` module) reports which tier answered each
-//! query and how the tier-2 memo cache behaved. Each probe is one relaxed
-//! atomic increment, always compiled in.
+//! query and how the tier-2 memo cache behaved, and set difference reports
+//! how many pairs it tested and built. Each probe is one relaxed atomic
+//! increment, always compiled in.
 
 /// Records `n` events against the named counter. Used as
 /// `bump!(cache_hits)` or `bump!(evictions, n)`.
@@ -109,6 +110,8 @@ define_counters! {
     degrade_depth: "Degradations caused by exceeding Limits::max_depth (OmegaError::DepthExceeded).",
     degrade_rowcap: "Degradations caused by exceeding Limits::row_cap (OmegaError::RowCapExceeded).",
     degrade_deadline: "Degradations caused by the Limits::deadline wall-clock firing (OmegaError::DeadlineExceeded).",
+    subtract_pairs: "Pairs `a ∧ piece` that Set::try_subtract tested, a minuend conjunct against one piece of a subtrahend conjunct's complement.",
+    subtract_built: "Conjuncts `a ∧ piece` that Set::try_subtract built: the satisfiable local-free pairs, and every pair with locals (built before its sat check).",
     par_batches: "Always 0: every generation runs on its calling thread, so nothing fans out. Kept so existing readers of the counter set keep working.",
     par_tasks: "Always 0 (see par_batches).",
     par_steals: "Always 0 (see par_batches).",
@@ -220,6 +223,8 @@ mod tests {
             "degrade_depth",
             "degrade_rowcap",
             "degrade_deadline",
+            "subtract_pairs",
+            "subtract_built",
             "par_batches",
             "par_tasks",
             "par_steals",

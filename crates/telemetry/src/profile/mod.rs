@@ -2,10 +2,13 @@
 //!
 //! A POSIX interval timer delivers process-directed SIGPROF at a fixed
 //! rate; the handler captures a frame-pointer backtrace of whichever
-//! thread the kernel interrupted into that thread's lock-free sample ring
-//! (claimed once per thread from a preallocated pool under a fixed byte
-//! budget), tags it with the innermost active `omega::trace` span, and
-//! returns. Nothing in the signal path allocates, locks, or faults: stack
+//! thread the kernel interrupted into the next free slot of one
+//! preallocated pool (a fixed byte budget shared by every thread, each
+//! slot claimed with one atomic increment), tags it with the innermost
+//! active `omega::trace` span, and returns. One busy thread can fill the
+//! whole pool; once it is full, later samples are counted as dropped, so
+//! a session keeps its first samples. Nothing in the signal path
+//! allocates, locks, or faults: stack
 //! memory is read through `process_vm_readv` on our own pid, so a bogus
 //! frame pointer ends the walk with `-EFAULT` instead of killing the
 //! process, and a start-time self-test downgrades to pc-only samples if
@@ -67,7 +70,9 @@ pub struct Options {
     pub mode: Mode,
     /// Samples per second (clamped to `1..=1000`). 99 Hz default — the
     /// conventional prime-ish rate that avoids lockstep with periodic
-    /// work.
+    /// work. The CPU clock fires no faster than the kernel tick, so high
+    /// rates are capped by it: `hz: 997` gave about 250 samples/s on a
+    /// 250 Hz-tick Linux VM.
     pub hz: u32,
 }
 
@@ -130,7 +135,7 @@ pub struct RawSample {
 pub struct Profile {
     /// Captured samples across all threads.
     pub samples: Vec<RawSample>,
-    /// Samples lost to ring overwrites or pool exhaustion.
+    /// Samples lost because the slot pool was full.
     pub dropped: u64,
     /// Sampling clock.
     pub mode: Mode,
@@ -179,7 +184,7 @@ pub struct ResolvedProfile {
     pub stacks: Vec<StackSample>,
     /// Raw samples that went into the aggregation.
     pub sample_count: u64,
-    /// Samples lost to ring overwrites or pool exhaustion.
+    /// Samples lost because the slot pool was full.
     pub dropped: u64,
     /// Sampling clock.
     pub mode: Mode,
@@ -324,49 +329,34 @@ static LAST_SAMPLES: AtomicU64 = AtomicU64::new(0);
 ))]
 mod sampler {
     use super::*;
-    use std::cell::{Cell, UnsafeCell};
+    use std::cell::UnsafeCell;
     use std::sync::atomic::{AtomicBool, AtomicU32};
     use std::sync::OnceLock;
 
     pub(super) const MAX_FRAMES: usize = 64;
-    const MAX_THREADS: usize = 64;
-    /// Total sample-slot budget: ~4 MiB across all threads.
+    /// Total sample-slot budget: ~4 MiB (about 7,800 samples) shared by
+    /// every thread.
     const BUDGET_BYTES: usize = 4 << 20;
 
     struct Slot {
+        /// Frame count; 0 until the claiming handler has written the slot.
         len: AtomicU32,
         span_ptr: AtomicUsize,
         span_len: AtomicUsize,
         frames: UnsafeCell<[u64; MAX_FRAMES]>,
     }
 
-    // Single writer (the owning thread's signal handler; handlers on one
-    // thread are serialized by the kernel's sa_mask); readers only run
-    // after the session quiesces, ordered by the Release head store.
+    // SAFETY: the atomics are Sync; `frames` has a single writer, the one
+    // handler whose increment of `Pool::next` claimed the slot this
+    // session, and readers only run after the session quiesces, ordered
+    // by the Release `len` store.
     unsafe impl Sync for Slot {}
 
-    struct Ring {
-        claimed: AtomicBool,
-        head: AtomicUsize,
-        slots: Box<[Slot]>,
-    }
-
-    impl Ring {
-        fn push(&self, frames: &[u64], span_ptr: usize, span_len: usize) {
-            let h = self.head.load(Ordering::Relaxed);
-            let slot = &self.slots[h % self.slots.len()];
-            unsafe {
-                (&mut *slot.frames.get())[..frames.len()].copy_from_slice(frames);
-            }
-            slot.span_ptr.store(span_ptr, Ordering::Relaxed);
-            slot.span_len.store(span_len, Ordering::Relaxed);
-            slot.len.store(frames.len() as u32, Ordering::Relaxed);
-            self.head.store(h + 1, Ordering::Release);
-        }
-    }
-
     pub(super) struct Pool {
-        rings: Box<[Ring]>,
+        slots: Box<[Slot]>,
+        /// Slots claimed this session (may run past `slots.len()`; the
+        /// claims past it are the dropped samples).
+        next: AtomicUsize,
         dropped: AtomicU64,
         pid: i32,
         pc_only: AtomicBool,
@@ -376,30 +366,19 @@ mod sampler {
     static COLLECTING: AtomicBool = AtomicBool::new(false);
     static HANDLER_INSTALLED: AtomicBool = AtomicBool::new(false);
 
-    thread_local! {
-        static MY_RING: Cell<*const Ring> = const { Cell::new(std::ptr::null()) };
-    }
-
     fn pool() -> &'static Pool {
         POOL.get_or_init(|| {
-            let slot_bytes = std::mem::size_of::<Slot>();
-            let per_ring = (BUDGET_BYTES / MAX_THREADS / slot_bytes).max(8);
-            let rings = (0..MAX_THREADS)
-                .map(|_| Ring {
-                    claimed: AtomicBool::new(false),
-                    head: AtomicUsize::new(0),
-                    slots: (0..per_ring)
-                        .map(|_| Slot {
-                            len: AtomicU32::new(0),
-                            span_ptr: AtomicUsize::new(0),
-                            span_len: AtomicUsize::new(0),
-                            frames: UnsafeCell::new([0; MAX_FRAMES]),
-                        })
-                        .collect(),
-                })
-                .collect();
+            let n = BUDGET_BYTES / std::mem::size_of::<Slot>();
             Pool {
-                rings,
+                slots: (0..n)
+                    .map(|_| Slot {
+                        len: AtomicU32::new(0),
+                        span_ptr: AtomicUsize::new(0),
+                        span_len: AtomicUsize::new(0),
+                        frames: UnsafeCell::new([0; MAX_FRAMES]),
+                    })
+                    .collect(),
+                next: AtomicUsize::new(0),
                 dropped: AtomicU64::new(0),
                 pid: sys::getpid(),
                 pc_only: AtomicBool::new(false),
@@ -408,17 +387,24 @@ mod sampler {
     }
 
     impl Pool {
-        fn claim(&self) -> *const Ring {
-            for r in self.rings.iter() {
-                if !r.claimed.load(Ordering::Relaxed)
-                    && r.claimed
-                        .compare_exchange(false, true, Ordering::AcqRel, Ordering::Relaxed)
-                        .is_ok()
-                {
-                    return r as *const Ring;
-                }
+        /// Writes one sample into the next free slot, or counts it as
+        /// dropped when the pool is full. Lock-free: one atomic increment.
+        fn push(&self, frames: &[u64], span_ptr: usize, span_len: usize) {
+            // Relaxed: the claim publishes nothing; the slot's Release
+            // `len` store publishes what is written into it.
+            let Some(slot) = self.slots.get(self.next.fetch_add(1, Ordering::Relaxed)) else {
+                self.dropped.fetch_add(1, Ordering::Relaxed);
+                return;
+            };
+            // SAFETY: the increment above gave this handler the slot, so it
+            // is the slot's only writer this session, and no reader runs
+            // until the session quiesces.
+            unsafe {
+                (&mut *slot.frames.get())[..frames.len()].copy_from_slice(frames);
             }
-            std::ptr::null()
+            slot.span_ptr.store(span_ptr, Ordering::Relaxed);
+            slot.span_len.store(span_len, Ordering::Relaxed);
+            slot.len.store(frames.len() as u32, Ordering::Release);
         }
     }
 
@@ -432,20 +418,6 @@ mod sampler {
         }
         let Some(pool) = POOL.get() else { return };
         let (pc, fp) = unsafe { sys::ucontext_pc_fp(uctx as *const u8) };
-        let ring = MY_RING.with(|c| {
-            let p = c.get();
-            if !p.is_null() {
-                return p;
-            }
-            let p = pool.claim();
-            c.set(p);
-            p
-        });
-        if ring.is_null() {
-            pool.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        let ring = unsafe { &*ring };
         let mut frames = [0u64; MAX_FRAMES];
         frames[0] = pc;
         let mut n = 1;
@@ -476,7 +448,7 @@ mod sampler {
             }
         }
         let (span_ptr, span_len) = current_span_raw();
-        ring.push(&frames[..n], span_ptr, span_len);
+        pool.push(&frames[..n], span_ptr, span_len);
     }
 
     pub(super) struct Active {
@@ -499,9 +471,10 @@ mod sampler {
             }
             HANDLER_INSTALLED.store(true, Ordering::Release);
         }
-        for r in pool.rings.iter() {
-            r.head.store(0, Ordering::Relaxed);
+        for slot in pool.slots.iter() {
+            slot.len.store(0, Ordering::Relaxed);
         }
+        pool.next.store(0, Ordering::Relaxed);
         pool.dropped.store(0, Ordering::Relaxed);
 
         let hz = opts.hz.clamp(1, 1000);
@@ -525,37 +498,29 @@ mod sampler {
 
         let pool = pool();
         let mut samples = Vec::new();
-        let mut dropped = pool.dropped.load(Ordering::Relaxed);
-        for ring in pool.rings.iter() {
-            let head = ring.head.load(Ordering::Acquire);
-            if head == 0 {
+        let claimed = pool.next.load(Ordering::Relaxed);
+        for slot in pool.slots.iter().take(claimed) {
+            let len = slot.len.load(Ordering::Acquire) as usize;
+            if len == 0 || len > MAX_FRAMES {
                 continue;
             }
-            let cap = ring.slots.len();
-            dropped += head.saturating_sub(cap) as u64;
-            for slot in ring.slots.iter().take(head.min(cap)) {
-                let len = slot.len.load(Ordering::Acquire) as usize;
-                if len == 0 || len > MAX_FRAMES {
-                    continue;
-                }
-                let frames = unsafe { (&*slot.frames.get())[..len].to_vec() };
-                let span_ptr = slot.span_ptr.load(Ordering::Relaxed);
-                let span_len = slot.span_len.load(Ordering::Relaxed);
-                // (ptr, len) pairs only ever come from `&'static str`
-                // span names written by this slot's owning thread.
-                let span = if span_ptr != 0 && span_len > 0 && span_len < 1024 {
-                    std::str::from_utf8(unsafe {
-                        std::slice::from_raw_parts(span_ptr as *const u8, span_len)
-                    })
-                    .ok()
-                    .map(str::to_owned)
-                } else {
-                    None
-                };
-                samples.push(RawSample { frames, span });
-            }
+            let frames = unsafe { (&*slot.frames.get())[..len].to_vec() };
+            let span_ptr = slot.span_ptr.load(Ordering::Relaxed);
+            let span_len = slot.span_len.load(Ordering::Relaxed);
+            // (ptr, len) pairs only ever come from `&'static str` span
+            // names written by the handler that claimed this slot.
+            let span = if span_ptr != 0 && span_len > 0 && span_len < 1024 {
+                std::str::from_utf8(unsafe {
+                    std::slice::from_raw_parts(span_ptr as *const u8, span_len)
+                })
+                .ok()
+                .map(str::to_owned)
+            } else {
+                None
+            };
+            samples.push(RawSample { frames, span });
         }
-        (samples, dropped)
+        (samples, pool.dropped.load(Ordering::Relaxed))
     }
 
     pub(super) fn pc_only() -> bool {
@@ -688,8 +653,12 @@ mod tests {
         std::hint::black_box(acc)
     }
 
+    /// Sessions are exclusive per process: tests that start one take turns.
+    static SESSION_TURN: Mutex<()> = Mutex::new(());
+
     #[test]
     fn cpu_profile_captures_and_attributes_hot_loop() {
+        let _turn = SESSION_TURN.lock().unwrap_or_else(|e| e.into_inner());
         span_enter("profile_test_span");
         let opts = Options {
             mode: Mode::Cpu,
@@ -725,5 +694,31 @@ mod tests {
         assert!(!st.active);
         assert!(st.sessions >= 1);
         assert!(st.last_samples > 0);
+    }
+
+    /// One busy thread may use the whole slot budget: a 5 s loop keeps
+    /// (nearly) every sample it took, where per-thread rings kept only
+    /// the last ~122.
+    #[test]
+    fn one_busy_thread_keeps_its_samples() {
+        let _turn = SESSION_TURN.lock().unwrap_or_else(|e| e.into_inner());
+        start(Options {
+            mode: Mode::Cpu,
+            hz: 997,
+        })
+        .unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while Instant::now() < deadline {
+            profile_test_hot_loop(200_000);
+        }
+        let profile = stop().unwrap();
+        let kept = profile.samples.len() as u64;
+        let taken = kept + profile.dropped;
+        assert!(taken > 250, "a 5 s CPU loop took only {taken} samples");
+        assert!(
+            kept * 100 >= taken * 95,
+            "kept {kept} of {taken} samples ({} dropped)",
+            profile.dropped
+        );
     }
 }

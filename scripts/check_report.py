@@ -37,6 +37,8 @@ COUNTER_FIELDS = (
     "degrade_depth",
     "degrade_rowcap",
     "degrade_deadline",
+    "subtract_pairs",
+    "subtract_built",
     "par_batches",
     "par_tasks",
     "par_steals",
@@ -114,6 +116,11 @@ def check_report(r):
         raise AssertionError(
             f"exact_solves {r['exact_solves']} != derived {derived} from counters"
         )
+    # Set difference builds a conjunct for at most every pair it tests.
+    if c["subtract_built"] > c["subtract_pairs"]:
+        raise AssertionError(
+            f"subtract_built {c['subtract_built']} > subtract_pairs {c['subtract_pairs']}"
+        )
     if "retained" in r and not isinstance(r["retained"], str):
         raise AssertionError(f"retained is not a path string: {r['retained']!r}")
     if r["slow"] is False and "retained" in r:
@@ -154,6 +161,8 @@ def sample():
     counters["cache_misses"] = 7
     counters["tier0_unsat"] = 1
     counters["tier1_sat"] = 2
+    counters["subtract_pairs"] = 9
+    counters["subtract_built"] = 3
     return {
         "event": "report",
         "id": "r-000001",
@@ -192,6 +201,10 @@ def self_test():
     bad_counters_extra["counters"]["not_a_counter"] = 1
     bad_counters_missing = sample()
     del bad_counters_missing["counters"]["par_steals"]
+    bad_subtract_missing = sample()
+    del bad_subtract_missing["counters"]["subtract_built"]
+    bad_subtract_built = sample()
+    bad_subtract_built["counters"]["subtract_built"] = 10
     bad = [
         mutate(id=None),  # missing required field
         mutate(status="maybe"),  # unknown status
@@ -207,6 +220,8 @@ def self_test():
         mutate(event="request"),  # not a report
         bad_counters_extra,
         bad_counters_missing,
+        bad_subtract_missing,
+        bad_subtract_built,  # more conjuncts built than pairs tested
     ]
     for r in bad:
         try:

@@ -7,6 +7,9 @@
 //! - Table 1 at n = 64, CodeGen+ and CLooG at their default options;
 //! - difftest seeds 0–99, CodeGen+ at efforts 0–2 and CLooG at its
 //!   default options;
+//! - both again for CLooG without compaction (`compact: false`), whose
+//!   separation subtracts more and so reaches more of the set-difference
+//!   path;
 //!
 //! hashes each program's C text (FNV-1a, 64 bit; a generation error
 //! hashes its message) and compares every hash with
@@ -16,7 +19,7 @@
 
 use bench_harness::{generate, statements_of, Tool};
 use chill::recipes;
-use cloog::Cloog;
+use cloog::{Cloog, Options};
 use codegenplus::{CodeGen, CodeGenError, Generated};
 
 const DIGESTS: &str = include_str!("byte_identity.digests");
@@ -61,6 +64,27 @@ fn programs() -> Vec<(String, String)> {
         }
         let g = Cloog::new().statements(stmts).generate();
         out.push((format!("seed/{seed}/cloog"), text(g)));
+    }
+    let uncompacted = Options {
+        compact: false,
+        ..Options::default()
+    };
+    for k in recipes::all(64) {
+        let tool = Tool::Cloog {
+            options: uncompacted,
+        };
+        out.push((
+            format!("table1/{}/cloog/compact=off", k.name),
+            generate(&statements_of(&k), tool).0.to_c(),
+        ));
+    }
+    for seed in 0..SEEDS {
+        let stmts = difftest::gen_case(seed).statements();
+        let g = Cloog::new()
+            .statements(stmts)
+            .options(uncompacted)
+            .generate();
+        out.push((format!("seed/{seed}/cloog/compact=off"), text(g)));
     }
     out
 }
