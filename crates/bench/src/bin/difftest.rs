@@ -219,13 +219,13 @@ fn write_artifacts(out: &Path, seed: u64, case: &DiffCase, minimize: bool) -> st
     std::fs::create_dir_all(&qdir)?;
     omega::reset_sat_cache();
     let collector = omega::trace::Collector::new();
-    collector.dump_queries(&qdir);
+    collector.buffer_queries();
     let _ = codegen_for(&final_case.statements(), effort)
         .trace(collector.clone())
         .generate();
-    let n = std::fs::read_dir(&qdir)?.count();
+    let (n, dropped) = collector.write_buffered_dumps(&qdir)?;
     println!(
-        "artifacts in {}: case-{seed}.difftest{} and {n} .omega query dumps",
+        "artifacts in {}: case-{seed}.difftest{} and {n} .omega query dumps ({dropped} dropped past the buffer cap)",
         out.display(),
         if minimize {
             format!(", case-{seed}.min.difftest")

@@ -25,13 +25,16 @@
 //! daemon logs per job and serves at `/debug/requests` — so batch and
 //! daemon cost attribution share one vocabulary
 //! (`scripts/check_report.py` validates both sides). Its `counters` are
-//! the solver work of one untimed cold-cache CodeGen+ generation. The
-//! ablation cells follow as a top-level `ablations` array.
+//! the solver work of one untimed cold-cache CodeGen+ generation, and its
+//! `phases` are that generation's per-phase wall times, summed by the
+//! span hook (`telemetry::span_hook`, installed for the whole run) inside
+//! a `telemetry::profile::timed` scope. The ablation cells follow as a
+//! top-level `ablations` array.
 //!
 //! With `--trace FILE.json`, one extra cold-cache CodeGen+ generation per
 //! kernel runs under a span collector; the merged trace is written as
 //! Chrome trace-event JSON (loadable in Perfetto / `chrome://tracing`)
-//! together with a hot-spot summary and per-span latency histograms. An
+//! together with a hot-spot summary. An
 //! existing trace file is not overwritten unless `--force` is given. With
 //! `--dump-dir DIR`, every tier-2 solver query of the traced runs is also
 //! written as a replayable `.omega` dump (see `omega-replay`).
@@ -112,15 +115,14 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
+    // The one always-on span sink, as in the daemon: it times the
+    // reports' phases and, under --profile, gives each sample a
+    // `span:<name>` root for the innermost open solver phase.
+    omega::trace::install_span_hook(telemetry::span_hook);
     let mut profiling = false;
     if profile_path.is_some() {
         match telemetry::profile::start(telemetry::profile::Options::default()) {
-            Ok(()) => {
-                // Span attribution, as in the daemon: each sample gets a
-                // `span:<name>` root for the innermost open solver phase.
-                omega::trace::install_span_hook(telemetry::span_hook);
-                profiling = true;
-            }
+            Ok(()) => profiling = true,
             Err(e) => eprintln!(
                 "--profile requested but the sampler is unavailable ({}); running unprofiled",
                 e.as_str()
@@ -128,9 +130,10 @@ fn main() -> ExitCode {
         }
     }
     let collector = (trace_path.is_some() || dump_dir.is_some()).then(omega::trace::Collector::new);
-    if let (Some(c), Some(d)) = (&collector, &dump_dir) {
-        c.dump_queries(d);
+    if let (Some(c), Some(_)) = (&collector, &dump_dir) {
+        c.buffer_queries();
     }
+    let mut dumps = (0, 0);
     let gcc_ok = use_gcc && gcc_available();
     if use_gcc && !gcc_ok {
         eprintln!("--gcc requested but no usable gcc found; skipping real-compiler columns");
@@ -162,10 +165,11 @@ fn main() -> ExitCode {
         // so they repeat exactly from run to run (the timing loop below
         // repeats as often as the measured time allows). It runs first,
         // leaving the rest of the row a cache that holds this kernel's
-        // CG+ answers.
+        // CG+ answers. Its phases are timed per span name on this thread.
         omega::reset_sat_cache();
         let before = omega::stats::snapshot();
-        generate(&statements_of(&kernel), Tool::codegenplus());
+        let (_, spans) =
+            telemetry::profile::timed(|| generate(&statements_of(&kernel), Tool::codegenplus()));
         let counters = omega::stats::snapshot().delta(&before);
         let cold_queries = counters.cache_hits + counters.cache_misses;
         // Solver activity attributable to *this* kernel, from the trace
@@ -186,8 +190,7 @@ fn main() -> ExitCode {
             // The same wide-event schema the codegend daemon logs per job
             // and serves at /debug/requests, so batch and daemon cost
             // attribution diff field-for-field (scripts/check_report.py
-            // validates both). Phases stay empty here: the Table 1
-            // measurements run untraced so timing stays undisturbed.
+            // validates both).
             let report = omega::report::QueryReport {
                 id: format!("table1-{}", row.name),
                 kind: "kernel",
@@ -202,7 +205,12 @@ fn main() -> ExitCode {
                 compile_ns: row.cgplus.compile_time.as_nanos() as u64,
                 request_ns: row_ns,
                 certainty: row.cgplus.certainty.clone(),
-                phases: Vec::new(),
+                phases: spans
+                    .spans
+                    .iter()
+                    .filter(|s| omega::report::is_phase_name(s.name))
+                    .map(|s| (s.name, s.ns))
+                    .collect(),
                 counters,
                 slow: false,
                 retained: None,
@@ -305,12 +313,17 @@ fn main() -> ExitCode {
             json_ablations.push(json + "}");
         }
         if let Some(c) = &collector {
-            println!("         cg+ codegen reps: {}", row.cgplus.codegen_hist);
             let before = omega::stats::snapshot();
             trace_kernel(&kernel, c);
             let after = omega::stats::snapshot();
             expected_sat_exact += after.exact_solves() - before.exact_solves();
             expected_gist_exact += after.gist_misses - before.gist_misses;
+            // Written per kernel, so the buffer's cap bounds one kernel's
+            // queries, not the whole run's.
+            if let Some(d) = &dump_dir {
+                let (written, dropped) = c.write_buffered_dumps(d).expect("write query dumps");
+                dumps = (dumps.0 + written, dumps.1 + dropped);
+            }
         }
     }
     println!("\n(All rows verified: both tools execute identical statement traces.)");
@@ -356,13 +369,6 @@ fn main() -> ExitCode {
         assert!(trace.is_well_formed(), "recorded trace is not well-formed");
         println!("\n--- trace summary (cold-cache CodeGen+ runs) ---");
         print!("{}", trace.hotspots(14));
-        println!("\nper-span latency (log-bucketed, merged across threads):");
-        for name in ["sat_query", "sat_exact", "gist_query", "gist_exact"] {
-            let h = trace.histogram(name);
-            if h.count() > 0 {
-                println!("{name:<12} {h}");
-            }
-        }
         let sat_spans = trace.count_named("sat_exact") as u64;
         let gist_spans = trace.count_named("gist_exact") as u64;
         assert_eq!(
@@ -397,7 +403,12 @@ fn main() -> ExitCode {
             );
         }
         if let Some(d) = &dump_dir {
-            println!("replayable query dumps in {}", d.display());
+            println!(
+                "replayable query dumps in {} ({} written, {} dropped past the buffer cap)",
+                d.display(),
+                dumps.0,
+                dumps.1
+            );
         }
     }
     if let Some(p) = &json_path {

@@ -105,11 +105,6 @@ pub struct ToolReport {
     /// `exact` or `approximate:reason+reason` — the
     /// [`omega::Certainty`] rendering the daemon reports too.
     pub certainty: String,
-    /// Log-bucketed histogram of every code-generation repetition's
-    /// wall-clock time; [`ToolReport::codegen_time`] is its median. The
-    /// histogram keeps the full latency distribution mergeable across
-    /// kernels and runs instead of a single number.
-    pub codegen_hist: omega::trace::LogHistogram,
 }
 
 /// Pads and converts a kernel's statements for the generators.
@@ -170,10 +165,6 @@ fn run_compiled(g: &Generated, kernel: &Kernel) -> (u64, u64, Duration) {
 /// One tool's Table 1 cell group from its last generated program and the
 /// wall-clock time of every repetition.
 fn report(kernel: &Kernel, g: &Generated, mut times: Vec<Duration>) -> ToolReport {
-    let mut codegen_hist = omega::trace::LogHistogram::new();
-    for t in &times {
-        codegen_hist.record(t.as_nanos() as u64);
-    }
     times.sort_unstable();
     let (dynamic_cost, instances, compile_time) = run_compiled(g, kernel);
     let code = g.to_c();
@@ -185,7 +176,6 @@ fn report(kernel: &Kernel, g: &Generated, mut times: Vec<Duration>) -> ToolRepor
         instances,
         bytes: code.len() + usize::from(!code.ends_with('\n')),
         certainty: g.certainty.to_string(),
-        codegen_hist,
     }
 }
 

@@ -32,7 +32,8 @@
 //! two mutually redundant rows survives.
 //!
 //! Dumps are produced automatically when a [`crate::trace::Collector`]
-//! with [`crate::trace::Collector::dump_queries`] enabled is installed
+//! with [`crate::trace::Collector::buffer_queries`] enabled is installed,
+//! written out with [`crate::trace::Collector::write_buffered_dumps`]
 //! (see `table1 --dump-dir`), and replayed with the `omega-replay` binary
 //! or [`replay_str`] / [`replay_file`].
 

@@ -3,13 +3,13 @@
 //! One record per codegen job carrying everything cost attribution
 //! needs: identity (id, kind, source), outcome (status, certainty,
 //! error), sizes (lines, bytes), wall times (codegen, compile, whole
-//! request), per-phase inclusive times harvested from the span trace,
-//! the [`crate::stats`] counter *deltas* the job caused, and the
-//! tail-sampling verdict (`slow`, retained-artifact path).
+//! request), per-phase inclusive times, the [`crate::stats`] counter
+//! *deltas* the job caused, and the tail-sampling verdict (`slow`,
+//! retained-artifact path).
 //!
-//! The report lives here, next to the [`crate::stats::Snapshot`],
-//! [`crate::Certainty`] and [`crate::trace::Trace`] it is built from, so
-//! every producer can build one without depending on another:
+//! The report lives here, next to the [`crate::stats::Snapshot`] and
+//! [`crate::Certainty`] it is built from, so every producer can build one
+//! without depending on another:
 //!
 //! * the `codegend` daemon's structured request log (one
 //!   `"event":"report"` JSON line per job) and its in-memory ring behind
@@ -18,11 +18,12 @@
 //!   batch and daemon attribution diff field-for-field (see
 //!   `scripts/check_report.py`).
 //!
-//! Counter deltas are process-wide counters sampled around the job:
-//! under concurrent jobs a delta can include a neighbor's events. That
-//! is documented imprecision (DESIGN.md "Introspection"), acceptable
-//! because attribution is for diagnosis, not billing; at `table1`'s
-//! sequential pace the deltas are exact.
+//! Both producers take a job's phases and counters from the job's own
+//! thread: phases from the span hook's per-thread timing
+//! (`telemetry::profile::timed`, filtered by [`is_phase_name`]) and
+//! counters from [`crate::stats::thread_snapshot`] deltas. A generation
+//! runs on one thread, so both are exact under concurrent jobs, and
+//! neither needs a span `Collector`.
 
 use std::fmt::Write as _;
 
@@ -62,10 +63,11 @@ pub struct QueryReport {
     /// The [`crate::Certainty`] rendering: `exact` or
     /// `approximate:reason+reason` (empty on error).
     pub certainty: String,
-    /// Per-phase inclusive nanoseconds from the span collector, empty
-    /// when the job ran untraced. Phase vocabulary = [`is_phase_name`].
+    /// Per-phase inclusive nanoseconds, one total per phase name seen in
+    /// the job, sorted by name. Phase vocabulary = [`is_phase_name`].
     pub phases: Vec<(&'static str, u64)>,
-    /// [`crate::stats`] counter deltas over the job.
+    /// [`crate::stats`] counter deltas over the job, from its own thread
+    /// ([`crate::stats::thread_snapshot`]).
     pub counters: crate::stats::Snapshot,
     /// True when tail sampling retained this job (over `--slow-ms`,
     /// errored, or degraded).
@@ -167,24 +169,6 @@ pub fn is_phase_name(name: &str) -> bool {
         )
 }
 
-/// Aggregates a finished span trace into `(phase, inclusive ns)` totals
-/// over the [`is_phase_name`] vocabulary, sorted by phase name so the
-/// rendering is deterministic.
-pub fn phase_totals(trace: &crate::trace::Trace) -> Vec<(&'static str, u64)> {
-    let mut totals: Vec<(&'static str, u64)> = Vec::new();
-    trace.walk(&mut |span| {
-        if !is_phase_name(span.name) {
-            return;
-        }
-        match totals.iter_mut().find(|(n, _)| *n == span.name) {
-            Some((_, ns)) => *ns += span.duration_ns(),
-            None => totals.push((span.name, span.duration_ns())),
-        }
-    });
-    totals.sort_by_key(|(n, _)| *n);
-    totals
-}
-
 /// Unix milliseconds now — the `ts_ms` stamp for reports built outside
 /// a logger.
 pub fn now_ms() -> u64 {
@@ -253,19 +237,5 @@ mod tests {
         assert!(is_phase_name("pass_fold"));
         assert!(is_phase_name("sat_exact"));
         assert!(!is_phase_name("anything_else"));
-    }
-
-    #[test]
-    fn phase_totals_aggregate_and_sort() {
-        let c = crate::trace::Collector::new();
-        crate::trace::with_collector(Some(c.clone()), || {
-            let _a = crate::span!(cg_generate);
-            let _b = crate::span!(fm_eliminate);
-            drop(_b);
-            let _b2 = crate::span!(fm_eliminate);
-        });
-        let totals = phase_totals(&c.finish());
-        let names: Vec<&str> = totals.iter().map(|(n, _)| *n).collect();
-        assert_eq!(names, vec!["cg_generate", "fm_eliminate"]);
     }
 }

@@ -3,7 +3,8 @@
 //! The tiered solver (the private `sat` module) reports which tier answered each
 //! query and how the tier-2 memo cache behaved, and set difference reports
 //! how many pairs it tested and built. Each probe is one relaxed atomic
-//! increment, always compiled in.
+//! increment of [`COUNTERS`] plus a plain add to the calling thread's copy
+//! ([`thread_snapshot`]), always compiled in.
 
 /// Records `n` events against the named counter. Used as
 /// `bump!(cache_hits)` or `bump!(evictions, n)`.
@@ -12,9 +13,11 @@ macro_rules! bump {
         $crate::stats::bump!($field, 1u64)
     };
     ($field:ident, $n:expr) => {{
-        $crate::stats::COUNTERS
-            .$field
-            .fetch_add($n as u64, ::std::sync::atomic::Ordering::Relaxed);
+        use ::std::sync::atomic::Ordering::Relaxed;
+        let n = $n as u64;
+        $crate::stats::COUNTERS.$field.fetch_add(n, Relaxed);
+        // Only this thread writes its copy: no read-modify-write needed.
+        $crate::stats::THREAD.with(|t| t.$field.store(t.$field.load(Relaxed) + n, Relaxed));
     }};
 }
 pub(crate) use bump;
@@ -22,10 +25,10 @@ pub(crate) use bump;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The single source of truth for the counter list: generates
-/// [`Counters`], the [`COUNTERS`] static, [`Snapshot`], [`snapshot`],
-/// [`reset`], and `Snapshot`'s `Display` from one field list, so a new
-/// counter cannot drift out of one of the (previously hand-written)
-/// copies.
+/// [`Counters`], the [`COUNTERS`] static and its per-thread copy,
+/// [`Snapshot`], [`snapshot`], [`thread_snapshot`], [`reset`], and
+/// `Snapshot`'s `Display` from one field list, so a new counter cannot
+/// drift out of one of the (previously hand-written) copies.
 macro_rules! define_counters {
     ($($field:ident: $doc:literal),+ $(,)?) => {
         /// Live counters for the satisfiability pipeline.
@@ -34,12 +37,26 @@ macro_rules! define_counters {
             $(#[doc = $doc] pub $field: AtomicU64,)+
         }
 
-        /// The process-wide counter instance the `bump!` probes target.
-        pub static COUNTERS: Counters = Counters {
-            $($field: AtomicU64::new(0),)+
-        };
+        impl Counters {
+            const fn new() -> Counters {
+                Counters { $($field: AtomicU64::new(0),)+ }
+            }
 
-        /// A point-in-time copy of [`COUNTERS`].
+            fn read(&self) -> Snapshot {
+                Snapshot { $($field: self.$field.load(Ordering::Relaxed),)+ }
+            }
+        }
+
+        /// The process-wide counter instance the `bump!` probes target.
+        pub static COUNTERS: Counters = Counters::new();
+
+        thread_local! {
+            /// The calling thread's share of [`COUNTERS`].
+            pub(crate) static THREAD: Counters = const { Counters::new() };
+        }
+
+        /// A point-in-time copy of [`COUNTERS`], or of one thread's share
+        /// ([`thread_snapshot`]).
         #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
         pub struct Snapshot {
             $(#[doc = $doc] pub $field: u64,)+
@@ -55,12 +72,18 @@ macro_rules! define_counters {
         /// accordingly (see [`Snapshot::exact_solves`]). Snapshots
         /// are exact once the threads that bump counters are quiet.
         pub fn snapshot() -> Snapshot {
-            Snapshot {
-                $($field: COUNTERS.$field.load(Ordering::Relaxed),)+
-            }
+            COUNTERS.read()
         }
 
-        /// Zeroes all counters.
+        /// The counters the calling thread has bumped since it started:
+        /// exact, unlike a [`snapshot`] delta, when other threads run
+        /// solver work at the same time. [`reset`] leaves them alone, so
+        /// take deltas.
+        pub fn thread_snapshot() -> Snapshot {
+            THREAD.with(Counters::read)
+        }
+
+        /// Zeroes the process-wide counters.
         pub fn reset() {
             $(COUNTERS.$field.store(0, Ordering::Relaxed);)+
         }
@@ -202,6 +225,17 @@ mod tests {
             ..Snapshot::default()
         };
         assert!((0.0..=1.0).contains(&s.fast_path_rate()));
+    }
+
+    #[test]
+    fn a_thread_snapshot_counts_only_its_own_thread() {
+        let (global, mine) = (snapshot(), thread_snapshot());
+        bump!(subtract_pairs, 3);
+        std::thread::spawn(|| bump!(subtract_pairs, 5))
+            .join()
+            .unwrap();
+        assert_eq!(thread_snapshot().delta(&mine).subtract_pairs, 3);
+        assert!(snapshot().delta(&global).subtract_pairs >= 8);
     }
 
     #[test]

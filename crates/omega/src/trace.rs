@@ -16,9 +16,7 @@
 //!   a pure function of the work done;
 //! * **exporters** — a Chrome trace-event JSON file (loadable in
 //!   `chrome://tracing` / Perfetto) and a plain-text hot-spot summary
-//!   (top-N span names by inclusive/exclusive time);
-//! * **latency histograms** ([`LogHistogram`]): log-bucketed, mergeable
-//!   across threads, replacing single wall-clock numbers.
+//!   (top-N span names by inclusive/exclusive time).
 //!
 //! # Cost when disabled
 //!
@@ -33,9 +31,14 @@
 //!
 //! A process may install one [`SpanHook`] (see [`install_span_hook`])
 //! that observes every span open/close on every thread, independent of
-//! collectors — the seam through which the sampling profiler's span
-//! attribution (`telemetry::profile`) plugs in without `omega` gaining a
-//! dependency.
+//! collectors — the seam through which `telemetry::span_hook` plugs in
+//! without `omega` gaining a dependency. That hook is the one always-on
+//! sink: it keeps the sampling profiler's per-thread span stack, and
+//! inside a `telemetry::profile::timed` scope it also sums each span
+//! name's count and wall time on that thread, which is where `codegend`
+//! and `table1` take a job's phases from. A [`Collector`] is installed
+//! only when a span tree itself is wanted: `table1 --trace`/`--dump-dir`
+//! and `codegend --slow-ms`.
 //!
 //! # Example
 //!
@@ -57,7 +60,7 @@ use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::fmt::Write as _;
 use std::io::{self, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -281,18 +284,6 @@ impl Trace {
         self.roots.iter().all(Span::is_well_formed)
     }
 
-    /// Per-name latency histogram of span inclusive durations, merged
-    /// across all recording threads.
-    pub fn histogram(&self, name: &str) -> LogHistogram {
-        let mut h = LogHistogram::new();
-        self.walk(&mut |s| {
-            if s.name == name {
-                h.record(s.duration_ns());
-            }
-        });
-        h
-    }
-
     /// Writes the forest as Chrome trace-event JSON (the array form): one
     /// balanced `B`/`E` event pair per span, timestamps in microseconds,
     /// attributes under `args`. Loadable in `chrome://tracing` / Perfetto.
@@ -481,124 +472,17 @@ pub fn escape_json(s: &str, out: &mut String) {
     }
 }
 
-/// A log₂-bucketed latency histogram over nanosecond durations.
-///
-/// Bucket `i` counts samples with `floor(log2(ns)) == i` (bucket 0 also
-/// takes 0 ns). Merging is bucket-wise addition — commutative and
-/// associative, so histograms from separate runs or threads merge into
-/// the same result in any order.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LogHistogram {
-    buckets: [u64; 64],
-    count: u64,
-    sum_ns: u64,
-    max_ns: u64,
-}
-
-impl Default for LogHistogram {
-    fn default() -> LogHistogram {
-        LogHistogram::new()
-    }
-}
-
-impl LogHistogram {
-    /// An empty histogram.
-    pub fn new() -> LogHistogram {
-        LogHistogram {
-            buckets: [0; 64],
-            count: 0,
-            sum_ns: 0,
-            max_ns: 0,
-        }
-    }
-
-    /// Records one duration.
-    pub fn record(&mut self, ns: u64) {
-        let b = if ns == 0 {
-            0
-        } else {
-            63 - ns.leading_zeros() as usize
-        };
-        self.buckets[b] += 1;
-        self.count += 1;
-        self.sum_ns = self.sum_ns.saturating_add(ns);
-        self.max_ns = self.max_ns.max(ns);
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Maximum recorded duration in nanoseconds.
-    pub fn max_ns(&self) -> u64 {
-        self.max_ns
-    }
-
-    /// Mean duration in nanoseconds (0 when empty).
-    pub fn mean_ns(&self) -> u64 {
-        self.sum_ns.checked_div(self.count).unwrap_or(0)
-    }
-
-    /// Merges another histogram into this one (bucket-wise addition).
-    pub fn merge(&mut self, other: &LogHistogram) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum_ns = self.sum_ns.saturating_add(other.sum_ns);
-        self.max_ns = self.max_ns.max(other.max_ns);
-    }
-
-    /// An upper bound on the `q`-quantile (0 ≤ q ≤ 1): the top edge of the
-    /// bucket containing that rank. 0 when empty.
-    pub fn quantile_ns(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, &b) in self.buckets.iter().enumerate() {
-            seen += b;
-            if seen >= rank {
-                return if i >= 63 { u64::MAX } else { (2u64 << i) - 1 };
-            }
-        }
-        self.max_ns
-    }
-}
-
-impl fmt::Display for LogHistogram {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "n={} p50<={} p90<={} p99<={} max={}",
-            self.count,
-            format_ns(self.quantile_ns(0.50)),
-            format_ns(self.quantile_ns(0.90)),
-            format_ns(self.quantile_ns(0.99)),
-            format_ns(self.max_ns),
-        )
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Recording machinery
 // ---------------------------------------------------------------------------
 
-/// Where a collector sends replayable `.omega` query dumps.
-enum DumpSink {
-    /// Write each dump to this directory as it happens (pre-armed
-    /// provenance: `table1 --dump-dir`).
-    Dir(PathBuf),
-    /// Hold rendered dumps in memory as `(stem, text)` pairs; the owner
-    /// decides after the fact whether to keep them (tail sampling:
-    /// `codegend --slow-ms` retains only slow/erroring/degrading jobs).
-    /// `dropped` counts dumps refused past [`DUMP_BUFFER_CAP`].
-    Buffer {
-        dumps: Vec<(String, String)>,
-        dropped: usize,
-    },
+/// Replayable `.omega` query dumps held in memory until the owner
+/// writes them out ([`Collector::write_buffered_dumps`]) or drops them.
+/// `dropped` counts dumps refused past [`DUMP_BUFFER_CAP`].
+#[derive(Default)]
+struct DumpBuffer {
+    dumps: Vec<(String, String)>,
+    dropped: usize,
 }
 
 /// Cap on in-memory buffered dumps per collector, so a pathological job
@@ -612,8 +496,8 @@ struct CollectorInner {
     // Completed roots from every thread that recorded into this collector.
     done: Mutex<Vec<Span>>,
     // When set, tier-2 sat/gist queries are rendered as replayable
-    // `.omega` dumps (see `crate::provenance`) into the sink.
-    dump: Mutex<Option<DumpSink>>,
+    // `.omega` dumps (see `crate::provenance`) into the buffer.
+    dump: Mutex<Option<DumpBuffer>>,
     dump_seq: AtomicU64,
 }
 
@@ -651,47 +535,32 @@ impl Collector {
     }
 
     /// Enables query provenance: every tier-2 sat/gist query recorded
-    /// while this collector is installed is also written as a replayable
-    /// `.omega` file into `dir` (created on first dump).
-    pub fn dump_queries(&self, dir: impl Into<PathBuf>) {
-        *lock(&self.inner.dump) = Some(DumpSink::Dir(dir.into()));
-    }
-
-    /// Enables *buffered* query provenance: dumps are rendered and held
-    /// in memory (up to an internal cap) instead of touching disk, so the
-    /// owner can decide after the job whether to retain them — the
-    /// tail-sampling mode behind `codegend --slow-ms`. Write them out with
-    /// [`Collector::write_buffered_dumps`]; dropping the collector
-    /// discards them.
+    /// while this collector is installed is rendered as a replayable
+    /// `.omega` dump and held in memory (up to an internal cap), so the
+    /// owner decides afterwards whether to keep them — `codegend
+    /// --slow-ms` keeps only slow, erroring or degrading jobs'. Write them
+    /// out with [`Collector::write_buffered_dumps`]; dropping the
+    /// collector discards them.
     pub fn buffer_queries(&self) {
-        *lock(&self.inner.dump) = Some(DumpSink::Buffer {
-            dumps: Vec::new(),
-            dropped: 0,
-        });
+        *lock(&self.inner.dump) = Some(DumpBuffer::default());
     }
 
-    /// True when a dump sink (directory or buffer) is armed; the solver's
-    /// dump sites skip rendering entirely when it is not.
+    /// True when dumps are being buffered; the solver's dump sites skip
+    /// rendering entirely when they are not.
     pub(crate) fn wants_dumps(&self) -> bool {
         lock(&self.inner.dump).is_some()
     }
 
-    /// Routes one rendered dump to the armed sink. `prefix` is the dump
-    /// kind (`sat`/`gist`); the sequence number keeps stems unique and in
+    /// Buffers one rendered dump. `prefix` is the dump kind
+    /// (`sat`/`gist`); the sequence number keeps stems unique and in
     /// query order.
     pub(crate) fn submit_dump(&self, prefix: &str, text: String) {
         let seq = self.inner.dump_seq.fetch_add(1, Ordering::Relaxed);
-        let stem = format!("{prefix}-{seq:06}");
         match &mut *lock(&self.inner.dump) {
-            Some(DumpSink::Dir(dir)) => {
-                if let Err(e) = crate::provenance::write_dump(dir, &stem, &text) {
-                    eprintln!("omega: failed to write query dump: {e}");
-                }
+            Some(b) if b.dumps.len() < DUMP_BUFFER_CAP => {
+                b.dumps.push((format!("{prefix}-{seq:06}"), text));
             }
-            Some(DumpSink::Buffer { dumps, .. }) if dumps.len() < DUMP_BUFFER_CAP => {
-                dumps.push((stem, text));
-            }
-            Some(DumpSink::Buffer { dropped, .. }) => *dropped += 1,
+            Some(b) => b.dropped += 1,
             None => {}
         }
     }
@@ -700,20 +569,17 @@ impl Collector {
     /// `dir` (created if needed) as replayable `.omega` files and empties
     /// the buffer. Returns `(written, dropped)`: the files written, and
     /// the dumps refused earlier because the buffer was full — nonzero
-    /// means `dir` holds only the job's first queries. The retention half
-    /// of tail sampling: called only for jobs worth keeping. `(0, 0)`
-    /// when buffering was never enabled.
+    /// means `dir` holds only the first queries. `(0, 0)` when buffering
+    /// was never enabled.
     ///
     /// # Errors
     ///
     /// Propagates directory-creation and file-write errors.
     pub fn write_buffered_dumps(&self, dir: &Path) -> io::Result<(usize, usize)> {
-        let (dumps, dropped) = match &mut *lock(&self.inner.dump) {
-            Some(DumpSink::Buffer { dumps, dropped }) => {
-                (std::mem::take(dumps), std::mem::take(dropped))
-            }
-            _ => (Vec::new(), 0),
-        };
+        let DumpBuffer { dumps, dropped } = lock(&self.inner.dump)
+            .as_mut()
+            .map(std::mem::take)
+            .unwrap_or_default();
         for (stem, text) in &dumps {
             crate::provenance::write_dump(dir, stem, text)?;
         }

@@ -15,8 +15,10 @@
 //! Defaults: HTTP on 127.0.0.1:9077, effort 1,
 //! no deadline, request log as JSON lines on stderr. Each job runs on
 //! one worker thread.
-//! Every job runs under a span collector that feeds the phase histograms
-//! and its query report. `--workers` sizes the pool draining the FIFO job
+//! Each job's phases and solver counters are timed and counted on its
+//! worker thread for the phase histograms and its query report; a span
+//! collector records the job only under `--slow-ms`. `--workers` sizes
+//! the pool draining the FIFO job
 //! queue (0 = machine cores, the default); `--queue-depth` bounds how
 //! many admitted jobs may wait (default 256 — over it, requests get
 //! HTTP 503); `--queue-timeout-ms` errors jobs that wait longer

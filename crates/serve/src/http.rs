@@ -3,8 +3,10 @@
 //! the JSON job API (`POST /v1/gen`, `POST /v1/batch`).
 //!
 //! Deliberately minimal: no framework, no keep-alive — each connection
-//! gets one request (head capped at 8 KiB, body at 4 MiB), one
-//! response, `Connection: close`. GET responses are
+//! gets one request (head capped at 8 KiB, body at 4 MiB, the whole
+//! request due within 10 s), one response, `Connection: close`. A head
+//! that outgrows its cap is answered `431`; one cut short by the client
+//! or the deadline is closed unanswered. GET responses are
 //! `Content-Length`-framed; `POST /v1/batch` streams its per-space
 //! replies as chunked NDJSON, one object per chunk, so a client sees
 //! early results while later spaces still generate. That is all a
@@ -35,7 +37,7 @@ use std::fmt::Write as _;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use telemetry::log::escape_into;
 
 /// Largest accepted `POST /v1/*` body. Generous for a full-size batch
@@ -43,14 +45,28 @@ use telemetry::log::escape_into;
 /// connection can make the daemon buffer.
 const MAX_BODY: usize = 4 << 20;
 
+/// Largest accepted request head.
+const MAX_HEAD: usize = 8 << 10;
+
+/// Time a client has to send its whole request, head and body, and that
+/// one write may block on a client that stopped reading.
+const TIMEOUT: Duration = Duration::from_secs(10);
+
 pub(crate) fn handle_conn(state: Arc<State>, mut stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
+    let _ = stream.set_write_timeout(Some(TIMEOUT));
+    let until = Instant::now() + TIMEOUT;
     let peer = stream
         .peer_addr()
         .map(|p| p.to_string())
         .unwrap_or_default();
-    let Some((head, mut rest)) = read_head(&mut stream) else {
-        return;
+    let (head, mut rest) = match read_head(&mut Deadline(&stream, until)) {
+        Ok(head) => head,
+        Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+            let msg = format!("request head over {MAX_HEAD} bytes");
+            let status = "431 Request Header Fields Too Large";
+            return respond(&mut stream, status, "application/json", &error_body(&msg));
+        }
+        Err(_) => return,
     };
     let mut parts = head.lines().next().unwrap_or("").split_whitespace();
     let method = parts.next().unwrap_or("").to_owned();
@@ -60,7 +76,7 @@ pub(crate) fn handle_conn(state: Arc<State>, mut stream: TcpStream) {
         None => (target.to_owned(), String::new()),
     };
     if method == "POST" {
-        let body = match read_body(&mut stream, &head, &mut rest) {
+        let body = match read_body(&mut Deadline(&stream, until), &head, &mut rest) {
             Ok(body) => body,
             Err(msg) => {
                 respond(
@@ -435,34 +451,47 @@ fn batch_spec_of(body: &str) -> Result<(JobSpec, Vec<String>), String> {
 // Request framing
 // ---------------------------------------------------------------------------
 
-/// Reads until the blank line ending the request head, or gives up at
-/// 8 KiB / EOF / timeout. Returns the head as text plus any body bytes
-/// already read past it.
-fn read_head(stream: &mut TcpStream) -> Option<(String, Vec<u8>)> {
+/// A connection's read side under the request's deadline: each read
+/// waits at most until then, and none starts after it.
+struct Deadline<'a>(&'a TcpStream, Instant);
+
+impl Read for Deadline<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let left = self.1.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+        self.0.set_read_timeout(Some(left))?;
+        let mut stream = self.0;
+        stream.read(buf)
+    }
+}
+
+/// Reads until the blank line ending the request head. Returns the head
+/// as text plus any body bytes already read past it; `InvalidData` when
+/// [`MAX_HEAD`] bytes pass without that line, another error when the
+/// client closes, fails or runs out the deadline first.
+fn read_head(r: &mut impl Read) -> io::Result<(String, Vec<u8>)> {
     let mut buf = Vec::with_capacity(1024);
     let mut chunk = [0u8; 512];
     loop {
         if let Some(end) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
             let rest = buf.split_off(end + 4);
-            return Some((String::from_utf8_lossy(&buf).into_owned(), rest));
+            return Ok((String::from_utf8_lossy(&buf).into_owned(), rest));
         }
-        if buf.len() > 8192 {
-            break;
+        if buf.len() > MAX_HEAD {
+            return Err(io::ErrorKind::InvalidData.into());
         }
-        match stream.read(&mut chunk) {
-            Ok(0) | Err(_) => break,
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+        match r.read(&mut chunk)? {
+            0 => return Err(io::ErrorKind::UnexpectedEof.into()),
+            n => buf.extend_from_slice(&chunk[..n]),
         }
     }
-    if buf.is_empty() {
-        return None;
-    }
-    Some((String::from_utf8_lossy(&buf).into_owned(), Vec::new()))
 }
 
 /// Reads a `Content-Length`-framed request body (capped at
 /// [`MAX_BODY`]), starting from the bytes `read_head` over-read.
-fn read_body(stream: &mut TcpStream, head: &str, rest: &mut Vec<u8>) -> Result<String, String> {
+fn read_body(r: &mut impl Read, head: &str, rest: &mut Vec<u8>) -> Result<String, String> {
     let len = head
         .lines()
         .find_map(|l| {
@@ -481,7 +510,7 @@ fn read_body(stream: &mut TcpStream, head: &str, rest: &mut Vec<u8>) -> Result<S
     body.truncate(body.len().min(len));
     let mut chunk = [0u8; 4096];
     while body.len() < len {
-        match stream.read(&mut chunk) {
+        match r.read(&mut chunk) {
             Ok(0) => return Err("body shorter than Content-Length".to_owned()),
             Ok(n) => body.extend_from_slice(&chunk[..n.min(len - body.len())]),
             Err(e) => return Err(format!("body read failed: {e}")),

@@ -9,9 +9,8 @@
 //! * **`GET /metrics`** — OpenMetrics text from a [`telemetry::Registry`]:
 //!   request counters, queue depth, in-flight and worker gauges,
 //!   shed/timeout counters, queue-wait and service histograms,
-//!   per-phase latency histograms harvested from
-//!   the `span!` probes, and the cumulative `omega::stats` solver
-//!   counters bridged at scrape time;
+//!   per-phase latency histograms (one total per phase per job), and the
+//!   cumulative `omega::stats` solver counters bridged at scrape time;
 //! * **`GET /healthz`** — a JSON readiness probe with uptime, job
 //!   totals, queue occupancy and worker count, cumulative
 //!   degradations, and the profiler state;
@@ -31,11 +30,15 @@
 //!   standalone reproduction); fast, healthy jobs leave nothing on disk.
 //!   `--slow-ms 0` keeps every job's artifacts.
 //!
-//! Each job runs under its own [`omega::trace::Collector`], the daemon's
-//! only recording of the job's spans: it feeds the phase histograms, the
-//! report's phases, and the retained `trace.json`. A job generates and
-//! compiles; it is never interpreted, so its report carries no dynamic
-//! cost (`table1` reports that per tool, once per kernel).
+//! A job's phases and solver counters come from its worker thread: the
+//! span hook (`telemetry::span_hook`, installed at spawn) sums each span
+//! name's wall time while [`telemetry::profile::timed`] is armed around
+//! the job, and [`omega::stats::thread_snapshot`] deltas count only that
+//! thread's solver work, so both are exact under concurrent jobs. A span
+//! [`omega::trace::Collector`] records a job only when `--slow-ms` may
+//! retain its `trace.json` and dumps. A job generates and compiles; it is
+//! never interpreted, so its report carries no dynamic cost (`table1`
+//! reports that per tool, once per kernel).
 //!
 //! ## The service core
 //!
@@ -68,7 +71,7 @@ mod report;
 use crate::metrics::Metrics;
 use crate::queue::{Job, JobSource, JobSpec, Queue, TaskReply, Work};
 use codegenplus::{pad_statements, CodeGen, Statement};
-use omega::report::{now_ms, phase_totals, QueryReport};
+use omega::report::{is_phase_name, now_ms, QueryReport};
 use std::fmt::Write as _;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -122,7 +125,8 @@ pub struct Config {
     /// milliseconds — or one that errors or degrades — retains its full
     /// span trace (`trace.json`) and buffered `.omega` provenance dumps
     /// under `<slow_dir>/<request-id>/`. Fast, healthy jobs retain
-    /// nothing. `0` retains every job (useful in tests).
+    /// nothing. `0` retains every job (useful in tests). Set, every job
+    /// records its span tree under a `Collector`; unset, none does.
     pub slow_ms: Option<u64>,
     /// Where tail-sampled slow-job artifacts land (only with `slow_ms`).
     pub slow_dir: PathBuf,
@@ -347,10 +351,10 @@ pub fn spawn(cfg: Config) -> io::Result<Daemon> {
         (LogTarget::File(p), None) => Logger::file(p)?,
         (LogTarget::File(p), Some(mb)) => Logger::rotating_file(p, mb << 20, cfg.log_keep)?,
     };
-    // The omega span hook keeps the per-thread span stack
-    // `/debug/pprof/profile` samples are tagged with. Installing is
-    // idempotent (first hook wins), so embedding several daemons in one
-    // process (the tests do) is fine.
+    // The omega span hook keeps the per-thread span stack that
+    // `/debug/pprof/profile` samples are tagged with and that times each
+    // job's phases. Installing is idempotent (first hook wins), so
+    // embedding several daemons in one process (the tests do) is fine.
     omega::trace::install_span_hook(telemetry::span_hook);
     let workers = if cfg.workers == 0 {
         thread::available_parallelism()
@@ -628,8 +632,8 @@ fn timeout_job(state: &State, job: Job, queue_ns: u64) {
 }
 
 /// Executes one task (a `gen`, or one space of a `batch`) on a worker:
-/// span collection, the panic fence, the [`QueryReport`] wide event,
-/// tail sampling, logging, and metrics.
+/// the armed span timing, the panic fence, the [`QueryReport`] wide
+/// event, tail sampling, logging, and metrics.
 fn execute_task(
     state: &State,
     id: &str,
@@ -640,83 +644,77 @@ fn execute_task(
 ) -> Result<JobOutput, String> {
     let t0 = Instant::now();
     let source_tag = spec.source.tag();
-    // Every job runs under its own span collector: the trace feeds the
-    // phase histograms and the report, and is the artifact a slow job
-    // retains. With tail sampling armed, provenance dumps are buffered in
-    // memory so the keep/discard decision can happen after the job;
-    // dropping the collector discards them.
+    // A span collector records the job's trace only when tail sampling
+    // may keep it; its provenance dumps are buffered in memory so the
+    // keep/discard decision can happen after the job, and dropping the
+    // collector discards them.
     let slow_ms = state.cfg.slow_ms;
-    let collector = omega::trace::Collector::new();
-    if slow_ms.is_some() {
-        collector.buffer_queries();
-    }
-    let stats_before = omega::stats::snapshot();
+    let collector = slow_ms.map(|_| {
+        let c = omega::trace::Collector::new();
+        c.buffer_queries();
+        c
+    });
+    let mut measured = Measured::default();
     // A panicking job must cost only that request, not the daemon: the
     // solver itself is panic-free, but ad-hoc inputs reach library
     // preconditions (space padding, arity checks) that assert.
-    let result = catch_unwind(AssertUnwindSafe(|| run_job(state, spec, &collector)));
-    let result = match result {
-        Ok(r) => r,
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_owned())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "job panicked".to_owned());
-            Err(format!("job panicked: {msg}"))
-        }
-    };
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        run_job(state, spec, collector.clone(), &mut measured)
+    }))
+    .unwrap_or_else(|payload| {
+        let msg = payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_owned())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "job panicked".to_owned());
+        Err(format!("job panicked: {msg}"))
+    });
     let request_ns = t0.elapsed().as_nanos() as u64;
-    let counters = omega::stats::snapshot().delta(&stats_before);
-    let trace = collector.finish();
-    state.metrics.record_phases(&trace);
-    let phases = phase_totals(&trace);
-    let mut rep = match &result {
-        Ok(out) => QueryReport {
-            id: id.to_owned(),
-            kind,
-            source: source_tag.clone(),
-            status: "ok",
-            queue_ns,
-            ts_ms: now_ms(),
-            effort: out.effort,
-            lines: out.lines,
-            bytes: out.code.len(),
-            codegen_ns: out.codegen_ns,
-            compile_ns: out.compile_ns,
-            request_ns,
-            certainty: out.certainty.clone(),
-            phases,
-            counters,
-            slow: false,
-            retained: None,
-            error: None,
-        },
-        Err(msg) => QueryReport {
-            id: id.to_owned(),
-            kind,
-            source: source_tag.clone(),
-            status: "err",
-            queue_ns,
-            ts_ms: now_ms(),
-            effort: spec.effort.unwrap_or(state.cfg.default_effort),
-            lines: 0,
-            bytes: 0,
-            codegen_ns: 0,
-            compile_ns: 0,
-            request_ns,
-            certainty: String::new(),
-            phases,
-            counters,
-            slow: false,
-            retained: None,
-            error: Some(msg.clone()),
-        },
+    let phases: Vec<(&'static str, u64)> = measured
+        .spans
+        .spans
+        .iter()
+        .filter(|s| is_phase_name(s.name))
+        .map(|s| (s.name, s.ns))
+        .collect();
+    state.metrics.record_phases(&phases);
+    let mut rep = QueryReport {
+        id: id.to_owned(),
+        kind,
+        source: source_tag.clone(),
+        status: "ok",
+        queue_ns,
+        ts_ms: now_ms(),
+        effort: spec.effort.unwrap_or(state.cfg.default_effort),
+        lines: 0,
+        bytes: 0,
+        codegen_ns: 0,
+        compile_ns: 0,
+        request_ns,
+        certainty: String::new(),
+        phases,
+        counters: measured.counters,
+        slow: false,
+        retained: None,
+        error: None,
     };
+    match &result {
+        Ok(out) => {
+            rep.lines = out.lines;
+            rep.bytes = out.code.len();
+            rep.codegen_ns = out.codegen_ns;
+            rep.compile_ns = out.compile_ns;
+            rep.certainty = out.certainty.clone();
+        }
+        Err(msg) => {
+            rep.status = "err";
+            rep.error = Some(msg.clone());
+        }
+    }
     // Tail sampling: keep the full trace and provenance only for jobs
     // worth a second look — over the latency threshold, errored, or
     // degraded. Everything else leaves no artifacts.
-    if let Some(ms) = slow_ms {
+    if let (Some(ms), Some(collector)) = (slow_ms, &collector) {
         let degraded = rep.certainty.starts_with("approximate");
         let reason = if rep.status == "err" {
             Some("error")
@@ -730,7 +728,7 @@ fn execute_task(
         if let Some(reason) = reason {
             rep.slow = true;
             let dir = state.cfg.slow_dir.join(id);
-            let (kept, dropped) = match retain_slow_artifacts(&dir, &trace, &collector) {
+            let (kept, dropped) = match retain_slow_artifacts(&dir, collector) {
                 Ok(counts) => {
                     rep.retained = Some(dir.display().to_string());
                     counts
@@ -758,46 +756,33 @@ fn execute_task(
             );
         }
     }
+    state.metrics.requests.with(&[kind, rep.status]).inc();
+    state.metrics.request_seconds.observe_ns(request_ns);
     // The compact per-request record first (the line older tooling greps
     // for), then the canonical wide event — both carry the id, so either
     // one joins to the other and to the retained slow-job directory.
-    match &result {
+    let record = Record::new("request")
+        .str("id", id)
+        .str("peer", peer)
+        .str("kind", kind)
+        .str("source", &source_tag);
+    state.logger.log(match &result {
         Ok(out) => {
             state.jobs_total.fetch_add(1, Ordering::Relaxed);
-            state.metrics.requests.with(&[kind, "ok"]).inc();
-            state.metrics.request_seconds.observe_ns(request_ns);
-            state.metrics.response_bytes.add(out.code.len() as u64);
-            state.logger.log(
-                Record::new("request")
-                    .str("id", id)
-                    .str("peer", peer)
-                    .str("kind", kind)
-                    .str("source", &source_tag)
-                    .int("effort", out.effort as i64)
-                    .str("status", "ok")
-                    .int("lines", out.lines as i64)
-                    .int("bytes", out.code.len() as i64)
-                    .int("codegen_ns", out.codegen_ns as i64)
-                    .int("compile_ns", out.compile_ns as i64)
-                    .int("queue_ns", queue_ns as i64)
-                    .int("request_ns", request_ns as i64)
-                    .str("certainty", &out.certainty),
-            );
+            state.metrics.response_bytes.add(rep.bytes as u64);
+            record
+                .int("effort", rep.effort as i64)
+                .str("status", "ok")
+                .int("lines", rep.lines as i64)
+                .int("bytes", rep.bytes as i64)
+                .int("codegen_ns", rep.codegen_ns as i64)
+                .int("compile_ns", rep.compile_ns as i64)
+                .int("queue_ns", queue_ns as i64)
+                .int("request_ns", request_ns as i64)
+                .str("certainty", &out.certainty)
         }
-        Err(msg) => {
-            state.metrics.requests.with(&[kind, "err"]).inc();
-            state.metrics.request_seconds.observe_ns(request_ns);
-            state.logger.log(
-                Record::new("request")
-                    .str("id", id)
-                    .str("peer", peer)
-                    .str("kind", kind)
-                    .str("source", &source_tag)
-                    .str("status", "err")
-                    .str("msg", msg),
-            );
-        }
-    }
+        Err(msg) => record.str("status", "err").str("msg", msg),
+    });
     state.logger.log_line(&rep.to_json());
     state.reports.push(rep);
     result
@@ -810,7 +795,6 @@ pub(crate) struct JobOutput {
     pub(crate) codegen_ns: u64,
     pub(crate) compile_ns: u64,
     pub(crate) certainty: String,
-    pub(crate) effort: usize,
 }
 
 /// Pads and converts a kernel's statements for the generators — the same
@@ -826,14 +810,23 @@ fn statements_of(kernel: &chill::Kernel) -> Vec<Statement> {
     pad_statements(&stmts, 0)
 }
 
+/// A job's own work, measured on its worker thread around generation
+/// and compile: its solver counters, exact under concurrent jobs because
+/// they are this thread's, and its span totals per name.
+#[derive(Default)]
+struct Measured {
+    counters: omega::stats::Snapshot,
+    spans: telemetry::profile::SpanTotals,
+}
+
 /// Builds the statements, runs CodeGen+ (and the stand-in compiler for
-/// its pass timings), and counts degradations per reason. Span collection is the caller's: the
-/// collector is installed here but finished by `execute_task`, which
-/// owns the trace for phase histograms, reports and tail sampling.
+/// its pass timings) with span timing armed and `collector`, if any,
+/// installed, records their [`Measured`] work, and counts degradations per reason.
 fn run_job(
     state: &State,
     spec: &JobSpec,
-    collector: &omega::trace::Collector,
+    collector: Option<omega::trace::Collector>,
+    measured: &mut Measured,
 ) -> Result<JobOutput, String> {
     let stmts = match &spec.source {
         JobSource::Kernel { name, n } => {
@@ -855,24 +848,31 @@ fn run_job(
         }
     };
     let effort = spec.effort.unwrap_or(state.cfg.default_effort);
-    let mut cg = CodeGen::new()
-        .statements(stmts)
-        .effort(effort)
-        .trace(collector.clone());
+    let mut cg = CodeGen::new().statements(stmts).effort(effort);
     if let Some(d) = state.cfg.deadline {
         cg = cg.limits(omega::Limits {
             deadline: Some(Instant::now() + d),
             ..omega::Limits::default()
         });
     }
-    let t0 = Instant::now();
-    let g = cg.generate().map_err(|e| e.to_string())?;
-    let codegen_ns = t0.elapsed().as_nanos() as u64;
-    // The stand-in compiler pipeline, for its pass_* spans and the
-    // compile-time column the batch harness also reports.
-    let t1 = Instant::now();
-    omega::trace::with_collector(Some(collector.clone()), || polyir::passes::compile(&g.code));
-    let compile_ns = t1.elapsed().as_nanos() as u64;
+    let before = omega::stats::thread_snapshot();
+    let (run, spans) = telemetry::profile::timed(|| {
+        omega::trace::with_collector(collector, || {
+            let t0 = Instant::now();
+            let g = cg.generate().map_err(|e| e.to_string())?;
+            let codegen_ns = t0.elapsed().as_nanos() as u64;
+            // The stand-in compiler pipeline, for its pass_* spans and
+            // the compile-time column the batch harness also reports.
+            let t1 = Instant::now();
+            polyir::passes::compile(&g.code);
+            Ok::<_, String>((g, codegen_ns, t1.elapsed().as_nanos() as u64))
+        })
+    });
+    *measured = Measured {
+        counters: omega::stats::thread_snapshot().delta(&before),
+        spans,
+    };
+    let (g, codegen_ns, compile_ns) = run?;
     state.metrics.codegen_seconds.observe_ns(codegen_ns);
     for reason in g.certainty.reasons().iter() {
         state.metrics.degraded.with(&[reason.as_str()]).inc();
@@ -887,23 +887,21 @@ fn run_job(
         codegen_ns,
         compile_ns,
         certainty: g.certainty.to_string(),
-        effort,
     })
 }
 
-/// Writes a tail-sampled job's artifacts under `dir`: the span trace as
-/// `trace.json` (Chrome trace-event format, same exporter as `table1
-/// --trace`) and the buffered `.omega` provenance dumps, replayable with
-/// `omega-replay`. Returns the dumps written and those the collector's
-/// buffer dropped.
+/// Writes a tail-sampled job's artifacts under `dir`: the collector's
+/// span trace as `trace.json` (Chrome trace-event format, same exporter
+/// as `table1 --trace`) and its buffered `.omega` provenance dumps,
+/// replayable with `omega-replay`. Returns the dumps written and those
+/// the collector's buffer dropped.
 fn retain_slow_artifacts(
     dir: &std::path::Path,
-    trace: &omega::trace::Trace,
     collector: &omega::trace::Collector,
 ) -> io::Result<(usize, usize)> {
     std::fs::create_dir_all(dir)?;
     let mut f = std::fs::File::create(dir.join("trace.json"))?;
-    trace.write_chrome_json(&mut f)?;
+    collector.finish().write_chrome_json(&mut f)?;
     collector.write_buffered_dumps(dir)
 }
 

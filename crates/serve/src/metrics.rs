@@ -11,7 +11,6 @@
 //!   `phase`, `reason`, `event`) — never request-supplied strings, so
 //!   cardinality is bounded by program structure.
 
-use omega::report::is_phase_name;
 use std::sync::Arc;
 use telemetry::{Counter, Family, Gauge, Histogram, Registry};
 
@@ -48,7 +47,7 @@ pub struct Metrics {
     pub request_seconds: Arc<Histogram>,
     /// Code-generation wall time per job.
     pub codegen_seconds: Arc<Histogram>,
-    /// Per-phase wall time harvested from the span trace, by `phase`
+    /// Per-phase wall time, one total per phase per job, by `phase`
     /// (span names: `cg_*` scanner phases, `pass_*` polyir passes,
     /// `sat_*`/`gist_*` solver queries).
     pub phase_seconds: Arc<Family<Histogram>>,
@@ -117,7 +116,7 @@ impl Metrics {
             ),
             phase_seconds: registry.histogram_vec(
                 "codegend_phase_seconds",
-                "Per-phase wall time from span probes (cg_* scanner phases, pass_* polyir passes, sat_*/gist_* solver queries).",
+                "Per-phase wall time, one observation per phase per job: the job's total over its spans of that name (cg_* scanner phases, pass_* polyir passes, sat_*/gist_* solver queries).",
                 &["phase"],
             ),
             response_bytes: registry.counter(
@@ -151,18 +150,13 @@ impl Metrics {
         }
     }
 
-    /// Harvests per-phase wall times out of a finished span trace into
-    /// the `phase_seconds` histograms. Only spans whose names belong to
-    /// the instrumented phase vocabulary are recorded (names are static
-    /// strings in the probes, so cardinality stays program-bounded).
-    pub fn record_phases(&self, trace: &omega::trace::Trace) {
-        trace.walk(&mut |span| {
-            if is_phase_name(span.name) {
-                self.phase_seconds
-                    .with(&[span.name])
-                    .observe_ns(span.duration_ns());
-            }
-        });
+    /// Observes one job's per-phase totals (`(phase, ns)`, as in
+    /// `QueryReport::phases`) into the `phase_seconds` histograms: one
+    /// observation per phase per job.
+    pub fn record_phases(&self, phases: &[(&'static str, u64)]) {
+        for &(name, ns) in phases {
+            self.phase_seconds.with(&[name]).observe_ns(ns);
+        }
     }
 }
 

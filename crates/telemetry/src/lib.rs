@@ -7,7 +7,9 @@
 //! [`Histogram`]s, each optionally split by a small fixed label set — plus
 //! OpenMetrics/Prometheus text exposition ([`Registry::expose`]), a
 //! structured JSON log-line builder ([`log::Record`]), and a sampling
-//! [`profile`]r whose samples carry the innermost active span.
+//! [`profile`]r whose samples carry the innermost active span. The same
+//! per-thread span stack times a job's spans per name while a
+//! [`profile::timed`] scope is armed.
 //!
 //! # Design
 //!
@@ -18,8 +20,7 @@
 //!   never the scrape (which reads the atomics directly).
 //! * **Skew-friendly histograms.** Polyhedral solver queries span six
 //!   orders of magnitude of latency, so histograms bucket by
-//!   `floor(log2(ns))` — the same scheme as `omega::trace::LogHistogram` —
-//!   and expose *cumulative* bucket counts with the OpenMetrics
+//!   `floor(log2(ns))` and expose *cumulative* bucket counts with the OpenMetrics
 //!   invariants: counts monotone non-decreasing in `le`, the `+Inf`
 //!   bucket equal to `_count`, `_sum` the exact nanosecond sum (reported
 //!   in seconds).
@@ -56,12 +57,15 @@ mod registry;
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use registry::{Counter, Family, Gauge, Registry};
 
-/// The span sink to install as `omega::trace`'s process-wide span hook
-/// (`omega::trace::install_span_hook(telemetry::span_hook)`). Every span
-/// open/close pushes or pops the [`profile`]r's per-thread span stack,
-/// so samples are attributed to the innermost active solver phase. The
-/// stack lives here rather than in the span collector because the
-/// SIGPROF handler needs lock-free, async-signal-safe reads.
+/// The one always-on span sink: install it as `omega::trace`'s
+/// process-wide span hook (`omega::trace::install_span_hook(telemetry::span_hook)`).
+/// Every span open/close pushes or pops the [`profile`]r's per-thread span
+/// stack, so samples are attributed to the innermost active solver
+/// phase, and inside a [`profile::timed`] scope each close adds the span's
+/// wall time to that scope's per-name totals — how `codegend` and `table1`
+/// get a job's phases without recording a span tree. The stack lives here
+/// rather than in the span collector because the SIGPROF handler needs
+/// lock-free, async-signal-safe reads.
 pub fn span_hook(begin: bool, name: &'static str) {
     if begin {
         profile::span_enter(name);

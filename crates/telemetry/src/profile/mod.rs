@@ -35,10 +35,11 @@ mod sys;
 
 pub use symbolize::{demangle, Symbolizer};
 
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::sync::atomic::{compiler_fence, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Which clock drives the sampler.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -235,7 +236,8 @@ pub struct ProfilerState {
 }
 
 // ---------------------------------------------------------------------------
-// Span attribution (portable — maintained even where sampling isn't).
+// Span attribution and per-job span timing (portable — maintained even
+// where sampling isn't).
 // ---------------------------------------------------------------------------
 
 const SPAN_DEPTH: usize = 32;
@@ -245,10 +247,18 @@ const SPAN_DEPTH: usize = 32;
 /// interrupts, never races, this thread — can read a consistent innermost
 /// entry: an entry below `depth` is always fully written before `depth`
 /// exposes it.
+///
+/// While a [`timed`] scope is armed, each slot opened at or above
+/// `armed_at` also holds its open time and name, which the handler never
+/// reads.
 struct SpanStack {
     depth: AtomicUsize,
     ptrs: [AtomicUsize; SPAN_DEPTH],
     lens: [AtomicUsize; SPAN_DEPTH],
+    opened: [Cell<Option<(Instant, &'static str)>>; SPAN_DEPTH],
+    /// Stack depth when the innermost armed scope began; `usize::MAX`
+    /// when none is armed. Slots below it may hold stale open times.
+    armed_at: Cell<usize>,
 }
 
 impl SpanStack {
@@ -257,24 +267,31 @@ impl SpanStack {
             depth: AtomicUsize::new(0),
             ptrs: [const { AtomicUsize::new(0) }; SPAN_DEPTH],
             lens: [const { AtomicUsize::new(0) }; SPAN_DEPTH],
+            opened: [const { Cell::new(None) }; SPAN_DEPTH],
+            armed_at: Cell::new(usize::MAX),
         }
     }
 }
 
 thread_local! {
     static SPAN_STACK: SpanStack = const { SpanStack::new() };
+    /// The armed scope's totals, in first-close order.
+    static TOTALS: RefCell<SpanTotals> = const { RefCell::new(SpanTotals { spans: Vec::new(), untimed: 0 }) };
 }
 
 /// Marks `name` as this thread's innermost active span. Called by the
 /// `omega::trace` profile hook on span entry; must be paired with
 /// [`span_exit`]. A few relaxed thread-local stores — cheap enough to
-/// leave armed permanently.
+/// leave armed permanently; inside a [`timed`] scope, one clock read more.
 pub fn span_enter(name: &'static str) {
     SPAN_STACK.with(|s| {
         let d = s.depth.load(Ordering::Relaxed);
         if d < SPAN_DEPTH {
             s.ptrs[d].store(name.as_ptr() as usize, Ordering::Relaxed);
             s.lens[d].store(name.len(), Ordering::Relaxed);
+            if d >= s.armed_at.get() {
+                s.opened[d].set(Some((Instant::now(), name)));
+            }
         }
         // Write the entry before exposing it: the handler reads only
         // indices < depth. Relaxed stores alone do not order the slot
@@ -287,14 +304,80 @@ pub fn span_enter(name: &'static str) {
     });
 }
 
-/// Pops the innermost span. Unbalanced exits are clamped at zero.
+/// Pops the innermost span. Unbalanced exits are clamped at zero. Inside
+/// a [`timed`] scope, adds the span's wall time to the scope's totals.
 pub fn span_exit() {
     SPAN_STACK.with(|s| {
         let d = s.depth.load(Ordering::Relaxed);
-        if d > 0 {
-            s.depth.store(d - 1, Ordering::Relaxed);
+        if d == 0 {
+            return;
         }
+        s.depth.store(d - 1, Ordering::Relaxed);
+        if d - 1 < s.armed_at.get() {
+            return;
+        }
+        let opened = s.opened.get(d - 1).and_then(Cell::get);
+        TOTALS.with(|t| {
+            let t = &mut *t.borrow_mut();
+            let Some((t0, name)) = opened else {
+                t.untimed += 1;
+                return;
+            };
+            let ns = t0.elapsed().as_nanos() as u64;
+            match t.spans.iter_mut().find(|x| x.name == name) {
+                Some(x) => (x.count, x.ns) = (x.count + 1, x.ns + ns),
+                None => t.spans.push(SpanTotal { name, count: 1, ns }),
+            }
+        });
     });
+}
+
+/// One span name's totals over a [`timed`] scope.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SpanTotal {
+    /// The span name (`omega::span!` site name).
+    pub name: &'static str,
+    /// Spans of this name that closed inside the scope.
+    pub count: u64,
+    /// Their summed wall time in nanoseconds (inclusive: a span nested in
+    /// another of the same name counts in both).
+    pub ns: u64,
+}
+
+/// What a [`timed`] scope recorded on its thread.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct SpanTotals {
+    /// Per span name, sorted by name.
+    pub spans: Vec<SpanTotal>,
+    /// Spans that closed inside the scope nested deeper than the stack's
+    /// 32 slots, so were counted here instead of timed.
+    pub untimed: u64,
+}
+
+/// Runs `f` with this thread's span timing armed, and returns the count
+/// and wall time per span name of every span that opened and closed
+/// inside it. The span hook (`telemetry::span_hook`) must be installed,
+/// or no span reaches the stack. Only this thread's spans count; a scope
+/// nested in another takes over until it returns, and its spans do not
+/// count in the outer one. Restores the outer scope also when `f` unwinds.
+pub fn timed<R>(f: impl FnOnce() -> R) -> (R, SpanTotals) {
+    /// The outer scope's stack mark and totals, put back on drop.
+    struct Outer(usize, SpanTotals);
+    impl Drop for Outer {
+        fn drop(&mut self) {
+            SPAN_STACK.with(|s| s.armed_at.set(self.0));
+            TOTALS.with(|t| t.replace(std::mem::take(&mut self.1)));
+        }
+    }
+    let outer = Outer(
+        SPAN_STACK.with(|s| s.armed_at.replace(s.depth.load(Ordering::Relaxed))),
+        TOTALS.with(RefCell::take),
+    );
+    let r = f();
+    let mut totals = TOTALS.with(RefCell::take);
+    drop(outer);
+    totals.spans.sort_by_key(|x| x.name);
+    (r, totals)
 }
 
 /// The sampled thread's innermost span as a raw (ptr, len) pair; (0, 0)
@@ -720,5 +803,70 @@ mod tests {
             "kept {kept} of {taken} samples ({} dropped)",
             profile.dropped
         );
+    }
+}
+
+#[cfg(test)]
+mod timing_tests {
+    use super::*;
+
+    #[test]
+    fn spans_nested_past_the_stack_depth_stay_balanced_and_timed_below_it() {
+        let pause = Duration::from_millis(2);
+        let t0 = Instant::now();
+        let ((), totals) = timed(|| {
+            span_enter("outer");
+            for _ in 1..SPAN_DEPTH + 8 {
+                span_enter("inner");
+            }
+            std::thread::sleep(pause);
+            for _ in 0..SPAN_DEPTH + 8 {
+                span_exit();
+            }
+            span_enter("after");
+            span_exit();
+        });
+        let elapsed = t0.elapsed().as_nanos() as u64;
+        assert_eq!(current_span_raw(), (0, 0), "opens and closes balance");
+        let names: Vec<_> = totals.spans.iter().map(|s| (s.name, s.count)).collect();
+        assert_eq!(
+            names,
+            [("after", 1), ("inner", SPAN_DEPTH as u64 - 1), ("outer", 1)]
+        );
+        assert_eq!(totals.untimed, 8, "the levels past the stack are counted");
+        let ns = |name| totals.spans.iter().find(|s| s.name == name).unwrap().ns;
+        let p = pause.as_nanos() as u64;
+        // Every recorded level encloses the pause, and none outlasts the scope.
+        assert!((p..=elapsed).contains(&ns("outer")), "{totals:?}");
+        assert!(ns("inner") >= (SPAN_DEPTH as u64 - 1) * p, "{totals:?}");
+        assert!(
+            ns("inner") <= (SPAN_DEPTH as u64 - 1) * ns("outer"),
+            "{totals:?}"
+        );
+    }
+
+    #[test]
+    fn only_spans_inside_the_scope_count() {
+        span_enter("enclosing");
+        span_enter("before");
+        span_exit();
+        let ((), totals) = timed(|| {
+            span_enter("nested");
+            let ((), inner) = timed(|| {
+                span_enter("innermost");
+                span_exit();
+            });
+            assert_eq!(inner.spans.len(), 1, "{inner:?}");
+            span_exit();
+        });
+        span_exit();
+        assert_eq!(current_span_raw(), (0, 0));
+        let names: Vec<_> = totals.spans.iter().map(|s| s.name).collect();
+        assert_eq!(names, ["nested"], "{totals:?}");
+        // After the scope, nothing is recorded.
+        span_enter("later");
+        span_exit();
+        let ((), empty) = timed(|| ());
+        assert_eq!(empty, SpanTotals::default());
     }
 }

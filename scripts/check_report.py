@@ -10,7 +10,7 @@ report it finds: exactly the required fields (plus the optional
 back unnoticed, the full
 `omega::stats` counter vocabulary (no missing or unknown counters), and
 the derived `exact_solves` consistent with the counters it is derived
-from. Run with `--self-test` to prove the checker rejects the broken
+from, and at least one `cg_` scanner phase in every `ok` report. Run with `--self-test` to prove the checker rejects the broken
 shapes it exists to catch before trusting a pass verdict.
 """
 
@@ -97,6 +97,9 @@ def check_report(r):
             raise AssertionError(f"unknown certainty {r['certainty']!r}")
         if r["lines"] <= 0 or r["bytes"] <= 0:
             raise AssertionError(f"ok report without generated code: {r}")
+        # Every producer times a job's scanner phases; none may skip them.
+        if not any(name.startswith("cg_") for name in r["phases"]):
+            raise AssertionError(f"ok report without a cg_ phase: {r['phases']!r}")
     got = set(r["counters"])
     want = set(COUNTER_FIELDS)
     if got != want:
@@ -213,6 +216,8 @@ def self_test():
         mutate(status="err"),  # err without error message
         mutate(certainty="sure"),  # unknown certainty
         mutate(lines=0),  # ok without code
+        mutate(phases={}),  # ok without phases
+        mutate(phases={"sat_query": 5}),  # ok without a scanner phase
         mutate(exact_solves=99),  # derived field inconsistent
         mutate(slow=False, retained="somewhere"),  # fast job kept artifacts
         mutate(ts_ms="yesterday"),  # wrong type

@@ -82,7 +82,7 @@ fn chrome_export_is_balanced() {
 fn dumped_queries_replay_to_recorded_verdicts() {
     let dir = scratch_dir("cgplus-trace-dumps");
     let collector = Collector::new();
-    collector.dump_queries(&dir);
+    collector.buffer_queries();
     let k = &recipes::all(8)[0];
     let stmts = statements_of(k);
     omega::reset_sat_cache();
@@ -91,7 +91,9 @@ fn dumped_queries_replay_to_recorded_verdicts() {
         .trace(collector.clone())
         .generate()
         .unwrap();
-    collector.finish();
+    let (written, dropped) = collector.write_buffered_dumps(&dir).unwrap();
+    println!("{written} dumps written, {dropped} dropped past the buffer cap");
+    assert_eq!(dropped, 0, "one small kernel fits the dump buffer");
     let mut entries: Vec<_> = std::fs::read_dir(&dir)
         .expect("dump dir created")
         .map(|e| e.unwrap().path())
