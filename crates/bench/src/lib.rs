@@ -169,7 +169,7 @@ fn report(kernel: &Kernel, g: &Generated, mut times: Vec<Duration>) -> ToolRepor
     let (dynamic_cost, instances, compile_time) = run_compiled(g, kernel);
     let code = g.to_c();
     ToolReport {
-        lines: polyir::lines_of_code(&g.code, &g.names),
+        lines: polyir::lines_of_text(&code),
         codegen_time: times[times.len() / 2],
         compile_time,
         dynamic_cost,

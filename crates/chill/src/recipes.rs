@@ -19,9 +19,31 @@ pub struct Kernel {
     pub params: Vec<i64>,
 }
 
+/// A recipe: builds its kernel at a problem size.
+type Recipe = fn(i64) -> Kernel;
+
+/// The Table 1 kernels by name, in the paper's row order: the one table
+/// [`all`] and [`by_name`] walk.
+const TABLE1: [(&str, Recipe); 5] = [
+    ("gemv", gemv),
+    ("qr", qr),
+    ("swim", swim),
+    ("gemm", gemm),
+    ("lu", lu),
+];
+
 /// All five Table 1 kernels at the given problem size.
 pub fn all(n: i64) -> Vec<Kernel> {
-    vec![gemv(n), qr(n), swim(n), gemm(n), lu(n)]
+    TABLE1.iter().map(|(_, build)| build(n)).collect()
+}
+
+/// The Table 1 kernel called `name` at the given problem size, built
+/// alone; `None` when no Table 1 kernel has that name.
+pub fn by_name(name: &str, n: i64) -> Option<Kernel> {
+    TABLE1
+        .iter()
+        .find(|(k, _)| *k == name)
+        .map(|(_, build)| build(n))
 }
 
 /// `gemv` — matrix-vector multiply `y[i] += A[i][j]·x[j]`, optimized with
@@ -446,5 +468,26 @@ mod tests {
         let ks = all(6);
         let names: Vec<&str> = ks.iter().map(|k| k.name).collect();
         assert_eq!(names, vec!["gemv", "qr", "swim", "gemm", "lu"]);
+    }
+
+    #[test]
+    fn by_name_builds_the_matching_table1_kernel() {
+        let n = 9;
+        let shape = |k: &Kernel| {
+            let domains: Vec<String> = k
+                .nest
+                .statements()
+                .iter()
+                .map(|s| format!("{} {}", s.name, s.domain))
+                .collect();
+            (k.name, k.params.clone(), domains)
+        };
+        let all = all(n);
+        assert_eq!(all.len(), TABLE1.len());
+        for ((name, _), k) in TABLE1.iter().zip(&all) {
+            let one = by_name(name, n).unwrap_or_else(|| panic!("{name} not found"));
+            assert_eq!(shape(&one), shape(k), "{name}");
+        }
+        assert!(by_name("nope", n).is_none());
     }
 }

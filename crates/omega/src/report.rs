@@ -64,7 +64,8 @@ pub struct QueryReport {
     /// `approximate:reason+reason` (empty on error).
     pub certainty: String,
     /// Per-phase inclusive nanoseconds, one total per phase name seen in
-    /// the job, sorted by name. Phase vocabulary = [`is_phase_name`].
+    /// the job, sorted by name; a span nested in one of its own name is
+    /// not timed twice. Phase vocabulary = [`is_phase_name`].
     pub phases: Vec<(&'static str, u64)>,
     /// [`crate::stats`] counter deltas over the job, from its own thread
     /// ([`crate::stats::thread_snapshot`]).

@@ -46,5 +46,5 @@ pub use interp::{
     execute, execute_with, CostModel, Counters, ExecConfig, ExecError, Execution, TraceEntry,
 };
 pub use metrics::CodeMetrics;
-pub use print::{lines_of_code, to_c, Names};
+pub use print::{lines_of_code, lines_of_text, to_c, Names};
 pub use stmt::Stmt;

@@ -183,10 +183,13 @@ pub fn to_c(stmt: &Stmt, names: &Names) -> String {
 /// Number of non-empty lines of the C rendering — the paper's
 /// "lines of generated code" metric.
 pub fn lines_of_code(stmt: &Stmt, names: &Names) -> usize {
-    to_c(stmt, names)
-        .lines()
-        .filter(|l| !l.trim().is_empty())
-        .count()
+    lines_of_text(&to_c(stmt, names))
+}
+
+/// Number of non-empty lines of already-rendered C text: equal to
+/// [`lines_of_code`] on the [`to_c`] output, without rendering again.
+pub fn lines_of_text(c: &str) -> usize {
+    c.lines().filter(|l| !l.trim().is_empty()).count()
 }
 
 fn indent(depth: usize, out: &mut String) {
@@ -441,6 +444,7 @@ mod tests {
         assert!(txt.contains("for (t1=1; t1<=100; t1++) {"), "{txt}");
         assert!(txt.contains("s0(t1);"), "{txt}");
         assert_eq!(lines_of_code(&l, &n), 3);
+        assert_eq!(lines_of_text(&txt), 3);
     }
 
     #[test]
@@ -487,6 +491,7 @@ mod tests {
         let txt = to_c(&s, &n);
         assert!(txt.contains("else {"), "{txt}");
         assert_eq!(lines_of_code(&s, &n), 6);
+        assert_eq!(lines_of_text(&txt), 6);
     }
 
     #[test]
@@ -503,5 +508,6 @@ mod tests {
         let txt = to_c(&s, &n);
         assert!(txt.contains("t2 = 4*t1;"), "{txt}");
         assert!(txt.contains("s0(t1,t2);"), "{txt}");
+        assert_eq!(lines_of_text(&txt), lines_of_code(&s, &n));
     }
 }

@@ -819,9 +819,11 @@ struct Measured {
     spans: telemetry::profile::SpanTotals,
 }
 
-/// Builds the statements, runs CodeGen+ (and the stand-in compiler for
-/// its pass timings) with span timing armed and `collector`, if any,
-/// installed, records their [`Measured`] work, and counts degradations per reason.
+/// Builds the statements (a kernel job builds only its own recipe), runs
+/// CodeGen+ (and the stand-in compiler for its pass timings) with span
+/// timing armed and `collector`, if any, installed, records their
+/// [`Measured`] work, and counts degradations per reason. The C text is
+/// rendered once; its line count is taken from that text.
 fn run_job(
     state: &State,
     spec: &JobSpec,
@@ -830,12 +832,9 @@ fn run_job(
 ) -> Result<JobOutput, String> {
     let stmts = match &spec.source {
         JobSource::Kernel { name, n } => {
-            let kernel = chill::recipes::all(*n)
-                .into_iter()
-                .find(|k| k.name == name)
-                .ok_or_else(|| {
-                    format!("unknown kernel {name:?} (expected one of gemv qr swim gemm lu)")
-                })?;
+            let kernel = chill::recipes::by_name(name, *n).ok_or_else(|| {
+                format!("unknown kernel {name:?} (expected one of gemv qr swim gemm lu)")
+            })?;
             statements_of(&kernel)
         }
         JobSource::Spaces(texts) => {
@@ -882,7 +881,7 @@ fn run_job(
         code.push('\n');
     }
     Ok(JobOutput {
-        lines: polyir::lines_of_code(&g.code, &g.names),
+        lines: polyir::lines_of_text(&code),
         code,
         codegen_ns,
         compile_ns,

@@ -167,10 +167,7 @@ fn benchmark_request_shape_is_served() {
         daemon.http_addr(),
         r#"{"kernel":"gemv","n":64,"client":"c0"}"#,
     );
-    let kernel = chill::recipes::all(64)
-        .into_iter()
-        .find(|k| k.name == "gemv")
-        .unwrap();
+    let kernel = chill::recipes::by_name("gemv", 64).unwrap();
     assert_eq!(field(&r, "code"), batch_code(&kernel), "{r:?}");
 
     daemon.shutdown();

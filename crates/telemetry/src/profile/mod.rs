@@ -305,7 +305,9 @@ pub fn span_enter(name: &'static str) {
 }
 
 /// Pops the innermost span. Unbalanced exits are clamped at zero. Inside
-/// a [`timed`] scope, adds the span's wall time to the scope's totals.
+/// a [`timed`] scope, counts the span in the scope's totals and adds its
+/// wall time unless an enclosing slot of the scope is open under the same
+/// name (see [`SpanTotal::ns`]).
 pub fn span_exit() {
     SPAN_STACK.with(|s| {
         let d = s.depth.load(Ordering::Relaxed);
@@ -323,7 +325,15 @@ pub fn span_exit() {
                 t.untimed += 1;
                 return;
             };
-            let ns = t0.elapsed().as_nanos() as u64;
+            let enclosed = s.opened[s.armed_at.get()..d - 1].iter().any(|slot| {
+                slot.get()
+                    .is_some_and(|(_, n)| std::ptr::eq(n, name) || n == name)
+            });
+            let ns = if enclosed {
+                0
+            } else {
+                t0.elapsed().as_nanos() as u64
+            };
             match t.spans.iter_mut().find(|x| x.name == name) {
                 Some(x) => (x.count, x.ns) = (x.count + 1, x.ns + ns),
                 None => t.spans.push(SpanTotal { name, count: 1, ns }),
@@ -337,10 +347,13 @@ pub fn span_exit() {
 pub struct SpanTotal {
     /// The span name (`omega::span!` site name).
     pub name: &'static str,
-    /// Spans of this name that closed inside the scope.
+    /// Spans of this name that closed inside the scope, nested ones
+    /// included.
     pub count: u64,
-    /// Their summed wall time in nanoseconds (inclusive: a span nested in
-    /// another of the same name counts in both).
+    /// Their wall time in nanoseconds, inclusive of the spans they
+    /// enclose. A span that closes inside an open span of the same name
+    /// (a recursive one) adds to `count` only: the enclosing span's time
+    /// already covers it, so `ns` never counts one instant twice.
     pub ns: u64,
 }
 
@@ -836,13 +849,41 @@ mod timing_tests {
         assert_eq!(totals.untimed, 8, "the levels past the stack are counted");
         let ns = |name| totals.spans.iter().find(|s| s.name == name).unwrap().ns;
         let p = pause.as_nanos() as u64;
-        // Every recorded level encloses the pause, and none outlasts the scope.
+        // Every recorded level encloses the pause, none outlasts the scope,
+        // and the recursive `inner` levels are timed once, by the outermost.
         assert!((p..=elapsed).contains(&ns("outer")), "{totals:?}");
-        assert!(ns("inner") >= (SPAN_DEPTH as u64 - 1) * p, "{totals:?}");
-        assert!(
-            ns("inner") <= (SPAN_DEPTH as u64 - 1) * ns("outer"),
-            "{totals:?}"
-        );
+        assert!((p..=ns("outer")).contains(&ns("inner")), "{totals:?}");
+    }
+
+    #[test]
+    fn nested_same_name_spans_count_twice_and_time_once() {
+        let pause = Duration::from_millis(2);
+        let ((), totals) = timed(|| {
+            span_enter("outer");
+            span_enter("rec");
+            std::thread::sleep(pause);
+            span_enter("rec");
+            std::thread::sleep(pause);
+            span_exit();
+            span_exit();
+            span_exit();
+        });
+        let get = |name| *totals.spans.iter().find(|s| s.name == name).unwrap();
+        let (rec, outer) = (get("rec"), get("outer"));
+        assert_eq!((rec.count, outer.count), (2, 1), "{totals:?}");
+        // Roughly the outer `rec`'s time: both pauses, once each, and no
+        // more than the span around it.
+        let p = pause.as_nanos() as u64;
+        assert!((2 * p..=outer.ns).contains(&rec.ns), "{totals:?}");
+        // A same-name span outside the scope does not hide one inside it.
+        span_enter("rec");
+        let ((), inside) = timed(|| {
+            span_enter("rec");
+            std::thread::sleep(pause);
+            span_exit();
+        });
+        span_exit();
+        assert!(inside.spans[0].ns >= p, "{inside:?}");
     }
 
     #[test]

@@ -12,10 +12,7 @@ fn main() {
         .nth(2)
         .and_then(|s| s.parse().ok())
         .unwrap_or(64);
-    let kernel = chill::recipes::all(n)
-        .into_iter()
-        .find(|k| k.name == name)
-        .expect("unknown kernel name");
+    let kernel = chill::recipes::by_name(&name, n).expect("unknown kernel name");
     let stmts = bench_harness::statements_of(&kernel);
     for tool in [
         bench_harness::Tool::codegenplus(),

@@ -10,8 +10,10 @@ report it finds: exactly the required fields (plus the optional
 back unnoticed, the full
 `omega::stats` counter vocabulary (no missing or unknown counters), and
 the derived `exact_solves` consistent with the counters it is derived
-from, and at least one `cg_` scanner phase in every `ok` report. Run with `--self-test` to prove the checker rejects the broken
-shapes it exists to catch before trusting a pass verdict.
+from, and a `cg_generate` phase in every `ok` report that no phase but
+the compiler's `pass_*` exceeds by more than 1%. Run with `--self-test`
+to prove the checker rejects the broken shapes it exists to catch before
+trusting a pass verdict.
 """
 
 import argparse
@@ -68,6 +70,9 @@ REQUIRED = {
 # Rendered only when present (QueryReport omits them rather than null).
 OPTIONAL = {"retained", "error"}
 
+# How far a generation phase may read past its cg_generate (clock jitter).
+PHASE_SLACK = 1.01
+
 
 def check_report(r):
     """Raises AssertionError when `r` is not a valid QueryReport."""
@@ -98,8 +103,18 @@ def check_report(r):
         if r["lines"] <= 0 or r["bytes"] <= 0:
             raise AssertionError(f"ok report without generated code: {r}")
         # Every producer times a job's scanner phases; none may skip them.
-        if not any(name.startswith("cg_") for name in r["phases"]):
-            raise AssertionError(f"ok report without a cg_ phase: {r['phases']!r}")
+        phases = r["phases"]
+        if "cg_generate" not in phases:
+            raise AssertionError(f"ok report without a cg_generate phase: {phases!r}")
+        # Generation phases nest in cg_generate, and a recursive span is
+        # timed once, so none may outlast it; the compiler's pass_* spans
+        # run after it. The 1% covers clock jitter.
+        for name, ns in phases.items():
+            if not name.startswith("pass_") and ns > PHASE_SLACK * phases["cg_generate"]:
+                raise AssertionError(
+                    f"phase {name!r} ({ns} ns) outlasts cg_generate "
+                    f"({phases['cg_generate']} ns): {phases!r}"
+                )
     got = set(r["counters"])
     want = set(COUNTER_FIELDS)
     if got != want:
@@ -208,6 +223,20 @@ def self_test():
     del bad_subtract_missing["counters"]["subtract_built"]
     bad_subtract_built = sample()
     bad_subtract_built["counters"]["subtract_built"] = 10
+    # swim's phases as a per-span sum read them: every nested lift_split
+    # level counted again, 3.5x the generation around it.
+    swim_phases = {
+        "cg_generate": 15375658,
+        "cg_lift": 12491928,
+        "lift_pass": 12485752,
+        "lift_split": 53361181,
+        "gist_query": 7518234,
+        "pass_fold": 2000000,
+    }
+    swim_ok = mutate(source="swim", phases=dict(swim_phases, lift_split=11024300))
+    check_report(swim_ok)
+    # The compiler's passes run after generation and may outlast it.
+    check_report(mutate(source="swim", phases=dict(swim_ok["phases"], pass_fold=20000000)))
     bad = [
         mutate(id=None),  # missing required field
         mutate(status="maybe"),  # unknown status
@@ -227,6 +256,9 @@ def self_test():
         bad_counters_missing,
         bad_subtract_missing,
         bad_subtract_built,  # more conjuncts built than pairs tested
+        mutate(phases={"cg_lower": 5}),  # ok without cg_generate
+        mutate(source="swim", phases=swim_phases),  # double-counted recursion
+        mutate(phases={"cg_generate": 1000, "cg_lower": 1011}),  # past the 1% slack
     ]
     for r in bad:
         try:
