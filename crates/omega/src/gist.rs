@@ -6,6 +6,7 @@
 use crate::conjunct::{Conjunct, Row};
 use crate::linexpr::ConstraintKind;
 use crate::num;
+use crate::sat::RowHash;
 use crate::set::{atoms, Set};
 
 /// Gist over sets. The context is collapsed to its hull if it is a union.
@@ -66,35 +67,31 @@ pub(crate) fn gist_conjunct(a: &Conjunct, ctx: &Conjunct) -> Conjunct {
 /// Order-sensitive fingerprint of a `(conjunct, context)` pair. Unlike the
 /// sat-cache key this must NOT be commutative: gist output depends on row
 /// order (greedy redundancy elimination keeps the first of two mutually
-/// redundant rows). Space names are hashed by their bytes — two spaces at
-/// the same address over a program's lifetime are not necessarily equal.
+/// redundant rows), so the sat fingerprint's mixer ([`RowHash`]) runs in
+/// order over the whole pair instead of summing per-row lanes. Space
+/// names are hashed by their bytes — two spaces at the same address over
+/// a program's lifetime are not necessarily equal.
 fn gist_key(a: &Conjunct, ctx: &Conjunct) -> (u64, u64) {
-    let mut h1: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut h2: u64 = 0x9e37_79b9_7f4a_7c15;
-    let mut mix = |x: u64| {
-        h1 = (h1 ^ x).wrapping_mul(0x100_0000_01b3);
-        h2 = (h2.rotate_left(29) ^ x.wrapping_mul(0xff51_afd7_ed55_8ccd))
-            .wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-    };
+    let mut h = RowHash::EMPTY;
     let space = a.space();
     for name in space.param_names().iter().chain(space.var_names()) {
         for &b in name.as_bytes() {
-            mix(b as u64);
+            h.mix(b as i64);
         }
-        mix(0xff); // name terminator
+        h.mix(0xff); // name terminator
     }
     for c in [a, ctx] {
-        mix(c.is_known_false() as u64);
-        mix(c.n_locals() as u64);
-        mix(c.rows().len() as u64);
+        h.mix(c.is_known_false() as i64);
+        h.mix(c.n_locals() as i64);
+        h.mix(c.rows().len() as i64);
         for r in c.rows() {
-            mix(matches!(r.kind, ConstraintKind::Eq) as u64);
+            h.mix(r.kind as i64);
             for &x in &r.c {
-                mix(x as u64);
+                h.mix(x);
             }
         }
     }
-    (h1, h2)
+    h.finish()
 }
 
 fn gist_conjunct_uncached(a: &Conjunct, ctx: &Conjunct) -> Conjunct {
@@ -266,15 +263,11 @@ fn implied_by(ctx: &Conjunct, atom: &Conjunct) -> bool {
     if let Some(neg) = crate::set::try_complement_atom(atom) {
         return neg.iter().all(|piece| !ctx.intersect(piece).is_sat());
     }
-    let canon = {
-        let mut a = atom.clone();
-        a.canonicalize();
-        a.to_string()
-    };
-    atoms(ctx).iter().any(|c| {
-        let mut c = c.clone();
+    let mut atom = atom.clone();
+    atom.canonicalize();
+    atoms(ctx).into_iter().any(|mut c| {
         c.canonicalize();
-        c.to_string() == canon
+        c == atom
     })
 }
 

@@ -564,27 +564,31 @@ pub(crate) fn row_lane(r: &Row) -> (u64, u64) {
 }
 
 /// Running hash of one row's kind and coefficients; [`RowHash::finish`]
-/// gives the row's lane, its summand in the fingerprint.
-struct RowHash(u64, u64);
+/// gives the row's lane, its summand in the fingerprint. The gist cache's
+/// order-sensitive key runs the same mixer over a whole query.
+pub(crate) struct RowHash(u64, u64);
 
 impl RowHash {
+    /// The hash of nothing yet.
+    pub(crate) const EMPTY: RowHash = RowHash(0xcbf2_9ce4_8422_2325, 0x517c_c1b7_2722_0a95);
+
     #[inline]
     fn new(kind: ConstraintKind) -> RowHash {
         RowHash(
-            0xcbf2_9ce4_8422_2325 ^ (kind as u64),
-            0x517c_c1b7_2722_0a95 ^ (kind as u64).rotate_left(32),
+            Self::EMPTY.0 ^ (kind as u64),
+            Self::EMPTY.1 ^ (kind as u64).rotate_left(32),
         )
     }
 
     #[inline]
-    fn mix(&mut self, x: i64) {
+    pub(crate) fn mix(&mut self, x: i64) {
         self.0 = (self.0 ^ x as u64).wrapping_mul(0x100_0000_01b3);
         self.1 = (self.1.rotate_left(29) ^ (x as u64).wrapping_mul(0xff51_afd7_ed55_8ccd))
             .wrapping_mul(0xc4ce_b9fe_1a85_ec53);
     }
 
     #[inline]
-    fn finish(self) -> (u64, u64) {
+    pub(crate) fn finish(self) -> (u64, u64) {
         (splitmix(self.0), splitmix(self.1 ^ 0x94d0_49bb_1331_11eb))
     }
 }

@@ -13,16 +13,17 @@
 //! ```
 //!
 //! Defaults: HTTP on 127.0.0.1:9077, effort 1,
-//! no deadline, request log as JSON lines on stderr. Each job runs on
-//! one worker thread.
+//! no deadline, request log as JSON lines on stderr. The daemon's
+//! threads are one accept thread and the worker pool; the worker that
+//! takes a connection reads its request, runs it and replies.
 //! Each job's phases and solver counters are timed and counted on its
 //! worker thread for the phase histograms and its query report; a span
 //! collector records the job only under `--slow-ms`. `--workers` sizes
-//! the pool draining the FIFO job
-//! queue (0 = machine cores, the default); `--queue-depth` bounds how
-//! many admitted jobs may wait (default 256 — over it, requests get
-//! HTTP 503); `--queue-timeout-ms` errors jobs that wait longer
-//! instead of running them stale. `--slow-ms` arms tail
+//! the pool, the only one (0 = machine cores, the default);
+//! `--queue-depth` bounds how many accepted connections may wait for a
+//! worker (default 256 — over it, a connection gets HTTP 503 before its
+//! request is read); `--queue-timeout-ms` errors `POST` jobs that wait
+//! longer, from accept to a worker, instead of running them stale. `--slow-ms` arms tail
 //! sampling: a job slower than the threshold (or erroring, or degrading)
 //! keeps its full span trace and replayable `.omega` provenance under
 //! `--slow-dir` (default `codegend-slow`); fast healthy jobs keep

@@ -27,16 +27,17 @@
 //!
 //! Keys other than these are ignored.
 //!
-//! Over queue capacity, both answer `503` with `Retry-After` instead of
-//! queueing the connection.
+//! Every request is read and answered on the worker that took its
+//! connection. When no worker or queue slot is free, the accept thread
+//! answers `503` with `Retry-After` before reading the request
+//! ([`respond_unread`]).
 
 use crate::json::{self, Json};
-use crate::queue::{JobSource, JobSpec, TaskReply, Work, MAX_BATCH_SPACES};
-use crate::{submit, Shed, State};
+use crate::queue::{JobSource, JobSpec, MAX_BATCH_SPACES};
+use crate::{JobOutput, State};
 use std::fmt::Write as _;
 use std::io::{self, Read, Write};
-use std::net::TcpStream;
-use std::sync::Arc;
+use std::net::{Shutdown, TcpStream};
 use std::time::{Duration, Instant};
 use telemetry::log::escape_into;
 
@@ -52,7 +53,11 @@ const MAX_HEAD: usize = 8 << 10;
 /// one write may block on a client that stopped reading.
 const TIMEOUT: Duration = Duration::from_secs(10);
 
-pub(crate) fn handle_conn(state: Arc<State>, mut stream: TcpStream) {
+/// Serves one connection on the calling worker: reads the request, runs
+/// it, writes the reply. `accepted` is when the accept thread took the
+/// connection; a `POST` job's queue wait runs from then to now.
+pub(crate) fn handle_conn(state: &State, (mut stream, accepted): (TcpStream, Instant)) {
+    let queue_ns = accepted.elapsed().as_nanos() as u64;
     let _ = stream.set_write_timeout(Some(TIMEOUT));
     let until = Instant::now() + TIMEOUT;
     let peer = stream
@@ -89,8 +94,8 @@ pub(crate) fn handle_conn(state: Arc<State>, mut stream: TcpStream) {
             }
         };
         match path.as_str() {
-            "/v1/gen" => post_gen(&state, &mut stream, &peer, &body),
-            "/v1/batch" => post_batch(&state, &mut stream, &peer, &body),
+            "/v1/gen" => post_gen(state, &mut stream, &peer, queue_ns, &body),
+            "/v1/batch" => post_batch(state, &mut stream, &peer, queue_ns, &body),
             _ => respond(
                 &mut stream,
                 "404 Not Found",
@@ -100,7 +105,7 @@ pub(crate) fn handle_conn(state: Arc<State>, mut stream: TcpStream) {
         }
         return;
     }
-    let (status, content_type, body) = route(&state, &method, &path, &query);
+    let (status, content_type, body) = route(state, &method, &path, &query);
     let _ = write!(
         stream,
         "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
@@ -122,8 +127,8 @@ fn query_param<'a>(query: &'a str, key: &str) -> Option<&'a str> {
 }
 
 /// `GET /debug/pprof/profile?seconds=N&hz=N&mode=cpu|wall`: run one
-/// profiling session for `seconds` (default 2, capped at 30) on the
-/// calling connection thread, then answer collapsed-stack flamegraph
+/// profiling session for `seconds` (default 2, capped at 30), occupying
+/// the calling worker, then answer collapsed-stack flamegraph
 /// text. `409` while another session runs, `501` where sampling is
 /// unsupported.
 fn get_profile(state: &State, query: &str) -> (&'static str, &'static str, String) {
@@ -201,8 +206,9 @@ fn route(
 // The JSON job API
 // ---------------------------------------------------------------------------
 
-/// `POST /v1/gen`: one job, one `Content-Length`-framed JSON reply.
-fn post_gen(state: &State, stream: &mut TcpStream, peer: &str, body: &str) {
+/// `POST /v1/gen`: one job, run on this worker, one
+/// `Content-Length`-framed JSON reply.
+fn post_gen(state: &State, stream: &mut TcpStream, peer: &str, queue_ns: u64, body: &str) {
     let spec = match gen_spec_of(body) {
         Ok(spec) => spec,
         Err(msg) => {
@@ -215,20 +221,29 @@ fn post_gen(state: &State, stream: &mut TcpStream, peer: &str, body: &str) {
             return;
         }
     };
-    match submit(state, peer, Work::Single(spec)) {
-        Err(shed) => respond_busy(stream, &shed),
-        Ok((id, rx)) => {
-            let body = task_reply_json(rx.recv().ok(), &id);
-            respond(stream, "200 OK", "application/json", &body);
-        }
-    }
+    let id = spec.id.clone().unwrap_or_else(|| state.next_id());
+    let kind = spec.source.kind();
+    let mut reply = String::new();
+    crate::run_tasks(
+        state,
+        peer,
+        &id,
+        kind,
+        queue_ns,
+        &[(id.clone(), spec)],
+        |line| {
+            reply = line;
+            Ok(())
+        },
+    );
+    respond(stream, "200 OK", "application/json", &reply);
 }
 
-/// `POST /v1/batch`: one queue entry, chunked NDJSON streaming — a
-/// header object, then one object per space in submission order, each
-/// flushed as its own chunk as the worker finishes it.
-fn post_batch(state: &State, stream: &mut TcpStream, peer: &str, body: &str) {
-    let (base, spaces) = match batch_spec_of(body) {
+/// `POST /v1/batch`: one job, chunked NDJSON streaming — a header
+/// object, then one object per space in submission order, each flushed
+/// as its own chunk as this worker finishes it.
+fn post_batch(state: &State, stream: &mut TcpStream, peer: &str, queue_ns: u64, body: &str) {
+    let (id, specs) = match batch_spec_of(body) {
         Ok(v) => v,
         Err(msg) => {
             respond(
@@ -240,32 +255,30 @@ fn post_batch(state: &State, stream: &mut TcpStream, peer: &str, body: &str) {
             return;
         }
     };
-    let count = spaces.len();
-    match submit(state, peer, Work::Batch { base, spaces }) {
-        Err(shed) => respond_busy(stream, &shed),
-        Ok((id, rx)) => {
-            let _ = (|| -> io::Result<()> {
-                write!(
-                    stream,
-                    "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n\
-                     Transfer-Encoding: chunked\r\nConnection: close\r\n\r\n"
-                )?;
-                let mut head = String::new();
-                let _ = write!(head, "{{\"id\":\"");
-                escape_into(&id, &mut head);
-                let _ = writeln!(head, "\",\"count\":{count}}}");
-                write_chunk(stream, &head)?;
-                for i in 0..count {
-                    let fallback = format!("{id}#{i}");
-                    let mut line = task_reply_json(rx.recv().ok(), &fallback);
-                    line.push('\n');
-                    write_chunk(stream, &line)?;
-                }
-                stream.write_all(b"0\r\n\r\n")?;
-                stream.flush()
-            })();
-        }
-    }
+    let id = id.unwrap_or_else(|| state.next_id());
+    let tasks: Vec<(String, JobSpec)> = specs
+        .into_iter()
+        .enumerate()
+        .map(|(i, spec)| (format!("{id}#{i}"), spec))
+        .collect();
+    let _ = (|| -> io::Result<()> {
+        write!(
+            stream,
+            "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n\
+             Transfer-Encoding: chunked\r\nConnection: close\r\n\r\n"
+        )?;
+        let mut head = String::new();
+        let _ = write!(head, "{{\"id\":\"");
+        escape_into(&id, &mut head);
+        let _ = writeln!(head, "\",\"count\":{}}}", tasks.len());
+        write_chunk(stream, &head)?;
+        crate::run_tasks(state, peer, &id, "batch", queue_ns, &tasks, |mut line| {
+            line.push('\n');
+            write_chunk(stream, &line)
+        });
+        stream.write_all(b"0\r\n\r\n")?;
+        stream.flush()
+    })();
 }
 
 /// One chunked-transfer-encoding chunk, flushed so the client sees it
@@ -277,46 +290,41 @@ fn write_chunk(stream: &mut TcpStream, data: &str) -> io::Result<()> {
     stream.flush()
 }
 
-/// Renders one worker reply as a JSON object (no trailing newline).
-/// `None` means the daemon dropped the job at shutdown.
-fn task_reply_json(reply: Option<TaskReply>, fallback_id: &str) -> String {
+/// Renders one task's outcome as a JSON object (no trailing newline).
+pub(crate) fn task_reply_json(
+    id: &str,
+    source: &str,
+    outcome: Result<JobOutput, String>,
+) -> String {
     let mut out = String::with_capacity(256);
     out.push_str("{\"id\":\"");
-    match reply {
-        None => {
-            escape_into(fallback_id, &mut out);
-            out.push_str("\",\"error\":\"daemon shutting down\"}");
+    escape_into(id, &mut out);
+    out.push_str("\",\"source\":\"");
+    escape_into(source, &mut out);
+    match outcome {
+        Ok(job) => {
+            let _ = write!(
+                out,
+                "\",\"lines\":{},\"codegen_ns\":{},\"compile_ns\":{},\"certainty\":\"{}\",\"bytes\":{},\"code\":\"",
+                job.lines,
+                job.codegen_ns,
+                job.compile_ns,
+                job.certainty,
+                job.code.len(),
+            );
+            escape_into(&job.code, &mut out);
+            out.push_str("\"}");
         }
-        Some(r) => {
-            escape_into(&r.id, &mut out);
-            out.push_str("\",\"source\":\"");
-            escape_into(&r.source, &mut out);
-            match r.outcome {
-                Ok(job) => {
-                    let _ = write!(
-                        out,
-                        "\",\"lines\":{},\"codegen_ns\":{},\"compile_ns\":{},\"certainty\":\"{}\",\"bytes\":{},\"code\":\"",
-                        job.lines,
-                        job.codegen_ns,
-                        job.compile_ns,
-                        job.certainty,
-                        job.code.len(),
-                    );
-                    escape_into(&job.code, &mut out);
-                    out.push_str("\"}");
-                }
-                Err(msg) => {
-                    out.push_str("\",\"error\":\"");
-                    escape_into(&msg, &mut out);
-                    out.push_str("\"}");
-                }
-            }
+        Err(msg) => {
+            out.push_str("\",\"error\":\"");
+            escape_into(&msg, &mut out);
+            out.push_str("\"}");
         }
     }
     out
 }
 
-fn error_body(msg: &str) -> String {
+pub(crate) fn error_body(msg: &str) -> String {
     let mut out = String::from("{\"error\":\"");
     escape_into(msg, &mut out);
     out.push_str("\"}\n");
@@ -332,22 +340,18 @@ fn respond(stream: &mut TcpStream, status: &str, content_type: &str, body: &str)
     let _ = stream.flush();
 }
 
-/// The shed answer: `503` with a `Retry-After` hint and the queue facts
-/// in the body.
-fn respond_busy(stream: &mut TcpStream, shed: &Shed) {
-    let mut body = String::from("{\"error\":\"busy\",\"id\":\"");
-    escape_into(&shed.id, &mut body);
-    let _ = writeln!(
-        body,
-        "\",\"queued\":{},\"capacity\":{}}}",
-        shed.queued, shed.capacity
-    );
+/// Answers a connection whose request no worker will read (shed, or
+/// still queued at shutdown): `503` with a `Retry-After` hint and `body`.
+/// Closing a socket over unread bytes sends a reset; the write side is
+/// shut down first, so the client has the reply and its end (FIN) before
+/// the reset arrives.
+pub(crate) fn respond_unread(mut stream: TcpStream, body: &str) {
     let _ = write!(
         stream,
         "HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\nRetry-After: 1\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
     );
-    let _ = stream.flush();
+    let _ = stream.shutdown(Shutdown::Write);
 }
 
 // ---------------------------------------------------------------------------
@@ -419,9 +423,9 @@ fn gen_spec_of(body: &str) -> Result<JobSpec, String> {
     Ok(JobSpec { id, source, effort })
 }
 
-/// Parses a `POST /v1/batch` body into the shared base spec plus the
-/// per-space work list.
-fn batch_spec_of(body: &str) -> Result<(JobSpec, Vec<String>), String> {
+/// Parses a `POST /v1/batch` body into its `id` and one single-space
+/// spec per space, each an independent generation at the body's effort.
+fn batch_spec_of(body: &str) -> Result<(Option<String>, Vec<JobSpec>), String> {
     let v = json::parse(body)?;
     let (id, effort) = common_fields(&v)?;
     if v.get("kernel").is_some() {
@@ -437,14 +441,15 @@ fn batch_spec_of(body: &str) -> Result<(JobSpec, Vec<String>), String> {
             sets.len()
         ));
     }
-    Ok((
-        JobSpec {
-            id,
-            source: JobSource::Spaces(sets.clone()),
+    let specs = sets
+        .into_iter()
+        .map(|space| JobSpec {
+            id: None,
+            source: JobSource::Spaces(vec![space]),
             effort,
-        },
-        sets,
-    ))
+        })
+        .collect();
+    Ok((id, specs))
 }
 
 // ---------------------------------------------------------------------------
@@ -556,11 +561,20 @@ mod tests {
 
     #[test]
     fn batch_body_shapes() {
-        let (base, spaces) =
-            batch_spec_of(r#"{"spaces":["{ [i] : i = 0 }","{ [i] : i = 1 }"],"id":"b1"}"#).unwrap();
-        assert_eq!(spaces.len(), 2);
-        assert_eq!(base.id.as_deref(), Some("b1"));
-        assert_eq!(base.source, JobSource::Spaces(spaces));
+        let (id, specs) = batch_spec_of(
+            r#"{"spaces":["{ [i] : i = 0 }","{ [i] : i = 1 }"],"effort":2,"id":"b1"}"#,
+        )
+        .unwrap();
+        assert_eq!(id.as_deref(), Some("b1"));
+        let sources: Vec<&JobSource> = specs.iter().map(|s| &s.source).collect();
+        assert_eq!(
+            sources,
+            [
+                &JobSource::Spaces(vec!["{ [i] : i = 0 }".into()]),
+                &JobSource::Spaces(vec!["{ [i] : i = 1 }".into()]),
+            ]
+        );
+        assert!(specs.iter().all(|s| s.id.is_none() && s.effort == Some(2)));
 
         for bad in [
             "{}",
@@ -575,16 +589,7 @@ mod tests {
     #[test]
     fn reply_rendering() {
         assert_eq!(
-            task_reply_json(None, "r-1"),
-            "{\"id\":\"r-1\",\"error\":\"daemon shutting down\"}"
-        );
-        let r = TaskReply {
-            id: "b1#0".into(),
-            source: "adhoc[1]".into(),
-            outcome: Err("bad \"set\"".into()),
-        };
-        assert_eq!(
-            task_reply_json(Some(r), "b1#0"),
+            task_reply_json("b1#0", "adhoc[1]", Err("bad \"set\"".into())),
             "{\"id\":\"b1#0\",\"source\":\"adhoc[1]\",\"error\":\"bad \\\"set\\\"\"}"
         );
     }

@@ -1,10 +1,13 @@
 //! # serve — the `codegend` daemon
 //!
 //! A long-running service in front of the CodeGen+ pipeline, with one
-//! HTTP listener as its only interface. Connections to `POST /v1/gen` and
-//! `POST /v1/batch` (JSON bodies) *submit* jobs into one bounded FIFO
-//! queue ([`queue`]); a worker pool sized to cores drains it and streams
-//! replies back per job. The daemon exposes
+//! HTTP listener as its only interface. The accept thread hands each
+//! connection to one bounded FIFO ([`queue`]); a worker pool sized to
+//! cores drains it, and one worker carries each request from reading it
+//! to the reply: `POST /v1/gen` and `POST /v1/batch` (JSON bodies) run
+//! their jobs inline, a batch streaming one reply per space. The daemon's
+//! threads are the accept thread and the workers, whatever the number of
+//! connections. The daemon exposes
 //!
 //! * **`GET /metrics`** — OpenMetrics text from a [`telemetry::Registry`]:
 //!   request counters, queue depth, in-flight and worker gauges,
@@ -21,7 +24,8 @@
 //! * **`GET /debug/*`** — live introspection: `/debug/requests` (the
 //!   recent `QueryReport`s), `/debug/config` (the resolved
 //!   [`Config`]), and `/debug/pprof/profile` (a sampling-profiler
-//!   capture as collapsed stacks);
+//!   capture as collapsed stacks, which holds its worker for the whole
+//!   capture);
 //! * **tail sampling** — the one way to keep a job's artifacts. With
 //!   `--slow-ms N`, only jobs slower than `N` milliseconds (or that
 //!   error or degrade) retain their full span trace and replayable
@@ -42,12 +46,13 @@
 //!
 //! ## The service core
 //!
-//! Admission checks the queue length against `--queue-depth` under the
-//! queue lock — over capacity, the request gets `503` + `Retry-After`
-//! immediately instead of a connection thread piling onto the pipeline.
-//! Workers take admitted jobs in arrival order. A `batch` request runs N
-//! spaces as one queue entry — one parse, one slot, per-space replies
-//! streamed back in order.
+//! Admission checks the hand-off's length against `--queue-depth` under
+//! the queue lock — over capacity, the accept thread answers `503` +
+//! `Retry-After` at once, before reading the request, so no thread waits
+//! on a connection the pool has no room for. Workers take connections in
+//! arrival order, `GET`s included. A `batch` request runs N spaces on the
+//! worker that read it — one parse, one slot, per-space replies streamed
+//! back in order.
 //!
 //! Generation stays deterministic: a daemon answer for a kernel job is
 //! byte-identical to what the batch `table1` pipeline produces for the
@@ -69,7 +74,7 @@ mod http;
 mod report;
 
 use crate::metrics::Metrics;
-use crate::queue::{Job, JobSource, JobSpec, Queue, TaskReply, Work};
+use crate::queue::{JobSource, JobSpec, Queue};
 use codegenplus::{pad_statements, CodeGen, Statement};
 use omega::report::{is_phase_name, now_ms, QueryReport};
 use std::fmt::Write as _;
@@ -78,7 +83,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 use telemetry::log::{escape_into, Logger, Record};
@@ -109,17 +114,19 @@ pub struct Config {
     /// load-shedding behavior for overloaded deployments. `None` keeps
     /// results a pure function of the input.
     pub deadline: Option<Duration>,
-    /// Size of the worker pool draining the job queue. `0` resolves to
-    /// the machine's available parallelism.
+    /// Size of the worker pool, the daemon's only pool: each worker reads
+    /// a connection's request, runs it and replies. `0` resolves to the
+    /// machine's available parallelism.
     pub workers: usize,
-    /// Bound of the admission queue: jobs queued beyond the pool. Over
-    /// capacity, requests are answered `503` instead of queueing without
-    /// bound.
+    /// Bound of the hand-off: accepted connections waiting for a worker.
+    /// Over capacity, a connection is answered `503` before its request
+    /// is read, instead of queueing without bound.
     pub queue_depth: usize,
-    /// Maximum time a job may wait in the queue before it is answered
-    /// with an error instead of executing (`None` waits forever). Bounds
-    /// the staleness of work under sustained overload: shed at admission
-    /// when full, time out in queue when slow.
+    /// Maximum time a `POST` job may wait, from accept to a worker taking
+    /// its connection, before it is answered with an error instead of
+    /// executing (`None` waits forever). Bounds the staleness of work
+    /// under sustained overload: shed at accept when full, time out in
+    /// queue when slow.
     pub queue_timeout: Option<Duration>,
     /// Tail-sampling threshold. When set, a job slower than this many
     /// milliseconds — or one that errors or degrades — retains its full
@@ -180,9 +187,9 @@ pub(crate) fn build_fingerprint() -> String {
     )
 }
 
-/// Shared daemon state: config, metrics, logger, the job queue, the
-/// report ring behind `/debug/requests`, and the counters the health
-/// endpoint reports.
+/// Shared daemon state: config, metrics, logger, the connection
+/// hand-off, the report ring behind `/debug/requests`, and the counters
+/// the health endpoint reports.
 pub(crate) struct State {
     cfg: Config,
     pub(crate) metrics: Metrics,
@@ -193,12 +200,19 @@ pub(crate) struct State {
     jobs_total: AtomicU64,
     stop: AtomicBool,
     reports: report::ReportRing,
-    queue: Queue,
+    /// Accepted connections and their accept instants, waiting for a
+    /// worker.
+    queue: Queue<(TcpStream, Instant)>,
     /// Resolved worker-pool size (`cfg.workers` with 0 resolved).
     workers: usize,
 }
 
 impl State {
+    /// A daemon-assigned request id, `r-NNNNNN`.
+    pub(crate) fn next_id(&self) -> String {
+        format!("r-{:06}", self.req_seq.fetch_add(1, Ordering::SeqCst))
+    }
+
     /// The `/metrics` body: bridge the solver counters, refresh the
     /// queue gauge and uptime, render the registry.
     pub(crate) fn metrics_text(&self) -> String {
@@ -253,7 +267,7 @@ impl State {
     }
 
     /// Captures one profiling session for `/debug/pprof/profile`:
-    /// blocks the calling connection thread for `duration`, then
+    /// occupies the calling worker for `duration`, then
     /// symbolizes. Logs a `profile` record with the capture facts.
     pub(crate) fn profile_capture(
         &self,
@@ -328,8 +342,8 @@ impl State {
     }
 }
 
-/// A running daemon: the HTTP listener thread, the worker pool, and
-/// per-connection submitter threads.
+/// A running daemon: the accept thread and the worker pool that serves
+/// every connection — a fixed set of threads.
 pub struct Daemon {
     state: Arc<State>,
     http_addr: SocketAddr,
@@ -337,7 +351,8 @@ pub struct Daemon {
     worker_threads: Vec<JoinHandle<()>>,
 }
 
-/// Binds the HTTP listener, starts the worker pool, and starts serving.
+/// Binds the HTTP listener, starts the worker pool and the accept
+/// thread, and starts serving.
 ///
 /// # Errors
 ///
@@ -392,7 +407,11 @@ pub fn spawn(cfg: Config) -> io::Result<Daemon> {
         worker_threads.push(
             thread::Builder::new()
                 .name(format!("codegend-worker-{i}"))
-                .spawn(move || worker_loop(state))?,
+                .spawn(move || {
+                    while let Some(conn) = state.queue.pop() {
+                        http::handle_conn(&state, conn);
+                    }
+                })?,
         );
     }
     let accept_thread = {
@@ -415,13 +434,12 @@ impl Daemon {
         self.http_addr
     }
 
-    /// Asks the accept loop and the worker pool to stop (idempotent).
-    /// In-flight connection handlers finish their current request;
-    /// workers finish their current job; still-queued jobs are dropped
-    /// and their submitters answered with a shutdown error.
+    /// Asks the accept thread and the worker pool to stop (idempotent).
+    /// Each worker finishes the connection it holds; the accept thread
+    /// stops the hand-off and answers each connection still waiting for a
+    /// worker with a `503` shutdown error.
     pub fn shutdown(&self) {
         self.state.stop.store(true, Ordering::SeqCst);
-        self.state.queue.stop();
         // Unblock the blocking accept with one throwaway connection.
         let _ = TcpStream::connect(self.http_addr);
     }
@@ -436,199 +454,111 @@ impl Daemon {
     }
 }
 
+/// Hands each accepted connection to the workers, or sheds it when the
+/// hand-off is full. The only thread that pushes, so once it stops the
+/// queue on its way out, nothing is queued that no worker will take.
 fn accept_loop(listener: TcpListener, state: Arc<State>) {
     for stream in listener.incoming() {
         if state.stop.load(Ordering::SeqCst) {
             break;
         }
         let Ok(stream) = stream else { continue };
-        let state = Arc::clone(&state);
-        let _ = thread::Builder::new()
-            .name("codegend-conn".into())
-            .spawn(move || http::handle_conn(state, stream));
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Job submission
-// ---------------------------------------------------------------------------
-
-/// Why a submission was refused: the queue was at capacity. Carries the
-/// facts the refusal response needs; shed metrics and the log record are
-/// already emitted when this is returned.
-pub(crate) struct Shed {
-    pub(crate) id: String,
-    pub(crate) queued: usize,
-    pub(crate) capacity: usize,
-}
-
-/// The request kind label for the `codegend_requests` family.
-fn kind_of(work: &Work) -> &'static str {
-    match work {
-        Work::Single(spec) => match spec.source {
-            JobSource::Kernel { .. } => "kernel",
-            JobSource::Spaces(_) => "adhoc",
-        },
-        Work::Batch { .. } => "batch",
-    }
-}
-
-/// Builds a [`Job`] from a parsed spec and enqueues it, assigning the id
-/// (`r-NNNNNN` when the client chose none). On shed, the shed counter,
-/// the `busy` request counter, and the request log record are all
-/// emitted here; the caller only formats the `503`.
-pub(crate) fn submit(
-    state: &State,
-    peer: &str,
-    work: Work,
-) -> Result<(String, mpsc::Receiver<TaskReply>), Shed> {
-    let kind = kind_of(&work);
-    let spec = match &work {
-        Work::Single(spec) => spec,
-        Work::Batch { base, .. } => base,
-    };
-    let id = spec
-        .id
-        .clone()
-        .unwrap_or_else(|| format!("r-{:06}", state.req_seq.fetch_add(1, Ordering::SeqCst)));
-    let (tx, rx) = mpsc::channel();
-    let job = Job {
-        id: id.clone(),
-        peer: peer.to_owned(),
-        work,
-        enqueued: Instant::now(),
-        reply: tx,
-    };
-    match state.queue.try_push(job) {
-        Ok(()) => Ok((id, rx)),
-        Err(job) => {
-            state.metrics.shed.inc();
-            state.metrics.requests.with(&[kind, "busy"]).inc();
-            state.logger.log(
-                Record::new("request")
-                    .str("id", &job.id)
-                    .str("peer", peer)
-                    .str("kind", kind)
-                    .str("status", "busy"),
-            );
-            Err(Shed {
-                id: job.id,
-                queued: state.queue.len(),
-                capacity: state.queue.capacity(),
-            })
+        if let Err((stream, _)) = state.queue.try_push((stream, Instant::now())) {
+            shed(&state, stream);
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// The worker pool
-// ---------------------------------------------------------------------------
-
-/// One worker: pop, enforce the queue timeout, execute, stream replies.
-/// Exits when the queue stops.
-fn worker_loop(state: Arc<State>) {
-    while let Some(job) = state.queue.pop() {
-        let queue_ns = job.enqueued.elapsed().as_nanos() as u64;
-        state.metrics.queue_wait_seconds.observe_ns(queue_ns);
-        if let Some(limit) = state.cfg.queue_timeout {
-            if job.enqueued.elapsed() > limit {
-                timeout_job(&state, job, queue_ns);
-                continue;
-            }
-        }
-        state.inflight.fetch_add(1, Ordering::SeqCst);
-        state.metrics.inflight.add(1);
-        let t0 = Instant::now();
-        // The final reply is held back until the in-flight gauge is
-        // decremented: a submitter that scrapes /metrics right after its
-        // last reply must not see this job still counted as executing.
-        let last = match &job.work {
-            Work::Single(spec) => {
-                let kind = kind_of(&job.work);
-                let outcome = execute_task(&state, &job.id, &job.peer, kind, queue_ns, spec);
-                Some(TaskReply {
-                    id: job.id.clone(),
-                    source: spec.source.tag(),
-                    outcome,
-                })
-            }
-            Work::Batch { base, spaces } => {
-                let mut last = None;
-                for (i, space) in spaces.iter().enumerate() {
-                    let task_id = format!("{}#{i}", job.id);
-                    let spec = JobSpec {
-                        id: Some(task_id.clone()),
-                        source: JobSource::Spaces(vec![space.clone()]),
-                        effort: base.effort,
-                    };
-                    let outcome =
-                        execute_task(&state, &task_id, &job.peer, "batch", queue_ns, &spec);
-                    let reply = TaskReply {
-                        id: task_id,
-                        source: spec.source.tag(),
-                        outcome,
-                    };
-                    if i + 1 == spaces.len() {
-                        last = Some(reply);
-                    } else if job.reply.send(reply).is_err() {
-                        // The submitter hung up: stop burning the worker
-                        // on replies nobody reads.
-                        break;
-                    }
-                }
-                last
-            }
-        };
-        state.metrics.inflight.add(-1);
-        state.inflight.fetch_sub(1, Ordering::SeqCst);
-        state
-            .metrics
-            .service_seconds
-            .observe_ns(t0.elapsed().as_nanos() as u64);
-        if let Some(reply) = last {
-            let _ = job.reply.send(reply);
-        }
+    for (stream, _) in state.queue.stop() {
+        http::respond_unread(stream, &http::error_body("daemon shutting down"));
     }
 }
 
-/// Answers a job that overran the queue timeout: an error per expected
-/// reply, the timeout counter, and a request log record. Counted
-/// separately from sheds — a shed never entered the queue, a timeout
-/// waited and lost.
-fn timeout_job(state: &State, job: Job, queue_ns: u64) {
-    let kind = kind_of(&job.work);
-    state.metrics.timeout.inc();
-    state.metrics.requests.with(&[kind, "timeout"]).inc();
+/// Answers a connection the hand-off has no room for: `503` with the
+/// queue facts, written before the request is read, so its kind is
+/// `unread`. Counted as a shed and a `busy` request, and logged.
+fn shed(state: &State, stream: TcpStream) {
+    let id = state.next_id();
+    let peer = stream
+        .peer_addr()
+        .map(|p| p.to_string())
+        .unwrap_or_default();
+    state.metrics.shed.inc();
+    state.metrics.requests.with(&["unread", "busy"]).inc();
     state.logger.log(
         Record::new("request")
-            .str("id", &job.id)
-            .str("peer", &job.peer)
-            .str("kind", kind)
-            .str("status", "timeout")
-            .int("queue_ns", queue_ns as i64),
+            .str("id", &id)
+            .str("peer", &peer)
+            .str("kind", "unread")
+            .str("status", "busy"),
     );
-    let msg = format!("timed out in queue after {}ms", queue_ns / 1_000_000);
-    match &job.work {
-        Work::Single(spec) => {
-            let _ = job.reply.send(TaskReply {
-                id: job.id.clone(),
-                source: spec.source.tag(),
-                outcome: Err(msg),
-            });
-        }
-        Work::Batch { spaces, .. } => {
-            for i in 0..spaces.len() {
-                let sent = job.reply.send(TaskReply {
-                    id: format!("{}#{i}", job.id),
-                    source: "adhoc[1]".to_owned(),
-                    outcome: Err(msg.clone()),
-                });
-                if sent.is_err() {
+    let mut body = String::from("{\"error\":\"busy\",\"id\":\"");
+    escape_into(&id, &mut body);
+    let _ = writeln!(
+        body,
+        "\",\"queued\":{},\"capacity\":{}}}",
+        state.queue.len(),
+        state.queue.capacity()
+    );
+    http::respond_unread(stream, &body);
+}
+
+// ---------------------------------------------------------------------------
+// Running jobs
+// ---------------------------------------------------------------------------
+
+/// Runs one `POST` job's tasks in order on the calling worker: a `gen` is
+/// one task, a `batch` one per space (ids `job#i`). Observes the job's
+/// queue wait; past `--queue-timeout-ms`, answers every task with an
+/// error instead of running it (a timeout is counted apart from a shed:
+/// a shed never entered the queue, a timeout waited and lost). Each
+/// task's reply object goes to `emit` when it is ready; the first failed
+/// `emit` (the client hung up) ends the job.
+pub(crate) fn run_tasks(
+    state: &State,
+    peer: &str,
+    job_id: &str,
+    kind: &'static str,
+    queue_ns: u64,
+    tasks: &[(String, JobSpec)],
+    mut emit: impl FnMut(String) -> io::Result<()>,
+) {
+    state.metrics.queue_wait_seconds.observe_ns(queue_ns);
+    if let Some(limit) = state.cfg.queue_timeout {
+        if u128::from(queue_ns) > limit.as_nanos() {
+            state.metrics.timeout.inc();
+            state.metrics.requests.with(&[kind, "timeout"]).inc();
+            state.logger.log(
+                Record::new("request")
+                    .str("id", job_id)
+                    .str("peer", peer)
+                    .str("kind", kind)
+                    .str("status", "timeout")
+                    .int("queue_ns", queue_ns as i64),
+            );
+            let msg = format!("timed out in queue after {}ms", queue_ns / 1_000_000);
+            for (id, spec) in tasks {
+                let reply = http::task_reply_json(id, &spec.source.tag(), Err(msg.clone()));
+                if emit(reply).is_err() {
                     break;
                 }
             }
+            return;
         }
     }
+    state.inflight.fetch_add(1, Ordering::SeqCst);
+    state.metrics.inflight.add(1);
+    let t0 = Instant::now();
+    for (id, spec) in tasks {
+        let outcome = execute_task(state, id, peer, kind, queue_ns, spec);
+        if emit(http::task_reply_json(id, &spec.source.tag(), outcome)).is_err() {
+            break;
+        }
+    }
+    state.metrics.inflight.add(-1);
+    state.inflight.fetch_sub(1, Ordering::SeqCst);
+    state
+        .metrics
+        .service_seconds
+        .observe_ns(t0.elapsed().as_nanos() as u64);
 }
 
 /// Executes one task (a `gen`, or one space of a `batch`) on a worker:
@@ -902,26 +832,4 @@ fn retain_slow_artifacts(
     let mut f = std::fs::File::create(dir.join("trace.json"))?;
     collector.finish().write_chrome_json(&mut f)?;
     collector.write_buffered_dumps(dir)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn kind_labels() {
-        let spec = JobSpec {
-            id: None,
-            source: JobSource::Spaces(vec!["{ [i] : i = 0 }".into()]),
-            effort: None,
-        };
-        assert_eq!(kind_of(&Work::Single(spec.clone())), "adhoc");
-        assert_eq!(
-            kind_of(&Work::Batch {
-                base: spec,
-                spaces: vec!["{ [i] : i = 0 }".into()],
-            }),
-            "batch"
-        );
-    }
 }

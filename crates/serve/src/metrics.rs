@@ -19,21 +19,24 @@ use telemetry::{Counter, Family, Gauge, Histogram, Registry};
 pub struct Metrics {
     /// The backing registry (exposed at `/metrics`).
     pub registry: Registry,
-    /// Requests by `kind` (`kernel`/`adhoc`/`batch`) and
-    /// `status` (`ok`/`err`/`busy`/`timeout`).
+    /// Requests by `kind` (`kernel`/`adhoc`/`batch`, or `unread` for a
+    /// connection shed before its request was read) and `status`
+    /// (`ok`/`err`/`busy`/`timeout`).
     pub requests: Arc<Family<Counter>>,
     /// Jobs currently executing on the worker pool.
     pub inflight: Arc<Gauge>,
-    /// Jobs currently queued (set at scrape time from the queue).
+    /// Connections currently waiting for a worker (set at scrape time
+    /// from the queue).
     pub queue_depth: Arc<Gauge>,
     /// Resolved size of the worker pool.
     pub workers: Arc<Gauge>,
-    /// Jobs rejected at admission because the queue was full.
+    /// Connections answered `503` at accept because every worker and
+    /// queue slot was taken.
     pub shed: Arc<Counter>,
     /// Jobs that waited past the queue timeout and were answered with an
     /// error instead of executing.
     pub timeout: Arc<Counter>,
-    /// Time jobs spent queued before a worker picked them up.
+    /// Time from accept to a worker taking a `POST` job's connection.
     pub queue_wait_seconds: Arc<Histogram>,
     /// Time workers spent executing jobs (all spaces of a batch).
     pub service_seconds: Arc<Histogram>,
@@ -68,7 +71,7 @@ impl Metrics {
         Metrics {
             requests: registry.counter_vec(
                 "codegend_requests",
-                "Requests handled, by kind (kernel/adhoc/batch) and status (ok/err/busy/timeout).",
+                "Requests handled, by kind (kernel/adhoc/batch, unread for a shed connection) and status (ok/err/busy/timeout).",
                 &["kind", "status"],
             ),
             inflight: registry.gauge(
@@ -77,12 +80,12 @@ impl Metrics {
             ),
             queue_depth: registry.gauge(
                 "codegend_queue_depth",
-                "Jobs currently queued awaiting a worker.",
+                "Connections currently queued awaiting a worker.",
             ),
             workers: registry.gauge("codegend_workers", "Resolved size of the worker pool."),
             shed: registry.counter(
                 "codegend_jobs_shed",
-                "Jobs rejected at admission because the queue was at capacity.",
+                "Connections answered 503 at accept because every worker and queue slot was taken.",
             ),
             timeout: registry.counter(
                 "codegend_jobs_timeout",
@@ -90,7 +93,7 @@ impl Metrics {
             ),
             queue_wait_seconds: registry.histogram(
                 "codegend_queue_wait_seconds",
-                "Time from admission to a worker picking the job up.",
+                "Time from accept to a worker taking a POST job's connection.",
             ),
             service_seconds: registry.histogram(
                 "codegend_service_seconds",

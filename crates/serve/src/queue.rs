@@ -1,16 +1,14 @@
-//! The service core: one bounded FIFO job queue drained by the worker
-//! pool.
+//! The service core: one bounded FIFO of accepted connections drained
+//! by the worker pool.
 //!
-//! Connections *submit* jobs and wait on a reply channel; execution
-//! happens on a fixed pool of worker threads sized to cores. Admission
-//! checks `len < capacity` under the queue lock, so the bound is exact:
-//! the observable depth never exceeds capacity, and no request is shed
-//! while a slot is free. Workers take jobs in arrival order.
+//! The accept thread pushes each connection; a worker pops it and carries
+//! the request from reading to reply. Admission checks
+//! `len < capacity` under the queue lock, so the bound is exact: the
+//! observable depth never exceeds capacity, and no connection is shed
+//! while a slot is free. Workers take connections in arrival order.
 
 use std::collections::VecDeque;
-use std::sync::mpsc::Sender;
 use std::sync::{Condvar, Mutex, MutexGuard};
-use std::time::Instant;
 
 /// What to generate and how hard to try.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -46,119 +44,83 @@ impl JobSource {
             JobSource::Spaces(s) => format!("adhoc[{}]", s.len()),
         }
     }
+
+    /// The request kind label of a `gen` job (`kernel` or `adhoc`) for
+    /// the `codegend_requests` family; a `batch` is `batch`.
+    pub(crate) fn kind(&self) -> &'static str {
+        match self {
+            JobSource::Kernel { .. } => "kernel",
+            JobSource::Spaces(_) => "adhoc",
+        }
+    }
 }
 
 /// Most spaces one `batch` request may carry; a guard against one request
 /// monopolizing a worker for unbounded wall time.
 pub const MAX_BATCH_SPACES: usize = 4096;
 
-/// What a queued job executes: one generation, or a batch of
-/// independent single-space generations sharing one parse and one queue
-/// slot.
-#[derive(Debug)]
-pub(crate) enum Work {
-    /// One `gen`: a kernel or one multi-statement space set.
-    Single(JobSpec),
-    /// A `batch`: each space generates independently; replies stream
-    /// back per space in submission order.
-    Batch {
-        /// Shared effort/id defaults for every space.
-        base: JobSpec,
-        /// The spaces, one independent generation each.
-        spaces: Vec<String>,
-    },
-}
-
-/// One reply to one task (a `gen`, or one space of a `batch`), sent from
-/// a worker back to the submitting connection, which renders it as JSON.
-pub(crate) struct TaskReply {
-    /// Task id: the job id, or `id#i` for space `i` of a batch.
-    pub id: String,
-    /// Source tag (kernel name or `adhoc[n]`).
-    pub source: String,
-    /// The generated output, or a one-line error message.
-    pub outcome: Result<crate::JobOutput, String>,
-}
-
-/// A queued job: the work, its identity, and the channel its replies
-/// stream back on.
-pub(crate) struct Job {
-    /// Request id (client-chosen or daemon-assigned `r-NNNNNN`).
-    pub id: String,
-    /// Peer address, for the request log.
-    pub peer: String,
-    /// What to run.
-    pub work: Work,
-    /// When the job was admitted (queue-wait measurement).
-    pub enqueued: Instant,
-    /// Where replies go; dropped unsent on shutdown, which the
-    /// submitting side observes as a closed channel.
-    pub reply: Sender<TaskReply>,
-}
-
-/// The queued jobs and the shutdown flag, behind one lock so a worker
-/// cannot miss a stop between checking the flag and going to sleep.
-#[derive(Default)]
-struct Inner {
-    jobs: VecDeque<Job>,
+/// The items and the shutdown flag, behind one lock so a worker cannot
+/// miss a stop between checking the flag and going to sleep.
+struct Inner<T> {
+    items: VecDeque<T>,
     stopped: bool,
 }
 
-/// The bounded FIFO job queue.
-pub(crate) struct Queue {
-    inner: Mutex<Inner>,
+/// The bounded FIFO hand-off between the accept thread and the workers.
+pub(crate) struct Queue<T> {
+    inner: Mutex<Inner<T>>,
     ready: Condvar,
     capacity: usize,
 }
 
-impl Queue {
-    pub(crate) fn new(capacity: usize) -> Queue {
+impl<T> Queue<T> {
+    pub(crate) fn new(capacity: usize) -> Queue<T> {
         Queue {
-            inner: Mutex::new(Inner::default()),
+            inner: Mutex::new(Inner {
+                items: VecDeque::new(),
+                stopped: false,
+            }),
             ready: Condvar::new(),
             capacity,
         }
     }
 
-    /// Admission: appends the job if and only if the queue holds fewer
-    /// than `capacity` jobs.
+    /// Admission: appends the item if and only if the queue holds fewer
+    /// than `capacity` items.
     ///
     /// # Errors
     ///
-    /// Returns the job back when the queue is full — the caller owns the
+    /// Returns the item back when the queue is full — the caller owns the
     /// `503` reply.
-    // The Err variant carries the whole Job on purpose: the caller needs
-    // it back (id, reply channel) to answer `503` without a clone.
-    #[allow(clippy::result_large_err)]
-    pub(crate) fn try_push(&self, job: Job) -> Result<(), Job> {
+    pub(crate) fn try_push(&self, item: T) -> Result<(), T> {
         {
             let mut inner = self.lock();
-            if inner.jobs.len() >= self.capacity {
-                return Err(job);
+            if inner.items.len() >= self.capacity {
+                return Err(item);
             }
-            inner.jobs.push_back(job);
+            inner.items.push_back(item);
         }
         self.ready.notify_one();
         Ok(())
     }
 
-    /// Blocking pop of the oldest job. Returns `None` only at shutdown.
-    pub(crate) fn pop(&self) -> Option<Job> {
+    /// Blocking pop of the oldest item. Returns `None` only at shutdown.
+    pub(crate) fn pop(&self) -> Option<T> {
         let mut inner = self.lock();
         loop {
             if inner.stopped {
                 return None;
             }
-            if let Some(job) = inner.jobs.pop_front() {
-                return Some(job);
+            if let Some(item) = inner.items.pop_front() {
+                return Some(item);
             }
             inner = self.ready.wait(inner).unwrap_or_else(|e| e.into_inner());
         }
     }
 
-    /// Jobs currently queued (not yet picked up by a worker).
+    /// Items currently queued (not yet picked up by a worker).
     pub(crate) fn len(&self) -> usize {
-        self.lock().jobs.len()
+        self.lock().items.len()
     }
 
     /// The admission bound.
@@ -167,17 +129,17 @@ impl Queue {
     }
 
     /// Wakes every worker and makes all future pops return `None`.
-    /// Queued jobs are dropped; their reply channels close, which the
-    /// submitting connections observe and answer as a shutdown error.
-    pub(crate) fn stop(&self) {
+    /// Returns the items still queued, which no worker will take.
+    pub(crate) fn stop(&self) -> Vec<T> {
         let mut inner = self.lock();
         inner.stopped = true;
-        inner.jobs.clear();
+        let left = inner.items.drain(..).collect();
         drop(inner);
         self.ready.notify_all();
+        left
     }
 
-    fn lock(&self) -> MutexGuard<'_, Inner> {
+    fn lock(&self) -> MutexGuard<'_, Inner<T>> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
@@ -186,73 +148,51 @@ impl Queue {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::mpsc;
     use std::sync::Arc;
     use std::time::Duration;
 
-    fn job(id: &str) -> (Job, mpsc::Receiver<TaskReply>) {
-        let (tx, rx) = mpsc::channel();
-        let spec = JobSpec {
-            id: None,
-            source: JobSource::Kernel {
-                name: "gemv".into(),
-                n: 8,
-            },
-            effort: None,
-        };
-        (
-            Job {
-                id: id.into(),
-                peer: "test".into(),
-                work: Work::Single(spec),
-                enqueued: Instant::now(),
-                reply: tx,
-            },
-            rx,
-        )
+    /// Non-blocking pop, for draining in tests.
+    fn try_pop(q: &Queue<usize>) -> Option<usize> {
+        q.lock().items.pop_front()
     }
 
-    /// Non-blocking pop, for draining in tests.
-    fn try_pop(q: &Queue) -> Option<Job> {
-        q.lock().jobs.pop_front()
+    #[test]
+    fn kind_labels() {
+        let kernel = JobSource::Kernel {
+            name: "gemv".into(),
+            n: 8,
+        };
+        assert_eq!(kernel.kind(), "kernel");
+        assert_eq!(
+            JobSource::Spaces(vec!["{ [i] : i = 0 }".into()]).kind(),
+            "adhoc"
+        );
     }
 
     #[test]
     fn jobs_leave_in_arrival_order() {
         let q = Queue::new(16);
-        let mut rxs = Vec::new();
         for i in 0..5 {
-            let (j, rx) = job(&format!("j{i}"));
-            q.try_push(j).map_err(|j| j.id).unwrap();
-            rxs.push(rx);
+            q.try_push(i).unwrap();
         }
         assert_eq!(q.len(), 5);
-        let order: Vec<String> = (0..5).map(|_| q.pop().unwrap().id).collect();
-        assert_eq!(order, ["j0", "j1", "j2", "j3", "j4"]);
+        let order: Vec<usize> = (0..5).map(|_| q.pop().unwrap()).collect();
+        assert_eq!(order, [0, 1, 2, 3, 4]);
         assert_eq!(q.len(), 0);
     }
 
     #[test]
     fn admission_is_exactly_bounded() {
         let q = Queue::new(5);
-        let mut admitted = 0;
-        let mut rxs = Vec::new();
-        for i in 0..20 {
-            let (j, rx) = job(&format!("j{i}"));
-            if q.try_push(j).is_ok() {
-                admitted += 1;
-                rxs.push(rx);
-            }
-        }
-        assert_eq!(admitted, 5, "exactly capacity jobs admitted");
+        let admitted = (0..20).filter(|&i| q.try_push(i).is_ok()).count();
+        assert_eq!(admitted, 5, "exactly capacity items admitted");
         assert_eq!(q.len(), 5);
     }
 
     #[test]
     fn zero_capacity_sheds_everything() {
         let q = Queue::new(0);
-        let (j, _rx) = job("j");
-        assert!(q.try_push(j).is_err());
+        assert_eq!(q.try_push(7), Err(7));
         assert_eq!(q.len(), 0);
     }
 
@@ -300,19 +240,12 @@ mod tests {
                 std::thread::spawn(move || {
                     let mut admitted = 0u64;
                     for i in 0..PER_PRODUCER {
-                        let (mut j, _rx) = job(&format!("p{p}-{i}"));
-                        loop {
-                            match q.try_push(j) {
-                                Ok(()) => {
-                                    admitted += 1;
-                                    break;
-                                }
-                                Err(back) => {
-                                    j = back;
-                                    std::thread::yield_now();
-                                }
-                            }
+                        let mut item = p * PER_PRODUCER + i;
+                        while let Err(back) = q.try_push(item) {
+                            item = back;
+                            std::thread::yield_now();
                         }
+                        admitted += 1;
                     }
                     admitted
                 })
@@ -332,11 +265,21 @@ mod tests {
 
     #[test]
     fn pop_blocks_until_stop() {
-        let q = Arc::new(Queue::new(8));
+        let q = Arc::new(Queue::<usize>::new(8));
         let q2 = Arc::clone(&q);
         let h = std::thread::spawn(move || q2.pop());
         std::thread::sleep(Duration::from_millis(30));
-        q.stop();
+        assert!(q.stop().is_empty());
         assert!(h.join().unwrap().is_none());
+    }
+
+    #[test]
+    fn stop_hands_back_what_is_still_queued() {
+        let q = Queue::new(8);
+        for i in 0..3 {
+            q.try_push(i).unwrap();
+        }
+        assert_eq!(q.stop(), [0, 1, 2]);
+        assert_eq!(q.pop(), None);
     }
 }

@@ -7,7 +7,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{SystemTime, UNIX_EPOCH};
+use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 /// A fresh directory under the system temp dir, unique per call (pid,
 /// clock and a per-process counter, so parallel tests and concurrent
@@ -98,4 +98,37 @@ pub fn gen(addr: SocketAddr, body: &str) -> Json {
 /// The string field `key` of a JSON reply, or `""` when absent.
 pub fn field<'a>(reply: &'a Json, key: &str) -> &'a str {
     reply.get(key).and_then(Json::as_str).unwrap_or("")
+}
+
+/// Opens a connection that sends part of a request head and never ends
+/// it: it holds a worker, or a queue slot, until dropped or until the
+/// daemon's 10 s request deadline.
+pub fn half_open(addr: SocketAddr) -> TcpStream {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .write_all(b"POST /v1/gen HTTP/1.1\r\nHost: x\r\n")
+        .unwrap();
+    stream
+}
+
+/// Holds every worker and queue slot of a daemon with `workers` workers
+/// and `queue_depth` slots: one half-open connection per worker, a pause
+/// so that each worker takes one, then one per slot. Connections are
+/// accepted in the order they were opened, so one opened after these is
+/// shed.
+pub fn hold_pool(addr: SocketAddr, workers: usize, queue_depth: usize) -> Vec<TcpStream> {
+    let mut held: Vec<TcpStream> = (0..workers).map(|_| half_open(addr)).collect();
+    std::thread::sleep(Duration::from_millis(200));
+    held.extend((0..queue_depth).map(|_| half_open(addr)));
+    held
+}
+
+/// Ends each held connection's request head and reads the answer, in the
+/// order they were opened, so that every worker and queue slot is free on
+/// return. (A shed connection was answered already; its errors are moot.)
+pub fn release(held: Vec<TcpStream>) {
+    for mut stream in held {
+        let _ = stream.write_all(b"\r\n");
+        let _ = stream.read_to_end(&mut Vec::new());
+    }
 }

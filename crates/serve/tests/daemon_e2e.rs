@@ -5,8 +5,9 @@
 
 mod common;
 
-use common::{batch_code, field, gen, http_get, http_post, TempDir};
+use common::{batch_code, field, gen, hold_pool, http_get, http_post, release, TempDir};
 use serve::{spawn, Config, LogTarget};
+use std::io::Read;
 use std::net::TcpListener;
 
 #[test]
@@ -150,20 +151,64 @@ fn admission_control_sheds_jobs_over_the_cap_with_503() {
     let dir = TempDir::new("e2e-shed");
     let daemon = spawn(Config {
         http_addr: "127.0.0.1:0".into(),
-        queue_depth: 0,
+        workers: 1,
+        queue_depth: 1,
         log: LogTarget::File(dir.join("log.jsonl")),
         ..Config::default()
     })
     .unwrap();
-    let (head, body) = http_post(daemon.http_addr(), "/v1/gen", r#"{"kernel":"gemv","n":8}"#);
+    let addr = daemon.http_addr();
+    let held = hold_pool(addr, 1, 1);
+    let (head, body) = http_post(addr, "/v1/gen", r#"{"kernel":"gemv","n":8}"#);
     assert!(head.starts_with("HTTP/1.1 503"), "{head}");
     assert!(head.contains("Retry-After: 1"), "{head}");
     assert!(body.contains("\"error\":\"busy\""), "{body}");
-    assert!(body.contains("\"capacity\":0"), "{body}");
-    let (_, metrics) = http_get(daemon.http_addr(), "/metrics");
+    assert!(body.contains("\"id\":\"r-"), "{body}");
+    assert!(body.contains("\"capacity\":1"), "{body}");
+    release(held);
+    let (_, metrics) = http_get(addr, "/metrics");
     assert!(metrics.contains("codegend_jobs_shed_total 1"), "{metrics}");
-    assert!(metrics.contains("codegend_requests_total{kind=\"kernel\",status=\"busy\"} 1"));
+    assert!(
+        metrics.contains("codegend_requests_total{kind=\"unread\",status=\"busy\"} 1"),
+        "{metrics}"
+    );
+    let log = std::fs::read_to_string(dir.join("log.jsonl")).unwrap();
+    assert!(
+        log.lines()
+            .any(|l| l.contains("\"kind\":\"unread\"") && l.contains("\"status\":\"busy\"")),
+        "{log}"
+    );
     daemon.shutdown();
+    daemon.wait();
+}
+
+/// Shutdown answers the connections still waiting for a worker instead
+/// of dropping them; the worker finishes the one it holds.
+#[test]
+fn shutdown_answers_queued_connections() {
+    let dir = TempDir::new("e2e-shutdown");
+    let daemon = spawn(Config {
+        http_addr: "127.0.0.1:0".into(),
+        workers: 1,
+        queue_depth: 1,
+        log: LogTarget::File(dir.join("log.jsonl")),
+        ..Config::default()
+    })
+    .unwrap();
+    let addr = daemon.http_addr();
+    let mut held = hold_pool(addr, 1, 1);
+    // Accepted in order: once a later connection is shed, the held ones
+    // are with the worker and in the queue, not in the listen backlog.
+    let (head, _) = http_post(addr, "/v1/gen", r#"{"kernel":"gemv","n":8}"#);
+    assert!(head.starts_with("HTTP/1.1 503"), "{head}");
+    daemon.shutdown();
+    let mut queued = held.pop().unwrap();
+    let mut response = String::new();
+    queued.read_to_string(&mut response).unwrap();
+    assert!(response.starts_with("HTTP/1.1 503"), "{response}");
+    assert!(response.contains("Retry-After: 1"), "{response}");
+    assert!(response.contains("daemon shutting down"), "{response}");
+    release(held);
     daemon.wait();
 }
 

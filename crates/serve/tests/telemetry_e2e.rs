@@ -11,8 +11,11 @@ use std::time::Duration;
 #[test]
 fn profile_endpoint_returns_collapsed_stacks_and_signals_busy() {
     let dir = TempDir::new("tele-profile");
+    // A capture occupies a worker for its whole duration: the busy check
+    // below needs a second worker while one capture holds the first.
     let daemon = spawn(Config {
         http_addr: "127.0.0.1:0".into(),
+        workers: 2,
         log: LogTarget::File(dir.join("log.jsonl")),
         ..Config::default()
     })

@@ -472,7 +472,8 @@ def summarize(text):
             int(served), *stats, int(shed), int(timeout)
         ),
     ]
-    # Shed requests are answered `503` and counted in requests_total (as
+    # The accept thread answers a shed connection `503` before reading
+    # its request and counts it in requests_total too (kind `unread`,
     # status `busy`), so the rate is shed-over-total, not
     # shed-over-(total+shed).
     requests = total("codegend_requests_total")
