@@ -288,7 +288,7 @@ impl LoopNest {
                 let projected = s.domain.project_out(0, 1);
                 let mut domain = Set::empty(&target);
                 for c in projected.conjuncts() {
-                    domain = domain.union(&drop_first_var(c, &target));
+                    domain.union_with(&drop_first_var(c, &target));
                 }
                 NestStatement {
                     name: s.name.clone(),

@@ -62,7 +62,7 @@ impl Gen<'_> {
             // everything (guards materialize inside the loop instead).
             let mut union = Set::empty(&self.space);
             for (_, p) in &projections {
-                union = union.union(p);
+                union.union_with(p);
             }
             let mut out = Vec::new();
             for c in union.make_disjoint() {
@@ -102,7 +102,7 @@ impl Gen<'_> {
         // Exact per-piece projections within the region give the stride.
         let mut exact = Set::empty(&self.space);
         for &p in &region.active {
-            exact = exact.union(
+            exact.union_with(
                 &self
                     .project_inner(p, level)
                     .intersect_conjunct(context)

@@ -196,7 +196,7 @@ impl Node {
                         continue;
                     }
                     live.push(p);
-                    projected = projected.union(&rs);
+                    projected.union_with(&rs);
                 }
                 if live.is_empty() {
                     return None;

@@ -141,7 +141,7 @@ pub fn pad_statements(stmts: &[Statement], pad_value: i64) -> Vec<Statement> {
             let mut domain = Set::empty(&target);
             for c in s.domain.conjuncts() {
                 let padded = embed_conjunct(c, &target, old_dims, pad_value);
-                domain = domain.union(&padded.to_set());
+                domain.union_with(&Set::from_conjunct(padded));
             }
             let args: Vec<LinExpr> = s
                 .args

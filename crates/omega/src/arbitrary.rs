@@ -150,7 +150,7 @@ impl ArbSet {
     pub fn to_set(&self, space: &Space) -> Set {
         let mut s = Set::empty(space);
         for c in &self.conjuncts {
-            s = s.union(&Set::from_conjunct(c.to_conjunct(space)));
+            s.push_conjunct(c.to_conjunct(space));
         }
         s
     }

@@ -5,7 +5,7 @@
 use crate::conjunct::Conjunct;
 use crate::gist::gist_conjunct;
 use crate::linexpr::{Constraint, ConstraintKind, LinExpr};
-use crate::set::{atoms, range_mod_pattern, try_complement_atom};
+use crate::set::{atoms, local_groups, range_mod_pattern, try_complement_atom};
 
 /// A lower or upper bound on a loop variable extracted from a conjunct:
 /// `coeff · v ≥ expr` (lower) or `coeff · v ≤ expr` (upper), with
@@ -83,7 +83,7 @@ impl Conjunct {
     pub fn stride_on(&self, v: usize) -> Option<(i64, LinExpr)> {
         let named = 1 + self.space().n_named();
         let col = self.var_col(v);
-        for atom in atoms(self) {
+        for atom in local_groups(self) {
             if atom.n_locals() != 1 {
                 continue;
             }
@@ -145,11 +145,19 @@ impl Conjunct {
     /// paper's requirement for a liftable overhead condition. Returns `None`
     /// when the complement is a union (e.g. for an affine equality).
     pub fn complement_single(&self) -> Option<Conjunct> {
-        let ats = atoms(self);
-        if ats.len() != 1 {
-            return None;
-        }
-        let mut pieces = try_complement_atom(&ats[0])?;
+        let mut pieces = if self.n_locals() == 0 {
+            // One atom per row: the conjunct itself when it has one row.
+            if self.n_rows() != 1 {
+                return None;
+            }
+            try_complement_atom(self)?
+        } else {
+            let ats = atoms(self);
+            if ats.len() != 1 {
+                return None;
+            }
+            try_complement_atom(&ats[0])?
+        };
         if pieces.len() != 1 {
             return None;
         }
@@ -228,7 +236,7 @@ impl Conjunct {
     /// Drops inequality rows implied by the remaining rows (so bounds like
     /// `v ≤ n` next to `v ≤ n-1` disappear).
     pub fn without_redundant(&self) -> Conjunct {
-        crate::gist::drop_self_redundant(self)
+        crate::gist::drop_self_redundant(self.clone())
     }
 
     /// Raw row view: each constraint as `(kind, coefficients)` over the

@@ -261,20 +261,29 @@ impl Conjunct {
         if self.known_false || other.known_false {
             return Conjunct::empty(&self.space);
         }
-        let mut out = self.clone();
-        let base = out.n_locals;
-        out.n_locals += other.n_locals;
-        for r in &mut out.rows {
-            r.c.resize(1 + out.space.n_named() + out.n_locals, 0);
-        }
+        // `self`'s rows go in as they are, widened by `other`'s locals;
+        // `other`'s rows follow through `push_row`, in order, each built
+        // in place with its locals shifted past `self`'s.
         let named = 1 + self.space.n_named();
+        let base = self.n_locals;
+        let ncols = named + base + other.n_locals;
+        let mut rows = Vec::with_capacity(self.rows.len() + other.rows.len());
+        rows.extend(self.rows.iter().map(|r| {
+            let mut c = Coeffs::zeros(ncols);
+            c[..named + base].copy_from_slice(&r.c);
+            Row { kind: r.kind, c }
+        }));
+        let mut out = Conjunct {
+            space: self.space.clone(),
+            n_locals: base + other.n_locals,
+            rows,
+            known_false: false,
+        };
         for r in &other.rows {
-            let mut c = vec![0i64; 1 + out.space.n_named() + out.n_locals];
+            let mut c = Coeffs::zeros(ncols);
             c[..named].copy_from_slice(&r.c[..named]);
-            for l in 0..other.n_locals {
-                c[named + base + l] = r.c[named + l];
-            }
-            out.push_row(Row::new(r.kind, c));
+            c[named + base..].copy_from_slice(&r.c[named..]);
+            out.push_row(Row { kind: r.kind, c });
         }
         out
     }
@@ -371,8 +380,9 @@ impl Conjunct {
         if out.known_false {
             return out;
         }
+        out.rows.reserve(self.rows.len());
         for r in &self.rows {
-            let mut c = vec![0i64; new_ncols];
+            let mut c = Coeffs::zeros(new_ncols);
             for (j, &x) in r.c.iter().enumerate() {
                 if x != 0 {
                     c[map[j]] = num::add(c[map[j]], x);
@@ -445,15 +455,17 @@ impl Conjunct {
         if used.iter().all(|&u| u) {
             return;
         }
-        let keep: Vec<usize> = (0..self.n_locals).filter(|&l| used[l]).collect();
+        // Shift each used local's column down over the unused ones, in
+        // place: a kept column never moves right.
         for r in &mut self.rows {
-            let mut c = r.c[..named].to_vec();
-            for &l in &keep {
-                c.push(r.c[named + l]);
+            let mut kept = 0;
+            for (l, _) in used.iter().enumerate().filter(|&(_, &u)| u) {
+                r.c[named + kept] = r.c[named + l];
+                kept += 1;
             }
-            r.c = c.into();
+            r.c.resize(named + kept, 0);
         }
-        self.n_locals = keep.len();
+        self.n_locals = used.iter().filter(|&&u| u).count();
     }
 
     /// The public constraints of this conjunct that involve no locals,
@@ -515,55 +527,83 @@ impl Conjunct {
         self.rows.dedup();
     }
 
-    /// Rewrites pure congruence rows (`expr + m·α = 0`, α in one row only)
-    /// so that `m > 0` becomes the local's coefficient sign convention
-    /// (`expr - m·α = 0`) and the constant is reduced into `[0, m)`.
-    fn canonicalize_congruence_rows(&mut self) {
+    /// Whether [`Conjunct::canonicalize`] would leave this conjunct as it
+    /// is: rows strictly sorted (so distinct), every local used, and every
+    /// pure congruence row already in its canonical form. This is the
+    /// invariant of every conjunct a [`crate::Set`] holds. Allocates
+    /// nothing.
+    pub(crate) fn is_canonical(&self) -> bool {
         let named = 1 + self.space.n_named();
-        let mut uses = vec![0usize; self.n_locals];
-        for r in &self.rows {
-            for (l, &x) in r.c[named..].iter().enumerate() {
-                if x != 0 {
-                    uses[l] += 1;
-                }
+        self.rows
+            .windows(2)
+            .all(|w| w[0].canonical_cmp(&w[1]).is_lt())
+            && (named..self.ncols()).all(|col| self.rows.iter().any(|r| r.c[col] != 0))
+            && self.rows.iter().all(|r| {
+                self.congruence_col(r).is_none_or(|col| {
+                    let mut c = r.c.clone();
+                    canonicalize_congruence(&mut c, named, col);
+                    c == r.c
+                })
+            })
+    }
+
+    /// The column of `r`'s local if `r` is a pure congruence row of this
+    /// conjunct (`expr + m·α = 0` with `|m| > 1`, α in no other row).
+    fn congruence_col(&self, r: &Row) -> Option<usize> {
+        if r.kind != ConstraintKind::Eq {
+            return None;
+        }
+        let named = 1 + self.space.n_named();
+        let mut locals = (named..r.c.len()).filter(|&col| r.c[col] != 0);
+        let (Some(col), None) = (locals.next(), locals.next()) else {
+            return None;
+        };
+        let used_once = self.rows.iter().filter(|s| s.c[col] != 0).count() == 1;
+        (used_once && r.c[col].abs() > 1).then_some(col)
+    }
+
+    /// Rewrites each pure congruence row into its canonical form (see
+    /// [`canonicalize_congruence`]). A rewrite changes no row's set of
+    /// non-zero columns, so it cannot change which rows are pure
+    /// congruences.
+    fn canonicalize_congruence_rows(&mut self) {
+        if self.n_locals == 0 {
+            return;
+        }
+        let named = 1 + self.space.n_named();
+        for i in 0..self.rows.len() {
+            if let Some(col) = self.congruence_col(&self.rows[i]) {
+                canonicalize_congruence(&mut self.rows[i].c, named, col);
             }
         }
-        for r in &mut self.rows {
-            if r.kind != ConstraintKind::Eq {
-                continue;
-            }
-            let locals: Vec<usize> = (0..self.n_locals)
-                .filter(|&l| r.c[named + l] != 0)
-                .collect();
-            if locals.len() != 1 || uses[locals[0]] != 1 {
-                continue;
-            }
-            let lc = named + locals[0];
-            let m = r.c[lc].abs();
-            if m <= 1 {
-                continue;
-            }
-            // Flip so the non-local part has a canonical leading sign: make
-            // the local coefficient -m (expr - m·α = 0 ⟺ expr ≡ 0 mod m).
-            if r.c[lc] > 0 {
-                for x in &mut r.c {
-                    *x = -*x;
-                }
-            }
-            // Reduce the constant into [0, m): α absorbs the shift.
-            r.c[0] = num::mod_floor(r.c[0], m);
-            // Also flip globally if the first non-zero named coefficient is
-            // negative (keeps e.g. `i ≡ 1 mod 4` stable) — only safe when the
-            // constant is zero after reduction or we re-reduce.
-            if let Some(first) = r.c[1..named].iter().find(|&&x| x != 0) {
-                if *first < 0 {
-                    for x in &mut r.c {
-                        *x = -*x;
-                    }
-                    r.c[0] = num::mod_floor(r.c[0], m);
-                }
-            }
+    }
+}
+
+/// Rewrites the pure congruence row `c` (`expr + m·α = 0`, α at column
+/// `col`) so that the local's coefficient is `-m` (`expr - m·α = 0`, i.e.
+/// `expr ≡ 0 mod m`) and the constant is reduced into `[0, m)`, then
+/// flips the row if its first non-zero named coefficient is negative.
+fn canonicalize_congruence(c: &mut [i64], named: usize, col: usize) {
+    let m = c[col].abs();
+    if c[col] > 0 {
+        for x in c.iter_mut() {
+            *x = -*x;
         }
+    }
+    // Reduce the constant into [0, m): α absorbs the shift.
+    c[0] = num::mod_floor(c[0], m);
+    // Also flip globally if the first non-zero named coefficient is
+    // negative (keeps e.g. `i ≡ 1 mod 4` stable) — only safe when the
+    // constant is zero after reduction or we re-reduce.
+    if c[1..named]
+        .iter()
+        .find(|&&x| x != 0)
+        .is_some_and(|&x| x < 0)
+    {
+        for x in c.iter_mut() {
+            *x = -*x;
+        }
+        c[0] = num::mod_floor(c[0], m);
     }
 }
 

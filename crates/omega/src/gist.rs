@@ -3,11 +3,12 @@
 //! enhancement that reduces the strength of modulo constraints using
 //! Chinese-remainder reasoning.
 
+use crate::coeffs::Coeffs;
 use crate::conjunct::{Conjunct, Row};
 use crate::linexpr::ConstraintKind;
 use crate::num;
 use crate::sat::RowHash;
-use crate::set::{atoms, Set};
+use crate::set::{atoms, local_groups, Set};
 
 /// Gist over sets. The context is collapsed to its hull if it is a union.
 pub(crate) fn gist(a: &Set, ctx: &Set) -> Set {
@@ -175,11 +176,12 @@ fn gist_conjunct_uncached(a: &Conjunct, ctx: &Conjunct) -> Conjunct {
     }
     let width = base.ncols();
     let widen = |r: &Row| {
-        let mut c = r.c[..named].to_vec();
-        c.resize(width, 0);
+        let mut c = Coeffs::zeros(width);
+        c[..named].copy_from_slice(&r.c[..named]);
         c
     };
-    let mut sys: Vec<Row> = base.rows().to_vec();
+    let mut sys: Vec<Row> = Vec::with_capacity(base.n_rows() + kept.len());
+    sys.extend_from_slice(base.rows());
     let fixed = sys.len();
     sys.extend(kept.iter().map(|r| Row::new(r.kind, widen(r))));
     let mut probe = crate::sat::Probe::new(sys, width - 1);
@@ -187,8 +189,7 @@ fn gist_conjunct_uncached(a: &Conjunct, ctx: &Conjunct) -> Conjunct {
     while i < kept.len() {
         let slot = fixed + i;
         let c = widen(&kept[i]);
-        let mut unsat_with =
-            |c: Vec<i64>| !probe.sat_swapped(slot, Row::new(ConstraintKind::Geq, c));
+        let mut unsat_with = |c: Coeffs| !probe.sat_swapped(slot, Row::new(ConstraintKind::Geq, c));
         // An unnegatable row (i64-extremal coefficients) is simply kept:
         // treating the implication as undecided is sound.
         let implied = match kept[i].kind {
@@ -214,8 +215,8 @@ fn gist_conjunct_uncached(a: &Conjunct, ctx: &Conjunct) -> Conjunct {
         }
     }
     for r in kept {
-        let mut c = r.c[..named].to_vec();
-        c.resize(result.ncols(), 0);
+        let mut c = Coeffs::zeros(result.ncols());
+        c[..named].copy_from_slice(&r.c[..named]);
         result.push_row(Row::new(r.kind, c));
     }
     result.compress_locals();
@@ -223,12 +224,11 @@ fn gist_conjunct_uncached(a: &Conjunct, ctx: &Conjunct) -> Conjunct {
     result
 }
 
-/// Drops rows of `c` implied by the remaining rows (gist against TRUE).
-pub(crate) fn drop_self_redundant(c: &Conjunct) -> Conjunct {
-    if c.is_known_false() {
-        return c.clone();
+/// Drops rows of `out` implied by the remaining rows (gist against TRUE).
+pub(crate) fn drop_self_redundant(mut out: Conjunct) -> Conjunct {
+    if out.is_known_false() {
+        return out;
     }
-    let mut out = c.clone();
     // In-place candidate swap: negate row i, test, keep or remove.
     // Inequality rows only; equalities and congruences carry structural
     // information the scanner wants to keep.
@@ -276,8 +276,8 @@ fn copy_atom_into(dst: &mut Conjunct, atom: &Conjunct) {
     let named = 1 + atom.space().n_named();
     let base: Vec<usize> = (0..atom.n_locals()).map(|_| dst.add_local()).collect();
     for r in atom.rows() {
-        let mut c = r.c[..named].to_vec();
-        c.resize(dst.ncols(), 0);
+        let mut c = Coeffs::zeros(dst.ncols());
+        c[..named].copy_from_slice(&r.c[..named]);
         for (l, &bl) in base.iter().enumerate() {
             c[named + bl] = r.c[named + l];
         }
@@ -327,7 +327,10 @@ fn congruence_key_of_atom(atom: &Conjunct) -> Option<CongruenceKey> {
 }
 
 fn congruence_keys(c: &Conjunct) -> Vec<CongruenceKey> {
-    atoms(c).iter().filter_map(congruence_key_of_atom).collect()
+    local_groups(c)
+        .iter()
+        .filter_map(congruence_key_of_atom)
+        .collect()
 }
 
 fn key_to_expr(space: &crate::space::Space, w: &[i64], rho: i64) -> crate::linexpr::LinExpr {
@@ -465,7 +468,7 @@ mod tests {
         let mut c = Conjunct::universe(&s);
         c.add_constraint(&(LinExpr::var(&s, 0) - 5).geq0()); // i >= 5
         c.add_constraint(&LinExpr::var(&s, 0).geq0()); // i >= 0 (redundant)
-        let out = drop_self_redundant(&c);
+        let out = drop_self_redundant(c);
         assert_eq!(out.n_rows(), 1);
         assert_eq!(out.rows()[0].c[0], -5);
     }

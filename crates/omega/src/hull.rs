@@ -1,6 +1,7 @@
 //! The Omega+ `Hull` operation: an approximate single-conjunct enclosure of
 //! a union of conjuncts, preserving common stride (lattice) structure.
 
+use crate::coeffs::Coeffs;
 use crate::conjunct::{Conjunct, Row};
 use crate::linexpr::ConstraintKind;
 use crate::num;
@@ -24,27 +25,27 @@ pub(crate) fn hull(s: &Set) -> Conjunct {
         return Conjunct::empty(&space);
     }
     if live.len() == 1 {
-        return crate::gist::drop_self_redundant(&live.into_iter().next().unwrap());
+        return crate::gist::drop_self_redundant(live.into_iter().next().unwrap());
     }
     let named = 1 + space.n_named();
 
     // Candidate inequality constraints: every local-free row of every
     // conjunct (equalities contribute both directions), each paired with
     // the index of the conjunct it came from.
-    let mut candidates: Vec<(Vec<i64>, usize)> = Vec::new();
+    let mut candidates: Vec<(Coeffs, usize)> = Vec::new();
     for (i, c) in live.iter().enumerate() {
         for r in c.rows() {
             if r.c[named..].iter().any(|&x| x != 0) {
                 continue;
             }
-            let base = r.c[..named].to_vec();
+            let base = Coeffs::from_slice(&r.c[..named]);
             match r.kind {
                 ConstraintKind::Geq => candidates.push((base, i)),
                 ConstraintKind::Eq => {
                     if let Some(flipped) = base
                         .iter()
                         .map(|&x| x.checked_neg())
-                        .collect::<Option<Vec<i64>>>()
+                        .collect::<Option<Coeffs>>()
                     {
                         candidates.push((flipped, i));
                     }
@@ -63,8 +64,9 @@ pub(crate) fn hull(s: &Set) -> Conjunct {
         .iter()
         .map(|c| {
             let n_vars = c.ncols() - 1;
-            let mut sys = c.rows().to_vec();
-            sys.push(Row::new(ConstraintKind::Geq, vec![0; 1 + n_vars]));
+            let mut sys = Vec::with_capacity(c.n_rows() + 1);
+            sys.extend_from_slice(c.rows());
+            sys.push(Row::new(ConstraintKind::Geq, Coeffs::zeros(1 + n_vars)));
             Probe::new(sys, n_vars)
         })
         .collect();
@@ -82,7 +84,7 @@ pub(crate) fn hull(s: &Set) -> Conjunct {
     out.canonicalize();
     // Drop dominated candidates (e.g. `v ≤ n` next to `v ≤ n-1`) so loop
     // bounds stay minimal.
-    let out = crate::gist::drop_self_redundant(&out);
+    let out = crate::gist::drop_self_redundant(out);
     // The hull must contain every input conjunct (checked when decidable).
     debug_assert!(live.iter().all(|c| {
         crate::set::Set::from_conjunct(c.clone())

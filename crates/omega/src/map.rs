@@ -119,7 +119,7 @@ impl AffineMap {
         let _ = out_map;
         let mut out = Set::empty(&self.dst);
         for c in projected.conjuncts() {
-            out = out.union(&drop_leading_vars(c, &combined, &self.dst, ns));
+            out.union_with(&drop_leading_vars(c, &combined, &self.dst, ns));
         }
         out
     }

@@ -211,7 +211,7 @@ impl Parser {
             if rhs.space() != set.space() {
                 return Err(self.err("union terms have different spaces"));
             }
-            set = set.union(&rhs);
+            set.union_with(&rhs);
         }
         Ok(set)
     }
@@ -289,7 +289,7 @@ impl Parser {
             if !or {
                 break;
             }
-            out = out.union(&Set::from_conjunct(self.parse_conj(space)?));
+            out.push_conjunct(self.parse_conj(space)?);
         }
         Ok(out)
     }

@@ -7,6 +7,7 @@
 //! `[const, x1, .., xn]` with every `xi` existentially quantified.
 
 use crate::cache;
+use crate::coeffs::Coeffs;
 use crate::conjunct::Row;
 use crate::faults;
 use crate::limits::{self, Limits, OmegaError};
@@ -931,33 +932,22 @@ fn fm_solve(
 /// most overflow-prone step.
 pub(crate) fn fm_eliminate(rows: &[Row], col: usize, slack: i64) -> Result<Vec<Row>, OmegaError> {
     let _span = crate::span!(fm_eliminate, rows = rows.len(), col = col, slack = slack);
-    let mut out: Vec<Row> = Vec::new();
-    let mut lowers: Vec<&Row> = Vec::new();
-    let mut uppers: Vec<&Row> = Vec::new();
-    for r in rows {
-        let c = r.c[col];
-        if c == 0 {
-            // Rows (of any kind) not involving the column pass through.
-            out.push(r.clone());
-            continue;
-        }
-        debug_assert_eq!(
-            r.kind,
-            ConstraintKind::Geq,
-            "fm_eliminate expects inequalities on the eliminated column"
-        );
-        if c > 0 {
-            lowers.push(r);
-        } else {
-            uppers.push(r);
-        }
-    }
-    for lo in &lowers {
+    let lowers = || rows.iter().filter(|r| r.c[col] > 0);
+    let uppers = || rows.iter().filter(|r| r.c[col] < 0);
+    debug_assert!(
+        rows.iter()
+            .all(|r| r.c[col] == 0 || r.kind == ConstraintKind::Geq),
+        "fm_eliminate expects inequalities on the eliminated column"
+    );
+    let mut out: Vec<Row> = Vec::with_capacity(rows.len() + lowers().count() * uppers().count());
+    // Rows (of any kind) not involving the column pass through.
+    out.extend(rows.iter().filter(|r| r.c[col] == 0).cloned());
+    for lo in lowers() {
         let a = lo.c[col];
-        for up in &uppers {
+        for up in uppers() {
             let b = -up.c[col];
             // b*(a x + e_l) + a*(-b x + e_u) ≥ 0  →  b e_l + a e_u ≥ 0
-            let mut c = crate::coeffs::Coeffs::zeros(lo.c.len());
+            let mut c = Coeffs::zeros(lo.c.len());
             for (j, (&l, &u)) in lo.c.iter().zip(&up.c).enumerate() {
                 c[j] = num::try_add(num::try_mul(b, l)?, num::try_mul(a, u)?)?;
             }
@@ -979,8 +969,8 @@ pub(crate) fn fm_eliminate(rows: &[Row], col: usize, slack: i64) -> Result<Vec<R
 /// mentioning `col` — or coefficient overflow during elimination — make
 /// this return `None` (callers keep the column, which is always sound).
 pub(crate) fn try_exact_eliminate(rows: &[Row], col: usize) -> Option<Vec<Row>> {
-    let mut lowers: Vec<i64> = Vec::new();
-    let mut uppers: Vec<i64> = Vec::new();
+    let (mut lowers, mut uppers) = (0, 0);
+    let (mut unit_lower, mut unit_upper) = (true, true);
     for r in rows {
         let c = r.c[col];
         if c == 0 {
@@ -990,19 +980,19 @@ pub(crate) fn try_exact_eliminate(rows: &[Row], col: usize) -> Option<Vec<Row>> 
             return None;
         }
         if c > 0 {
-            lowers.push(c);
+            lowers += 1;
+            unit_lower &= c == 1;
         } else {
-            uppers.push(-c);
+            uppers += 1;
+            unit_upper &= c == -1;
         }
     }
-    if lowers.is_empty() && uppers.is_empty() {
+    if lowers == 0 && uppers == 0 {
         return Some(rows.to_vec());
     }
-    if lowers.is_empty() || uppers.is_empty() {
+    if lowers == 0 || uppers == 0 {
         return Some(rows.iter().filter(|r| r.c[col] == 0).cloned().collect());
     }
-    let unit_lower = lowers.iter().all(|&a| a == 1);
-    let unit_upper = uppers.iter().all(|&b| b == 1);
     if unit_lower || unit_upper {
         fm_eliminate(rows, col, 0).ok()
     } else {
@@ -1013,10 +1003,10 @@ pub(crate) fn try_exact_eliminate(rows: &[Row], col: usize) -> Option<Vec<Row>> 
 /// The strict negation of a `Geq` row, `¬(w·x + c ≥ 0) = -w·x - c - 1 ≥ 0`,
 /// or `None` when negation itself would overflow (callers then treat the
 /// implication test as undecided, which is always sound).
-pub(crate) fn negate_geq(c: &[i64]) -> Option<Vec<i64>> {
-    let mut neg: Vec<i64> = Vec::with_capacity(c.len());
-    for &x in c {
-        neg.push(x.checked_neg()?);
+pub(crate) fn negate_geq(c: &[i64]) -> Option<Coeffs> {
+    let mut neg = Coeffs::zeros(c.len());
+    for (n, &x) in neg.iter_mut().zip(c) {
+        *n = x.checked_neg()?;
     }
     neg[0] = neg[0].checked_sub(1)?;
     Some(neg)

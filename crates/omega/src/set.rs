@@ -7,6 +7,7 @@ use crate::linexpr::{Constraint, ConstraintKind, LinExpr};
 use crate::sat::{self, KeySum};
 use crate::space::Space;
 use crate::stats::bump;
+use std::borrow::Cow;
 use std::fmt;
 
 /// An integer set in disjunctive normal form: a union of [`Conjunct`]s over
@@ -95,6 +96,10 @@ impl Set {
         self.conjuncts.iter().any(Conjunct::is_universe)
     }
 
+    /// The only way a conjunct enters a set: canonicalized, and dropped if
+    /// known false or already present. So every conjunct a `Set` holds is
+    /// canonical, and operations that move conjuncts between sets
+    /// ([`Set::union_with`]) need not canonicalize them again.
     pub(crate) fn push_conjunct(&mut self, mut c: Conjunct) {
         assert_eq!(c.space(), &self.space, "space mismatch in push_conjunct");
         if c.is_known_false() {
@@ -112,12 +117,26 @@ impl Set {
     ///
     /// Panics if the spaces differ.
     pub fn union(&self, other: &Set) -> Set {
-        assert_eq!(self.space, other.space, "space mismatch in union");
         let mut out = self.clone();
-        for c in &other.conjuncts {
-            out.push_conjunct(c.clone());
-        }
+        out.union_with(other);
         out
+    }
+
+    /// In-place [`Set::union`]: appends each conjunct of `other` that
+    /// `self` lacks, in order. Both sets' conjuncts are canonical, so they
+    /// are compared and copied as they are.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the spaces differ.
+    pub fn union_with(&mut self, other: &Set) {
+        assert_eq!(self.space, other.space, "space mismatch in union");
+        for c in &other.conjuncts {
+            debug_assert!(!c.is_known_false() && c.is_canonical(), "{c}");
+            if !self.conjuncts.contains(c) {
+                self.conjuncts.push(c.clone());
+            }
+        }
     }
 
     /// Intersection with another set (cross product of conjuncts).
@@ -139,9 +158,36 @@ impl Set {
         out
     }
 
-    /// Intersection with a single conjunct.
+    /// Intersection with a single conjunct: [`Set::intersect`] with the
+    /// one-conjunct set of `other`, without building that set. Each
+    /// conjunct of `self` meets the borrowed `other` when it is canonical;
+    /// otherwise `other` is canonicalized once, as a set would hold it, so
+    /// every meet has the rows, and asks the solver the question, that it
+    /// has in [`Set::intersect`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the spaces differ.
     pub fn intersect_conjunct(&self, other: &Conjunct) -> Set {
-        self.intersect(&Set::from_conjunct(other.clone()))
+        assert_eq!(self.space, *other.space(), "space mismatch in intersect");
+        let mut out = Set::empty(&self.space);
+        if other.is_known_false() {
+            return out;
+        }
+        let other = if other.is_canonical() {
+            Cow::Borrowed(other)
+        } else {
+            let mut c = other.clone();
+            c.canonicalize();
+            Cow::Owned(c)
+        };
+        for a in &self.conjuncts {
+            let c = a.intersect(&other);
+            if c.is_sat() {
+                out.push_conjunct(c);
+            }
+        }
+        out
     }
 
     /// Intersection with a single constraint.
@@ -200,9 +246,12 @@ impl Set {
     /// building every pair and checking it would ask.
     pub fn try_subtract(&self, other: &Set) -> Option<Set> {
         assert_eq!(self.space, other.space, "space mismatch in subtract");
-        let mut out = self.clone();
+        let Some((first, rest)) = other.conjuncts.split_first() else {
+            return Some(self.clone());
+        };
         let mut buf = Vec::new();
-        for b in &other.conjuncts {
+        let mut out = self.minus_conjunct(first, &mut buf)?;
+        for b in rest {
             out = out.minus_conjunct(b, &mut buf)?;
         }
         Some(out)
@@ -293,7 +342,7 @@ impl Set {
                 continue;
             }
             let s = crate::project::simplify_conjunct(c);
-            let s = crate::gist::drop_self_redundant(&s);
+            let s = crate::gist::drop_self_redundant(s);
             if s.is_sat() {
                 out.push_conjunct(s);
             }
@@ -582,24 +631,21 @@ impl Complement {
     /// variable does not match a congruence/range pattern. Those groups
     /// are checked first, so an uncomplementable `b` asks nothing.
     fn of(b: &Conjunct) -> Option<Complement> {
+        // At most one prefix row and two pieces per row of `b`, plus the
+        // pieces of its local groups.
         let mut out = Complement {
-            prefix: Vec::new(),
-            lanes: Vec::new(),
-            pieces: Vec::new(),
+            prefix: Vec::with_capacity(b.n_rows()),
+            lanes: Vec::with_capacity(b.n_rows()),
+            pieces: Vec::with_capacity(2 * b.n_rows()),
         };
         if b.is_known_false() {
             out.pieces.push(Piece::Free { k: 0, neg: None });
             return Some(out);
         }
-        let groups = if b.n_locals() == 0 {
-            Vec::new()
-        } else {
-            atoms(b)
-                .into_iter()
-                .filter(|atom| atom.n_locals() > 0)
-                .map(|atom| Some((try_complement_atom(&atom)?, atom)))
-                .collect::<Option<Vec<_>>>()?
-        };
+        let groups = local_groups(b)
+            .into_iter()
+            .map(|atom| Some((try_complement_atom(&atom)?, atom)))
+            .collect::<Option<Vec<_>>>()?;
         let named = 1 + b.space().n_named();
         for r in b
             .rows()
@@ -712,13 +758,37 @@ impl Complement {
 }
 
 /// Decomposes a conjunct into "atoms": maximal groups of rows connected by
-/// shared local variables. Local-free rows are singleton atoms.
+/// shared local variables. Local-free rows are singleton atoms, in row
+/// order, followed by the groups of [`local_groups`].
 pub(crate) fn atoms(c: &Conjunct) -> Vec<Conjunct> {
     let named = 1 + c.space().n_named();
+    let mut out = Vec::with_capacity(c.n_rows());
+    for r in c.rows() {
+        if r.c[named..].iter().all(|&x| x == 0) {
+            let mut a = Conjunct::universe(c.space());
+            a.push_row(Row::new(r.kind, &r.c[..named]));
+            out.push(a);
+        }
+    }
+    out.extend(local_groups(c));
+    out
+}
+
+/// The atoms of `c` that have locals: maximal groups of rows connected by
+/// shared local variables, in the order of their first rows, each with its
+/// rows in row order and its locals compacted.
+pub(crate) fn local_groups(c: &Conjunct) -> Vec<Conjunct> {
+    let named = 1 + c.space().n_named();
     let nl = c.n_locals();
+    if nl == 0 {
+        return Vec::new();
+    }
+    fn locals(r: &Row, named: usize, nl: usize) -> impl Iterator<Item = usize> + '_ {
+        (0..nl).filter(move |&l| r.c[named + l] != 0)
+    }
     // Union-find over locals.
     let mut parent: Vec<usize> = (0..nl).collect();
-    fn find(p: &mut Vec<usize>, i: usize) -> usize {
+    fn find(p: &mut [usize], i: usize) -> usize {
         if p[i] != i {
             let r = find(p, p[i]);
             p[i] = r;
@@ -728,55 +798,43 @@ pub(crate) fn atoms(c: &Conjunct) -> Vec<Conjunct> {
         }
     }
     for r in c.rows() {
-        let ls: Vec<usize> = (0..nl).filter(|&l| r.c[named + l] != 0).collect();
-        for w in ls.windows(2) {
-            let (a, b) = (find(&mut parent, w[0]), find(&mut parent, w[1]));
+        let mut ls = locals(r, named, nl);
+        let Some(mut prev) = ls.next() else {
+            continue;
+        };
+        for l in ls {
+            let (a, b) = (find(&mut parent, prev), find(&mut parent, l));
             if a != b {
                 parent[a] = b;
             }
+            prev = l;
         }
     }
-    let mut groups: Vec<Vec<&Row>> = Vec::new();
-    let mut group_of_root: std::collections::HashMap<usize, usize> = Default::default();
-    let mut singletons: Vec<&Row> = Vec::new();
-    for r in c.rows() {
-        let ls: Vec<usize> = (0..nl).filter(|&l| r.c[named + l] != 0).collect();
-        if ls.is_empty() {
-            singletons.push(r);
-        } else {
-            let root = find(&mut parent, ls[0]);
-            let gi = *group_of_root.entry(root).or_insert_with(|| {
-                groups.push(Vec::new());
-                groups.len() - 1
-            });
-            groups[gi].push(r);
+    // A row's group is the root of its locals.
+    let root: Vec<usize> = (0..nl).map(|l| find(&mut parent, l)).collect();
+    let group_of = |r: &Row| locals(r, named, nl).next().map(|l| root[l]);
+    let mut groups: Vec<usize> = Vec::new();
+    for g in c.rows().iter().filter_map(group_of) {
+        if !groups.contains(&g) {
+            groups.push(g);
         }
     }
-    let mut out = Vec::new();
-    for r in singletons {
-        let mut a = Conjunct::universe(c.space());
-        a.push_row(Row::new(r.kind, r.c[..named].to_vec()));
-        out.push(a);
-    }
+    let mut out = Vec::with_capacity(groups.len());
     for g in groups {
-        // Collect the locals used by this group and compact them.
-        let mut used: Vec<usize> = Vec::new();
-        for r in &g {
-            for l in 0..nl {
-                if r.c[named + l] != 0 && !used.contains(&l) {
-                    used.push(l);
-                }
-            }
-        }
-        used.sort_unstable();
+        let group = || c.rows().iter().filter(move |r| group_of(r) == Some(g));
+        // The locals this group uses, compacted in order.
+        let used: Vec<usize> = (0..nl)
+            .filter(|&l| group().any(|r| r.c[named + l] != 0))
+            .collect();
         let mut a = Conjunct::universe(c.space());
         for _ in 0..used.len() {
             a.add_local();
         }
-        for r in &g {
-            let mut row = r.c[..named].to_vec();
-            for &l in &used {
-                row.push(r.c[named + l]);
+        for r in group() {
+            let mut row = Coeffs::zeros(named + used.len());
+            row[..named].copy_from_slice(&r.c[..named]);
+            for (k, &l) in used.iter().enumerate() {
+                row[named + k] = r.c[named + l];
             }
             a.push_row(Row::new(r.kind, row));
         }
@@ -1002,10 +1060,10 @@ mod subtract_differential {
 
     /// Held across each comparison: a test that empties the cache while
     /// another is between its two runs would change the other's hits.
-    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    pub(super) static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     /// `f`'s result and the shape of its trace, run from an empty cache.
-    fn traced<T>(f: impl FnOnce() -> T) -> (T, String) {
+    pub(super) fn traced<T>(f: impl FnOnce() -> T) -> (T, String) {
         crate::reset_sat_cache();
         let c = Collector::new();
         let out = trace::with_collector(Some(c.clone()), f);
@@ -1246,6 +1304,184 @@ mod subtract_differential {
         let empty = Set::from_conjunct(contradiction);
         check(&a, &empty).unwrap();
         check(&empty, &a).unwrap();
+    }
+}
+
+/// The invariant the set layer's borrowing rests on: a conjunct enters a
+/// [`Set`] only through `push_conjunct`, canonicalized, so every conjunct
+/// a set returns is canonical and distinct, and [`Set::union_with`] and
+/// [`Set::intersect_conjunct`] can compare and meet conjuncts as they
+/// are. Conjuncts come from [`crate::arbitrary`] plus the non-canonical
+/// shapes scanners build: congruence rows with either sign on the local
+/// and unreduced residues, unused locals, and rows in generation order.
+#[cfg(test)]
+mod canonical_invariant {
+    use super::subtract_differential::{traced, SERIAL};
+    use super::*;
+    use crate::arbitrary::{arb_conjunct, ArbConfig, Rng};
+    use proptest::prelude::*;
+
+    /// Three parameters no row mentions keep this suite's sat keys apart
+    /// from other tests' while it empties the cache.
+    fn sp() -> Space {
+        Space::new(&["n", "unused0", "unused1", "unused2"], &["i", "j"])
+    }
+
+    /// A random conjunct, most likely not canonical.
+    fn noncanonical(rng: &mut Rng) -> Conjunct {
+        let s = sp();
+        let cfg = ArbConfig {
+            stride_pct: 70,
+            ..ArbConfig::default()
+        };
+        let arb = arb_conjunct(rng, &s, &cfg);
+        let mut c = Conjunct::universe(&s);
+        for k in &arb.constraints {
+            c.add_constraint(k);
+        }
+        let named = 1 + s.n_named();
+        for g in &arb.congruences {
+            if rng.chance(1, 3) {
+                c.add_local(); // unused, before the congruence's local
+            }
+            let expr = if rng.chance(1, 2) {
+                -g.expr.clone()
+            } else {
+                g.expr.clone()
+            };
+            let r = g.rem + g.modulus * rng.range(-2, 2);
+            if rng.chance(1, 2) {
+                c.add_congruence(&expr, r, g.modulus); // local at -m
+            } else {
+                // expr - r + m·α = 0: the local at +m.
+                let l = c.add_local();
+                let mut row = Coeffs::zeros(c.ncols());
+                row[..named].copy_from_slice(expr.raw_coeffs());
+                row[0] -= r;
+                row[c.local_col(l)] = g.modulus;
+                c.push_row(Row::new(ConstraintKind::Eq, row));
+            }
+        }
+        if rng.chance(1, 4) {
+            c.add_local(); // unused, last
+        }
+        c
+    }
+
+    /// [`Conjunct::is_canonical`] by its definition.
+    fn canonical(c: &Conjunct) -> bool {
+        let mut k = c.clone();
+        k.canonicalize();
+        k == *c
+    }
+
+    /// Two sets drawn from one pool of conjuncts, so they often share
+    /// conjuncts, and a conjunct outside the pool.
+    fn sets(seed: u64) -> (Set, Set, Conjunct) {
+        let mut rng = Rng::new(seed);
+        let pool: Vec<Conjunct> = (0..3).map(|_| noncanonical(&mut rng)).collect();
+        let draw = |rng: &mut Rng| {
+            let mut s = Set::empty(&sp());
+            for c in &pool {
+                if rng.chance(2, 3) {
+                    s.push_conjunct(c.clone());
+                }
+            }
+            s
+        };
+        let a = draw(&mut rng);
+        let b = draw(&mut rng);
+        (a, b, noncanonical(&mut rng))
+    }
+
+    /// [`Set::union`] as it was before conjuncts were trusted canonical.
+    fn union_canonicalizing(a: &Set, b: &Set) -> Set {
+        let mut out = a.clone();
+        for c in &b.conjuncts {
+            out.push_conjunct(c.clone());
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn canonicalize_is_idempotent(seed in any::<u64>()) {
+            let c = noncanonical(&mut Rng::new(seed));
+            let mut once = c.clone();
+            once.canonicalize();
+            let mut twice = once.clone();
+            twice.canonicalize();
+            prop_assert_eq!(&twice, &once, "{}", c);
+            prop_assert!(once.is_canonical(), "{}", once);
+            // The allocation-free check agrees with its definition, also
+            // once rows are sorted and locals compacted, where only the
+            // congruence rows can still be off.
+            let mut sorted = c.clone();
+            sorted.compress_locals();
+            sorted.rows_mut().sort_by(Row::canonical_cmp);
+            sorted.rows_mut().dedup();
+            for x in [&c, &sorted] {
+                prop_assert_eq!(x.is_canonical(), canonical(x), "{}", x);
+            }
+        }
+
+        #[test]
+        fn every_conjunct_a_set_returns_is_canonical(seed in any::<u64>()) {
+            let (a, b, c) = sets(seed);
+            let mut grown = a.clone();
+            grown.union_with(&a.intersect(&b));
+            grown.union_with(&b);
+            let results = [
+                ("from_conjunct", Set::from_conjunct(c.clone())),
+                ("union", a.union(&b)),
+                ("union self", a.union(&a)),
+                ("union_with", grown),
+                ("intersect", a.intersect(&b)),
+                ("intersect_conjunct", a.intersect_conjunct(&c)),
+                ("subtract", a.try_subtract(&b).unwrap_or_else(|| a.clone())),
+                ("project_out", a.project_out(1, 1)),
+                ("approximate", a.approximate()),
+                ("simplify", a.simplify()),
+                ("gist", a.gist(&b)),
+            ];
+            for (op, s) in &results {
+                for (k, x) in s.conjuncts.iter().enumerate() {
+                    prop_assert!(canonical(x) && !x.is_known_false(), "{op}: {x}");
+                    prop_assert!(!s.conjuncts[..k].contains(x), "{op}: {x} twice in {s}");
+                }
+            }
+        }
+
+        #[test]
+        fn union_with_matches_canonicalizing_union(seed in any::<u64>()) {
+            let (a, b, _) = sets(seed);
+            let want = union_canonicalizing(&a, &b);
+            prop_assert_eq!(&a.union(&b), &want);
+            let mut got = a.clone();
+            got.union_with(&b);
+            prop_assert_eq!(&got, &want);
+            prop_assert_eq!(&a.union(&a), &a);
+        }
+
+        #[test]
+        fn intersect_conjunct_matches_intersect_with_its_set(seed in any::<u64>()) {
+            let (a, b, c) = sets(seed);
+            // Canonical operands (a conjunct of `b`) and non-canonical ones.
+            let operands = b.conjuncts.iter().chain([&c]);
+            let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+            for other in operands {
+                let (want, want_trace) =
+                    traced(|| a.intersect(&Set::from_conjunct(other.clone())));
+                let (got, got_trace) = traced(|| a.intersect_conjunct(other));
+                prop_assert_eq!(&got, &want, "{} and {}", a, other);
+                prop_assert!(
+                    got_trace == want_trace,
+                    "{a} and {other}: questions differ\nborrowed:\n{got_trace}\nset:\n{want_trace}"
+                );
+            }
+        }
     }
 }
 

@@ -457,9 +457,19 @@ impl Daemon {
 /// Hands each accepted connection to the workers, or sheds it when the
 /// hand-off is full. The only thread that pushes, so once it stops the
 /// queue on its way out, nothing is queued that no worker will take.
+///
+/// At shutdown every connection the kernel has accepted gets the
+/// "daemon shutting down" `503`: the one that woke the loop, those still
+/// queued, and those in the listen backlog that `accept()` has not
+/// returned yet, which closing the listener would reset. The backlog is
+/// drained last, so the listener closes right after it runs dry.
 fn accept_loop(listener: TcpListener, state: Arc<State>) {
+    let shutting_down = || http::error_body("daemon shutting down");
     for stream in listener.incoming() {
         if state.stop.load(Ordering::SeqCst) {
+            if let Ok(stream) = stream {
+                http::respond_unread(stream, &shutting_down());
+            }
             break;
         }
         let Ok(stream) = stream else { continue };
@@ -468,7 +478,21 @@ fn accept_loop(listener: TcpListener, state: Arc<State>) {
         }
     }
     for (stream, _) in state.queue.stop() {
-        http::respond_unread(stream, &http::error_body("daemon shutting down"));
+        http::respond_unread(stream, &shutting_down());
+    }
+    if listener.set_nonblocking(true).is_err() {
+        return;
+    }
+    loop {
+        // An accepted socket does not inherit the listener's non-blocking
+        // mode, so each reply is written whole.
+        match listener.accept() {
+            Ok((stream, _)) => http::respond_unread(stream, &shutting_down()),
+            // A client that gave up while waiting: take the next one.
+            Err(e) if e.kind() == io::ErrorKind::ConnectionAborted => {}
+            // `WouldBlock`: the backlog is empty.
+            Err(_) => break,
+        }
     }
 }
 

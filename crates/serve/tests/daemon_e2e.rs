@@ -8,7 +8,7 @@ mod common;
 use common::{batch_code, field, gen, hold_pool, http_get, http_post, release, TempDir};
 use serve::{spawn, Config, LogTarget};
 use std::io::Read;
-use std::net::TcpListener;
+use std::net::{TcpListener, TcpStream};
 
 #[test]
 fn concurrent_kernel_jobs_are_byte_identical_to_batch() {
@@ -210,6 +210,59 @@ fn shutdown_answers_queued_connections() {
     assert!(response.contains("daemon shutting down"), "{response}");
     release(held);
     daemon.wait();
+}
+
+/// Connections still in the listen backlog at shutdown, which `accept()`
+/// has not returned yet, get the shutdown `503` too, never a reset. A
+/// burst of clients connects right before `shutdown()`, faster than the
+/// accept thread sheds them (the held pool makes every accepted one a
+/// shed), so some are still in the backlog when the loop sees the stop
+/// flag. Each reads a whole `503`; once the daemon is gone, a connect is
+/// refused.
+#[test]
+fn shutdown_answers_the_listen_backlog() {
+    let dir = TempDir::new("e2e-backlog");
+    let daemon = spawn(Config {
+        http_addr: "127.0.0.1:0".into(),
+        workers: 1,
+        queue_depth: 1,
+        log: LogTarget::File(dir.join("log.jsonl")),
+        ..Config::default()
+    })
+    .unwrap();
+    let addr = daemon.http_addr();
+    let held = hold_pool(addr, 1, 1);
+    let burst: Vec<TcpStream> = (0..64).map(|_| TcpStream::connect(addr).unwrap()).collect();
+    daemon.shutdown();
+    let (mut busy, mut shutting_down) = (0, 0);
+    for (i, mut client) in burst.into_iter().enumerate() {
+        let mut response = String::new();
+        if let Err(e) = client.read_to_string(&mut response) {
+            panic!("client {i}: {e} after {response:?}");
+        }
+        assert!(
+            response.starts_with("HTTP/1.1 503"),
+            "client {i}: {response:?}"
+        );
+        let body = response.split("\r\n\r\n").nth(1).unwrap_or("");
+        assert!(
+            body.ends_with("}\n"),
+            "client {i}: a cut reply: {response:?}"
+        );
+        if body.contains("daemon shutting down") {
+            shutting_down += 1;
+        } else {
+            assert!(body.contains("\"busy\""), "client {i}: {response:?}");
+            busy += 1;
+        }
+    }
+    eprintln!("{busy} shed as busy, {shutting_down} answered at shutdown");
+    release(held);
+    daemon.wait();
+    assert!(
+        TcpStream::connect(addr).is_err(),
+        "the listener outlived the daemon"
+    );
 }
 
 /// `Config::jobs_addr` binds nothing: a daemon pointed at an address
