@@ -252,13 +252,9 @@ impl Gen<'_> {
         // reason about the enclosing context, so cross-level redundancy is
         // only removed when syntactically identical (the paper's critique).
         let known = context.intersect(enforced).simplified();
-        let known_atoms = known.guard_atoms();
         let mut outer = Vec::new();
         let mut inner = Vec::new();
-        for atom in dom.guard_atoms() {
-            if known_atoms.contains(&atom) {
-                continue;
-            }
+        for atom in dom.guard_atoms_not_in(&known) {
             let enforced_implies = atom
                 .complement_single()
                 .map(|comp| !enforced.intersect(&comp).is_sat())

@@ -5,7 +5,7 @@
 use crate::conjunct::Conjunct;
 use crate::gist::gist_conjunct;
 use crate::linexpr::{Constraint, ConstraintKind, LinExpr};
-use crate::set::{atoms, local_groups, range_mod_pattern, try_complement_atom};
+use crate::set::{atoms, atoms_not_in, local_groups, range_mod_pattern, try_complement_atom};
 
 /// A lower or upper bound on a loop variable extracted from a conjunct:
 /// `coeff · v ≥ expr` (lower) or `coeff · v ≤ expr` (upper), with
@@ -139,6 +139,22 @@ impl Conjunct {
             return vec![self.clone()];
         }
         atoms(self)
+    }
+
+    /// The guard atoms of `self` that are not among `known`'s, in
+    /// [`Conjunct::guard_atoms`] order: what filtering `self.guard_atoms()`
+    /// by `known.guard_atoms().contains` returns, without building an atom
+    /// for a local-free row that `known` already holds.
+    pub fn guard_atoms_not_in(&self, known: &Conjunct) -> Vec<Conjunct> {
+        if !self.is_known_false() && !known.is_known_false() {
+            if let Some(out) = atoms_not_in(self, known) {
+                return out;
+            }
+        }
+        let known_atoms = known.guard_atoms();
+        let mut out = self.guard_atoms();
+        out.retain(|a| !known_atoms.contains(a));
+        out
     }
 
     /// The complement of this conjunct if it is a single conjunct — the

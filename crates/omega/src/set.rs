@@ -774,6 +774,52 @@ pub(crate) fn atoms(c: &Conjunct) -> Vec<Conjunct> {
     out
 }
 
+/// [`atoms`] of `c` that are not among `known`'s atoms, in order, without
+/// building an atom for a local-free row that `known` holds too. `None`
+/// when an atom of `c` would be universe or empty (a constant or
+/// infeasible row), which only comparing whole atoms handles. Neither
+/// conjunct may be known false.
+pub(crate) fn atoms_not_in(c: &Conjunct, known: &Conjunct) -> Option<Vec<Conjunct>> {
+    let named = 1 + c.space().n_named();
+    fn free(x: &Conjunct, named: usize) -> impl Iterator<Item = &Row> {
+        x.rows()
+            .iter()
+            .filter(move |r| r.c[named..].iter().all(|&v| v == 0))
+    }
+    let known_rows: Vec<Row> = free(known, named)
+        .filter_map(|k| free_atom_row(k, named))
+        .collect();
+    let mut out = Vec::new();
+    for r in free(c, named) {
+        // A singleton with a row never equals a group atom, which has
+        // locals or is empty.
+        let row = free_atom_row(r, named)?;
+        if known_rows.contains(&row) {
+            continue;
+        }
+        let mut a = Conjunct::universe(c.space());
+        a.rows_mut().push(row);
+        out.push(a);
+    }
+    let groups = local_groups(c);
+    if groups.iter().any(Conjunct::is_known_false) {
+        return None;
+    }
+    if !groups.is_empty() {
+        let known_groups = local_groups(known);
+        out.extend(groups.into_iter().filter(|g| !known_groups.contains(g)));
+    }
+    Some(out)
+}
+
+/// The row of the singleton atom [`atoms`] builds from the local-free row
+/// `r`, normalized as `push_row` does it; `None` when that atom has no row
+/// (a constant row makes it universe or empty).
+fn free_atom_row(r: &Row, named: usize) -> Option<Row> {
+    let mut row = Row::new(r.kind, &r.c[..named]);
+    (row.normalize() && !row.is_constant()).then_some(row)
+}
+
 /// The atoms of `c` that have locals: maximal groups of rows connected by
 /// shared local variables, in the order of their first rows, each with its
 /// rows in row order and its locals compacted.
@@ -1480,6 +1526,32 @@ mod canonical_invariant {
                     got_trace == want_trace,
                     "{a} and {other}: questions differ\nborrowed:\n{got_trace}\nset:\n{want_trace}"
                 );
+            }
+        }
+
+        #[test]
+        fn guard_atoms_not_in_matches_filtered_atoms(seed in any::<u64>()) {
+            let mut rng = Rng::new(seed);
+            let (p, q) = (noncanonical(&mut rng), noncanonical(&mut rng));
+            let s = sp();
+            // Knowns that share every row of `p`, some, or none.
+            let both = q.intersect(&p);
+            let doms = [p.clone(), p.intersect(&q), p.simplified(), Conjunct::empty(&s)];
+            let knowns = [
+                p.clone(),
+                q.clone(),
+                both.simplified(),
+                both,
+                Conjunct::universe(&s),
+                Conjunct::empty(&s),
+            ];
+            for dom in &doms {
+                for known in &knowns {
+                    let mut want = dom.guard_atoms();
+                    let known_atoms = known.guard_atoms();
+                    want.retain(|a| !known_atoms.contains(a));
+                    prop_assert_eq!(&dom.guard_atoms_not_in(known), &want, "{} not in {}", dom, known);
+                }
             }
         }
     }

@@ -9,7 +9,7 @@
 //! codegend [--http ADDR] [--effort N] [--deadline-ms MS]
 //!          [--workers N] [--queue-depth N]
 //!          [--queue-timeout-ms MS] [--slow-ms MS] [--slow-dir DIR]
-//!          [--log FILE] [--log-max-mb MB] [--log-keep N]
+//!          [--log FILE]
 //! ```
 //!
 //! Defaults: HTTP on 127.0.0.1:9077, effort 1,
@@ -28,9 +28,9 @@
 //! keeps its full span trace and replayable `.omega` provenance under
 //! `--slow-dir` (default `codegend-slow`); fast healthy jobs keep
 //! nothing, and `--slow-ms 0` keeps every job's artifacts.
-//! `--log-max-mb` rotates a `--log FILE` when it would exceed that many
-//! MiB, keeping `--log-keep` numbered generations (default 3). The
-//! sampling profiler is always serving at
+//! `--log FILE` appends the request log to FILE, opened once and never
+//! reopened: rotate it externally by copy and truncate (logrotate's
+//! `copytruncate`). The sampling profiler is always serving at
 //! `/debug/pprof/profile?seconds=N` as collapsed-stack flamegraph text.
 
 use serve::{spawn, Config, LogTarget};
@@ -95,26 +95,12 @@ fn main() -> ExitCode {
             },
             "--slow-dir" => val("--slow-dir").map(|v| cfg.slow_dir = PathBuf::from(v)),
             "--log" => val("--log").map(|v| cfg.log = LogTarget::File(PathBuf::from(v))),
-            "--log-max-mb" => match val("--log-max-mb").map(|v| v.parse()) {
-                Ok(Ok(mb)) if mb >= 1 => {
-                    cfg.log_max_mb = Some(mb);
-                    Ok(())
-                }
-                _ => Err(()),
-            },
-            "--log-keep" => match val("--log-keep").map(|v| v.parse()) {
-                Ok(Ok(n)) if n >= 1 => {
-                    cfg.log_keep = n;
-                    Ok(())
-                }
-                _ => Err(()),
-            },
             "--help" | "-h" => {
                 eprintln!(
                     "usage: codegend [--http ADDR] [--effort N] [--deadline-ms MS]\n\
                      \x20               [--workers N] [--queue-depth N]\n\
                      \x20               [--queue-timeout-ms MS] [--slow-ms MS] [--slow-dir DIR]\n\
-                     \x20               [--log FILE] [--log-max-mb MB] [--log-keep N]"
+                     \x20               [--log FILE]"
                 );
                 return ExitCode::SUCCESS;
             }

@@ -137,13 +137,9 @@ pub struct Config {
     pub slow_ms: Option<u64>,
     /// Where tail-sampled slow-job artifacts land (only with `slow_ms`).
     pub slow_dir: PathBuf,
-    /// Structured request-log sink.
+    /// Structured request-log sink. A file is appended to and never
+    /// reopened: rotate it externally by copy and truncate.
     pub log: LogTarget,
-    /// Size-rotate the request-log file (`LogTarget::File`) once it
-    /// exceeds this many MiB. `None` appends without bound.
-    pub log_max_mb: Option<u64>,
-    /// Rotated request-log generations to keep (`<log>.1` … `<log>.N`).
-    pub log_keep: usize,
 }
 
 impl Default for Config {
@@ -159,8 +155,6 @@ impl Default for Config {
             slow_ms: None,
             slow_dir: PathBuf::from("codegend-slow"),
             log: LogTarget::Stderr,
-            log_max_mb: None,
-            log_keep: 3,
         }
     }
 }
@@ -322,22 +316,13 @@ impl State {
         }
         out.push_str(",\"slow_dir\":\"");
         escape_into(&c.slow_dir.display().to_string(), &mut out);
-        out.push('"');
-        match c.log_max_mb {
-            Some(mb) => {
-                let _ = write!(out, ",\"log_max_mb\":{mb}");
-            }
-            None => out.push_str(",\"log_max_mb\":null"),
-        }
-        let p = telemetry::profile::state();
-        let _ = write!(
-            out,
-            ",\"log_keep\":{},\"log_rotations\":{},\"build\":\"",
-            c.log_keep,
-            self.logger.rotations(),
-        );
+        out.push_str("\",\"build\":\"");
         escape_into(&build_fingerprint(), &mut out);
-        let _ = writeln!(out, "\",\"profiler_supported\":{}}}", p.supported);
+        let _ = writeln!(
+            out,
+            "\",\"profiler_supported\":{}}}",
+            telemetry::profile::state().supported
+        );
         out
     }
 }
@@ -361,10 +346,9 @@ pub struct Daemon {
 pub fn spawn(cfg: Config) -> io::Result<Daemon> {
     let http = TcpListener::bind(&cfg.http_addr)?;
     let http_addr = http.local_addr()?;
-    let logger = match (&cfg.log, cfg.log_max_mb) {
-        (LogTarget::Stderr, _) => Logger::stderr(),
-        (LogTarget::File(p), None) => Logger::file(p)?,
-        (LogTarget::File(p), Some(mb)) => Logger::rotating_file(p, mb << 20, cfg.log_keep)?,
+    let logger = match &cfg.log {
+        LogTarget::Stderr => Logger::stderr(),
+        LogTarget::File(p) => Logger::file(p)?,
     };
     // The omega span hook keeps the per-thread span stack that
     // `/debug/pprof/profile` samples are tagged with and that times each
@@ -391,9 +375,6 @@ pub fn spawn(cfg: Config) -> io::Result<Daemon> {
         workers,
         cfg,
     });
-    state
-        .logger
-        .set_rotation_counter(Arc::clone(&state.metrics.log_rotations));
     state.metrics.workers.set(workers as i64);
     state.logger.log(
         Record::new("start")

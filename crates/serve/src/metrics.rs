@@ -60,8 +60,6 @@ pub struct Metrics {
     pub solver_events: Arc<Family<Counter>>,
     /// Seconds since the daemon started (set at scrape time).
     pub uptime_seconds: Arc<Gauge>,
-    /// Request-log file rotations (`--log-max-mb`).
-    pub log_rotations: Arc<Counter>,
 }
 
 impl Metrics {
@@ -134,10 +132,6 @@ impl Metrics {
             uptime_seconds: registry.gauge(
                 "codegend_uptime_seconds",
                 "Seconds since the daemon started.",
-            ),
-            log_rotations: registry.counter(
-                "codegend_log_rotations",
-                "Size-based request-log file rotations.",
             ),
             registry,
         }

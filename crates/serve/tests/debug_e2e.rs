@@ -131,9 +131,6 @@ fn default_flags_populate_debug_requests_and_config() {
             "deadline_ms",
             "default_effort",
             "http_addr",
-            "log_keep",
-            "log_max_mb",
-            "log_rotations",
             "profiler_supported",
             "queue_depth",
             "queue_timeout_ms",

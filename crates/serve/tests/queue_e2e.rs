@@ -1,7 +1,8 @@
 //! End-to-end tests for the service core over the HTTP/JSON job API
 //! (`POST /v1/gen`, `POST /v1/batch`): batch requests streaming
-//! per-space replies, the queue timeout, malformed bodies, and the
-//! request shape the repository benchmark sends.
+//! per-space replies with the code `/v1/gen` returns, the queue timeout,
+//! malformed bodies, and the request shape the repository benchmark
+//! sends.
 
 mod common;
 
@@ -71,6 +72,54 @@ fn batch_streams_per_space_replies_in_order() {
         "{metrics}"
     );
 
+    daemon.shutdown();
+    daemon.wait();
+}
+
+/// A batch space is an independent generation: each batch reply's code
+/// is byte for byte what `/v1/gen` returns for that space alone, at every
+/// effort. Over `load_driver.py`'s spaces and one with a congruence.
+#[test]
+fn batch_space_generates_the_code_of_v1_gen() {
+    const SPACES: [&str; 5] = [
+        "[n] -> { [i] : 0 <= i < n }",
+        "[n] -> { [i,j] : 0 <= i < n and 0 <= j < i }",
+        "[n] -> { [i,j] : 0 <= i < n and 0 <= j < n and i + j < n }",
+        "[n,m] -> { [i,j] : 0 <= i < n and 0 <= j < m }",
+        "[n] -> { [i,j] : 0 <= i < n and 0 <= j < n and exists(a : j = 3a + i) }",
+    ];
+    let dir = TempDir::new("queue");
+    let daemon = spawn(Config {
+        http_addr: "127.0.0.1:0".into(),
+        log: LogTarget::File(dir.join("same-code.jsonl")),
+        ..Config::default()
+    })
+    .unwrap();
+    let addr = daemon.http_addr();
+    let quoted: Vec<String> = SPACES.iter().map(|s| format!("\"{s}\"")).collect();
+    for effort in 0..=2 {
+        let (head, body) = http_post(
+            addr,
+            "/v1/batch",
+            &format!(r#"{{"spaces":[{}],"effort":{effort}}}"#, quoted.join(",")),
+        );
+        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+        let replies = ndjson(&body);
+        assert_eq!(replies.len(), 1 + SPACES.len(), "{body}");
+        for (space, batch) in quoted.iter().zip(&replies[1..]) {
+            let single = gen(
+                addr,
+                &format!(r#"{{"spaces":[{space}],"effort":{effort}}}"#),
+            );
+            let code = field(&single, "code");
+            assert!(!code.is_empty(), "effort {effort}, {space}: {single:?}");
+            assert_eq!(
+                field(batch, "code"),
+                code,
+                "effort {effort}, {space}: batch and /v1/gen differ"
+            );
+        }
+    }
     daemon.shutdown();
     daemon.wait();
 }

@@ -1,7 +1,6 @@
 //! Atomic log₂-bucketed latency histogram.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 /// Number of log₂ buckets: one per possible `floor(log2(ns))` of a `u64`.
 pub(crate) const BUCKETS: usize = 64;
@@ -40,11 +39,6 @@ impl Histogram {
         self.buckets[b].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum_ns.fetch_add(ns, Ordering::Relaxed);
-    }
-
-    /// Records one [`Duration`] (saturating at `u64::MAX` ns ≈ 584 years).
-    pub fn observe(&self, d: Duration) {
-        self.observe_ns(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
     }
 
     /// Number of recorded observations.

@@ -17,14 +17,11 @@
 //! ```
 
 use std::fmt::Write as _;
-use std::fs::{self, File};
+use std::fs::File;
 use std::io::{self, Write};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::path::Path;
+use std::sync::Mutex;
 use std::time::{SystemTime, UNIX_EPOCH};
-
-use crate::Counter;
 
 /// A JSON object under construction. Field order is insertion order;
 /// keys are written verbatim (callers use static identifier-like keys).
@@ -119,75 +116,6 @@ pub fn escape_into(s: &str, out: &mut String) {
     }
 }
 
-/// A size-rotating append file: when the active file would exceed
-/// `max_bytes`, it is renamed to `<path>.1` (shifting `.1`→`.2`, …, and
-/// discarding `.{keep}`) and a fresh file is started. The rotation itself
-/// is observable twice over: the first line of every fresh file is a
-/// `log_rotated` record, and an optional [`Counter`] is bumped so the
-/// scrape endpoint shows lifetime rotations.
-struct RotatingFile {
-    path: PathBuf,
-    file: File,
-    written: u64,
-    max_bytes: u64,
-    keep: usize,
-    rotations: Arc<AtomicU64>,
-    counter: Option<Arc<Counter>>,
-}
-
-impl RotatingFile {
-    fn numbered(&self, i: usize) -> PathBuf {
-        let mut os = self.path.clone().into_os_string();
-        os.push(format!(".{i}"));
-        PathBuf::from(os)
-    }
-
-    fn rotate(&mut self) {
-        if self.keep == 0 {
-            let _ = fs::remove_file(&self.path);
-        } else {
-            let _ = fs::remove_file(self.numbered(self.keep));
-            for i in (1..self.keep).rev() {
-                let _ = fs::rename(self.numbered(i), self.numbered(i + 1));
-            }
-            let _ = fs::rename(&self.path, self.numbered(1));
-        }
-        // On open failure keep the old fd (it still points at the renamed
-        // file) — telemetry must never take down the service.
-        if let Ok(f) = File::options().create(true).append(true).open(&self.path) {
-            self.file = f;
-        }
-        self.written = 0;
-        let n = self.rotations.fetch_add(1, Ordering::Relaxed) + 1;
-        if let Some(c) = &self.counter {
-            c.inc();
-        }
-        let mut line = Record::new("log_rotated")
-            .int("rotation", n as i128)
-            .int("max_bytes", self.max_bytes as i128)
-            .int("keep", self.keep as i128)
-            .int("ts_ms", now_ms() as i128)
-            .finish();
-        line.push('\n');
-        self.written += line.len() as u64;
-        let _ = self.file.write_all(line.as_bytes());
-    }
-
-    fn write_line(&mut self, line: &[u8]) {
-        if self.written > 0 && self.written + line.len() as u64 > self.max_bytes {
-            self.rotate();
-        }
-        self.written += line.len() as u64;
-        let _ = self.file.write_all(line);
-        let _ = self.file.flush();
-    }
-}
-
-enum Sink {
-    Plain(Box<dyn Write + Send>),
-    Rotating(RotatingFile),
-}
-
 fn now_ms() -> u128 {
     SystemTime::now()
         .duration_since(UNIX_EPOCH)
@@ -195,10 +123,10 @@ fn now_ms() -> u128 {
         .unwrap_or(0)
 }
 
-/// A shared line sink for [`Record`]s. Cheap to share behind an `Arc`.
+/// A shared line sink for [`Record`]s: stderr or an append-only file,
+/// behind one mutex. Cheap to share behind an `Arc`.
 pub struct Logger {
-    sink: Mutex<Sink>,
-    rotations: Arc<AtomicU64>,
+    sink: Mutex<Box<dyn Write + Send>>,
 }
 
 impl std::fmt::Debug for Logger {
@@ -211,12 +139,13 @@ impl Logger {
     /// A logger writing to stderr.
     pub fn stderr() -> Logger {
         Logger {
-            sink: Mutex::new(Sink::Plain(Box::new(io::stderr()))),
-            rotations: Arc::new(AtomicU64::new(0)),
+            sink: Mutex::new(Box::new(io::stderr())),
         }
     }
 
-    /// A logger appending to `path` (no rotation).
+    /// A logger appending to `path`. The file is opened `O_APPEND` once
+    /// and never reopened, so an external rotator must copy and truncate
+    /// it in place (logrotate's `copytruncate`), not rename it.
     ///
     /// # Errors
     ///
@@ -224,50 +153,8 @@ impl Logger {
     pub fn file(path: &Path) -> io::Result<Logger> {
         let f = File::options().create(true).append(true).open(path)?;
         Ok(Logger {
-            sink: Mutex::new(Sink::Plain(Box::new(f))),
-            rotations: Arc::new(AtomicU64::new(0)),
+            sink: Mutex::new(Box::new(f)),
         })
-    }
-
-    /// A logger appending to `path` with size-based rotation: once the
-    /// active file would grow past `max_bytes`, it is renamed to
-    /// `<path>.1` (older generations shift to `.2`, …, `.{keep}`; the
-    /// oldest is deleted) and a fresh file is begun whose first line is a
-    /// `log_rotated` record. A single over-long line still lands whole —
-    /// rotation happens *before* a write, never mid-line.
-    ///
-    /// # Errors
-    ///
-    /// Propagates file-creation errors for the initial file.
-    pub fn rotating_file(path: &Path, max_bytes: u64, keep: usize) -> io::Result<Logger> {
-        let f = File::options().create(true).append(true).open(path)?;
-        let written = f.metadata().map(|m| m.len()).unwrap_or(0);
-        let rotations = Arc::new(AtomicU64::new(0));
-        Ok(Logger {
-            sink: Mutex::new(Sink::Rotating(RotatingFile {
-                path: path.to_path_buf(),
-                file: f,
-                written,
-                max_bytes: max_bytes.max(1),
-                keep,
-                rotations: Arc::clone(&rotations),
-                counter: None,
-            })),
-            rotations,
-        })
-    }
-
-    /// Wires a [`Counter`] that is incremented on every rotation (e.g.
-    /// `codegend_log_rotations`). No-op for non-rotating sinks.
-    pub fn set_rotation_counter(&self, counter: Arc<Counter>) {
-        if let Sink::Rotating(r) = &mut *self.sink.lock().unwrap_or_else(|e| e.into_inner()) {
-            r.counter = Some(counter);
-        }
-    }
-
-    /// Lifetime rotation count of this logger (0 for non-rotating sinks).
-    pub fn rotations(&self) -> u64 {
-        self.rotations.load(Ordering::Relaxed)
     }
 
     /// Stamps `record` with `ts_ms` (Unix milliseconds at write time) and
@@ -293,13 +180,8 @@ impl Logger {
 
     fn write_line(&self, line: &[u8]) {
         let mut sink = self.sink.lock().unwrap_or_else(|e| e.into_inner());
-        match &mut *sink {
-            Sink::Plain(w) => {
-                let _ = w.write_all(line);
-                let _ = w.flush();
-            }
-            Sink::Rotating(r) => r.write_line(line),
-        }
+        let _ = sink.write_all(line);
+        let _ = sink.flush();
     }
 }
 
@@ -346,51 +228,54 @@ mod tests {
     }
 
     #[test]
-    fn rotating_logger_shifts_generations_and_counts() {
+    fn concurrent_writers_never_tear_a_line() {
+        const THREADS: i64 = 8;
+        const RECORDS: i64 = 500;
         let dir = std::env::temp_dir().join(format!(
-            "telemetry-logrot-test-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
+            "telemetry-log-concurrent-test-{}",
+            std::process::id()
         ));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("requests.jsonl");
-        // ~60-byte lines against a 150-byte cap: every third-ish line rotates.
-        let logger = Logger::rotating_file(&path, 150, 2).unwrap();
-        let reg = crate::Registry::new();
-        let ctr = reg.counter("log_rotations", "Log file rotations.");
-        logger.set_rotation_counter(Arc::clone(&ctr));
-        for i in 0..12 {
-            logger.log(
-                Record::new("request")
-                    .int("seq", i)
-                    .str("pad", "xxxxxxxxxx"),
-            );
-        }
-        assert!(
-            logger.rotations() >= 2,
-            "rotated {} times",
-            logger.rotations()
-        );
-        assert_eq!(ctr.get(), logger.rotations());
-        // Active file + exactly `keep` generations; each rotated-into file
-        // opens with the log_rotated marker record.
-        let active = std::fs::read_to_string(&path).unwrap();
-        assert!(active.lines().next().unwrap().contains("log_rotated"));
-        assert!(dir.join("requests.jsonl.1").exists());
-        assert!(dir.join("requests.jsonl.2").exists());
-        assert!(!dir.join("requests.jsonl.3").exists());
-        // No line was ever split by a rotation.
-        for text in [
-            &active,
-            &std::fs::read_to_string(dir.join("requests.jsonl.1")).unwrap(),
-        ] {
-            for line in text.lines() {
-                assert!(
-                    line.starts_with('{') && line.ends_with('}'),
-                    "torn line {line:?}"
-                );
+        let path = dir.join("out.jsonl");
+        let logger = Logger::file(&path).unwrap();
+        let record = |t: i64, seq: i64| {
+            Record::new("w")
+                .int("thread", t)
+                .int("seq", seq)
+                .str("pad", &"x".repeat(64 + t as usize))
+        };
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (logger, record) = (&logger, &record);
+                s.spawn(move || {
+                    for seq in 0..RECORDS {
+                        logger.log(record(t, seq));
+                    }
+                });
             }
+        });
+        // Every line is exactly one record's JSON object, closed by its
+        // `ts_ms` stamp, and every record appears once.
+        let text = std::fs::read_to_string(&path).unwrap();
+        let mut seen = std::collections::HashSet::new();
+        for line in text.lines() {
+            let (t, seq) = line
+                .strip_prefix(r#"{"event":"w","thread":"#)
+                .and_then(|r| r.split_once(r#","seq":"#))
+                .and_then(|(t, r)| Some((t.parse().ok()?, r.split_once(',')?.0.parse().ok()?)))
+                .unwrap_or_else(|| panic!("torn line {line:?}"));
+            let mut prefix = record(t, seq).finish();
+            prefix.pop();
+            let stamp = line
+                .strip_prefix(prefix.as_str())
+                .and_then(|r| r.strip_prefix(r#","ts_ms":"#))
+                .and_then(|r| r.strip_suffix('}'))
+                .unwrap_or_else(|| panic!("torn line {line:?}"));
+            assert!(stamp.bytes().all(|b| b.is_ascii_digit()), "{line:?}");
+            assert!(seen.insert((t, seq)), "duplicate line {line:?}");
         }
+        assert_eq!(text.lines().count(), (THREADS * RECORDS) as usize);
+        assert_eq!(seen.len(), (THREADS * RECORDS) as usize);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

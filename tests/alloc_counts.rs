@@ -65,8 +65,8 @@ const SLACK: f64 = 0.10;
 const PINNED: [(&str, &str, u64); 4] = [
     ("cgplus", "cold", 32_922),
     ("cgplus", "warm", 22_328),
-    ("cloog", "cold", 65_226),
-    ("cloog", "warm", 57_440),
+    ("cloog", "cold", 55_428),
+    ("cloog", "warm", 47_642),
 ];
 
 /// Generates every kernel once with `tool`, resetting the solver caches
