@@ -32,9 +32,12 @@
 //! top-level `ablations` array.
 //!
 //! With `--trace FILE.json`, one extra cold-cache CodeGen+ generation per
-//! kernel runs under a span collector; the merged trace is written as
-//! Chrome trace-event JSON (loadable in Perfetto / `chrome://tracing`)
-//! together with a hot-spot summary. An
+//! kernel, and the stand-in compile of its code, runs under a span
+//! collector; the merged trace is written as Chrome trace-event JSON
+//! (loadable in Perfetto / `chrome://tracing`). The same runs are timed
+//! by the span hook (`telemetry::profile::timed`), and the per-name totals
+//! print as a hot-spot table: the top 14 span names by self time, which
+//! the run checks sums exactly to the traced generations and compiles. An
 //! existing trace file is not overwritten unless `--force` is given. With
 //! `--dump-dir DIR`, every tier-2 solver query of the traced runs is also
 //! written as a replayable `.omega` dump (see `omega-replay`).
@@ -205,12 +208,7 @@ fn main() -> ExitCode {
                 compile_ns: row.cgplus.compile_time.as_nanos() as u64,
                 request_ns: row_ns,
                 certainty: row.cgplus.certainty.clone(),
-                phases: spans
-                    .spans
-                    .iter()
-                    .filter(|s| omega::report::is_phase_name(s.name))
-                    .map(|s| (s.name, s.ns))
-                    .collect(),
+                phases: spans.spans.iter().map(|s| (s.name, s.ns)).collect(),
                 counters,
                 slow: false,
                 retained: None,
@@ -312,20 +310,29 @@ fn main() -> ExitCode {
             ablation_rows.push(text);
             json_ablations.push(json + "}");
         }
-        if let Some(c) = &collector {
-            let before = omega::stats::snapshot();
-            trace_kernel(&kernel, c);
-            let after = omega::stats::snapshot();
-            expected_sat_exact += after.exact_solves() - before.exact_solves();
-            expected_gist_exact += after.gist_misses - before.gist_misses;
-            // Written per kernel, so the buffer's cap bounds one kernel's
-            // queries, not the whole run's.
-            if let Some(d) = &dump_dir {
-                let (written, dropped) = c.write_buffered_dumps(d).expect("write query dumps");
-                dumps = (dumps.0 + written, dumps.1 + dropped);
-            }
-        }
     }
+    // The traced runs, timed as one scope by the span hook: its per-name
+    // totals are the hot-spot table. The kernels are built outside it, as
+    // building them asks the solver too.
+    let hot = collector.as_ref().map(|c| {
+        let kernels = chill::recipes::all(n);
+        telemetry::profile::timed(|| {
+            for kernel in &kernels {
+                let before = omega::stats::snapshot();
+                trace_kernel(kernel, c);
+                let after = omega::stats::snapshot();
+                expected_sat_exact += after.exact_solves() - before.exact_solves();
+                expected_gist_exact += after.gist_misses - before.gist_misses;
+                // Written per kernel, so the buffer's cap bounds one
+                // kernel's queries, not the whole run's.
+                if let Some(d) = &dump_dir {
+                    let (written, dropped) = c.write_buffered_dumps(d).expect("write query dumps");
+                    dumps = (dumps.0 + written, dumps.1 + dropped);
+                }
+            }
+        })
+        .1
+    });
     println!("\n(All rows verified: both tools execute identical statement traces.)");
     println!("\nAblations — one generation per cell against cold solver caches (n = {n})\n");
     println!(
@@ -364,11 +371,39 @@ fn main() -> ExitCode {
             }
         }
     }
-    if let Some(c) = &collector {
+    if let (Some(c), Some(mut hot)) = (&collector, hot) {
         let trace = c.finish();
         assert!(trace.is_well_formed(), "recorded trace is not well-formed");
         println!("\n--- trace summary (cold-cache CodeGen+ runs) ---");
-        print!("{}", trace.hotspots(14));
+        // Each traced run's outermost spans are its generation and its
+        // compile: every span's self time is inside exactly one of them.
+        let outer: u64 = hot
+            .spans
+            .iter()
+            .filter(|h| matches!(h.name, "cg_generate" | "pass_pipeline"))
+            .map(|h| h.ns)
+            .sum();
+        let self_total: u64 = hot.spans.iter().map(|h| h.self_ns).sum();
+        assert_eq!(
+            self_total, outer,
+            "self times must sum to cg_generate + pass_pipeline"
+        );
+        assert_eq!(hot.untimed, 0, "spans nested past the span stack");
+        hot.spans
+            .sort_by(|a, b| b.self_ns.cmp(&a.self_ns).then(a.name.cmp(b.name)));
+        println!(
+            "{:<28} {:>9} {:>12} {:>12}",
+            "span", "count", "self ms", "incl ms"
+        );
+        for h in hot.spans.iter().take(14) {
+            println!(
+                "{:<28} {:>9} {:>12.3} {:>12.3}",
+                h.name,
+                h.count,
+                h.self_ns as f64 / 1e6,
+                h.ns as f64 / 1e6
+            );
+        }
         let sat_spans = trace.count_named("sat_exact") as u64;
         let gist_spans = trace.count_named("gist_exact") as u64;
         assert_eq!(

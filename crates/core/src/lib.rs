@@ -223,9 +223,10 @@ impl CodeGen {
     /// executed by [`CodeGen::generate`] records a timed span into it (see
     /// [`omega::trace`]). Harvest with [`omega::trace::Collector::finish`]
     /// after `generate` returns, then export via
-    /// [`omega::trace::Trace::write_chrome_json`] or
-    /// [`omega::trace::Trace::hotspots`]. Without a collector the probes
-    /// are dormant (one thread-local boolean test each).
+    /// [`omega::trace::Trace::write_chrome_json`]. Without a collector the
+    /// probes still reach the process's span hook, when one is installed
+    /// (per-name times come from its `telemetry::profile::timed` totals);
+    /// with neither, each is a thread-local read and an atomic load.
     pub fn trace(mut self, collector: omega::trace::Collector) -> CodeGen {
         self.trace = Some(collector);
         self

@@ -20,10 +20,10 @@
 //!
 //! Both producers take a job's phases and counters from the job's own
 //! thread: phases from the span hook's per-thread timing
-//! (`telemetry::profile::timed`, filtered by [`is_phase_name`]) and
-//! counters from [`crate::stats::thread_snapshot`] deltas. A generation
-//! runs on one thread, so both are exact under concurrent jobs, and
-//! neither needs a span `Collector`.
+//! (`telemetry::profile::timed`: every span name timed in the job's
+//! scope) and counters from [`crate::stats::thread_snapshot`] deltas. A
+//! generation runs on one thread, so both are exact under concurrent
+//! jobs, and neither needs a span `Collector`.
 
 use std::fmt::Write as _;
 
@@ -63,9 +63,9 @@ pub struct QueryReport {
     /// The [`crate::Certainty`] rendering: `exact` or
     /// `approximate:reason+reason` (empty on error).
     pub certainty: String,
-    /// Per-phase inclusive nanoseconds, one total per phase name seen in
-    /// the job, sorted by name; a span nested in one of its own name is
-    /// not timed twice. Phase vocabulary = [`is_phase_name`].
+    /// Per-phase inclusive nanoseconds, one total per span name timed in
+    /// the job's scope, sorted by name; a span nested in one of its own
+    /// name is not timed twice.
     pub phases: Vec<(&'static str, u64)>,
     /// [`crate::stats`] counter deltas over the job, from its own thread
     /// ([`crate::stats::thread_snapshot`]).
@@ -147,29 +147,6 @@ impl QueryReport {
     }
 }
 
-/// The span names that count as pipeline *phases* for attribution:
-/// scanner phases, polyir passes, lift sub-phases, if-merging, and the
-/// solver query entry points. Everything a `QueryReport` or the
-/// `codegend_phase_seconds` histograms aggregate by; names are static
-/// strings in the probes, so cardinality is program-bounded.
-pub fn is_phase_name(name: &str) -> bool {
-    name.starts_with("cg_")
-        || name.starts_with("pass_")
-        || name.starts_with("lift_")
-        || matches!(
-            name,
-            "merge_ifs"
-                | "sat_query"
-                | "sat_exact"
-                | "gist_query"
-                | "gist_exact"
-                | "fm_eliminate"
-                | "project"
-                | "hull"
-                | "approximate"
-        )
-}
-
 /// Unix milliseconds now — the `ts_ms` stamp for reports built outside
 /// a logger.
 pub fn now_ms() -> u64 {
@@ -230,13 +207,5 @@ mod tests {
         assert!(json.contains("\"error\":\"bad \\\"input\\\"\\u000a\""));
         assert!(json.contains("\"retained\":\"slow/r-1\""));
         assert!(json.contains("\"slow\":true"));
-    }
-
-    #[test]
-    fn phase_names() {
-        assert!(is_phase_name("cg_lower"));
-        assert!(is_phase_name("pass_fold"));
-        assert!(is_phase_name("sat_exact"));
-        assert!(!is_phase_name("anything_else"));
     }
 }

@@ -7,16 +7,20 @@
 //! performance change is judged against. This module provides
 //!
 //! * a **span API** ([`span!`](crate::span!)) recording a per-query call tree with
-//!   monotonic timestamps, depth, thread id and key attributes (conjunct
+//!   monotonic timestamps, thread id and key attributes (conjunct
 //!   counts, the tier that answered, degradation reasons);
 //! * a **collector** ([`Collector`]) installed on the calling thread for a
 //!   scope. A generation runs on one thread, so children keep program
 //!   order; detached per-query roots are ordered by name and query key at
 //!   the end of the scope, never by arrival time, so a trace's *shape* is
 //!   a pure function of the work done;
-//! * **exporters** — a Chrome trace-event JSON file (loadable in
-//!   `chrome://tracing` / Perfetto) and a plain-text hot-spot summary
-//!   (top-N span names by inclusive/exclusive time).
+//! * an **exporter** — a Chrome trace-event JSON file (loadable in
+//!   `chrome://tracing` / Perfetto).
+//!
+//! Time per span name is not computed here: the span hook's
+//! `telemetry::profile::timed` totals (count, inclusive and self time per
+//! name) are the one table behind reports and `table1 --trace`'s hot-spot
+//! summary.
 //!
 //! # Cost when disabled
 //!
@@ -35,8 +39,9 @@
 //! without `omega` gaining a dependency. That hook is the one always-on
 //! sink: it keeps the sampling profiler's per-thread span stack, and
 //! inside a `telemetry::profile::timed` scope it also sums each span
-//! name's count and wall time on that thread, which is where `codegend`
-//! and `table1` take a job's phases from. A [`Collector`] is installed
+//! name's count, wall time and self time on that thread, which is where
+//! `codegend` and `table1` take a job's phases and `table1 --trace` its
+//! hot-spot table from. A [`Collector`] is installed
 //! only when a span tree itself is wanted: `table1 --trace`/`--dump-dir`
 //! and `codegend --slow-ms`.
 //!
@@ -142,8 +147,6 @@ pub struct Span {
     pub start_ns: u64,
     /// End, in nanoseconds since the collector was created.
     pub end_ns: u64,
-    /// Nesting depth at record time (0 for roots of the recording thread).
-    pub depth: u32,
     /// Process-unique recording thread id (small integer, stable per
     /// thread, not an OS tid).
     pub thread: u64,
@@ -155,12 +158,6 @@ impl Span {
     /// Inclusive duration in nanoseconds.
     pub fn duration_ns(&self) -> u64 {
         self.end_ns.saturating_sub(self.start_ns)
-    }
-
-    /// Exclusive duration: inclusive minus the children's inclusive time.
-    pub fn exclusive_ns(&self) -> u64 {
-        self.duration_ns()
-            .saturating_sub(self.children.iter().map(Span::duration_ns).sum())
     }
 
     /// Looks up an attribute by key.
@@ -350,107 +347,6 @@ impl Trace {
             emit(w, &mut first, r)?;
         }
         w.write_all(b"\n]\n")
-    }
-
-    /// A plain-text hot-spot summary: the top `n` span names by exclusive
-    /// time, with counts and inclusive totals.
-    pub fn hotspots(&self, n: usize) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{:<28} {:>9} {:>13} {:>13}\n",
-            "span", "count", "exclusive", "inclusive"
-        ));
-        for h in self.hotspot_rows().iter().take(n) {
-            out.push_str(&format!(
-                "{:<28} {:>9} {:>13} {:>13}\n",
-                h.name,
-                h.count,
-                format_ns(h.excl_ns),
-                format_ns(h.incl_ns),
-            ));
-        }
-        out
-    }
-
-    /// Per-name totals behind [`Trace::hotspots`], by exclusive time.
-    ///
-    /// A span's exclusive time is its duration minus the spans nested
-    /// directly inside it: its children, and the detached roots (the
-    /// solver's `sat_exact`/`gist_exact`) opened while it was the
-    /// innermost open span on its thread. Those roots are recorded apart
-    /// from their asker, but their time was spent inside it; nesting is
-    /// read off the same-thread intervals.
-    fn hotspot_rows(&self) -> Vec<Hotspot> {
-        let mut spans: Vec<&Span> = Vec::new();
-        self.walk(&mut |s| spans.push(s));
-        let mut excl: Vec<i64> = spans.iter().map(|s| s.duration_ns() as i64).collect();
-        // Per thread, outer spans first: by start, then longest first; the
-        // stable sort keeps parents (walked first) ahead on ties.
-        let mut order: Vec<usize> = (0..spans.len()).collect();
-        order.sort_by_key(|&i| {
-            let s = spans[i];
-            (
-                s.thread,
-                s.start_ns,
-                std::cmp::Reverse(s.end_ns.max(s.start_ns)),
-            )
-        });
-        let mut open: Vec<usize> = Vec::new();
-        let mut thread = None;
-        for i in order {
-            let s = spans[i];
-            if thread != Some(s.thread) {
-                open.clear();
-                thread = Some(s.thread);
-            }
-            while open.last().is_some_and(|&p| spans[p].end_ns < s.end_ns) {
-                open.pop();
-            }
-            if let Some(&p) = open.last() {
-                excl[p] -= s.duration_ns() as i64;
-            }
-            open.push(i);
-        }
-        let mut rows: Vec<Hotspot> = Vec::new();
-        for (s, x) in spans.iter().zip(excl) {
-            let row = match rows.iter_mut().find(|h| h.name == s.name) {
-                Some(h) => h,
-                None => {
-                    rows.push(Hotspot {
-                        name: s.name,
-                        count: 0,
-                        incl_ns: 0,
-                        excl_ns: 0,
-                    });
-                    rows.last_mut().expect("just pushed")
-                }
-            };
-            row.count += 1;
-            row.incl_ns += s.duration_ns();
-            row.excl_ns += x.max(0) as u64;
-        }
-        rows.sort_by(|a, b| b.excl_ns.cmp(&a.excl_ns).then(a.name.cmp(b.name)));
-        rows
-    }
-}
-
-/// One row of [`Trace::hotspots`].
-struct Hotspot {
-    name: &'static str,
-    count: u64,
-    incl_ns: u64,
-    excl_ns: u64,
-}
-
-fn format_ns(ns: u64) -> String {
-    if ns >= 1_000_000_000 {
-        format!("{:.3}s", ns as f64 / 1e9)
-    } else if ns >= 1_000_000 {
-        format!("{:.3}ms", ns as f64 / 1e6)
-    } else if ns >= 1_000 {
-        format!("{:.3}us", ns as f64 / 1e3)
-    } else {
-        format!("{ns}ns")
     }
 }
 
@@ -778,7 +674,6 @@ fn close_top(st: &mut ThreadState) {
         attrs: open.attrs,
         start_ns: open.start_ns,
         end_ns: collector.now_ns(),
-        depth: if detached { 0 } else { st.stack.len() as u32 },
         thread: thread_id(),
         children: open.children,
     };
@@ -957,34 +852,6 @@ macro_rules! root_span {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
-
-    #[test]
-    fn hotspots_exclude_detached_roots_from_their_asker() {
-        let c = Collector::new();
-        with_collector(Some(c.clone()), || {
-            let _probe = crate::span!(sat_query);
-            std::thread::sleep(Duration::from_millis(2));
-            {
-                // Detached, like the solver's exact queries.
-                let _exact = crate::root_span!(sat_exact);
-                std::thread::sleep(Duration::from_millis(4));
-                let _fm = crate::span!(fm_eliminate);
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        });
-        let trace = c.finish();
-        let rows = trace.hotspot_rows();
-        let row = |name: &str| rows.iter().find(|h| h.name == name).expect(name);
-        let (probe, exact, fm) = (row("sat_query"), row("sat_exact"), row("fm_eliminate"));
-        assert_eq!(probe.excl_ns, probe.incl_ns - exact.incl_ns);
-        assert_eq!(exact.excl_ns, exact.incl_ns - fm.incl_ns);
-        assert!(probe.excl_ns >= 2_000_000);
-        // Nothing counted twice: the exclusive column sums to the traced
-        // wall time, the probe span's.
-        let total: u64 = rows.iter().map(|h| h.excl_ns).sum();
-        assert_eq!(total, probe.incl_ns);
-    }
 
     #[test]
     fn a_panic_in_a_nested_collector_restores_the_outer_one() {

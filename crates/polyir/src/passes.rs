@@ -22,30 +22,34 @@ pub struct CompileReport {
 /// loop-invariant code motion / unswitching → dead code elimination →
 /// common-subexpression scan → lowering.
 pub fn compile(program: &Stmt) -> CompileReport {
-    // One timed span per pass when a trace collector is installed (see
-    // `omega::trace`); dormant probes otherwise.
-    fn timed<R>(name: &'static str, f: impl FnOnce() -> R) -> R {
-        let _span = if omega::trace::active() {
-            omega::trace::span_begin(name)
-        } else {
-            omega::trace::SpanGuard::inert()
-        };
-        f()
-    }
     let _pipeline = omega::span!(pass_pipeline);
     let mut visits = 0usize;
-    let folded = timed("pass_fold", || fold_stmt(program, &mut visits));
-    let simplified = timed("pass_simplify_guards", || {
+    let folded = {
+        let _s = omega::span!(pass_fold);
+        fold_stmt(program, &mut visits)
+    };
+    let simplified = {
+        let _s = omega::span!(pass_simplify_guards);
         simplify_guards(&folded, &mut visits)
-    });
+    };
     let mut next_slot = max_var_slot(&simplified).map_or(0, |v| v + 1);
-    let hoisted = timed("pass_licm", || {
+    let hoisted = {
+        let _s = omega::span!(pass_licm);
         licm(&simplified, &mut next_slot, &mut visits)
-    });
-    let cleaned = timed("pass_dce", || dce(&hoisted, &mut visits));
-    let cse_work = timed("pass_cse", || cse_scan(&cleaned, &mut visits));
+    };
+    let cleaned = {
+        let _s = omega::span!(pass_dce);
+        dce(&hoisted, &mut visits)
+    };
+    let cse_work = {
+        let _s = omega::span!(pass_cse);
+        cse_scan(&cleaned, &mut visits)
+    };
     // fold CSE work in deterministically
-    let pseudo = timed("pass_lower", || lower(&cleaned, &mut visits)) + cse_work / 97;
+    let pseudo = {
+        let _s = omega::span!(pass_lower);
+        lower(&cleaned, &mut visits)
+    } + cse_work / 97;
     CompileReport {
         optimized: cleaned,
         node_visits: visits,

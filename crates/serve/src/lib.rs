@@ -76,7 +76,7 @@ mod report;
 use crate::metrics::Metrics;
 use crate::queue::{JobSource, JobSpec, Queue};
 use codegenplus::{pad_statements, CodeGen, Statement};
-use omega::report::{is_phase_name, now_ms, QueryReport};
+use omega::report::{now_ms, QueryReport};
 use std::fmt::Write as _;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -609,7 +609,6 @@ fn execute_task(
         .spans
         .spans
         .iter()
-        .filter(|s| is_phase_name(s.name))
         .map(|s| (s.name, s.ns))
         .collect();
     state.metrics.record_phases(&phases);

@@ -62,8 +62,9 @@ pub use registry::{Counter, Family, Gauge, Registry};
 /// Every span open/close pushes or pops the [`profile`]r's per-thread span
 /// stack, so samples are attributed to the innermost active solver
 /// phase, and inside a [`profile::timed`] scope each close adds the span's
-/// wall time to that scope's per-name totals — how `codegend` and `table1`
-/// get a job's phases without recording a span tree. The stack lives here
+/// wall time and self time to that scope's per-name totals — how
+/// `codegend` and `table1` get a job's phases, and `table1 --trace` its
+/// hot-spot table, without recording a span tree. The stack lives here
 /// rather than in the span collector because the SIGPROF handler needs
 /// lock-free, async-signal-safe reads.
 pub fn span_hook(begin: bool, name: &'static str) {

@@ -249,16 +249,25 @@ const SPAN_DEPTH: usize = 32;
 /// exposes it.
 ///
 /// While a [`timed`] scope is armed, each slot opened at or above
-/// `armed_at` also holds its open time and name, which the handler never
+/// `armed_at` also holds an [`Opened`] record, which the handler never
 /// reads.
 struct SpanStack {
     depth: AtomicUsize,
     ptrs: [AtomicUsize; SPAN_DEPTH],
     lens: [AtomicUsize; SPAN_DEPTH],
-    opened: [Cell<Option<(Instant, &'static str)>>; SPAN_DEPTH],
+    opened: [Cell<Option<Opened>>; SPAN_DEPTH],
     /// Stack depth when the innermost armed scope began; `usize::MAX`
     /// when none is armed. Slots below it may hold stale open times.
     armed_at: Cell<usize>,
+}
+
+/// An armed slot: when and under what name its span opened, and the wall
+/// time of the children that have closed inside it so far.
+#[derive(Clone, Copy)]
+struct Opened {
+    at: Instant,
+    name: &'static str,
+    child_ns: u64,
 }
 
 impl SpanStack {
@@ -290,7 +299,11 @@ pub fn span_enter(name: &'static str) {
             s.ptrs[d].store(name.as_ptr() as usize, Ordering::Relaxed);
             s.lens[d].store(name.len(), Ordering::Relaxed);
             if d >= s.armed_at.get() {
-                s.opened[d].set(Some((Instant::now(), name)));
+                s.opened[d].set(Some(Opened {
+                    at: Instant::now(),
+                    name,
+                    child_ns: 0,
+                }));
             }
         }
         // Write the entry before exposing it: the handler reads only
@@ -305,9 +318,10 @@ pub fn span_enter(name: &'static str) {
 }
 
 /// Pops the innermost span. Unbalanced exits are clamped at zero. Inside
-/// a [`timed`] scope, counts the span in the scope's totals and adds its
-/// wall time unless an enclosing slot of the scope is open under the same
-/// name (see [`SpanTotal::ns`]).
+/// a [`timed`] scope, counts the span in the scope's totals with its self
+/// time, and its wall time unless an enclosing slot of the scope is open
+/// under the same name (see [`SpanTotal`]); the wall time also leaves the
+/// enclosing slot's self time.
 pub fn span_exit() {
     SPAN_STACK.with(|s| {
         let d = s.depth.load(Ordering::Relaxed);
@@ -315,28 +329,45 @@ pub fn span_exit() {
             return;
         }
         s.depth.store(d - 1, Ordering::Relaxed);
-        if d - 1 < s.armed_at.get() {
+        let (armed, slot) = (s.armed_at.get(), d - 1);
+        if slot < armed {
             return;
         }
-        let opened = s.opened.get(d - 1).and_then(Cell::get);
+        let opened = s.opened.get(slot).and_then(Cell::get);
         TOTALS.with(|t| {
             let t = &mut *t.borrow_mut();
-            let Some((t0, name)) = opened else {
+            let Some(open) = opened else {
                 t.untimed += 1;
                 return;
             };
-            let enclosed = s.opened[s.armed_at.get()..d - 1].iter().any(|slot| {
-                slot.get()
-                    .is_some_and(|(_, n)| std::ptr::eq(n, name) || n == name)
+            let ns = open.at.elapsed().as_nanos() as u64;
+            if slot > armed {
+                let parent = &s.opened[slot - 1];
+                parent.set(parent.get().map(|p| Opened {
+                    child_ns: p.child_ns + ns,
+                    ..p
+                }));
+            }
+            let enclosed = s.opened[armed..slot].iter().any(|o| {
+                o.get()
+                    .is_some_and(|o| std::ptr::eq(o.name, open.name) || o.name == open.name)
             });
-            let ns = if enclosed {
-                0
-            } else {
-                t0.elapsed().as_nanos() as u64
-            };
-            match t.spans.iter_mut().find(|x| x.name == name) {
-                Some(x) => (x.count, x.ns) = (x.count + 1, x.ns + ns),
-                None => t.spans.push(SpanTotal { name, count: 1, ns }),
+            let ns_once = if enclosed { 0 } else { ns };
+            // Children open and close inside their parent, so their times
+            // never sum past its own; the hook must not panic regardless.
+            let self_ns = ns.saturating_sub(open.child_ns);
+            match t.spans.iter_mut().find(|x| x.name == open.name) {
+                Some(x) => {
+                    x.count += 1;
+                    x.ns += ns_once;
+                    x.self_ns += self_ns;
+                }
+                None => t.spans.push(SpanTotal {
+                    name: open.name,
+                    count: 1,
+                    ns: ns_once,
+                    self_ns,
+                }),
             }
         });
     });
@@ -352,9 +383,16 @@ pub struct SpanTotal {
     pub count: u64,
     /// Their wall time in nanoseconds, inclusive of the spans they
     /// enclose. A span that closes inside an open span of the same name
-    /// (a recursive one) adds to `count` only: the enclosing span's time
+    /// (a recursive one) adds nothing here: the enclosing span's time
     /// already covers it, so `ns` never counts one instant twice.
     pub ns: u64,
+    /// Their self time in nanoseconds: each span's wall time less that of
+    /// the timed spans that closed directly inside it, every level of a
+    /// recursive span included. A `root_span!` is a nested span here, so
+    /// a detached query's time leaves its asker's. Over a scope, the self
+    /// times of all names sum exactly to the wall time of its outermost
+    /// spans.
+    pub self_ns: u64,
 }
 
 /// What a [`timed`] scope recorded on its thread.
@@ -367,9 +405,9 @@ pub struct SpanTotals {
     pub untimed: u64,
 }
 
-/// Runs `f` with this thread's span timing armed, and returns the count
-/// and wall time per span name of every span that opened and closed
-/// inside it. The span hook (`telemetry::span_hook`) must be installed,
+/// Runs `f` with this thread's span timing armed, and returns the count,
+/// wall time and self time per span name of every span that opened and
+/// closed inside it. The span hook (`telemetry::span_hook`) must be installed,
 /// or no span reaches the stack. Only this thread's spans count; a scope
 /// nested in another takes over until it returns, and its spans do not
 /// count in the outer one. Restores the outer scope also when `f` unwinds.
@@ -884,6 +922,36 @@ mod timing_tests {
         });
         span_exit();
         assert!(inside.spans[0].ns >= p, "{inside:?}");
+    }
+
+    #[test]
+    fn self_times_sum_to_the_outermost_span() {
+        let pause = Duration::from_millis(1);
+        let ((), totals) = timed(|| {
+            span_enter("root");
+            std::thread::sleep(pause);
+            span_enter("rec");
+            std::thread::sleep(pause);
+            span_enter("rec");
+            std::thread::sleep(pause);
+            span_exit();
+            span_exit();
+            span_enter("sibling");
+            std::thread::sleep(pause);
+            span_exit();
+            span_exit();
+        });
+        let get = |name| *totals.spans.iter().find(|s| s.name == name).unwrap();
+        let (root, rec, sibling) = (get("root"), get("rec"), get("sibling"));
+        let all: u64 = totals.spans.iter().map(|s| s.self_ns).sum();
+        assert_eq!(all, root.ns, "{totals:?}");
+        assert_eq!(root.self_ns, root.ns - rec.ns - sibling.ns, "{totals:?}");
+        // Each level of `rec` adds its own self time, so together they
+        // make up the outer level's wall time, the one `ns` counts.
+        assert_eq!(rec.self_ns, rec.ns, "{totals:?}");
+        assert_eq!(sibling.self_ns, sibling.ns, "{totals:?}");
+        let p = pause.as_nanos() as u64;
+        assert!(root.self_ns >= p && rec.ns >= 2 * p, "{totals:?}");
     }
 
     #[test]

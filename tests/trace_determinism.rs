@@ -57,10 +57,10 @@ fn traces_are_well_formed_and_spans_accounted() {
     assert!(trace.count_named("cg_generate") == 1);
     assert!(trace.count_named("cg_prepare") == 1);
     assert!(trace.count_named("cg_lower") == 1);
-    // Every span's children lie inside it and the exclusive times sum up.
+    // Every span's children lie inside it, so their times fit in its own.
     trace.walk(&mut |s| {
         let child_total: u64 = s.children.iter().map(|c| c.duration_ns()).sum();
-        assert!(s.exclusive_ns() + child_total >= s.duration_ns());
+        assert!(child_total <= s.duration_ns());
     });
 }
 
